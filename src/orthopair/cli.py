@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from . import config, continuation, invariants, relations, tangent
-from .linalg import spectral_norm
+from .linalg import IndeterminateDimension
 
 OK, FAIL, INDETERMINATE, USAGE = 0, 1, 2, 3
 
@@ -79,27 +79,6 @@ def cmd_hadamard(args) -> int:
     return OK
 
 
-def _residual_categories(c: config.PairConfiguration) -> dict[str, float]:
-    cats: dict[str, float] = {}
-    for tag, system in (("p", c.p_system), ("q", c.q_system)):
-        idem = max(spectral_norm(m @ m - m) for m in system.projectors)
-        tr = max(abs(np.trace(m) - 1.0) for m in system.projectors)
-        orth = max(
-            (spectral_norm(a @ b)
-             for i, a in enumerate(system.projectors)
-             for j, b in enumerate(system.projectors) if i != j),
-            default=0.0,
-        )
-        cats[f"{tag}_idempotency"] = float(idem)
-        cats[f"{tag}_unit_trace"] = float(tr)
-        cats[f"{tag}_orthogonality"] = float(orth)
-        cats[f"{tag}_sum_to_identity"] = float(
-            spectral_norm(sum(system.projectors) - np.eye(c.n)))
-    cats["unbiasedness"] = float(max(
-        abs(np.trace(p @ q) - 1.0 / c.n) for p in c.p for q in c.q))
-    return cats
-
-
 def cmd_verify(args) -> int:
     c = config.load_pair(args.file)
     if args.precision == "extended":
@@ -107,7 +86,7 @@ def cmd_verify(args) -> int:
 
         cats = xprec.pair_residual_categories_mp(c.p, c.q)
     else:
-        cats = _residual_categories(c)
+        cats = config.residual_categories(c)
     worst_name, worst = max(cats.items(), key=lambda kv: kv[1])
     ok = worst <= args.tol
     _emit({"n": c.n, "categories": cats, "max_residual": worst,
@@ -349,7 +328,7 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         _diag(f"usage error: {exc}")
         return USAGE
-    except tangent.IndeterminateDimension as exc:
+    except IndeterminateDimension as exc:
         _emit({"status": "indeterminate", "gap_ratio": exc.gap_ratio,
                "singular_values": [float(x) for x in exc.singular_values]})
         _diag(str(exc))

@@ -17,7 +17,7 @@ is a fixed point of the gauge.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,7 @@ __all__ = [
     "fourier_phases",
     "standard_pair",
     "pair_from_matrices",
-    "unbiasedness_residual",
+    "residual_categories",
     "from_hadamard",
     "to_hadamard",
     "is_complex_hadamard",
@@ -52,23 +52,6 @@ class ProjectorSystem:
 
     n: int
     projectors: tuple[np.ndarray, ...]
-
-    def residual(self) -> float:
-        """Worst violation of idempotency, orthogonality and sum-to-identity."""
-        worst = 0.0
-        for i, p in enumerate(self.projectors):
-            worst = max(worst, spectral_norm(p @ p - p))
-            worst = max(worst, abs(np.trace(p) - 1.0))
-            for j, q in enumerate(self.projectors):
-                if i != j:
-                    worst = max(worst, spectral_norm(p @ q))
-        worst = max(worst, spectral_norm(sum(self.projectors) - np.eye(self.n)))
-        return worst
-
-    def validate(self, tol: float = DEFAULT_TOL) -> None:
-        r = self.residual()
-        if r > tol:
-            raise ValueError(f"projector system violates its invariants: residual {r:.3e} > {tol:.1e}")
 
 
 def _system(mats) -> ProjectorSystem:
@@ -109,21 +92,30 @@ def pair_from_matrices(ps, qs) -> PairConfiguration:
     if p_sys.n != q_sys.n:
         raise ValueError("systems have different dimensions")
     cfg = PairConfiguration(p_sys.n, p_sys, q_sys, 0.0)
-    return PairConfiguration(p_sys.n, p_sys, q_sys, unbiasedness_residual(cfg))
+    return replace(cfg, residual=max(residual_categories(cfg).values()))
 
 
-def unbiasedness_residual(c: PairConfiguration) -> float:
-    """Worst violation over all defining relations of the configuration:
-    idempotency, in-system orthogonality, sum-to-identity, and
-    |Tr(p_i q_j) - 1/n| over all cross pairs."""
-    if c.p_system.n != c.q_system.n:
-        raise ValueError("systems have different dimensions")
-    n = c.n
-    worst = max(c.p_system.residual(), c.q_system.residual())
-    for p in c.p:
-        for q in c.q:
-            worst = max(worst, abs(np.trace(p @ q) - 1.0 / n))
-    return worst
+def residual_categories(c: PairConfiguration) -> dict[str, float]:
+    """Worst violation of each defining relation of the configuration.
+
+    Per system: idempotency, unit trace, in-system orthogonality and
+    sum-to-identity; then |Tr(p_i q_j) - 1/n| over all cross pairs.  The
+    configuration's ``residual`` is the largest of these.
+    """
+    cats: dict[str, float] = {}
+    for tag, system in (("p", c.p), ("q", c.q)):
+        cats[f"{tag}_idempotency"] = float(max(spectral_norm(m @ m - m) for m in system))
+        cats[f"{tag}_unit_trace"] = float(max(abs(np.trace(m) - 1.0) for m in system))
+        cats[f"{tag}_orthogonality"] = float(max(
+            (spectral_norm(a @ b)
+             for i, a in enumerate(system)
+             for j, b in enumerate(system) if i != j),
+            default=0.0,
+        ))
+        cats[f"{tag}_sum_to_identity"] = float(spectral_norm(sum(system) - np.eye(c.n)))
+    cats["unbiasedness"] = float(max(
+        abs(np.trace(p @ q) - 1.0 / c.n) for p in c.p for q in c.q))
+    return cats
 
 
 # ---------------------------------------------------------------------------
@@ -264,6 +256,12 @@ def _unit_eigenvector(p: np.ndarray) -> np.ndarray:
     return uu[:, 0]
 
 
+def _require_hermitian(c: PairConfiguration, tol: float) -> None:
+    for m in c.matrices():
+        if spectral_norm(m - adjoint(m)) > tol:
+            raise ValueError("configuration is not Hermitian (not a fixed point of the adjoint involution)")
+
+
 def to_hadamard(c: PairConfiguration, tol: float = 1e-8) -> HadamardPoint:
     """Gauge-fix a Hermitian configuration to dephased phase coordinates.
 
@@ -275,9 +273,7 @@ def to_hadamard(c: PairConfiguration, tol: float = 1e-8) -> HadamardPoint:
     the same output up to row/column permutations.
     """
     n = c.n
-    for m in c.matrices():
-        if spectral_norm(m - adjoint(m)) > tol:
-            raise ValueError("configuration is not Hermitian (not a fixed point of the adjoint involution)")
+    _require_hermitian(c, tol)
     vs = [_unit_eigenvector(p) for p in c.p]
     axis = [int(np.argmax(np.abs(v))) for v in vs]
     order = sorted(range(n), key=lambda i: (axis[i], i))
@@ -311,8 +307,9 @@ def decode_matrix(rows) -> np.ndarray:
 
 def save_pair(path, c: PairConfiguration, fmt: str = "projectors") -> None:
     """Write a pair file.  ``bases`` stores two basis matrices (columns are
-    the basis vectors, Hermitian configurations only); ``projectors`` stores
-    all 2n projector matrices and is faithful for any configuration."""
+    the basis vectors) and refuses non-Hermitian configurations, which it
+    cannot represent; ``projectors`` stores all 2n projector matrices and is
+    faithful for any configuration."""
     if fmt == "projectors":
         doc = {
             "n": c.n,
@@ -321,6 +318,7 @@ def save_pair(path, c: PairConfiguration, fmt: str = "projectors") -> None:
             "q": [encode_matrix(m) for m in c.q],
         }
     elif fmt == "bases":
+        _require_hermitian(c, DEFAULT_TOL)
         e_basis = np.stack([_unit_eigenvector(p) for p in c.p], axis=1)
         f_basis = np.stack([_unit_eigenvector(q) for q in c.q], axis=1)
         doc = {

@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .config import PairConfiguration, pair_from_matrices
-from .linalg import adjoint, as_matrix, spectral_norm
+from .linalg import adjoint, as_matrix, decide_rank, spectral_norm
 from .relations import an_residual, commutant_dimension
 
 __all__ = [
@@ -363,7 +363,9 @@ def membership_test(c: PairConfiguration, tol: float = 1e-8) -> MembershipResult
     negative (so -g is positive), certifies equivalence to a Hermitian
     configuration, i.e. a genuine pair of mutually unbiased bases.  Minors
     within tol * scale^k of zero make the strict inequalities undecidable
-    and are flagged as boundary-indeterminate.
+    and are flagged as boundary-indeterminate.  The irreducibility gate and
+    the dimension of the solution space are rank decisions: without a
+    decisive singular-value gap they raise IndeterminateDimension.
     """
     mats = c.matrices()
     if commutant_dimension(mats) != 1:
@@ -373,7 +375,7 @@ def membership_test(c: PairConfiguration, tol: float = 1e-8) -> MembershipResult
     blocks = [np.kron(m.conj().T, eye) - np.kron(eye, m.T) for m in mats]
     K = np.vstack(blocks)
     _, s, vh = np.linalg.svd(K)
-    nullity = int(np.sum(s < tol * s[0]))
+    nullity = K.shape[1] - decide_rank(s, tol, "conjugator space").rank
     if nullity == 0:
         return MembershipResult(Membership.NOT_THETA_STABLE, None, None)
     if nullity > 1:

@@ -2,31 +2,34 @@
 
 All operators in this package are plain numpy arrays of dtype complex128
 (row-major, finite entries).  This module provides the handful of primitives
-everything else is built on: products, traces, adjoints, spectral norms,
-and -- most importantly -- numerical rank and nullspace decisions with
-explicit, caller-controlled tolerances.  Rank decisions use a *relative*
-threshold (tol times the largest singular value) and always report the
-singular-value gap at the cut, so callers can detect ill-conditioned
-decisions instead of silently trusting them.
+everything else is built on: traces, adjoints, spectral norms, and -- most
+importantly -- the one numerical rank rule every integer answer of the
+package goes through.  :func:`decide_rank` uses a *relative* threshold (tol
+times the largest singular value) with an explicit, caller-controlled
+tolerance, and refuses with :class:`IndeterminateDimension` when the
+singular-value gap at the cut is not decisive, so ill-conditioned decisions
+are never silently trusted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "as_matrix",
-    "mul",
     "trace",
     "adjoint",
     "spectral_norm",
+    "GAP_RATIO_REQUIRED",
+    "IndeterminateDimension",
     "RankReport",
-    "numerical_rank",
-    "nullspace",
+    "decide_rank",
     "rank1_projector",
 ]
+
+GAP_RATIO_REQUIRED = 1e3
 
 
 def as_matrix(a) -> np.ndarray:
@@ -37,14 +40,6 @@ def as_matrix(a) -> np.ndarray:
     if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
         raise ValueError("matrix has non-finite entries")
     return m
-
-
-def mul(a, b) -> np.ndarray:
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 def trace(a) -> complex:
@@ -73,25 +68,34 @@ class RankReport:
 
     ``rank`` counts singular values exceeding ``tolerance_used`` (an absolute
     threshold, already scaled by the largest singular value).  ``gap_ratio``
-    is sigma_rank / sigma_{rank+1}; a small ratio means the decision is
-    fragile and the caller should not trust the count.
+    is sigma_rank / sigma_{rank+1}, the evidence behind the count; it is at
+    least GAP_RATIO_REQUIRED on every report :func:`decide_rank` returns.
     """
 
     singular_values: np.ndarray
     rank: int
     tolerance_used: float
-    gap_ratio: float = field(default=np.inf)
+    gap_ratio: float
 
 
-def _svdvals(a: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise ArithmeticError(f"SVD failed to converge on {a.shape} matrix") from exc
+class IndeterminateDimension(ArithmeticError):
+    """Raised when a rank cut has no decisive singular-value gap."""
+
+    def __init__(self, message: str, singular_values: np.ndarray, gap_ratio: float):
+        super().__init__(message)
+        self.singular_values = singular_values
+        self.gap_ratio = gap_ratio
 
 
-def rank_from_singular_values(s: np.ndarray, tol: float) -> RankReport:
-    """Apply the relative-threshold rank rule to a descending spectrum."""
+def decide_rank(s, tol: float, what: str) -> RankReport:
+    """The package's one rank rule, applied to a descending spectrum ``s``.
+
+    Counts the singular values above the relative cut ``tol * s[0]``.  The
+    gap ratio is sigma_rank / sigma_{rank+1}, or s[-1] / cut when no value
+    lies below the cut; a ratio below GAP_RATIO_REQUIRED raises
+    :class:`IndeterminateDimension` carrying the spectrum, and ``what``
+    names the decision in its message.
+    """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     s = np.asarray(s, dtype=float)
@@ -107,47 +111,13 @@ def rank_from_singular_values(s: np.ndarray, tol: float) -> RankReport:
     else:
         # no singular value below the cut; compare against the threshold itself
         gap = s[-1] / thresh
+    if gap < GAP_RATIO_REQUIRED:
+        raise IndeterminateDimension(
+            f"{what}: singular-value gap ratio {gap:.2e} below {GAP_RATIO_REQUIRED:.0e}; "
+            "dimension is numerically undecided",
+            s, float(gap),
+        )
     return RankReport(s, rank, thresh, float(gap))
-
-
-def numerical_rank(a, tol: float, precision: str = "double") -> RankReport:
-    """Rank of ``a`` with threshold ``tol * sigma_max``; reports the spectrum.
-
-    ``precision="extended"`` recomputes the singular values with >= 30
-    significant digits of software arithmetic (see :mod:`orthopair.xprec`),
-    so double-precision rank decisions can be re-checked independently.
-    """
-    a = as_matrix(a)
-    if precision == "extended":
-        from . import xprec
-
-        s = xprec.mp_singular_values(a)
-    elif precision == "double":
-        s = _svdvals(a)
-    else:
-        raise ValueError(f"unknown precision {precision!r}")
-    return rank_from_singular_values(s, tol)
-
-
-def nullspace(a, tol: float, precision: str = "double") -> list[np.ndarray]:
-    """Orthonormal basis of the numerical kernel of ``a``.
-
-    Each returned vector w satisfies ||a w|| <= 10 * tol * ||a||.
-    """
-    a = as_matrix(a)
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    if precision == "extended":
-        from . import xprec
-
-        return xprec.mp_nullspace(a, tol)
-    try:
-        _, s, vh = np.linalg.svd(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ArithmeticError(f"SVD failed to converge on {a.shape} matrix") from exc
-    report = rank_from_singular_values(s, tol)
-    n = a.shape[1]
-    return [vh[i].conj() for i in range(report.rank, n)]
 
 
 def rank1_projector(v) -> np.ndarray:

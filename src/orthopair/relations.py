@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PairConfiguration
-from .linalg import as_matrix, spectral_norm
+from .linalg import as_matrix, decide_rank, spectral_norm
 
 __all__ = [
     "LooplessGraph",
@@ -41,12 +41,7 @@ __all__ = [
     "pair_relation_terms",
     "sandwich_relation_terms",
     "evaluate_relations",
-    "tl_residual",
-    "bnn_residual",
-    "bkn_residual",
-    "two_idempotent_residual",
     "an_residual",
-    "a3_residual",
     "restrict",
     "graph_restriction",
     "commutant_dimension",
@@ -202,6 +197,8 @@ def evaluate_relations(mats, relations: list[Relation]) -> tuple[float, dict[str
     per: dict[str, float] = {}
     worst = 0.0
     for name, terms in relations:
+        if any(v >= len(mats) for _, word in terms for v in word):
+            raise ValueError(f"relation {name!r} needs more than the {len(mats)} generators given")
         acc = np.zeros((dim, dim), dtype=np.complex128)
         for coeff, word in terms:
             if word:
@@ -214,48 +211,11 @@ def evaluate_relations(mats, relations: list[Relation]) -> tuple[float, dict[str
     return worst, per
 
 
-def tl_residual(g: LooplessGraph, r: float, mats) -> float:
-    """Worst violation of the graph relation system at the given matrices."""
-    if len(mats) != g.vertex_count:
-        raise ValueError(f"graph has {g.vertex_count} vertices, got {len(mats)} matrices")
-    return evaluate_relations(mats, graph_relation_terms(g, r))[0]
-
-
-def bnn_residual(c: PairConfiguration) -> float:
-    """Worst violation of the full-pair relations (graph terms plus sums)."""
-    return evaluate_relations(c.matrices(), pair_relation_terms(c.n))[0]
-
-
-def bkn_residual(p_list, q_list, n: int) -> float:
-    """One-sided quotient: bipartite graph relations at r = 1/n for k p's
-    against n q's, with the sum-to-identity relation on the q row only."""
-    k = len(p_list)
-    if len(q_list) != n:
-        raise ValueError(f"expected {n} q generators, got {len(q_list)}")
-    g = complete_bipartite(k, n)
-    rel = graph_relation_terms(g, 1.0 / n)
-    rel.append(("sum q - 1", [(1.0, (k + j,)) for j in range(n)] + [(-1.0, ())]))
-    return evaluate_relations(list(p_list) + list(q_list), rel)[0]
-
-
-def two_idempotent_residual(P, Q) -> float:
-    """Relations of the free pair of idempotents: P^2 = P, Q^2 = Q."""
-    P, Q = as_matrix(P), as_matrix(Q)
-    return max(spectral_norm(P @ P - P), spectral_norm(Q @ Q - Q))
-
-
 def an_residual(P, qs, r_list, sum_to_one: bool = True) -> float:
     """Worst violation of the sandwich relations at (P, q_1..q_n)."""
     if np.isscalar(r_list):
         r_list = [float(r_list)] * len(qs)
     return evaluate_relations([P] + list(qs), sandwich_relation_terms(len(qs), list(r_list), sum_to_one))[0]
-
-
-def a3_residual(P, q_triple) -> float:
-    """Three-generator sandwich variant: r = 1/2, no sum relation."""
-    if len(q_triple) != 3:
-        raise ValueError("expected exactly three q generators")
-    return an_residual(P, q_triple, 0.5, sum_to_one=False)
 
 
 def restrict(c: PairConfiguration, p_subset) -> AlgebraRepPoint:
@@ -319,7 +279,4 @@ def commutant_dimension(mats, tol: float = 1e-10) -> int:
     """
     K = commutator_operator(mats)
     s = np.linalg.svd(K, compute_uv=False)
-    d2 = K.shape[1]
-    if s[0] == 0.0:
-        return d2
-    return int(d2 - np.sum(s > tol * s[0]))
+    return K.shape[1] - decide_rank(s, tol, "joint commutant").rank

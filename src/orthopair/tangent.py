@@ -13,10 +13,10 @@ expansion duplicates every singular value) but keeps one code path for the
 genuinely real computation on dephased phases, and makes conjugate-linear
 mistakes impossible to hide.
 
-Dimension decisions are never taken on faith: the rank cut must exhibit a
-singular-value gap ratio of at least GAP_RATIO_REQUIRED, otherwise the
-computation refuses with :class:`IndeterminateDimension` carrying the full
-spectrum.
+Dimension decisions are never taken on faith: every rank cut goes through
+:func:`orthopair.linalg.decide_rank`, which refuses with
+:class:`IndeterminateDimension` carrying the full spectrum unless the cut
+exhibits a singular-value gap ratio of at least GAP_RATIO_REQUIRED.
 
 The moduli tangent dimension at a point with scalar stabiliser is the
 (complex) nullity of the relation Jacobian minus the dimension of the
@@ -30,10 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import HadamardPoint, PairConfiguration
-from .linalg import as_matrix
+from .linalg import GAP_RATIO_REQUIRED, IndeterminateDimension, as_matrix, decide_rank
 from .relations import (
     AlgebraRepPoint,
     Relation,
+    commutant_dimension,
     commutator_operator,
     evaluate_relations,
     evaluate_word,
@@ -49,11 +50,8 @@ __all__ = [
     "relation_residual_vector",
     "orbit_tangent_dim",
     "moduli_tangent_report",
-    "moduli_tangent_dim",
     "a6_moduli_tangent_report",
-    "a6_moduli_tangent_dim",
     "x33_moduli_tangent_report",
-    "x33_moduli_tangent_dim",
     "phase_constraints",
     "defect_report",
     "dephased_defect",
@@ -61,40 +59,7 @@ __all__ = [
     "fiber_rank_check",
 ]
 
-GAP_RATIO_REQUIRED = 1e3
 RESIDUAL_GATE = 1e-8
-
-
-class IndeterminateDimension(ArithmeticError):
-    """Raised when a rank cut has no decisive singular-value gap."""
-
-    def __init__(self, message: str, singular_values: np.ndarray, gap_ratio: float):
-        super().__init__(message)
-        self.singular_values = singular_values
-        self.gap_ratio = gap_ratio
-
-
-def _nullity(singular_values: np.ndarray, columns: int, tol: float,
-             what: str) -> tuple[int, float]:
-    """Nullity with the gap rule; raises IndeterminateDimension when fragile."""
-    s = np.asarray(singular_values, dtype=float)
-    if s.size == 0 or s[0] == 0.0:
-        return columns, np.inf
-    thresh = tol * s[0]
-    rank = int(np.sum(s > thresh))
-    if rank == 0:
-        gap = np.inf
-    elif rank < s.size:
-        gap = s[rank - 1] / s[rank] if s[rank] > 0 else np.inf
-    else:
-        gap = s[-1] / thresh
-    if gap < GAP_RATIO_REQUIRED:
-        raise IndeterminateDimension(
-            f"{what}: singular-value gap ratio {gap:.2e} below {GAP_RATIO_REQUIRED:.0e}; "
-            "dimension is numerically undecided",
-            s, float(gap),
-        )
-    return columns - rank, float(gap)
 
 
 # ---------------------------------------------------------------------------
@@ -154,25 +119,28 @@ def _real_expand(J: np.ndarray) -> np.ndarray:
     return np.block([[A, -B], [B, A]])
 
 
-def _point_terms(point) -> tuple[list[np.ndarray], list[Relation]]:
-    if isinstance(point, PairConfiguration):
-        return point.matrices(), pair_relation_terms(point.n)
-    if isinstance(point, AlgebraRepPoint):
-        return list(point.matrices), point.relation_terms()
-    raise TypeError(f"cannot build a relation Jacobian for {type(point).__name__}")
-
-
-def rep_jacobian(point) -> JacobianSystem:
-    """Analytic Jacobian of the point's relation system.
+def _gated_jacobian(point) -> tuple[list[np.ndarray], list[Relation], float, np.ndarray]:
+    """Generators, relation terms, base residual and complex Jacobian of a point.
 
     Refuses points whose relation residual exceeds the gate: tangent
     analysis at non-solutions is meaningless.
     """
-    mats, terms = _point_terms(point)
+    if isinstance(point, PairConfiguration):
+        mats, terms = point.matrices(), pair_relation_terms(point.n)
+    elif isinstance(point, AlgebraRepPoint):
+        mats, terms = list(point.matrices), point.relation_terms()
+    else:
+        raise TypeError(f"cannot build a relation Jacobian for {type(point).__name__}")
     residual, _ = evaluate_relations(mats, terms)
     if residual > RESIDUAL_GATE:
-        raise ValueError(f"relation residual {residual:.3e} exceeds {RESIDUAL_GATE:.1e}; not a representation point")
-    Jc = _complex_jacobian(mats, terms)
+        raise ValueError(f"relation residual {residual:.3e} exceeds {RESIDUAL_GATE:.1e}; "
+                         "not a representation point")
+    return mats, terms, residual, _complex_jacobian(mats, terms)
+
+
+def rep_jacobian(point) -> JacobianSystem:
+    """Analytic Jacobian of the point's relation system (gated on its residual)."""
+    _, terms, residual, Jc = _gated_jacobian(point)
     Jr = _real_expand(Jc)
     return JacobianSystem(
         variable_count=Jr.shape[1],
@@ -209,11 +177,8 @@ def orbit_tangent_dim(point, tol: float = 1e-10) -> int:
     """
     mats = point.matrices() if isinstance(point, PairConfiguration) else \
         list(point.matrices) if isinstance(point, AlgebraRepPoint) else [as_matrix(m) for m in point]
-    K = commutator_operator(mats)
-    s = np.linalg.svd(K, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    s = np.linalg.svd(commutator_operator(mats), compute_uv=False)
+    return decide_rank(s, tol, "conjugation orbit tangent").rank
 
 
 @dataclass(frozen=True)
@@ -238,29 +203,22 @@ class TangentReport:
 
 
 def _moduli_report(point, tol: float, what: str) -> TangentReport:
-    mats, terms = _point_terms(point)
-    residual, _ = evaluate_relations(mats, terms)
-    if residual > RESIDUAL_GATE:
-        raise ValueError(f"relation residual {residual:.3e} exceeds {RESIDUAL_GATE:.1e}")
-    Jc = _complex_jacobian(mats, terms)
+    mats, _, residual, Jc = _gated_jacobian(point)
     s = _scaled_singular_values(Jc, mats)
-    real_nullity, gap = _nullity(s, 2 * Jc.shape[1], tol, what)
+    cut = decide_rank(s, tol, what)
+    real_nullity = 2 * Jc.shape[1] - cut.rank
     if real_nullity % 2 != 0:
         raise IndeterminateDimension(
             f"{what}: real kernel dimension {real_nullity} is odd, which contradicts "
-            "complex-analyticity of the relations", s, gap)
+            "complex-analyticity of the relations", s, cut.gap_ratio)
     nullity = real_nullity // 2
     orbit = orbit_tangent_dim(point, tol)
-    return TangentReport(nullity, orbit, nullity - orbit, gap, s, residual)
+    return TangentReport(nullity, orbit, nullity - orbit, cut.gap_ratio, s, residual)
 
 
 def moduli_tangent_report(c: PairConfiguration, tol: float = 1e-10) -> TangentReport:
     """Moduli tangent dimension of a full pair configuration."""
     return _moduli_report(c, tol, "pair moduli tangent")
-
-
-def moduli_tangent_dim(c: PairConfiguration, tol: float = 1e-10) -> int:
-    return moduli_tangent_report(c, tol).moduli_dim
 
 
 def a6_moduli_tangent_report(point: AlgebraRepPoint, tol: float = 1e-10) -> TangentReport:
@@ -271,15 +229,9 @@ def a6_moduli_tangent_report(point: AlgebraRepPoint, tol: float = 1e-10) -> Tang
     """
     if point.algebra != "sandwich":
         raise ValueError("expected a sandwich-algebra point")
-    from .relations import commutant_dimension
-
     if commutant_dimension(point.matrices) != 1:
         raise ValueError("point is reducible; moduli tangent undefined here")
     return _moduli_report(point, tol, "sandwich moduli tangent")
-
-
-def a6_moduli_tangent_dim(point: AlgebraRepPoint, tol: float = 1e-10) -> int:
-    return a6_moduli_tangent_report(point, tol).moduli_dim
 
 
 def x33_moduli_tangent_report(point: AlgebraRepPoint, tol: float = 1e-10) -> TangentReport:
@@ -294,10 +246,6 @@ def x33_moduli_tangent_report(point: AlgebraRepPoint, tol: float = 1e-10) -> Tan
         if abs(np.trace(m) - 1.0) > RESIDUAL_GATE:
             raise ValueError("graph point generators must be rank-1 idempotents")
     return _moduli_report(point, tol, "bipartite 3+3 moduli tangent")
-
-
-def x33_moduli_tangent_dim(point: AlgebraRepPoint, tol: float = 1e-10) -> int:
-    return x33_moduli_tangent_report(point, tol).moduli_dim
 
 
 # ---------------------------------------------------------------------------
@@ -358,8 +306,8 @@ def defect_report(h: HadamardPoint, tol: float = 1e-10) -> DefectReport:
         raise ValueError(f"unitarity residual {res:.3e} exceeds {RESIDUAL_GATE:.1e}")
     _, J = phase_constraints(h)
     s = np.linalg.svd(J, compute_uv=False)
-    nullity, gap = _nullity(s, J.shape[1], tol, "dephased defect")
-    return DefectReport(nullity, gap, s, res)
+    cut = decide_rank(s, tol, "dephased defect")
+    return DefectReport(J.shape[1] - cut.rank, cut.gap_ratio, s, res)
 
 
 def dephased_defect(h: HadamardPoint, tol: float = 1e-10) -> int:
@@ -395,19 +343,16 @@ def fiber_rank_check(point: AlgebraRepPoint, tol: float = 1e-10) -> FiberRankRep
 
     Kernel vectors are needed here, so this is the one place the complex
     SVD is used directly; its nullity agrees with the real-expansion count
-    used by the dimension reports.
+    used by the dimension reports.  The invariant differential has its own
+    looser cut (at least 1e-8) and counts as rank 0 below an absolute floor.
     """
     from .invariants import u_invariants_directional
 
     if point.algebra != "graph" or len(point.matrices) != 6:
         raise ValueError("fiber rank is computed on 3+3 graph restriction points")
-    mats, terms = _point_terms(point)
-    residual, _ = evaluate_relations(mats, terms)
-    if residual > RESIDUAL_GATE:
-        raise ValueError(f"relation residual {residual:.3e} exceeds {RESIDUAL_GATE:.1e}")
-    Jc = _complex_jacobian(mats, terms)
-    _, s, vh = np.linalg.svd(Jc)
-    nullity, _ = _nullity(s, Jc.shape[1], tol, "graph relation kernel")
+    mats, _, _, Jc = _gated_jacobian(point)
+    _, s, vh = np.linalg.svd(Jc, full_matrices=False)
+    nullity = Jc.shape[1] - decide_rank(s, tol, "graph relation kernel").rank
     d = mats[0].shape[0]
     P = mats[0] + mats[1] + mats[2]
     qs = mats[3:]
@@ -419,15 +364,10 @@ def fiber_rank_check(point: AlgebraRepPoint, tol: float = 1e-10) -> FiberRankRep
         columns.append(u_invariants_directional(P, qs, dP, dm[3:]))
     D = np.array(columns).T
     sd = np.linalg.svd(D, compute_uv=False)
-    rtol = max(tol, 1e-8)
     if sd.size == 0 or sd[0] < 1e-12:
         rank = 0
     else:
-        rank = int(np.sum(sd > rtol * sd[0]))
-        if 0 < rank < sd.size and sd[rank] > 0 and sd[rank - 1] / sd[rank] < GAP_RATIO_REQUIRED:
-            raise IndeterminateDimension(
-                "invariant differential rank: gap ratio below threshold",
-                sd, float(sd[rank - 1] / sd[rank]))
+        rank = decide_rank(sd, max(tol, 1e-8), "invariant differential rank").rank
     factors = []
     for (i, j) in ((0, 1), (1, 2), (2, 0)):
         t = np.trace(P @ qs[i] @ P @ qs[j])

@@ -23,10 +23,11 @@ __all__ = [
     "mp_singular_values",
     "mp_nullspace",
     "mp_spectral_norm",
-    "fourier_mp",
-    "pair_residual_mp",
-    "u_invariants_mp",
-    "identity_gap_mp",
+    "standard_pair_mp",
+    "pair_residual_categories_mp",
+    "u_invariants_mp_matrices",
+    "z_functions_mp_matrices",
+    "identity_sides_mp_matrices",
 ]
 
 DIGITS = 34
@@ -42,6 +43,9 @@ class _precision:
 
 
 def to_mp(a) -> mp.matrix:
+    """mp matrix of a double-precision array; mp matrices pass through unchanged."""
+    if isinstance(a, mp.matrix):
+        return a
     a = np.asarray(a, dtype=complex)
     with _precision():
         m = mp.matrix(a.shape[0], a.shape[1])
@@ -76,15 +80,14 @@ def mp_rank1_projector(v) -> mp.matrix:
 def mp_singular_values(a) -> np.ndarray:
     """Descending singular values computed at DIGITS digits, as float64."""
     with _precision():
-        m = a if isinstance(a, mp.matrix) else to_mp(a)
-        s = mp.svd_c(m, compute_uv=False)
+        s = mp.svd_c(to_mp(a), compute_uv=False)
         vals = sorted((float(s[i]) for i in range(s.rows)), reverse=True)
     return np.array(vals)
 
 
 def mp_nullspace(a, tol: float) -> list[np.ndarray]:
     with _precision():
-        m = a if isinstance(a, mp.matrix) else to_mp(a)
+        m = to_mp(a)
         # full matrices: wide inputs need all n right singular vectors
         u, s, v = mp.svd_c(m, full_matrices=True, compute_uv=True)
         smax = max(float(s[i]) for i in range(s.rows)) if s.rows else 0.0
@@ -104,11 +107,13 @@ def mp_spectral_norm(a) -> float:
 
 
 # ---------------------------------------------------------------------------
-# High-level oracle re-checks.
+# The standard pair at extended precision.
 # ---------------------------------------------------------------------------
 
 
-def fourier_mp(n: int, swap34: bool = False) -> mp.matrix:
+def standard_pair_mp(n: int, swap34: bool = False) -> tuple[list[mp.matrix], list[mp.matrix]]:
+    """The standard pair rebuilt at DIGITS digits: coordinate projectors and
+    the column projectors of the (optionally column-swapped) Fourier matrix."""
     with _precision():
         a = mp.matrix(n, n)
         root = mp.sqrt(mp.mpf(n))
@@ -118,12 +123,6 @@ def fourier_mp(n: int, swap34: bool = False) -> mp.matrix:
         if swap34:
             for i in range(n):
                 a[i, 2], a[i, 3] = a[i, 3], a[i, 2]
-        return a
-
-
-def _standard_systems_mp(n: int, swap34: bool):
-    with _precision():
-        a = fourier_mp(n, swap34)
         ps = []
         for i in range(n):
             e = mp.zeros(n, n)
@@ -136,66 +135,8 @@ def _standard_systems_mp(n: int, swap34: bool):
         return ps, qs
 
 
-def pair_residual_mp(n: int, swap34: bool = False) -> float:
-    """Extended-precision worst relation residual of the standard pair."""
-    with _precision():
-        ps, qs = _standard_systems_mp(n, swap34)
-        eye = mp.eye(n)
-        worst = mp.mpf(0)
-
-        def norm(m):
-            s = mp.svd_c(m, compute_uv=False)
-            return max(s[i] for i in range(s.rows))
-
-        for sys in (ps, qs):
-            for i, p in enumerate(sys):
-                worst = max(worst, norm(p * p - p))
-                for j, q in enumerate(sys):
-                    if i != j:
-                        worst = max(worst, norm(p * q))
-            worst = max(worst, norm(sum(sys[1:], sys[0]) - eye))
-        inv_n = mp.mpf(1) / n
-        for p in ps:
-            for q in qs:
-                worst = max(worst, abs(mp_trace(p * q) - inv_n))
-        return float(worst)
-
-
-def u_invariants_mp(n: int, swap34: bool, p_subset, q_subset) -> tuple[float, float, float]:
-    """(u1, u2, u3) of the standard pair at DIGITS digits (1-based subsets)."""
-    with _precision():
-        ps, qs = _standard_systems_mp(n, swap34)
-        P = sum((ps[i - 1] for i in list(p_subset)[1:]), ps[list(p_subset)[0] - 1])
-        q1, q2, q3 = (qs[j - 1] for j in q_subset)
-        t12 = mp_trace(P * q1 * P * q2)
-        t13 = mp_trace(P * q1 * P * q3)
-        t23 = mp_trace(P * q2 * P * q3)
-        u1 = 36 * (t12 + t13 + t23)
-        u2 = 216 * (mp_trace(P * q1 * P * q2 * P * q3) + mp_trace(P * q1 * P * q3 * P * q2))
-        u3 = (36 * t12 - 1) * (36 * t23 - 1) * (36 * t13 - 1)
-        return float(u1.real), float(u2.real), float(u3.real)
-
-
-def identity_gap_mp(n: int, swap34: bool, p_subset, q_subset) -> float:
-    """Extended-precision gap of the ordered-pair trace identity."""
-    with _precision():
-        ps, qs = _standard_systems_mp(n, swap34)
-        p = [ps[i - 1] for i in p_subset]
-        q = [qs[j - 1] for j in q_subset]
-        P = p[0] + p[1] + p[2]
-        Q = q[0] + q[1] + q[2]
-        lhs = mp.mpc(1)
-        rhs = mp.mpc(1)
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    lhs *= 36 * mp_trace(P * q[i] * P * q[j]) - 1
-                    rhs *= 36 * mp_trace(Q * p[i] * Q * p[j]) - 1
-        return float(abs(lhs - rhs))
-
-
 # ---------------------------------------------------------------------------
-# Generic re-checks on matrices loaded at double precision.
+# Re-checks on matrices, from double-precision arrays or mp matrices.
 # ---------------------------------------------------------------------------
 
 

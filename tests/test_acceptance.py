@@ -38,9 +38,8 @@ from orthopair.tangent import (
     defect_report,
     dephased_defect,
     fiber_rank_check,
-    moduli_tangent_dim,
     moduli_tangent_report,
-    x33_moduli_tangent_dim,
+    x33_moduli_tangent_report,
 )
 
 SAMPLE_SEED = 424242
@@ -121,7 +120,7 @@ def test_criterion_04_a6_moduli_dimension():
 
 def test_criterion_05_x33_dimension_and_fibration(samples100):
     base_pair = standard_pair(6, swap34=True)
-    dim = x33_moduli_tangent_dim(graph_restriction(base_pair, [1, 2, 3], [1, 2, 3]))
+    dim = x33_moduli_tangent_report(graph_restriction(base_pair, [1, 2, 3], [1, 2, 3])).moduli_dim
     ranks = []
     flagged = 0
     for h in samples100.points[1:51]:
@@ -253,7 +252,7 @@ def test_criterion_09_property_suites(samples100):
 
 
 def test_criterion_10_rigidity_controls():
-    dim3 = moduli_tangent_dim(standard_pair(3))
+    dim3 = moduli_tangent_report(standard_pair(3)).moduli_dim
     defect2 = dephased_defect(fourier_phases(2))
     ok = dim3 == 0 and defect2 == 0
     report(10, ok, f"moduli dim at n=3 = {dim3} (want 0), defect(F2) = {defect2} "

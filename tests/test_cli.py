@@ -247,6 +247,26 @@ def test_membership_boundary_exit_code(tmp_path, capsys):
     assert payload["status"] == "boundary_indeterminate"
 
 
+def test_membership_undecided_commutant_exit_code(tmp_path, capsys):
+    # diagonal generators whose entry differences leave 2e-9 above the
+    # 1e-10 cut and 4e-11 below it: the irreducibility gate has no decisive
+    # gap, so membership reports the spectrum and exits 2
+    from orthopair.config import encode_matrix
+
+    a = np.diag([0.0, 2e-9, 1.0, 1.0])
+    b = np.diag([0.0, 0.0, 1.0, 1.0 + 4e-11])
+    doc = {"n": 4, "format": "projectors",
+           "p": [encode_matrix(a)] * 4, "q": [encode_matrix(b)] * 4}
+    path = tmp_path / "undecided.json"
+    path.write_text(json.dumps(doc))
+    code, payload, err = run(capsys, "membership", str(path))
+    assert code == INDETERMINATE
+    assert payload["status"] == "indeterminate"
+    assert payload["gap_ratio"] < 1e3
+    assert len(payload["singular_values"]) == 16
+    assert "joint commutant" in err and "gap ratio" in err
+
+
 def test_identity(pair_file, capsys):
     code, payload, _ = run(capsys, "identity", pair_file,
                            "--p-subset", "1,2,3", "--q-subset", "1,2,3")

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_unitary
+from conftest import random_invertible, random_unitary
 from orthopair import config
 from orthopair.config import (
     HadamardPoint,
@@ -13,11 +13,11 @@ from orthopair.config import (
     load_hadamard,
     load_pair,
     pair_from_matrices,
+    residual_categories,
     save_hadamard,
     save_pair,
     standard_pair,
     to_hadamard,
-    unbiasedness_residual,
 )
 from orthopair.continuation import canonical_reduce, newton_correct, tangent_frame
 
@@ -59,11 +59,15 @@ def test_unbiasedness_residual_detects_bad_projector(standard6):
     qs[0] = standard6.p[0]
     broken = pair_from_matrices(list(standard6.p), qs)
     assert broken.residual >= 1.0 - 1.0 / 6.0 - 1e-12
+    cats = residual_categories(broken)
+    assert broken.residual == max(cats.values())
+    assert cats["unbiasedness"] >= 1.0 - 1.0 / 6.0 - 1e-12
+    assert cats["p_orthogonality"] <= 1e-13
 
 
 def test_unbiasedness_residual_permutation_invariant(base_pair):
     rng = np.random.default_rng(8)
-    base = unbiasedness_residual(base_pair)
+    base = max(residual_categories(base_pair).values())
     perm_p = rng.permutation(6)
     perm_q = rng.permutation(6)
     shuffled = pair_from_matrices([base_pair.p[i] for i in perm_p], [base_pair.q[j] for j in perm_q])
@@ -189,6 +193,30 @@ def test_pair_file_round_trip(tmp_path, base_pair):
         back = load_pair(path)
         assert back.residual <= 1e-12
         for a, b in zip(back.matrices(), base_pair.matrices()):
+            assert np.max(np.abs(a - b)) <= 1e-12
+
+
+def test_bases_format_refuses_non_hermitian(tmp_path, base_pair, standard6):
+    # a non-unitary conjugate is still a valid configuration, but its
+    # projectors are not Hermitian, so two bases cannot represent it
+    rng = np.random.default_rng(33)
+    h = random_invertible(rng, 6)
+    hinv = np.linalg.inv(h)
+    skew = pair_from_matrices([h @ p @ hinv for p in base_pair.p], [h @ q @ hinv for q in base_pair.q])
+    assert skew.residual <= 1e-10
+    path = tmp_path / "skew.json"
+    with pytest.raises(ValueError):
+        save_pair(path, skew, fmt="bases")
+    assert not path.exists()
+    save_pair(path, skew, fmt="projectors")
+    back = load_pair(path)
+    for a, b in zip(back.matrices(), skew.matrices()):
+        assert np.array_equal(a, b)
+    # Hermitian pairs still round-trip through the bases format
+    for c in (standard6, standard_pair(3), standard_pair(2)):
+        save_pair(path, c, fmt="bases")
+        back = load_pair(path)
+        for a, b in zip(back.matrices(), c.matrices()):
             assert np.max(np.abs(a - b)) <= 1e-12
 
 

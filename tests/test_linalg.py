@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
+from orthopair import xprec
 from orthopair.linalg import (
     adjoint,
-    mul,
-    nullspace,
-    numerical_rank,
+    decide_rank,
     rank1_projector,
     spectral_norm,
     trace,
 )
+from orthopair.relations import evaluate_relations, evaluate_word
 
 
 def elementary(n, i):
@@ -18,26 +18,43 @@ def elementary(n, i):
     return e
 
 
+def svd_rank(a, tol):
+    return decide_rank(np.linalg.svd(a, compute_uv=False), tol, "test")
+
+
+def kernel(a, tol):
+    """Orthonormal kernel basis of ``a`` cut by the rank rule."""
+    _, s, vh = np.linalg.svd(a)
+    rank = decide_rank(s, tol, "test").rank
+    return [vh[i].conj() for i in range(rank, a.shape[1])]
+
+
 def test_mul_identity_and_zero():
+    # products of generator matrices are evaluated as words
     rng = np.random.default_rng(0)
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    assert np.allclose(mul(np.eye(6), m), m)
-    assert np.allclose(mul(m, np.zeros((6, 6))), 0.0)
+    mats = [np.eye(6), m, np.zeros((6, 6))]
+    assert np.allclose(evaluate_word(mats, (0, 1), 6), m)
+    assert np.allclose(evaluate_word(mats, (1, 2), 6), 0.0)
+    assert np.array_equal(evaluate_word(mats, (), 6), np.eye(6))
 
 
 def test_mul_orthogonal_idempotents():
-    assert np.allclose(mul(elementary(6, 0), elementary(6, 1)), 0.0)
+    mats = [elementary(6, 0), elementary(6, 1)]
+    assert np.allclose(evaluate_word(mats, (0, 1), 6), 0.0)
+    worst, _ = evaluate_relations(mats, [("x0 x1", [(1.0, (0, 1))])])
+    assert worst == 0.0
 
 
 def test_mul_dimension_mismatch():
     with pytest.raises(ValueError):
-        mul(np.eye(3), np.eye(4))
+        evaluate_relations([np.eye(3), np.eye(4)], [("x0 x1", [(1.0, (0, 1))])])
 
 
 def test_mul_rejects_nonfinite():
     bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        mul(bad, np.eye(2))
+        evaluate_relations([bad, np.eye(2)], [("x0 x1", [(1.0, (0, 1))])])
 
 
 def test_trace_basics():
@@ -71,12 +88,12 @@ def test_adjoint():
 
 
 def test_numerical_rank_identity_zero_outer():
-    assert numerical_rank(np.eye(6), 1e-10).rank == 6
-    assert numerical_rank(np.zeros((4, 4)), 1e-10).rank == 0
+    assert svd_rank(np.eye(6), 1e-10).rank == 6
+    assert svd_rank(np.zeros((4, 4)), 1e-10).rank == 0
     rng = np.random.default_rng(3)
     v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
     v /= np.linalg.norm(v)
-    report = numerical_rank(np.outer(v, v.conj()), 1e-10)
+    report = svd_rank(np.outer(v, v.conj()), 1e-10)
     assert report.rank == 1
     assert report.gap_ratio > 1e3
 
@@ -84,20 +101,20 @@ def test_numerical_rank_identity_zero_outer():
 def test_numerical_rank_singular_values_sorted():
     rng = np.random.default_rng(4)
     m = rng.standard_normal((8, 5))
-    s = numerical_rank(m, 1e-12).singular_values
+    s = svd_rank(m, 1e-12).singular_values
     assert np.all(np.diff(s) <= 0)
     with pytest.raises(ValueError):
-        numerical_rank(m, -1.0)
+        svd_rank(m, -1.0)
 
 
 def test_nullspace_basics():
-    assert nullspace(np.eye(6), 1e-10) == []
-    vecs = nullspace(np.zeros((3, 3)), 1e-10)
+    assert kernel(np.eye(6), 1e-10) == []
+    vecs = kernel(np.zeros((3, 3)), 1e-10)
     assert len(vecs) == 3
     gram = np.array([[np.vdot(a, b) for b in vecs] for a in vecs])
     assert np.allclose(gram, np.eye(3), atol=1e-12)
     row = np.array([[1.0, 1.0]]) / np.sqrt(2)
-    (w,) = nullspace(row, 1e-10)
+    (w,) = kernel(row, 1e-10)
     target = np.array([1.0, -1.0]) / np.sqrt(2)
     assert min(np.linalg.norm(w - target), np.linalg.norm(w + target)) < 1e-12
 
@@ -111,8 +128,9 @@ def test_nullspace_residual_bound_and_rank_sum():
         a = (rng.standard_normal((rows, r)) + 1j * rng.standard_normal((rows, r))) @ \
             (rng.standard_normal((r, cols)) + 1j * rng.standard_normal((r, cols))) if r else \
             np.zeros((rows, cols), dtype=complex)
-        vecs = nullspace(a, tol)
-        report = numerical_rank(a, tol)
+        vecs = kernel(a, tol)
+        report = svd_rank(a, tol)
+        assert report.rank == r
         assert report.rank + len(vecs) == cols
         norm_a = spectral_norm(a)
         for w in vecs:
@@ -145,13 +163,13 @@ def test_extended_precision_rank_matches_double():
     rng = np.random.default_rng(7)
     v = rng.standard_normal(5) + 1j * rng.standard_normal(5)
     m = np.outer(v, v.conj()) + 1e-3 * np.eye(5)
-    rd = numerical_rank(m, 1e-10)
-    rx = numerical_rank(m, 1e-10, precision="extended")
+    rd = svd_rank(m, 1e-10)
+    rx = decide_rank(xprec.mp_singular_values(m), 1e-10, "test")
     assert rd.rank == rx.rank == 5
     assert np.allclose(rd.singular_values, rx.singular_values, rtol=1e-12)
-    vecs = nullspace(np.zeros((2, 2)), 1e-10, precision="extended")
+    vecs = xprec.mp_nullspace(np.zeros((2, 2)), 1e-10)
     assert len(vecs) == 2
     # wide matrix: kernel vector of a single row
-    (w,) = nullspace(np.array([[1.0, 1.0]]) / np.sqrt(2), 1e-10, precision="extended")
+    (w,) = xprec.mp_nullspace(np.array([[1.0, 1.0]]) / np.sqrt(2), 1e-10)
     target = np.array([1.0, -1.0]) / np.sqrt(2)
     assert min(np.linalg.norm(w - target), np.linalg.norm(w + target)) < 1e-12

@@ -5,19 +5,18 @@ from conftest import random_unitary
 from orthopair import exact
 from orthopair.config import pair_from_matrices, standard_pair
 from orthopair.invariants import sigma
+from orthopair.linalg import GAP_RATIO_REQUIRED, IndeterminateDimension
 from orthopair.relations import (
     LooplessGraph,
-    a3_residual,
     an_residual,
-    bkn_residual,
-    bnn_residual,
     commutant_dimension,
     commutator_operator,
     complete_bipartite,
+    evaluate_relations,
+    graph_relation_terms,
     graph_restriction,
+    pair_relation_terms,
     restrict,
-    tl_residual,
-    two_idempotent_residual,
 )
 
 
@@ -54,31 +53,39 @@ def test_graph_file_format(tmp_path):
     assert load_graph(path) == complete_bipartite(2, 2)
 
 
+def graph_residual(g, r, mats):
+    return evaluate_relations(mats, graph_relation_terms(g, r))[0]
+
+
+def pair_residual(c):
+    return evaluate_relations(c.matrices(), pair_relation_terms(c.n))[0]
+
+
 def test_tl_residual_standard_pair(base_pair):
     g = complete_bipartite(6, 6)
-    assert tl_residual(g, 1.0 / 6.0, base_pair.matrices()) <= 1e-13
+    assert graph_residual(g, 1.0 / 6.0, base_pair.matrices()) <= 1e-13
 
 
 def test_tl_residual_zero_representation():
     g = complete_bipartite(2, 2)
     zeros = [np.zeros((4, 4))] * 4
-    assert tl_residual(g, 0.5, zeros) == 0.0
+    assert graph_residual(g, 0.5, zeros) == 0.0
 
 
 def test_tl_residual_on_x33_restriction(base_pair):
     point = graph_restriction(base_pair, [1, 2, 3], [1, 2, 3])
     assert point.residual() <= 1e-13
     g = complete_bipartite(3, 3)
-    assert tl_residual(g, 1.0 / 6.0, list(point.matrices)) <= 1e-13
+    assert graph_residual(g, 1.0 / 6.0, list(point.matrices)) <= 1e-13
 
 
 def test_tl_residual_conjugation_invariance(base_pair):
     rng = np.random.default_rng(14)
     g = complete_bipartite(6, 6)
-    base = tl_residual(g, 1.0 / 6.0, base_pair.matrices())
+    base = graph_residual(g, 1.0 / 6.0, base_pair.matrices())
     w = random_unitary(rng, 6)
     mats = [w @ m @ w.conj().T for m in base_pair.matrices()]
-    assert abs(tl_residual(g, 1.0 / 6.0, mats) - base) <= 1e-12
+    assert abs(graph_residual(g, 1.0 / 6.0, mats) - base) <= 1e-12
 
 
 def test_tl_residual_graph_automorphism_invariance(base_pair):
@@ -87,22 +94,22 @@ def test_tl_residual_graph_automorphism_invariance(base_pair):
     g = complete_bipartite(3, 3)
     mats = list(point.matrices)
     swapped = mats[3:] + mats[:3]
-    assert abs(tl_residual(g, 1.0 / 6.0, mats) - tl_residual(g, 1.0 / 6.0, swapped)) <= 1e-14
+    assert abs(graph_residual(g, 1.0 / 6.0, mats) - graph_residual(g, 1.0 / 6.0, swapped)) <= 1e-14
 
 
 def test_tl_residual_vertex_count_mismatch():
     g = complete_bipartite(2, 2)
     with pytest.raises(ValueError):
-        tl_residual(g, 0.5, [np.eye(2)] * 3)
+        graph_residual(g, 0.5, [np.eye(2)] * 3)
 
 
 def test_bnn_residual(base_pair, standard6):
-    assert bnn_residual(standard6) <= 1e-13
-    assert bnn_residual(base_pair) <= 1e-13
+    assert pair_residual(standard6) <= 1e-13
+    assert pair_residual(base_pair) <= 1e-13
     qs = list(standard6.q)
     qs[0] = 2.0 * qs[0]
     scaled = pair_from_matrices(list(standard6.p), qs)
-    assert bnn_residual(scaled) >= 1.0 - 1.0 / 6.0
+    assert pair_residual(scaled) >= 1.0 - 1.0 / 6.0
 
 
 def test_bnn_residual_on_family_sample(family_sample):
@@ -110,7 +117,7 @@ def test_bnn_residual_on_family_sample(family_sample):
 
     for h in family_sample.points[:10]:
         c = from_hadamard(h)
-        assert bnn_residual(c) <= 1e-10
+        assert pair_residual(c) <= 1e-10
         assert c.residual <= 1e-10  # Newton corrector convergence certifies this
 
 
@@ -119,7 +126,7 @@ def test_restriction_residual_bounded_by_full_residual(family_sample):
     from orthopair.config import from_hadamard
 
     c = from_hadamard(family_sample.points[5])
-    tau = bnn_residual(c)
+    tau = pair_residual(c)
     for p_sub, q_sub in [((1, 2), (1, 2, 3, 4)), ((1, 2, 3), (1, 2, 3)), ((4, 6), (2, 5))]:
         point = graph_restriction(c, p_sub, q_sub)
         assert point.residual() <= tau + 1e-15
@@ -134,21 +141,27 @@ def test_an_residual_examples(standard6):
 
 
 def test_bkn_residual(base_pair):
-    # three p's against the full q row: the one-sided quotient holds exactly
-    # on restrictions of a valid configuration
-    assert bkn_residual(base_pair.p[:3], base_pair.q, 6) <= 1e-13
+    # one-sided quotient: three p's against the full q row at r = 1/6, with
+    # the sum-to-identity relation on the q row only; it holds exactly on
+    # restrictions of a valid configuration
+    terms = graph_relation_terms(complete_bipartite(3, 6), 1.0 / 6.0)
+    terms.append(("sum q - 1", [(1.0, (3 + j,)) for j in range(6)] + [(-1.0, ())]))
+    assert evaluate_relations(list(base_pair.p[:3]) + list(base_pair.q), terms)[0] <= 1e-13
     # dropping a q breaks the row sum
     with pytest.raises(ValueError):
-        bkn_residual(base_pair.p[:3], base_pair.q[:5], 6)
+        evaluate_relations(list(base_pair.p[:3]) + list(base_pair.q[:5]), terms)
 
 
 def test_two_idempotent_residual(base_pair):
+    # the free pair of idempotents: only the two idempotency relations
+    terms = [rel for rel in graph_relation_terms(complete_bipartite(1, 1), 0.0)
+             if rel[0].startswith("idempotency")]
     P = sum(base_pair.p[i] for i in range(3))
     Q = sum(base_pair.q[j] for j in range(3))
-    assert two_idempotent_residual(P, Q) <= 1e-13
+    assert evaluate_relations([P, Q], terms)[0] <= 1e-13
     # the partial sums land on the rank-3, Tr PQ = 3/2 locus
     assert abs(np.trace(P @ Q) - 1.5) <= 1e-13
-    assert two_idempotent_residual(0.5 * P, Q) >= 0.2
+    assert evaluate_relations([0.5 * P, Q], terms)[0] >= 0.2
 
 
 def test_a3_residual_ignores_sum(standard6):
@@ -157,7 +170,7 @@ def test_a3_residual_ignores_sum(standard6):
     # the sum of three rank-1 q's is far from the identity, yet the
     # three-generator relations hold exactly
     assert an_residual(P, triple, 0.5) > 0.4
-    assert a3_residual(P, triple) <= 1e-13
+    assert an_residual(P, triple, 0.5, sum_to_one=False) <= 1e-13
 
 
 def test_restrict(base_pair):
@@ -186,6 +199,17 @@ def test_commutant_dimension_examples(standard6):
     assert commutant_dimension([np.eye(6)]) == 36
     e11, e22 = coordinate_projectors(2)
     assert commutant_dimension([e11, e22]) == 2
+
+
+def test_commutant_dimension_refuses_without_gap():
+    # two generators whose entry differences leave 2e-9 above the 1e-10 cut
+    # and 4e-11 below it: a gap ratio of 50, so the dimension is undecided
+    a = np.diag([0.0, 2e-9, 1.0, 1.0])
+    b = np.diag([0.0, 0.0, 1.0, 1.0 + 4e-11])
+    with pytest.raises(IndeterminateDimension) as info:
+        commutant_dimension([a, b])
+    assert info.value.gap_ratio < GAP_RATIO_REQUIRED
+    assert commutant_dimension([a]) == 6
 
 
 def test_commutant_dimension_reducible_pair(standard6):

@@ -4,22 +4,21 @@ import pytest
 from conftest import random_invertible, random_unitary
 from orthopair import exact
 from orthopair.config import HadamardPoint, fourier_phases, from_hadamard, pair_from_matrices, standard_pair
+from orthopair.linalg import decide_rank
 from orthopair.relations import graph_restriction, pair_relation_terms, restrict
 from orthopair.tangent import (
     GAP_RATIO_REQUIRED,
     IndeterminateDimension,
-    _nullity,
-    a6_moduli_tangent_dim,
+    a6_moduli_tangent_report,
     defect_report,
     dephased_defect,
     fiber_rank_check,
-    moduli_tangent_dim,
     moduli_tangent_report,
     orbit_tangent_dim,
     phase_constraints,
     relation_residual_vector,
     rep_jacobian,
-    x33_moduli_tangent_dim,
+    x33_moduli_tangent_report,
 )
 
 
@@ -116,6 +115,18 @@ def test_orbit_dimension_reducible(standard6):
     assert orbit_tangent_dim(degenerate) == 30  # commutant is the diagonal algebra
 
 
+def test_orbit_dimension_refuses_without_gap():
+    # the commutator map of a diagonal generator is diagonal with entries
+    # d_j - d_i: 1e-9 survives the 1e-10 cut, 1e-11 falls below it, and
+    # their ratio of 100 is no decisive gap
+    undecided = np.diag([0.0, 1e-9, 1.0, 1.0 + 1e-11])
+    with pytest.raises(IndeterminateDimension) as info:
+        orbit_tangent_dim([undecided])
+    assert info.value.gap_ratio < GAP_RATIO_REQUIRED
+    assert info.value.singular_values.shape == (16,)
+    assert orbit_tangent_dim([np.diag([0.0, 1e-9, 1.0, 2.0])]) == 12
+
+
 # ---------------------------------------------------------------------------
 # Moduli tangent dimensions.
 # ---------------------------------------------------------------------------
@@ -131,7 +142,7 @@ def test_moduli_dimension_at_base_point(base_pair, standard6):
 
 
 def test_moduli_dimension_rigid_n3():
-    assert moduli_tangent_dim(standard_pair(3)) == 0
+    assert moduli_tangent_report(standard_pair(3)).moduli_dim == 0
 
 
 def test_moduli_n3_exact_rank_oracle():
@@ -195,12 +206,12 @@ def test_moduli_dimension_conjugation_invariant(base_pair):
     rng = np.random.default_rng(24)
     h = random_invertible(rng, 6)
     assert np.linalg.cond(h) <= 1e3
-    assert moduli_tangent_dim(conjugated_pair(base_pair, h)) == 4
+    assert moduli_tangent_report(conjugated_pair(base_pair, h)).moduli_dim == 4
 
 
 def test_a6_moduli_dimension(base_pair):
     point = restrict(base_pair, [1, 2, 3])
-    assert a6_moduli_tangent_dim(point) == 8
+    assert a6_moduli_tangent_report(point).moduli_dim == 8
 
 
 def test_a6_moduli_dimension_rank_one(base_pair):
@@ -214,12 +225,12 @@ def test_a6_moduli_dimension_rank_one(base_pair):
     )
     assert point.residual() <= 1e-13
     # 2(n-k-1)(k-1) = 0 at n = 6, k = 1
-    assert a6_moduli_tangent_dim(point) == 0
+    assert a6_moduli_tangent_report(point).moduli_dim == 0
 
 
 def test_a6_moduli_dimension_generic_sample(family_sample):
     c = from_hadamard(family_sample.points[9])
-    assert a6_moduli_tangent_dim(restrict(c, [1, 2, 3])) == 8
+    assert a6_moduli_tangent_report(restrict(c, [1, 2, 3])).moduli_dim == 8
 
 
 def test_a6_rejects_reducible(standard6):
@@ -232,12 +243,12 @@ def test_a6_rejects_reducible(standard6):
         r_list=(1.0,) * 6,
     )
     with pytest.raises(ValueError):
-        a6_moduli_tangent_dim(point)
+        a6_moduli_tangent_report(point)
 
 
 def test_x33_moduli_dimension(base_pair):
     point = graph_restriction(base_pair, [1, 2, 3], [1, 2, 3])
-    assert x33_moduli_tangent_dim(point) == 4
+    assert x33_moduli_tangent_report(point).moduli_dim == 4
 
 
 def test_x33_moduli_conjugation_invariant(base_pair):
@@ -245,7 +256,7 @@ def test_x33_moduli_conjugation_invariant(base_pair):
     w = random_unitary(rng, 6)
     conj = conjugated_pair(base_pair, w)
     point = graph_restriction(conj, [1, 2, 3], [1, 2, 3])
-    assert x33_moduli_tangent_dim(point) == 4
+    assert x33_moduli_tangent_report(point).moduli_dim == 4
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +287,9 @@ def test_defect_n2_exhaustive_phase_oracle():
 
 
 def test_defect_matches_moduli_dimension(base_pair, fourier6_swapped, family_sample):
-    assert dephased_defect(fourier6_swapped) == moduli_tangent_dim(base_pair)
+    assert dephased_defect(fourier6_swapped) == moduli_tangent_report(base_pair).moduli_dim
     for h in family_sample.points[1:11]:
-        assert dephased_defect(h) == moduli_tangent_dim(from_hadamard(h))
+        assert dephased_defect(h) == moduli_tangent_report(from_hadamard(h)).moduli_dim
 
 
 def test_defect_refuses_off_manifold():
@@ -327,7 +338,15 @@ def test_fiber_rank_at_base_point_degenerates(base_pair):
 def test_nullity_gap_rule():
     s = np.array([1.0, 1e-4, 9e-5, 1e-14])
     with pytest.raises(IndeterminateDimension) as info:
-        _nullity(s, 4, 9.5e-5, "test")
+        decide_rank(s, 9.5e-5, "test")
     assert info.value.gap_ratio < GAP_RATIO_REQUIRED
-    nullity, gap = _nullity(s, 4, 1e-8, "test")
-    assert nullity == 1 and gap >= GAP_RATIO_REQUIRED
+    assert np.array_equal(info.value.singular_values, s)
+    assert str(info.value).startswith("test:")
+    report = decide_rank(s, 1e-8, "test")
+    assert 4 - report.rank == 1 and report.gap_ratio >= GAP_RATIO_REQUIRED
+    assert report.tolerance_used == 1e-8
+    # nothing below the cut: the gap is measured against the cut itself
+    with pytest.raises(IndeterminateDimension):
+        decide_rank(np.array([1.0, 5e-8]), 1e-10, "test")
+    assert decide_rank(np.array([1.0, 5e-6]), 1e-10, "test").rank == 2
+    assert decide_rank(np.array([]), 1e-10, "test").rank == 0

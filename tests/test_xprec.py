@@ -38,21 +38,26 @@ def test_mp_basic_operations():
 def test_standard_pair_residual_extended():
     # the double-precision construction residual is rounding noise, and the
     # high-precision rebuild pushes it to ~1e-34
-    assert xprec.pair_residual_mp(6, swap34=False) < 1e-30
-    assert xprec.pair_residual_mp(6, swap34=True) < 1e-30
+    for swap34 in (False, True):
+        ps, qs = xprec.standard_pair_mp(6, swap34)
+        assert max(xprec.pair_residual_categories_mp(ps, qs).values()) < 1e-30
 
 
 def test_u_invariants_extended_match_exact():
-    u1, u2, u3 = xprec.u_invariants_mp(6, False, (1, 2, 3), (1, 2, 3))
+    ps, qs = xprec.standard_pair_mp(6, False)
+    u1, u2, u3, residue = xprec.u_invariants_mp_matrices(ps[0] + ps[1] + ps[2], qs[:3])
     want = exact.u_for_columns([0, 1, 2])
     assert abs(u1 - float(want[0])) < 1e-28
     assert abs(u2 - float(want[1])) < 1e-28
     assert abs(u3 - float(want[2])) < 1e-28
+    assert residue < 1e-28
 
 
 def test_identity_gap_extended():
-    assert xprec.identity_gap_mp(6, True, (1, 2, 3), (1, 2, 3)) < 1e-28
-    assert xprec.identity_gap_mp(6, False, (1, 2, 3), (4, 5, 6)) < 1e-28
+    for swap34, p_idx, q_idx in ((True, (0, 1, 2), (0, 1, 2)), (False, (0, 1, 2), (3, 4, 5))):
+        ps, qs = xprec.standard_pair_mp(6, swap34)
+        _, _, gap = xprec.identity_sides_mp_matrices([ps[i] for i in p_idx], [qs[j] for j in q_idx])
+        assert gap < 1e-28
 
 
 def test_generic_mp_matches_double(standard6):
