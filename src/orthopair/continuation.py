@@ -20,12 +20,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import HadamardPoint, from_hadamard
+from .config import HadamardPoint
 from .invariants import InvariantVector, u_invariants
-from .tangent import dephased_defect, phase_constraints
+from .linalg import rank1_projector
+from .tangent import defect_report, phase_constraints
 
 __all__ = [
-    "PathState",
     "CorrectorResult",
     "tangent_frame",
     "newton_correct",
@@ -40,6 +40,7 @@ __all__ = [
 FAMILY_DIM = 4
 PINV_CUTOFF = 1e-10
 DEFAULT_STEP_SCALE = 5e-3
+UNITARITY_TOL = 1e-8  # invariants are refused on phases this far from unitary
 
 
 def _phases_vector(h: HadamardPoint) -> np.ndarray:
@@ -66,12 +67,10 @@ def tangent_frame(h: HadamardPoint, tol: float = 1e-10,
     continuous along a path.  Points whose defect is not 4 are off the
     family or singular and are refused.
     """
-    defect = dephased_defect(h, tol)
-    if defect != FAMILY_DIM:
-        raise ValueError(f"dephased defect is {defect}, not {FAMILY_DIM}; no 4-frame here")
-    _, J = phase_constraints(h)
-    _, s, vt = np.linalg.svd(J)
-    V = vt[-FAMILY_DIM:].T
+    report = defect_report(h, tol)
+    if report.defect != FAMILY_DIM:
+        raise ValueError(f"dephased defect is {report.defect}, not {FAMILY_DIM}; no 4-frame here")
+    V = report.kernel
     if prev is not None:
         if prev.shape != V.shape:
             raise ValueError("previous frame has wrong shape")
@@ -128,17 +127,6 @@ def newton_correct(h: HadamardPoint, tol: float = 1e-12,
     return CorrectorResult(_point_from_vector(n, best_x), best_r, max_iter, best_r <= tol)
 
 
-@dataclass
-class PathState:
-    """Mutable state of one predictor-corrector walk."""
-
-    current: HadamardPoint
-    tangent_frame: np.ndarray
-    step_size: float
-    last_residual: float
-    step_index: int = 0
-
-
 @dataclass(frozen=True)
 class PathResult:
     points: list[HadamardPoint]
@@ -179,23 +167,23 @@ def trace_path(start: HadamardPoint, direction, steps: int, h: float,
     direction = direction / nrm
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    state = PathState(start, tangent_frame(start, prev=initial_frame), h,
-                      start.unitarity_residual())
+    current = start
+    frame = tangent_frame(start, prev=initial_frame)
     points = [start]
-    residuals = [state.last_residual]
+    residuals = [start.unitarity_residual()]
     status = "ok"
     for k in range(steps):
-        step_h = state.step_size
+        step_h = h
         advanced = False
         for _ in range(6):  # initial try plus five halvings
-            pred = _phases_vector(state.current) + step_h * (state.tangent_frame @ direction)
+            pred = _phases_vector(current) + step_h * (frame @ direction)
             try:
                 result = newton_correct(_point_from_vector(start.n, pred), corrector_tol)
             except ValueError:
                 step_h /= 2.0
                 continue
             if result.converged and result.residual <= path_tol:
-                moved = _phase_distance(result.point, state.current)
+                moved = _phase_distance(result.point, current)
                 if moved >= step_h / 2.0:
                     advanced = True
                     break
@@ -204,21 +192,18 @@ def trace_path(start: HadamardPoint, direction, steps: int, h: float,
             status = f"corrector failed at step {k} after 5 halvings"
             break
         try:
-            state.tangent_frame = tangent_frame(result.point, prev=state.tangent_frame)
+            frame = tangent_frame(result.point, prev=frame)
         except ValueError as exc:
             status = f"family frame lost at step {k}: {exc}"
             break
-        state.current = result.point
-        state.last_residual = result.residual
-        state.step_index = k + 1
+        current = result.point
         points.append(result.point)
         residuals.append(result.residual)
     bound = 0.0
     if len(points) > 1:
         us = [_restriction_invariants(p).as_array() for p in points]
         bound = max(float(np.max(np.abs(b - a))) for a, b in zip(us, us[1:])) / h
-    return PathResult(points, residuals, len(points) - 1, steps, status, bound,
-                      state.tangent_frame)
+    return PathResult(points, residuals, len(points) - 1, steps, status, bound, frame)
 
 
 @dataclass(frozen=True)
@@ -232,9 +217,14 @@ class FamilySample:
 
 
 def _restriction_invariants(h: HadamardPoint) -> InvariantVector:
-    c = from_hadamard(h)
-    P = c.p[0] + c.p[1] + c.p[2]
-    return u_invariants(P, c.q[0], c.q[1], c.q[2])
+    """Invariants of the restriction to the first three coordinate and
+    column projectors: P = e1 + e2 + e3, q_j the projector onto column j."""
+    res = h.unitarity_residual()
+    if res > UNITARITY_TOL:
+        raise ValueError(f"phases do not reconstruct to a unitary: residual {res:.3e} > {UNITARITY_TOL:.1e}")
+    u = h.reconstruct()
+    P = np.diag((np.arange(h.n) < 3).astype(np.complex128))
+    return u_invariants(P, *(rank1_projector(u[:, j]) for j in range(3)))
 
 
 def sample_family(start: HadamardPoint, count: int, seed: int,

@@ -374,7 +374,7 @@ def membership_test(c: PairConfiguration, tol: float = 1e-8) -> MembershipResult
     eye = np.eye(d)
     blocks = [np.kron(m.conj().T, eye) - np.kron(eye, m.T) for m in mats]
     K = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(K)
+    _, s, vh = np.linalg.svd(K, full_matrices=False)
     nullity = K.shape[1] - decide_rank(s, tol, "conjugator space").rank
     if nullity == 0:
         return MembershipResult(Membership.NOT_THETA_STABLE, None, None)

@@ -6,13 +6,6 @@ Jacobians are assembled term by term: the derivative of a word with respect
 to one generator is the sum over its occurrences of prefix (x) suffix^T in
 row-major vec convention.
 
-Real-versus-complex bookkeeping: kernels are computed over the reals on the
-expanded Jacobian [[Re J, -Im J], [Im J, Re J]] and halved, with a parity
-assertion.  This is mathematically equal to the complex nullity (the real
-expansion duplicates every singular value) but keeps one code path for the
-genuinely real computation on dephased phases, and makes conjugate-linear
-mistakes impossible to hide.
-
 Dimension decisions are never taken on faith: every rank cut goes through
 :func:`orthopair.linalg.decide_rank`, which refuses with
 :class:`IndeterminateDimension` carrying the full spectrum unless the cut
@@ -35,7 +28,6 @@ from .relations import (
     AlgebraRepPoint,
     Relation,
     commutant_dimension,
-    commutator_operator,
     evaluate_relations,
     evaluate_word,
     pair_relation_terms,
@@ -54,7 +46,6 @@ __all__ = [
     "x33_moduli_tangent_report",
     "phase_constraints",
     "defect_report",
-    "dephased_defect",
     "FiberRankReport",
     "fiber_rank_check",
 ]
@@ -69,19 +60,14 @@ RESIDUAL_GATE = 1e-8
 
 @dataclass(frozen=True)
 class JacobianSystem:
-    """Real Jacobian of a relation system at a base point.
+    """Complex analytic Jacobian of a relation system at a base point.
 
-    ``variable_count`` counts real coordinates (two per complex matrix
-    entry), ``equation_count`` real rows.  ``jacobian`` is the real
-    expansion of the unscaled analytic complex Jacobian, which is kept in
-    ``complex_jacobian`` for kernel extraction.
+    ``jacobian`` has one block of d^2 rows per relation and one block of
+    d^2 columns per generator in ``matrices``, both in row-major vec order.
     """
 
-    variable_count: int
-    equation_count: int
+    matrices: list[np.ndarray]
     jacobian: np.ndarray
-    complex_jacobian: np.ndarray
-    base_point: object
     relation_names: tuple[str, ...]
     base_residual: float
 
@@ -100,7 +86,6 @@ def relation_residual_vector(mats, relations: list[Relation]) -> np.ndarray:
 
 
 def _complex_jacobian(mats, relations: list[Relation]) -> np.ndarray:
-    mats = [as_matrix(m) for m in mats]
     d = mats[0].shape[0]
     nv = len(mats)
     J = np.zeros((len(relations) * d * d, nv * d * d), dtype=np.complex128)
@@ -114,43 +99,34 @@ def _complex_jacobian(mats, relations: list[Relation]) -> np.ndarray:
     return J
 
 
-def _real_expand(J: np.ndarray) -> np.ndarray:
-    A, B = J.real, J.imag
-    return np.block([[A, -B], [B, A]])
+def _generators(point) -> tuple[list[np.ndarray], list[Relation] | None]:
+    """Generator matrices of a point and its relation terms.
+
+    A plain sequence of matrices has no relation terms (None); only the
+    conjugation orbit, which needs none, accepts one.
+    """
+    if isinstance(point, PairConfiguration):
+        return point.matrices(), pair_relation_terms(point.n)
+    if isinstance(point, AlgebraRepPoint):
+        return [as_matrix(m) for m in point.matrices], point.relation_terms()
+    return [as_matrix(m) for m in point], None
 
 
-def _gated_jacobian(point) -> tuple[list[np.ndarray], list[Relation], float, np.ndarray]:
-    """Generators, relation terms, base residual and complex Jacobian of a point.
+def rep_jacobian(point) -> JacobianSystem:
+    """Analytic Jacobian of the point's relation system.
 
     Refuses points whose relation residual exceeds the gate: tangent
     analysis at non-solutions is meaningless.
     """
-    if isinstance(point, PairConfiguration):
-        mats, terms = point.matrices(), pair_relation_terms(point.n)
-    elif isinstance(point, AlgebraRepPoint):
-        mats, terms = list(point.matrices), point.relation_terms()
-    else:
+    mats, terms = _generators(point)
+    if terms is None:
         raise TypeError(f"cannot build a relation Jacobian for {type(point).__name__}")
     residual, _ = evaluate_relations(mats, terms)
     if residual > RESIDUAL_GATE:
         raise ValueError(f"relation residual {residual:.3e} exceeds {RESIDUAL_GATE:.1e}; "
                          "not a representation point")
-    return mats, terms, residual, _complex_jacobian(mats, terms)
-
-
-def rep_jacobian(point) -> JacobianSystem:
-    """Analytic Jacobian of the point's relation system (gated on its residual)."""
-    _, terms, residual, Jc = _gated_jacobian(point)
-    Jr = _real_expand(Jc)
-    return JacobianSystem(
-        variable_count=Jr.shape[1],
-        equation_count=Jr.shape[0],
-        jacobian=Jr,
-        complex_jacobian=Jc,
-        base_point=point,
-        relation_names=tuple(name for name, _ in terms),
-        base_residual=residual,
-    )
+    return JacobianSystem(mats, _complex_jacobian(mats, terms),
+                          tuple(name for name, _ in terms), residual)
 
 
 def _variable_scales(mats) -> np.ndarray:
@@ -162,23 +138,16 @@ def _variable_scales(mats) -> np.ndarray:
     return np.array(scales)
 
 
-def _scaled_singular_values(Jc: np.ndarray, mats) -> np.ndarray:
-    d = mats[0].shape[0]
-    col_scale = np.repeat(_variable_scales(mats), d * d)
-    Jr = _real_expand(Jc * col_scale[None, :])
-    return np.linalg.svd(Jr, compute_uv=False)
-
-
 def orbit_tangent_dim(point, tol: float = 1e-10) -> int:
     """Dimension of the conjugation-orbit tangent at the point.
 
-    Equals d^2 minus the commutant dimension; computed directly as the rank
-    of the stacked commutator map xi -> ([xi, m] for all generators m).
+    The orbit tangent is span{([xi, m] for all generators m)}, the image of
+    the commutator map, so its dimension is d^2 minus the joint commutant
+    dimension.  Accepts a point or a plain sequence of generator matrices.
     """
-    mats = point.matrices() if isinstance(point, PairConfiguration) else \
-        list(point.matrices) if isinstance(point, AlgebraRepPoint) else [as_matrix(m) for m in point]
-    s = np.linalg.svd(commutator_operator(mats), compute_uv=False)
-    return decide_rank(s, tol, "conjugation orbit tangent").rank
+    mats, _ = _generators(point)
+    d = mats[0].shape[0]
+    return d * d - commutant_dimension(mats, tol)
 
 
 @dataclass(frozen=True)
@@ -203,17 +172,14 @@ class TangentReport:
 
 
 def _moduli_report(point, tol: float, what: str) -> TangentReport:
-    mats, _, residual, Jc = _gated_jacobian(point)
-    s = _scaled_singular_values(Jc, mats)
+    system = rep_jacobian(point)
+    d = system.matrices[0].shape[0]
+    col_scale = np.repeat(_variable_scales(system.matrices), d * d)
+    s = np.linalg.svd(system.jacobian * col_scale[None, :], compute_uv=False)
     cut = decide_rank(s, tol, what)
-    real_nullity = 2 * Jc.shape[1] - cut.rank
-    if real_nullity % 2 != 0:
-        raise IndeterminateDimension(
-            f"{what}: real kernel dimension {real_nullity} is odd, which contradicts "
-            "complex-analyticity of the relations", s, cut.gap_ratio)
-    nullity = real_nullity // 2
-    orbit = orbit_tangent_dim(point, tol)
-    return TangentReport(nullity, orbit, nullity - orbit, cut.gap_ratio, s, residual)
+    nullity = system.jacobian.shape[1] - cut.rank
+    orbit = orbit_tangent_dim(system.matrices, tol)
+    return TangentReport(nullity, orbit, nullity - orbit, cut.gap_ratio, s, system.base_residual)
 
 
 def moduli_tangent_report(c: PairConfiguration, tol: float = 1e-10) -> TangentReport:
@@ -285,10 +251,18 @@ def phase_constraints(h: HadamardPoint) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class DefectReport:
+    """Dephased defect: the real nullity of the unitarity Jacobian in phase
+    coordinates, i.e. the dimension of the local family of complex Hadamard
+    matrices through the point with all gauge freedom removed.
+
+    ``kernel`` holds an orthonormal basis of that kernel as columns.
+    """
+
     defect: int
     gap_ratio: float
     singular_values: np.ndarray
     unitarity_residual: float
+    kernel: np.ndarray
 
     def to_json_dict(self) -> dict:
         return {
@@ -305,18 +279,9 @@ def defect_report(h: HadamardPoint, tol: float = 1e-10) -> DefectReport:
     if res > RESIDUAL_GATE:
         raise ValueError(f"unitarity residual {res:.3e} exceeds {RESIDUAL_GATE:.1e}")
     _, J = phase_constraints(h)
-    s = np.linalg.svd(J, compute_uv=False)
+    _, s, vt = np.linalg.svd(J)
     cut = decide_rank(s, tol, "dephased defect")
-    return DefectReport(J.shape[1] - cut.rank, cut.gap_ratio, s, res)
-
-
-def dephased_defect(h: HadamardPoint, tol: float = 1e-10) -> int:
-    """Real nullity of the unitarity Jacobian in dephased phase coordinates.
-
-    This is the dimension of the local family of complex Hadamard matrices
-    through the point, with all gauge freedom already removed by dephasing.
-    """
-    return defect_report(h, tol).defect
+    return DefectReport(J.shape[1] - cut.rank, cut.gap_ratio, s, res, vt[cut.rank:].T)
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +306,15 @@ def fiber_rank_check(point: AlgebraRepPoint, tol: float = 1e-10) -> FiberRankRep
     two factors of u3 vanish simultaneously can drop rank and are flagged
     (``degenerate_u3``) rather than asserted against.
 
-    Kernel vectors are needed here, so this is the one place the complex
-    SVD is used directly; its nullity agrees with the real-expansion count
-    used by the dimension reports.  The invariant differential has its own
-    looser cut (at least 1e-8) and counts as rank 0 below an absolute floor.
+    The invariant differential has its own looser cut (at least 1e-8) and
+    counts as rank 0 below an absolute floor.
     """
     from .invariants import u_invariants_directional
 
     if point.algebra != "graph" or len(point.matrices) != 6:
         raise ValueError("fiber rank is computed on 3+3 graph restriction points")
-    mats, _, _, Jc = _gated_jacobian(point)
+    system = rep_jacobian(point)
+    mats, Jc = system.matrices, system.jacobian
     _, s, vh = np.linalg.svd(Jc, full_matrices=False)
     nullity = Jc.shape[1] - decide_rank(s, tol, "graph relation kernel").rank
     d = mats[0].shape[0]

@@ -36,7 +36,6 @@ from orthopair.relations import graph_restriction, restrict
 from orthopair.tangent import (
     a6_moduli_tangent_report,
     defect_report,
-    dephased_defect,
     fiber_rank_check,
     moduli_tangent_report,
     x33_moduli_tangent_report,
@@ -253,7 +252,7 @@ def test_criterion_09_property_suites(samples100):
 
 def test_criterion_10_rigidity_controls():
     dim3 = moduli_tangent_report(standard_pair(3)).moduli_dim
-    defect2 = dephased_defect(fourier_phases(2))
+    defect2 = defect_report(fourier_phases(2)).defect
     ok = dim3 == 0 and defect2 == 0
     report(10, ok, f"moduli dim at n=3 = {dim3} (want 0), defect(F2) = {defect2} "
                    f"(want 0): the nullity rule does not inflate dimensions")

@@ -230,3 +230,11 @@ def test_jsonl_records(tmp_path, fourier6_swapped):
     assert len(rec["phases"]) == 5
     records = list(family_jsonl_records(result.points, result.residuals, path_id=2))
     assert records[1]["step"] == 1
+
+
+def test_jsonl_refuses_nonunitary_point(tmp_path):
+    rng = np.random.default_rng(27)
+    bad = HadamardPoint(6, rng.uniform(-3, 3, (5, 5)))
+    assert bad.unitarity_residual() > 1e-8
+    with pytest.raises(ValueError, match="unitary"):
+        write_family_jsonl(tmp_path / "bad.jsonl", [bad])

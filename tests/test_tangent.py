@@ -11,7 +11,6 @@ from orthopair.tangent import (
     IndeterminateDimension,
     a6_moduli_tangent_report,
     defect_report,
-    dephased_defect,
     fiber_rank_check,
     moduli_tangent_report,
     orbit_tangent_dim,
@@ -32,41 +31,28 @@ def conjugated_pair(c, h):
 # ---------------------------------------------------------------------------
 
 
-def real_residual(mats, terms):
-    r = relation_residual_vector(mats, terms)
-    return np.concatenate([r.real, r.imag])
-
-
 def test_jacobian_matches_finite_differences(base_pair, family_sample):
+    # central differences along random complex directions: a conjugate-linear
+    # term in the residual would show up here and not in the analytic J v
     rng = np.random.default_rng(22)
     step = 1e-6
     points = [base_pair, standard_pair(2), standard_pair(3)]
     points += [from_hadamard(h) for h in family_sample.points[1:8]]
     for c in points:
         system = rep_jacobian(c)
-        mats = c.matrices()
         terms = pair_relation_terms(c.n)
-        shapes = [m.shape for m in mats]
-        base = np.concatenate([np.concatenate([m.ravel().real for m in mats]),
-                               np.concatenate([m.ravel().imag for m in mats])])
-        nvars = base.size
+        assert system.relation_names == tuple(name for name, _ in terms)
+        d = c.n
+        base = np.concatenate([m.ravel() for m in c.matrices()])
 
-        def mats_from(x):
-            half = nvars // 2
-            z = x[:half] + 1j * x[half:]
-            out = []
-            ofs = 0
-            for shp in shapes:
-                cnt = shp[0] * shp[1]
-                out.append(z[ofs:ofs + cnt].reshape(shp))
-                ofs += cnt
-            return out
+        def mats_from(z):
+            return [z[k * d * d:(k + 1) * d * d].reshape(d, d) for k in range(2 * d)]
 
         for _ in range(2):
-            v = rng.standard_normal(nvars)
+            v = rng.standard_normal(base.size) + 1j * rng.standard_normal(base.size)
             v /= np.linalg.norm(v)
-            fd = (real_residual(mats_from(base + step * v), terms)
-                  - real_residual(mats_from(base - step * v), terms)) / (2 * step)
+            fd = (relation_residual_vector(mats_from(base + step * v), terms)
+                  - relation_residual_vector(mats_from(base - step * v), terms)) / (2 * step)
             an = system.jacobian @ v
             denom = max(np.linalg.norm(an), 1.0)
             assert np.max(np.abs(an - fd)) / denom <= 1e-6
@@ -74,20 +60,19 @@ def test_jacobian_matches_finite_differences(base_pair, family_sample):
 
 def test_jacobian_zero_direction(base_pair):
     system = rep_jacobian(base_pair)
-    assert np.linalg.norm(system.jacobian @ np.zeros(system.variable_count)) == 0.0
+    zero = np.zeros(system.jacobian.shape[1], dtype=np.complex128)
+    assert np.linalg.norm(system.jacobian @ zero) == 0.0
 
 
 def test_jacobian_annihilates_orbit_directions(base_pair):
     rng = np.random.default_rng(23)
     for c in (base_pair, standard_pair(2)):
         system = rep_jacobian(c)
-        mats = c.matrices()
         n = c.n
         norm_j = np.linalg.norm(system.jacobian, 2)
         for _ in range(10):
             xi = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            tangent_c = np.concatenate([(xi @ m - m @ xi).ravel() for m in mats])
-            v = np.concatenate([tangent_c.real, tangent_c.imag])
+            v = np.concatenate([(xi @ m - m @ xi).ravel() for m in system.matrices])
             v /= np.linalg.norm(v)
             assert np.linalg.norm(system.jacobian @ v) <= 1e-8 * norm_j
 
@@ -139,10 +124,26 @@ def test_moduli_dimension_at_base_point(base_pair, standard6):
         assert report.nullity == 39
         assert report.orbit_dim == 35
         assert report.gap_ratio >= GAP_RATIO_REQUIRED
+        assert report.singular_values.shape == (432,)
 
 
 def test_moduli_dimension_rigid_n3():
     assert moduli_tangent_report(standard_pair(3)).moduli_dim == 0
+
+
+def test_moduli_spectrum_matches_real_expansion():
+    # the real expansion [[Re J, -Im J], [Im J, Re J]] of the column-scaled
+    # complex Jacobian lists every complex singular value twice
+    c = standard_pair(3)
+    report = moduli_tangent_report(c)
+    system = rep_jacobian(c)
+    scale = np.repeat([np.linalg.norm(m, 2) for m in system.matrices], c.n * c.n)
+    J = system.jacobian * scale[None, :]
+    real = np.block([[J.real, -J.imag], [J.imag, J.real]])
+    s_real = np.linalg.svd(real, compute_uv=False)
+    assert report.singular_values.shape == (J.shape[1],)
+    assert np.max(np.abs(np.repeat(report.singular_values, 2) - s_real)) <= 1e-12 * s_real[0]
+    assert report.nullity == 8
 
 
 def test_moduli_n3_exact_rank_oracle():
@@ -265,15 +266,15 @@ def test_x33_moduli_conjugation_invariant(base_pair):
 
 
 def test_defect_fourier6(fourier6, fourier6_swapped):
-    assert dephased_defect(fourier6) == 4
-    assert dephased_defect(fourier6_swapped) == 4
+    assert defect_report(fourier6).defect == 4
+    assert defect_report(fourier6_swapped).defect == 4
     report = defect_report(fourier6)
     assert report.gap_ratio >= GAP_RATIO_REQUIRED
 
 
 def test_defect_rigid_small_n():
-    assert dephased_defect(fourier_phases(2)) == 0
-    assert dephased_defect(fourier_phases(3)) == 0
+    assert defect_report(fourier_phases(2)).defect == 0
+    assert defect_report(fourier_phases(3)).defect == 0
 
 
 def test_defect_n2_exhaustive_phase_oracle():
@@ -287,15 +288,15 @@ def test_defect_n2_exhaustive_phase_oracle():
 
 
 def test_defect_matches_moduli_dimension(base_pair, fourier6_swapped, family_sample):
-    assert dephased_defect(fourier6_swapped) == moduli_tangent_report(base_pair).moduli_dim
+    assert defect_report(fourier6_swapped).defect == moduli_tangent_report(base_pair).moduli_dim
     for h in family_sample.points[1:11]:
-        assert dephased_defect(h) == moduli_tangent_report(from_hadamard(h)).moduli_dim
+        assert defect_report(h).defect == moduli_tangent_report(from_hadamard(h)).moduli_dim
 
 
 def test_defect_refuses_off_manifold():
     rng = np.random.default_rng(26)
     with pytest.raises(ValueError):
-        dephased_defect(HadamardPoint(6, rng.uniform(-3, 3, (5, 5))))
+        defect_report(HadamardPoint(6, rng.uniform(-3, 3, (5, 5))))
 
 
 def test_phase_constraint_shapes(fourier6):
