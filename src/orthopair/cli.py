@@ -5,8 +5,9 @@ stdout and human diagnostics on stderr.  Exit codes: 0 ok, 1 fail,
 2 indeterminate, 3 usage or input error.  Numeric output uses shortest
 round-trip decimal (up to 17 significant digits).  Randomised commands
 refuse to run without an explicit --seed so every reported number is
-reproducible; --precision extended re-runs the supported verifications
-with >= 30-digit software arithmetic.
+reproducible.  --tol is accepted by verify, tangent, defect and membership;
+--precision extended re-runs verify, invariants and identity with >= 30-digit
+software arithmetic.
 """
 
 from __future__ import annotations
@@ -49,11 +50,6 @@ def _parse_subset(text: str, n: int) -> list[int]:
     if not idx or len(set(idx)) != len(idx) or min(idx) < 1 or max(idx) > n:
         raise _UsageError(f"subset {text!r} must be distinct indices in 1..{n}")
     return idx
-
-
-def _require_double(precision: str, command: str) -> None:
-    if precision != "double":
-        raise _UsageError(f"{command} supports --precision double only")
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +114,6 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_tangent(args) -> int:
-    _require_double(args.precision, "tangent")
     c = config.load_pair(args.file)
     if c.residual > tangent.RESIDUAL_GATE:
         _emit({"status": "fail", "residual": c.residual})
@@ -130,7 +125,6 @@ def cmd_tangent(args) -> int:
 
 
 def cmd_defect(args) -> int:
-    _require_double(args.precision, "defect")
     h = config.load_hadamard(args.file)
     res = h.unitarity_residual()
     if res > tangent.RESIDUAL_GATE:
@@ -157,7 +151,6 @@ def _parse_direction(text: str) -> np.ndarray:
 
 
 def cmd_trace(args) -> int:
-    _require_double(args.precision, "trace")
     start = config.load_hadamard(args.start)
     direction = _parse_direction(args.direction)
     result = continuation.trace_path(start, direction, args.steps, args.step)
@@ -169,7 +162,6 @@ def cmd_trace(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    _require_double(args.precision, "sample")
     start = config.load_hadamard(args.start)
     sample = continuation.sample_family(start, args.count, args.seed)
     continuation.write_family_jsonl(args.out, sample.points, path_id=0, append=args.append)
@@ -179,7 +171,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_membership(args) -> int:
-    _require_double(args.precision, "membership")
     c = config.load_pair(args.file)
     result = invariants.membership_test(c, args.tol)
     payload = {"status": result.status.value}
@@ -213,7 +204,6 @@ def cmd_identity(args) -> int:
 
 
 def cmd_complement(args) -> int:
-    _require_double(args.precision, "complement")
     c = config.load_pair(args.file)
     idx = _parse_subset(args.subset, c.n)
     point = relations.restrict(c, idx)
@@ -238,21 +228,20 @@ def cmd_complement(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="orthopair", description=__doc__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=1e-10, help="decision tolerance (default 1e-10)")
-    common.add_argument("--precision", choices=("double", "extended"), default="double")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=1e-10, help="decision tolerance (default 1e-10)")
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument("--precision", choices=("double", "extended"), default="double")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("standard-pair", parents=[common],
-                       help="write the coordinate/Fourier pair to a pair file")
+    p = sub.add_parser("standard-pair", help="write the coordinate/Fourier pair to a pair file")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--swap34", action="store_true", help="exchange Fourier columns 3 and 4")
     p.add_argument("--out", required=True)
     p.add_argument("--format", choices=("bases", "projectors"), default="bases")
     p.set_defaults(func=cmd_standard_pair)
 
-    p = sub.add_parser("hadamard", parents=[common],
-                       help="write dephased phases (from a Fourier matrix or a pair file)")
+    p = sub.add_parser("hadamard", help="write dephased phases (from a Fourier matrix or a pair file)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--fourier", type=int, metavar="N")
     group.add_argument("--from-pair", metavar="PAIRFILE")
@@ -260,25 +249,25 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_hadamard)
 
-    p = sub.add_parser("verify", parents=[common], help="check all defining relations of a pair file")
+    p = sub.add_parser("verify", parents=[tol, precision], help="check all defining relations of a pair file")
     p.add_argument("file")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("invariants", parents=[common], help="emit u1,u2,u3,z1,z2 of a pair file")
+    p = sub.add_parser("invariants", parents=[precision], help="emit u1,u2,u3,z1,z2 of a pair file")
     p.add_argument("file")
     p.add_argument("--p-subset", default="1,2,3")
     p.add_argument("--q-subset", default="1,2,3")
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("tangent", parents=[common], help="moduli tangent report of a pair file")
+    p = sub.add_parser("tangent", parents=[tol], help="moduli tangent report of a pair file")
     p.add_argument("file")
     p.set_defaults(func=cmd_tangent)
 
-    p = sub.add_parser("defect", parents=[common], help="dephased defect of a Hadamard file")
+    p = sub.add_parser("defect", parents=[tol], help="dephased defect of a Hadamard file")
     p.add_argument("file")
     p.set_defaults(func=cmd_defect)
 
-    p = sub.add_parser("trace", parents=[common], help="trace a family path from a Hadamard file")
+    p = sub.add_parser("trace", help="trace a family path from a Hadamard file")
     p.add_argument("--start", required=True)
     p.add_argument("--direction", required=True,
                    help="frame direction: index 0..3 or four comma-separated components")
@@ -290,7 +279,7 @@ def build_parser() -> _Parser:
                    help="append to --out instead of overwriting (multi-path dumps)")
     p.set_defaults(func=cmd_trace)
 
-    p = sub.add_parser("sample", parents=[common], help="random-walk sample of the family")
+    p = sub.add_parser("sample", help="random-walk sample of the family")
     p.add_argument("--start", required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
@@ -299,17 +288,17 @@ def build_parser() -> _Parser:
                    help="append to --out instead of overwriting (multi-path dumps)")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("membership", parents=[common], help="real-locus membership of a pair file")
+    p = sub.add_parser("membership", parents=[tol], help="real-locus membership of a pair file")
     p.add_argument("file")
     p.set_defaults(func=cmd_membership)
 
-    p = sub.add_parser("identity", parents=[common], help="trace identity on sub-triples of a pair file")
+    p = sub.add_parser("identity", parents=[precision], help="trace identity on sub-triples of a pair file")
     p.add_argument("file")
     p.add_argument("--p-subset", default="1,2,3")
     p.add_argument("--q-subset", default="1,2,3")
     p.set_defaults(func=cmd_identity)
 
-    p = sub.add_parser("complement", parents=[common],
+    p = sub.add_parser("complement",
                        help="solve for the complementary unbiased triple of a partial sum")
     p.add_argument("file")
     p.add_argument("--subset", default="1,2,3")

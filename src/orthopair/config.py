@@ -24,7 +24,6 @@ import numpy as np
 from .linalg import adjoint, as_matrix, rank1_projector, spectral_norm
 
 __all__ = [
-    "ProjectorSystem",
     "PairConfiguration",
     "HadamardPoint",
     "fourier_matrix",
@@ -34,6 +33,7 @@ __all__ = [
     "residual_categories",
     "from_hadamard",
     "to_hadamard",
+    "dephased_phases",
     "is_complex_hadamard",
     "save_pair",
     "load_pair",
@@ -44,25 +44,8 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ProjectorSystem:
-    """n rank-1 projectors, pairwise orthogonal, summing to the identity."""
-
-    n: int
-    projectors: tuple[np.ndarray, ...]
-
-
-def _system(mats) -> ProjectorSystem:
-    mats = tuple(as_matrix(m) for m in mats)
-    n = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (n, n):
-            raise ValueError("all projectors must be square of equal size")
-    if len(mats) != n:
-        raise ValueError(f"expected {n} projectors, got {len(mats)}")
-    return ProjectorSystem(n, mats)
+UNITARITY_TOL = 1e-8  # phases this far from unitary are refused (HadamardPoint.unitary)
+GAUGE_TOL = 1e-8  # to_hadamard: Hermitian check; 10x this on the transition-matrix moduli
 
 
 @dataclass(frozen=True)
@@ -70,28 +53,25 @@ class PairConfiguration:
     """Two projector systems with all cross traces equal to 1/n."""
 
     n: int
-    p_system: ProjectorSystem
-    q_system: ProjectorSystem
+    p: tuple[np.ndarray, ...]
+    q: tuple[np.ndarray, ...]
     residual: float
-
-    @property
-    def p(self) -> tuple[np.ndarray, ...]:
-        return self.p_system.projectors
-
-    @property
-    def q(self) -> tuple[np.ndarray, ...]:
-        return self.q_system.projectors
 
     def matrices(self) -> list[np.ndarray]:
         return list(self.p) + list(self.q)
 
 
 def pair_from_matrices(ps, qs) -> PairConfiguration:
-    p_sys = _system(ps)
-    q_sys = _system(qs)
-    if p_sys.n != q_sys.n:
-        raise ValueError("systems have different dimensions")
-    cfg = PairConfiguration(p_sys.n, p_sys, q_sys, 0.0)
+    ps = tuple(as_matrix(m) for m in ps)
+    qs = tuple(as_matrix(m) for m in qs)
+    n = ps[0].shape[0]
+    for m in ps + qs:
+        if m.shape != (n, n):
+            raise ValueError("all projectors must be square of equal size")
+    for system in (ps, qs):
+        if len(system) != n:
+            raise ValueError(f"expected {n} projectors, got {len(system)}")
+    cfg = PairConfiguration(n, ps, qs, 0.0)
     return replace(cfg, residual=max(residual_categories(cfg).values()))
 
 
@@ -154,12 +134,18 @@ def standard_pair(n: int, swap34: bool = False) -> PairConfiguration:
     a = fourier_matrix(n)
     if swap34:
         a = _swap34_columns(a)
+    return _pair_from_unitary(a)
+
+
+def _pair_from_unitary(u: np.ndarray) -> PairConfiguration:
+    """Coordinate projectors against the projectors onto the columns of u."""
+    n = u.shape[0]
     ps = []
     for i in range(n):
         e = np.zeros((n, n), dtype=np.complex128)
         e[i, i] = 1.0
         ps.append(e)
-    qs = [rank1_projector(a[:, j]) for j in range(n)]
+    qs = [rank1_projector(u[:, j]) for j in range(n)]
     return pair_from_matrices(ps, qs)
 
 
@@ -201,6 +187,14 @@ class HadamardPoint:
         u = self.reconstruct()
         return float(spectral_norm(u.conj().T @ u - np.eye(self.n)))
 
+    def unitary(self) -> np.ndarray:
+        """The reconstructed matrix; refused unless unitary within UNITARITY_TOL."""
+        res = self.unitarity_residual()
+        if res > UNITARITY_TOL:
+            raise ValueError(f"phases do not reconstruct to a unitary: "
+                             f"residual {res:.3e} > {UNITARITY_TOL:.1e}")
+        return self.reconstruct()
+
 
 def fourier_phases(n: int, swap34: bool = False) -> HadamardPoint:
     """HadamardPoint of the (optionally column-swapped) Fourier matrix."""
@@ -228,25 +222,14 @@ def is_complex_hadamard(u, tol: float) -> tuple[bool, float]:
     return residual <= tol, residual
 
 
-def from_hadamard(h: HadamardPoint, tol: float = 1e-8) -> PairConfiguration:
+def from_hadamard(h: HadamardPoint) -> PairConfiguration:
     """Configuration with p = coordinate projectors, q = column projectors.
 
     The reconstruction pins every entry modulus to exactly 1/sqrt(n), so the
     only source of error is unitarity of the phase matrix; the resulting
     projectors are Hermitian by construction.
     """
-    res = h.unitarity_residual()
-    if res > tol:
-        raise ValueError(f"phases do not reconstruct to a unitary: residual {res:.3e} > {tol:.1e}")
-    u = h.reconstruct()
-    n = h.n
-    ps = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=np.complex128)
-        e[i, i] = 1.0
-        ps.append(e)
-    qs = [rank1_projector(u[:, j]) for j in range(n)]
-    return pair_from_matrices(ps, qs)
+    return _pair_from_unitary(h.unitary())
 
 
 def _unit_eigenvector(p: np.ndarray) -> np.ndarray:
@@ -262,7 +245,17 @@ def _require_hermitian(c: PairConfiguration, tol: float) -> None:
             raise ValueError("configuration is not Hermitian (not a fixed point of the adjoint involution)")
 
 
-def to_hadamard(c: PairConfiguration, tol: float = 1e-8) -> HadamardPoint:
+def dephased_phases(u: np.ndarray) -> np.ndarray:
+    """Phases of the lower-right block of u after dephasing: columns, then
+    rows, scaled by unit phases so the first row and column are real positive."""
+    col_phase = u[0, :] / np.abs(u[0, :])
+    u = u / col_phase[None, :]
+    row_phase = u[:, 0] / np.abs(u[:, 0])
+    u = u / row_phase[:, None]
+    return np.angle(u[1:, 1:])
+
+
+def to_hadamard(c: PairConfiguration) -> HadamardPoint:
     """Gauge-fix a Hermitian configuration to dephased phase coordinates.
 
     The p-system is diagonalised to coordinate projectors; eigenvectors are
@@ -273,7 +266,7 @@ def to_hadamard(c: PairConfiguration, tol: float = 1e-8) -> HadamardPoint:
     the same output up to row/column permutations.
     """
     n = c.n
-    _require_hermitian(c, tol)
+    _require_hermitian(c, GAUGE_TOL)
     vs = [_unit_eigenvector(p) for p in c.p]
     axis = [int(np.argmax(np.abs(v))) for v in vs]
     order = sorted(range(n), key=lambda i: (axis[i], i))
@@ -283,13 +276,9 @@ def to_hadamard(c: PairConfiguration, tol: float = 1e-8) -> HadamardPoint:
 
     # entry moduli certify unbiasedness of the transition matrix
     dev = float(np.max(np.abs(np.abs(u) - 1.0 / np.sqrt(n))))
-    if dev > max(10 * tol, 1e-7):
+    if dev > 10 * GAUGE_TOL:
         raise ValueError(f"transition matrix is not unbiased: modulus deviation {dev:.3e}")
-    col_phase = u[0, :] / np.abs(u[0, :])
-    u = u / col_phase[None, :]
-    row_phase = u[:, 0] / np.abs(u[:, 0])
-    u = u / row_phase[:, None]
-    return HadamardPoint(n, np.angle(u[1:, 1:]))
+    return HadamardPoint(n, dephased_phases(u))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import HadamardPoint
+from .config import HadamardPoint, dephased_phases
 from .invariants import InvariantVector, u_invariants
 from .linalg import rank1_projector
 from .tangent import defect_report, phase_constraints
@@ -40,7 +40,8 @@ __all__ = [
 FAMILY_DIM = 4
 PINV_CUTOFF = 1e-10
 DEFAULT_STEP_SCALE = 5e-3
-UNITARITY_TOL = 1e-8  # invariants are refused on phases this far from unitary
+CORRECTOR_TOL = 1e-12  # newton_correct converges at this norm of the unitarity constraints
+CORRECTOR_MAX_ITER = 20
 
 
 def _phases_vector(h: HadamardPoint) -> np.ndarray:
@@ -87,8 +88,7 @@ class CorrectorResult:
     converged: bool
 
 
-def newton_correct(h: HadamardPoint, tol: float = 1e-12,
-                   max_iter: int = 20) -> CorrectorResult:
+def newton_correct(h: HadamardPoint) -> CorrectorResult:
     """Project an approximate point back onto the Hadamard variety.
 
     Gauss-Newton on the unitarity constraints; declares divergence when the
@@ -104,12 +104,12 @@ def newton_correct(h: HadamardPoint, tol: float = 1e-12,
     best_x, best_r = x.copy(), np.inf
     last = np.inf
     worse = 0
-    for it in range(max_iter):
+    for it in range(CORRECTOR_MAX_ITER):
         c, J = phase_constraints(_point_from_vector(n, x))
         r = float(np.linalg.norm(c))
         if r < best_r:
             best_x, best_r = x.copy(), r
-        if r <= tol:
+        if r <= CORRECTOR_TOL:
             return CorrectorResult(_point_from_vector(n, x), r, it, True)
         if r >= last:
             worse += 1
@@ -124,7 +124,8 @@ def newton_correct(h: HadamardPoint, tol: float = 1e-12,
     r = float(np.linalg.norm(c))
     if r < best_r:
         best_x, best_r = x, r
-    return CorrectorResult(_point_from_vector(n, best_x), best_r, max_iter, best_r <= tol)
+    return CorrectorResult(_point_from_vector(n, best_x), best_r, CORRECTOR_MAX_ITER,
+                           best_r <= CORRECTOR_TOL)
 
 
 @dataclass(frozen=True)
@@ -143,7 +144,6 @@ class PathResult:
 
 
 def trace_path(start: HadamardPoint, direction, steps: int, h: float,
-               corrector_tol: float = 1e-12, path_tol: float = 1e-10,
                initial_frame: np.ndarray | None = None) -> PathResult:
     """Walk the family from ``start`` along a fixed frame direction.
 
@@ -151,8 +151,9 @@ def trace_path(start: HadamardPoint, direction, steps: int, h: float,
     predictor moves h along the framed direction and the corrector projects
     back.  The step is halved on corrector failure, at most five times,
     after which the path is truncated and returned with a status.  Every
-    emitted point has unitarity residual below ``path_tol`` and consecutive
-    points are at least h/2 apart in (torus) phase norm.
+    emitted point is a converged corrector result (constraint norm at most
+    CORRECTOR_TOL) and consecutive points are at least h/2 apart in (torus)
+    phase norm.
 
     The frame at ``start`` is a fresh kernel basis unless ``initial_frame``
     is given (e.g. the ``final_frame`` of a previous path, which makes a
@@ -178,11 +179,11 @@ def trace_path(start: HadamardPoint, direction, steps: int, h: float,
         for _ in range(6):  # initial try plus five halvings
             pred = _phases_vector(current) + step_h * (frame @ direction)
             try:
-                result = newton_correct(_point_from_vector(start.n, pred), corrector_tol)
+                result = newton_correct(_point_from_vector(start.n, pred))
             except ValueError:
                 step_h /= 2.0
                 continue
-            if result.converged and result.residual <= path_tol:
+            if result.converged:
                 moved = _phase_distance(result.point, current)
                 if moved >= step_h / 2.0:
                     advanced = True
@@ -219,17 +220,13 @@ class FamilySample:
 def _restriction_invariants(h: HadamardPoint) -> InvariantVector:
     """Invariants of the restriction to the first three coordinate and
     column projectors: P = e1 + e2 + e3, q_j the projector onto column j."""
-    res = h.unitarity_residual()
-    if res > UNITARITY_TOL:
-        raise ValueError(f"phases do not reconstruct to a unitary: residual {res:.3e} > {UNITARITY_TOL:.1e}")
-    u = h.reconstruct()
+    u = h.unitary()
     P = np.diag((np.arange(h.n) < 3).astype(np.complex128))
     return u_invariants(P, *(rank1_projector(u[:, j]) for j in range(3)))
 
 
 def sample_family(start: HadamardPoint, count: int, seed: int,
-                  step_scale: float = DEFAULT_STEP_SCALE,
-                  corrector_tol: float = 1e-12) -> FamilySample:
+                  step_scale: float = DEFAULT_STEP_SCALE) -> FamilySample:
     """Gaussian random walk in the 4-frame with correction after each step.
 
     Deterministic given the seed.  Corrector failures shrink the step for
@@ -257,7 +254,7 @@ def sample_family(start: HadamardPoint, count: int, seed: int,
             step = frame @ (scale * rng.standard_normal(FAMILY_DIM))
             pred = _phases_vector(current) + step
             try:
-                result = newton_correct(_point_from_vector(start.n, pred), corrector_tol)
+                result = newton_correct(_point_from_vector(start.n, pred))
             except ValueError:
                 scale /= 2.0
                 failures += 1
@@ -285,7 +282,7 @@ def sample_family(start: HadamardPoint, count: int, seed: int,
         invariants.append(_restriction_invariants(moved))
     meta = {
         "step_scale": step_scale,
-        "corrector_tol": corrector_tol,
+        "corrector_tol": CORRECTOR_TOL,
         "corrector_retries": failures,
         "duplicates_skipped": duplicates,
         "max_residual": max(p.unitarity_residual() for p in points),
@@ -296,13 +293,6 @@ def sample_family(start: HadamardPoint, count: int, seed: int,
 # ---------------------------------------------------------------------------
 # Canonical representatives under the obvious equivalences.
 # ---------------------------------------------------------------------------
-
-
-def _dephase_matrix(u: np.ndarray) -> np.ndarray:
-    col = u[0, :] / np.abs(u[0, :])
-    u = u / col[None, :]
-    row = u[:, 0] / np.abs(u[:, 0])
-    return u / row[:, None]
 
 
 def _canonical_phases(h: HadamardPoint, full: bool) -> tuple[tuple, np.ndarray]:
@@ -330,8 +320,7 @@ def _canonical_phases(h: HadamardPoint, full: bool) -> tuple[tuple, np.ndarray]:
     for (r, c) in pivots:
         row_order = [r] + [i for i in range(n) if i != r]
         col_order = [c] + [j for j in range(n) if j != c]
-        u = _dephase_matrix(u0[np.ix_(row_order, col_order)])
-        ph = np.angle(u[1:, 1:])
+        ph = dephased_phases(u0[np.ix_(row_order, col_order)])
         rounded = np.round(ph / 1e-6).astype(np.int64)
         for cperm in permutations(range(n - 1)):
             cand = rounded[:, cperm]
@@ -380,7 +369,11 @@ def family_jsonl_records(points, residuals=None, path_id: int = 0):
 
 def write_family_jsonl(path, points, residuals=None, path_id: int = 0,
                        append: bool = False) -> None:
-    """Dump points as JSONL; ``append`` accumulates several paths in one file."""
+    """Dump points as JSONL; ``append`` accumulates several paths in one file.
+
+    Every record is built before the file is opened, so a refused point
+    leaves an existing file unchanged.
+    """
+    lines = [json.dumps(rec) + "\n" for rec in family_jsonl_records(points, residuals, path_id)]
     with open(path, "a" if append else "w") as fh:
-        for rec in family_jsonl_records(points, residuals, path_id):
-            fh.write(json.dumps(rec) + "\n")
+        fh.writelines(lines)

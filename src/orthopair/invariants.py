@@ -60,6 +60,11 @@ U1_AFFINE = (0.5, -13.5)
 U2_AFFINE = (72.0, -108.0, 54.0)
 
 IMAG_GUARD = 1e-10
+IDENTITY_TOL = 1e-8  # identity_check: precondition tolerance on the two triples
+COMPLEMENT_RESTARTS = 20
+COMPLEMENT_TOL = 1e-11  # a solver start converges at this residual
+COMPLEMENT_MAX_ITER = 60  # Gauss-Newton iterations per start
+SANDWICH_PRECHECK_TOL = 1e-8  # solve_complement refuses (P, q) off the sandwich relations
 
 
 @dataclass(frozen=True)
@@ -173,7 +178,7 @@ def sigma(P) -> np.ndarray:
 
 def tau(c: PairConfiguration) -> PairConfiguration:
     """Exchange the two projector systems; the relation set is symmetric."""
-    return PairConfiguration(c.n, c.q_system, c.p_system, c.residual)
+    return PairConfiguration(c.n, c.q, c.p, c.residual)
 
 
 def theta(c: PairConfiguration) -> PairConfiguration:
@@ -195,11 +200,11 @@ class IdentityReport:
     gap: float
 
 
-def identity_check(p_triple, q_triple, tol: float = 1e-8) -> IdentityReport:
+def identity_check(p_triple, q_triple) -> IdentityReport:
     """Both sides of the product identity at a pair of unbiased triples.
 
     Precondition: each triple consists of rank-1, pairwise-orthogonal
-    idempotents and all nine cross traces equal 1/6 within ``tol`` (the
+    idempotents and all nine cross traces equal 1/6 within IDENTITY_TOL (the
     identity is only claimed there).  The left side is the product over
     ordered pairs i != j of (36 Tr(P q_i P q_j) - 1) with P the sum of the
     p-triple; the right side exchanges the roles of the two triples.
@@ -210,14 +215,15 @@ def identity_check(p_triple, q_triple, tol: float = 1e-8) -> IdentityReport:
         raise ValueError("identity check needs two triples")
     for triple in (p, q):
         for i, a in enumerate(triple):
-            if spectral_norm(a @ a - a) > tol or abs(np.trace(a) - 1.0) > tol:
+            if (spectral_norm(a @ a - a) > IDENTITY_TOL
+                    or abs(np.trace(a) - 1.0) > IDENTITY_TOL):
                 raise ValueError("triple member is not a rank-1 idempotent within tolerance")
             for j, b in enumerate(triple):
-                if i != j and spectral_norm(a @ b) > tol:
+                if i != j and spectral_norm(a @ b) > IDENTITY_TOL:
                     raise ValueError("triple is not orthogonal within tolerance")
     for a in p:
         for b in q:
-            if abs(np.trace(a @ b) - 1.0 / 6.0) > tol:
+            if abs(np.trace(a @ b) - 1.0 / 6.0) > IDENTITY_TOL:
                 raise ValueError("cross traces are not 1/6 within tolerance; identity not applicable")
     P = p[0] + p[1] + p[2]
     Q = q[0] + q[1] + q[2]
@@ -277,8 +283,7 @@ def _complement_jacobian(vs, us, qs):
     return J
 
 
-def solve_complement(P, qs, seed: int, restarts: int = 20, tol: float = 1e-11,
-                     max_iter: int = 60, precheck_tol: float = 1e-8) -> ComplementResult:
+def solve_complement(P, qs, seed: int) -> ComplementResult:
     """Find rank-1 idempotents p'_1 + p'_2 + p'_3 = I - P, orthogonal to each
     other and unbiased against all six q's.
 
@@ -296,13 +301,13 @@ def solve_complement(P, qs, seed: int, restarts: int = 20, tol: float = 1e-11,
     if len(qs) != 6 or P.shape != (6, 6):
         raise ValueError("complement solver works on six-dimensional points with six q's")
     pre = an_residual(P, qs, [float(np.trace(P).real) / 6.0] * 6)
-    if pre > precheck_tol:
+    if pre > SANDWICH_PRECHECK_TOL:
         raise ValueError(f"(P, q) violates the sandwich relations: residual {pre:.3e}")
     M = np.eye(6, dtype=np.complex128) - P
     range_basis = np.linalg.svd(M)[0][:, :3]
     rng = np.random.default_rng(seed)
     best = np.inf
-    for attempt in range(1, restarts + 1):
+    for attempt in range(1, COMPLEMENT_RESTARTS + 1):
         G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         V, _ = np.linalg.qr(range_basis @ G)
         vs = [V[:, i].copy() for i in range(3)]
@@ -311,9 +316,9 @@ def solve_complement(P, qs, seed: int, restarts: int = 20, tol: float = 1e-11,
         r = _complement_residual(vs, us, M, qs)
         last = np.inf
         worse = 0
-        for _ in range(max_iter):
+        for _ in range(COMPLEMENT_MAX_ITER):
             nr = float(np.linalg.norm(r))
-            if nr <= tol:
+            if nr <= COMPLEMENT_TOL:
                 triple = tuple(np.outer(vs[i], us[i]) for i in range(3))
                 return ComplementResult(True, triple, nr, attempt)
             if nr >= last:
@@ -330,7 +335,7 @@ def solve_complement(P, qs, seed: int, restarts: int = 20, tol: float = 1e-11,
                 us[k] = us[k] + step[18 + 6 * k:18 + 6 * k + 6]
             r = _complement_residual(vs, us, M, qs)
         best = min(best, float(np.linalg.norm(r)))
-    return ComplementResult(False, None, best, restarts)
+    return ComplementResult(False, None, best, COMPLEMENT_RESTARTS)
 
 
 # ---------------------------------------------------------------------------

@@ -99,7 +99,7 @@ Relation = tuple[str, list[tuple[complex, tuple[int, ...]]]]
 class AlgebraRepPoint:
     """Named generator matrices representing one of the relation algebras.
 
-    ``algebra`` tags the relation set ("graph", "pair", "sandwich"); for
+    ``algebra`` tags the relation set ("graph" or "sandwich"); for
     graph points ``graph`` and the scalar ``r`` are set, for sandwich points
     ``r_list`` holds one sandwich value per q generator and ``sum_to_one``
     says whether the q's are required to resolve the identity.
@@ -116,9 +116,6 @@ class AlgebraRepPoint:
     def relation_terms(self) -> list[Relation]:
         if self.algebra == "graph":
             return graph_relation_terms(self.graph, self.r)
-        if self.algebra == "pair":
-            n = len(self.matrices) // 2
-            return pair_relation_terms(n)
         if self.algebra == "sandwich":
             return sandwich_relation_terms(len(self.matrices) - 1, self.r_list, self.sum_to_one)
         raise ValueError(f"unknown algebra tag {self.algebra!r}")

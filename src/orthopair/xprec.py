@@ -22,7 +22,6 @@ __all__ = [
     "mp_rank1_projector",
     "mp_singular_values",
     "mp_nullspace",
-    "mp_spectral_norm",
     "standard_pair_mp",
     "pair_residual_categories_mp",
     "u_invariants_mp_matrices",
@@ -99,11 +98,6 @@ def mp_nullspace(a, tol: float) -> list[np.ndarray]:
                 vec = np.array([complex(v[i, j]) for j in range(ncols)]).conj()
                 out.append(vec)
     return out
-
-
-def mp_spectral_norm(a) -> float:
-    s = mp_singular_values(a)
-    return float(s[0]) if s.size else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -223,7 +223,7 @@ def test_criterion_09_property_suites(samples100):
     base_pair = standard_pair(6, swap34=True)
     P = base_pair.p[0] + base_pair.p[1] + base_pair.p[2]
     inv_ok = (np.array_equal(sigma(sigma(P)), P)
-              and tau(tau(base_pair)).p_system is base_pair.p_system
+              and tau(tau(base_pair)).p is base_pair.p
               and all(np.array_equal(a, b) for a, b in
                       zip(theta(theta(base_pair)).matrices(), base_pair.matrices())))
     perm_ok = True

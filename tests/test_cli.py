@@ -135,6 +135,24 @@ def test_tangent_rejects_extended(pair_file, capsys):
     assert code == USAGE
 
 
+@pytest.mark.parametrize("argv", [
+    ["standard-pair", "--n", "6", "--out", "{out}", "--precision", "extended"],
+    ["hadamard", "--fourier", "6", "--out", "{out}", "--precision", "extended"],
+    ["identity", "{pair}", "--tol", "1e-3"],
+    ["complement", "{pair}", "--seed", "7", "--out", "{out}", "--tol", "1"],
+    ["trace", "--start", "{hadamard}", "--direction", "0", "--steps", "1", "--out", "{out}",
+     "--precision", "double"],
+])
+def test_cli_flags_only_where_read(argv, pair_file, hadamard_file, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    argv = [a.format(out=out, pair=pair_file, hadamard=hadamard_file) for a in argv]
+    code, payload, err = run(capsys, *argv)
+    assert code == USAGE
+    assert payload is None
+    assert "unrecognized arguments" in err
+    assert not out.exists()
+
+
 def test_tangent_off_variety_fails_with_residual(pair_file, tmp_path, capsys):
     doc = json.loads(open(pair_file).read())
     doc["f_basis"][2][3] = [0.3, 0.1]  # knock the point off the variety

@@ -238,3 +238,14 @@ def test_jsonl_refuses_nonunitary_point(tmp_path):
     assert bad.unitarity_residual() > 1e-8
     with pytest.raises(ValueError, match="unitary"):
         write_family_jsonl(tmp_path / "bad.jsonl", [bad])
+    assert not (tmp_path / "bad.jsonl").exists()
+    # a refused point leaves an existing file byte-identical in both modes
+    good = fourier_phases(6, swap34=True)
+    path = tmp_path / "family.jsonl"
+    write_family_jsonl(path, [good])
+    before = path.read_bytes()
+    assert len(before.splitlines()) == 1
+    for append in (False, True):
+        with pytest.raises(ValueError, match="unitary"):
+            write_family_jsonl(path, [good, bad], append=append)
+        assert path.read_bytes() == before

@@ -101,7 +101,7 @@ def test_sigma_involution_and_complement(base_pair):
 
 def test_tau_involution(base_pair):
     t = tau(base_pair)
-    assert tau(t).p_system is base_pair.p_system
+    assert tau(t).p is base_pair.p
     assert t.residual == base_pair.residual
     # invariants relabel: (sum p, q-triple) on c equals (sum q, p-triple) on tau(c)
     v1 = u_invariants(triple_P(base_pair), *base_pair.q[:3]).as_array()
