@@ -48,7 +48,7 @@ UNITARITY_TOL = 1e-8  # phases this far from unitary are refused (HadamardPoint.
 GAUGE_TOL = 1e-8  # to_hadamard: Hermitian check; 10x this on the transition-matrix moduli
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: equality and hash by identity
 class PairConfiguration:
     """Two projector systems with all cross traces equal to 1/n."""
 
@@ -160,7 +160,7 @@ def _wrap_angles(ph: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: equality and hash by identity
 class HadamardPoint:
     """Dephased phase coordinates of an n x n complex Hadamard matrix.
 

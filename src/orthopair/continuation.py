@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import HadamardPoint, dephased_phases
 from .invariants import InvariantVector, u_invariants
-from .linalg import rank1_projector
+from .linalg import gauss_newton, rank1_projector
 from .tangent import defect_report, phase_constraints
 
 __all__ = [
@@ -42,10 +42,8 @@ PINV_CUTOFF = 1e-10
 DEFAULT_STEP_SCALE = 5e-3
 CORRECTOR_TOL = 1e-12  # newton_correct converges at this norm of the unitarity constraints
 CORRECTOR_MAX_ITER = 20
-
-
-def _phases_vector(h: HadamardPoint) -> np.ndarray:
-    return h.phases.ravel().copy()
+CORRECTOR_STALL = 3  # newton_correct gives up after this many non-decreasing norms in a row
+STEP_HALVINGS = 5  # a continuation move halves its step at most this often before it gives up
 
 
 def _point_from_vector(n: int, x: np.ndarray) -> HadamardPoint:
@@ -92,7 +90,7 @@ def newton_correct(h: HadamardPoint) -> CorrectorResult:
     """Project an approximate point back onto the Hadamard variety.
 
     Gauss-Newton on the unitarity constraints; declares divergence when the
-    residual fails to decrease three times in a row and then returns the
+    residual fails to decrease CORRECTOR_STALL times in a row and then returns the
     best iterate flagged as failed, never a silently bad point.  Quadratic
     convergence is only guaranteed for starting residuals below ~0.1;
     grossly off-manifold starts are refused outright.
@@ -100,32 +98,35 @@ def newton_correct(h: HadamardPoint) -> CorrectorResult:
     if h.unitarity_residual() > 0.5:
         raise ValueError("starting residual above 0.5; far outside any corrector basin")
     n = h.n
-    x = _phases_vector(h)
-    best_x, best_r = x.copy(), np.inf
-    last = np.inf
-    worse = 0
-    for it in range(CORRECTOR_MAX_ITER):
+
+    def constraints(x):
         c, J = phase_constraints(_point_from_vector(n, x))
-        r = float(np.linalg.norm(c))
-        if r < best_r:
-            best_x, best_r = x.copy(), r
-        if r <= CORRECTOR_TOL:
-            return CorrectorResult(_point_from_vector(n, x), r, it, True)
-        if r >= last:
-            worse += 1
-            if worse >= 3:
-                return CorrectorResult(_point_from_vector(n, best_x), best_r, it, False)
-        else:
-            worse = 0
-        last = r
-        step, *_ = np.linalg.lstsq(J, -c, rcond=PINV_CUTOFF)
-        x = x + step
-    c, _ = phase_constraints(_point_from_vector(n, x))
-    r = float(np.linalg.norm(c))
-    if r < best_r:
-        best_x, best_r = x, r
-    return CorrectorResult(_point_from_vector(n, best_x), best_r, CORRECTOR_MAX_ITER,
-                           best_r <= CORRECTOR_TOL)
+        return c, lambda: J
+
+    x, r, steps, converged = gauss_newton(constraints, h.phases.ravel(), CORRECTOR_TOL,
+                                          CORRECTOR_MAX_ITER, CORRECTOR_STALL, PINV_CUTOFF)
+    return CorrectorResult(_point_from_vector(n, x), r, steps, converged)
+
+
+def _corrected_step(current: HadamardPoint, scale: float, predict, min_move: float):
+    """One continuation move: predict, correct, and halve the step on failure.
+
+    ``predict(s)`` gives the phase step for step size ``s``; it is called
+    afresh on every try.  A try succeeds when the corrector converges at a
+    point at least ``min_move * s`` away (torus phase norm) from
+    ``current``; otherwise ``s`` is halved, at most STEP_HALVINGS times.
+    Returns (corrector result or None when every try failed, failed tries).
+    """
+    x = current.phases.ravel()
+    for tries in range(STEP_HALVINGS + 1):
+        s = scale / 2.0 ** tries
+        try:
+            result = newton_correct(_point_from_vector(current.n, x + predict(s)))
+        except ValueError:  # prediction outside the corrector's basin
+            continue
+        if result.converged and _phase_distance(result.point, current) >= min_move * s:
+            return result, tries
+    return None, STEP_HALVINGS + 1
 
 
 @dataclass(frozen=True)
@@ -174,23 +175,9 @@ def trace_path(start: HadamardPoint, direction, steps: int, h: float,
     residuals = [start.unitarity_residual()]
     status = "ok"
     for k in range(steps):
-        step_h = h
-        advanced = False
-        for _ in range(6):  # initial try plus five halvings
-            pred = _phases_vector(current) + step_h * (frame @ direction)
-            try:
-                result = newton_correct(_point_from_vector(start.n, pred))
-            except ValueError:
-                step_h /= 2.0
-                continue
-            if result.converged:
-                moved = _phase_distance(result.point, current)
-                if moved >= step_h / 2.0:
-                    advanced = True
-                    break
-            step_h /= 2.0
-        if not advanced:
-            status = f"corrector failed at step {k} after 5 halvings"
+        result, _ = _corrected_step(current, h, lambda s: s * (frame @ direction), 0.5)
+        if result is None:
+            status = f"corrector failed at step {k} after {STEP_HALVINGS} halvings"
             break
         try:
             frame = tangent_frame(result.point, prev=frame)
@@ -248,25 +235,13 @@ def sample_family(start: HadamardPoint, count: int, seed: int,
     moves_left = 10 * count  # hard cap; persistent failures shorten the sample
     while len(points) < count and moves_left > 0:
         moves_left -= 1
-        scale = step_scale
-        moved = None
-        for _ in range(6):
-            step = frame @ (scale * rng.standard_normal(FAMILY_DIM))
-            pred = _phases_vector(current) + step
-            try:
-                result = newton_correct(_point_from_vector(start.n, pred))
-            except ValueError:
-                scale /= 2.0
-                failures += 1
-                continue
-            if result.converged:
-                moved = result.point
-                break
-            scale /= 2.0
-            failures += 1
-        if moved is None:
+        result, tries_failed = _corrected_step(
+            current, step_scale, lambda s: frame @ (s * rng.standard_normal(FAMILY_DIM)), 0.0)
+        failures += tries_failed
+        if result is None:
             failures += 1
             continue
+        moved = result.point
         try:
             frame = tangent_frame(moved, prev=frame)
         except ValueError:

@@ -31,7 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .config import PairConfiguration, pair_from_matrices
-from .linalg import adjoint, as_matrix, decide_rank, spectral_norm
+from .linalg import adjoint, as_matrix, decide_rank, gauss_newton, spectral_norm
 from .relations import an_residual, commutant_dimension
 
 __all__ = [
@@ -64,6 +64,8 @@ IDENTITY_TOL = 1e-8  # identity_check: precondition tolerance on the two triples
 COMPLEMENT_RESTARTS = 20
 COMPLEMENT_TOL = 1e-11  # a solver start converges at this residual
 COMPLEMENT_MAX_ITER = 60  # Gauss-Newton iterations per start
+COMPLEMENT_STALL = 4  # a start gives up after this many non-decreasing norms in a row
+COMPLEMENT_RCOND = 1e-12  # relative singular-value cut of the Gauss-Newton step
 SANDWICH_PRECHECK_TOL = 1e-8  # solve_complement refuses (P, q) off the sandwich relations
 
 
@@ -293,8 +295,9 @@ def solve_complement(P, qs, seed: int) -> ComplementResult:
     pseudo-inverse (the factorisation carries a 3-dimensional scaling gauge,
     so the Jacobian is rank-deficient by design).  Starts are random
     orthonormal frames in the range of I - P and their dual rows; on
-    exhaustion of the restart budget the best residual is reported and no
-    triple is returned -- never an unconverged one.
+    exhaustion of the restart budget the best residual (the smallest norm
+    of any iterate of any start) is reported and no triple is returned --
+    never an unconverged one.
     """
     P = as_matrix(P)
     qs = [as_matrix(q) for q in qs]
@@ -306,35 +309,23 @@ def solve_complement(P, qs, seed: int) -> ComplementResult:
     M = np.eye(6, dtype=np.complex128) - P
     range_basis = np.linalg.svd(M)[0][:, :3]
     rng = np.random.default_rng(seed)
+
+    def residual(x):  # x holds v_1, v_2, v_3, then u_1, u_2, u_3
+        vs, us = x.reshape(2, 3, 6)
+        return _complement_residual(vs, us, M, qs), lambda: _complement_jacobian(vs, us, qs)
+
     best = np.inf
     for attempt in range(1, COMPLEMENT_RESTARTS + 1):
         G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         V, _ = np.linalg.qr(range_basis @ G)
-        vs = [V[:, i].copy() for i in range(3)]
-        dual = V.conj().T @ M
-        us = [dual[i].copy() for i in range(3)]
-        r = _complement_residual(vs, us, M, qs)
-        last = np.inf
-        worse = 0
-        for _ in range(COMPLEMENT_MAX_ITER):
-            nr = float(np.linalg.norm(r))
-            if nr <= COMPLEMENT_TOL:
-                triple = tuple(np.outer(vs[i], us[i]) for i in range(3))
-                return ComplementResult(True, triple, nr, attempt)
-            if nr >= last:
-                worse += 1
-                if worse >= 4:
-                    break
-            else:
-                worse = 0
-            last = nr
-            J = _complement_jacobian(vs, us, qs)
-            step, *_ = np.linalg.lstsq(J, -r, rcond=1e-12)
-            for k in range(3):
-                vs[k] = vs[k] + step[6 * k:6 * k + 6]
-                us[k] = us[k] + step[18 + 6 * k:18 + 6 * k + 6]
-            r = _complement_residual(vs, us, M, qs)
-        best = min(best, float(np.linalg.norm(r)))
+        x0 = np.stack([V.T, V.conj().T @ M]).ravel()
+        x, nr, _, converged = gauss_newton(residual, x0, COMPLEMENT_TOL, COMPLEMENT_MAX_ITER,
+                                           COMPLEMENT_STALL, COMPLEMENT_RCOND)
+        if converged:
+            vs, us = x.reshape(2, 3, 6)
+            return ComplementResult(True, tuple(np.outer(vs[i], us[i]) for i in range(3)),
+                                    nr, attempt)
+        best = min(best, nr)
     return ComplementResult(False, None, best, COMPLEMENT_RESTARTS)
 
 

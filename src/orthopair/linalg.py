@@ -2,7 +2,8 @@
 
 All operators in this package are plain numpy arrays of dtype complex128
 (row-major, finite entries).  This module provides the handful of primitives
-everything else is built on: traces, adjoints, spectral norms, and -- most
+everything else is built on: traces, adjoints, spectral norms, the one
+Gauss-Newton loop of the corrector and the complement solver, and -- most
 importantly -- the one numerical rank rule every integer answer of the
 package goes through.  :func:`decide_rank` uses a *relative* threshold (tol
 times the largest singular value) with an explicit, caller-controlled
@@ -27,6 +28,7 @@ __all__ = [
     "RankReport",
     "decide_rank",
     "rank1_projector",
+    "gauss_newton",
 ]
 
 GAP_RATIO_REQUIRED = 1e3
@@ -133,3 +135,33 @@ def rank1_projector(v) -> np.ndarray:
         raise ValueError("cannot project onto the zero vector")
     p = np.outer(v, v.conj()) / nrm2
     return (p + p.conj().T) / 2.0
+
+
+def gauss_newton(fun, x, tol: float, max_iter: int, stall: int, rcond: float):
+    """The package's one Gauss-Newton loop, with a truncated pseudo-inverse.
+
+    ``fun(x)`` returns the residual at ``x`` and a zero-argument callable
+    that builds the Jacobian there, so a Jacobian is built only for a step.
+    A step is the minimal-norm least-squares solution of J dx = -r, with
+    singular values below ``rcond`` times the largest dropped.  The loop
+    stops once the residual norm is at most ``tol``, after ``stall``
+    non-decreasing norms in a row, or after ``max_iter`` steps (the final
+    iterate is still evaluated).  Returns (best iterate, its residual norm,
+    steps taken, converged); the best iterate is the one of smallest norm.
+    """
+    best_x, best_r = x, np.inf
+    last = np.inf
+    worse = 0
+    for it in range(max_iter + 1):
+        r, jacobian = fun(x)
+        nr = float(np.linalg.norm(r))
+        if nr < best_r:
+            best_x, best_r = x, nr
+        if nr <= tol:
+            return x, nr, it, True
+        worse = worse + 1 if nr >= last else 0
+        if worse >= stall or it == max_iter:
+            return best_x, best_r, it, False
+        last = nr
+        step, *_ = np.linalg.lstsq(jacobian(), -r, rcond=rcond)
+        x = x + step

@@ -95,7 +95,7 @@ def load_graph(path) -> LooplessGraph:
 Relation = tuple[str, list[tuple[complex, tuple[int, ...]]]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: equality and hash by identity
 class AlgebraRepPoint:
     """Named generator matrices representing one of the relation algebras.
 

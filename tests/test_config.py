@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_invertible, random_unitary
-from orthopair import config
+from orthopair import config, relations
 from orthopair.config import (
     HadamardPoint,
     fourier_phases,
@@ -241,3 +241,14 @@ def test_hadamard_file_round_trip(tmp_path, fourier6_swapped):
 def test_phase_wrapping():
     h = HadamardPoint(2, np.array([[3 * np.pi]]))
     assert abs(h.phases[0, 0] - np.pi) < 1e-15
+
+
+@pytest.mark.parametrize("make", [
+    lambda: standard_pair(3),
+    lambda: fourier_phases(3),
+    lambda: relations.restrict(standard_pair(3), [1]),
+], ids=["PairConfiguration", "HadamardPoint", "AlgebraRepPoint"])
+def test_points_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert (a == a) is True and (a == b) is False and (a != b) is True
+    assert len({a, a, b}) == 2 and hash(a) == hash(a)

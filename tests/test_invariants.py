@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_invertible, random_unitary
-from orthopair import exact
+from orthopair import exact, invariants
 from orthopair.config import from_hadamard, pair_from_matrices, standard_pair
 from orthopair.invariants import (
     U1_AFFINE,
@@ -236,6 +236,35 @@ def test_complement_deterministic(base_pair):
 def test_complement_rejects_off_locus(base_pair):
     with pytest.raises(ValueError):
         solve_complement(np.eye(6) * 0.5, list(base_pair.q), seed=0)
+
+
+def test_complement_failure_reports_smallest_residual(base_pair, monkeypatch):
+    # two starts of three steps each fail at seed 2; the second start's last
+    # iterate is far worse than its best
+    norms = []
+    residual = invariants._complement_residual
+
+    def recorded(*args):
+        r = residual(*args)
+        norms.append(float(np.linalg.norm(r)))
+        return r
+
+    monkeypatch.setattr(invariants, "_complement_residual", recorded)
+    monkeypatch.setattr(invariants, "COMPLEMENT_RESTARTS", 2)
+    monkeypatch.setattr(invariants, "COMPLEMENT_MAX_ITER", 3)
+    result = solve_complement(triple_P(base_pair), list(base_pair.q), seed=2)
+    assert not result.success and result.triple is None
+    assert len(norms) == 2 * (3 + 1)
+    assert result.residual == min(norms) < norms[-1]
+
+
+def test_complement_accepts_convergence_on_final_step(base_pair, monkeypatch):
+    # at seed 3 the first start meets COMPLEMENT_TOL after exactly five steps
+    monkeypatch.setattr(invariants, "COMPLEMENT_RESTARTS", 1)
+    monkeypatch.setattr(invariants, "COMPLEMENT_MAX_ITER", 5)
+    result = solve_complement(triple_P(base_pair), list(base_pair.q), seed=3)
+    assert result.success and result.residual <= invariants.COMPLEMENT_TOL
+    assert result.attempts == 1
 
 
 def test_complement_result_quality_on_sample(family_sample):

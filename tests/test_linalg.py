@@ -5,6 +5,7 @@ from orthopair import xprec
 from orthopair.linalg import (
     adjoint,
     decide_rank,
+    gauss_newton,
     rank1_projector,
     spectral_norm,
     trace,
@@ -173,3 +174,51 @@ def test_extended_precision_rank_matches_double():
     (w,) = xprec.mp_nullspace(np.array([[1.0, 1.0]]) / np.sqrt(2), 1e-10)
     target = np.array([1.0, -1.0]) / np.sqrt(2)
     assert min(np.linalg.norm(w - target), np.linalg.norm(w + target)) < 1e-12
+
+
+def test_gauss_newton_converged_start_takes_no_step():
+    def fun(x):
+        def jacobian():
+            raise AssertionError("Jacobian built without a step")
+        return x - 1.0, jacobian
+
+    x0 = np.array([1.0, 1.0])
+    x, r, steps, converged = gauss_newton(fun, x0, 1e-12, 10, 3, 1e-12)
+    assert (x is x0, r, steps, converged) == (True, 0.0, 0, True)
+
+
+def test_gauss_newton_stall_returns_best_iterate():
+    # scripted residual norms with an identity Jacobian: the norm drops to 1,
+    # then fails to decrease three times in a row, before the final 0 is reached
+    script = [4.0, 2.0, 1.0, 3.0, 3.0, 5.0, 0.0]
+    seen = []
+
+    def fun(x):
+        seen.append(x)
+        return np.array([script[len(seen) - 1]]), lambda: np.eye(1)
+
+    x, r, steps, converged = gauss_newton(fun, np.zeros(1), 1e-12, 20, 3, 1e-12)
+    assert len(seen) == 6
+    assert x is seen[2] and r == 1.0
+    assert steps == 5 and not converged
+
+
+def test_gauss_newton_budget_evaluates_final_iterate():
+    # a Jacobian twice the true one halves the residual per step
+    jacobian_builds = []
+    seen = []
+
+    def jacobian():
+        jacobian_builds.append(1)
+        return 2.0 * np.eye(1)
+
+    def fun(x):
+        seen.append(x)
+        return x, jacobian
+
+    x, r, steps, converged = gauss_newton(fun, np.ones(1), 1e-12, 5, 3, 1e-12)
+    assert len(seen) == 6 and len(jacobian_builds) == 5
+    assert x is seen[-1] and r == 2.0 ** -5
+    assert steps == 5 and not converged
+    # the same final iterate meeting the tolerance counts as converged
+    assert gauss_newton(fun, np.ones(1), 2.0 ** -5, 5, 3, 1e-12)[2:] == (5, True)
