@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import islice, permutations
 
 import numpy as np
 
@@ -44,6 +45,8 @@ CORRECTOR_TOL = 1e-12  # newton_correct converges at this norm of the unitarity 
 CORRECTOR_MAX_ITER = 20
 CORRECTOR_STALL = 3  # newton_correct gives up after this many non-decreasing norms in a row
 STEP_HALVINGS = 5  # a continuation move halves its step at most this often before it gives up
+KEY_GRID = 1e-6  # the canonical key compares phases rounded to this grid
+KEY_PERM_BLOCK = 720  # column permutations searched per batch: all of them up to n = 7
 
 
 def _point_from_vector(n: int, x: np.ndarray) -> HadamardPoint:
@@ -270,6 +273,11 @@ def sample_family(start: HadamardPoint, count: int, seed: int,
 # ---------------------------------------------------------------------------
 
 
+def _key_grid(ph: np.ndarray) -> np.ndarray:
+    """Phases rounded to the KEY_GRID integer grid of the canonical key."""
+    return np.round(ph / KEY_GRID).astype(np.int64)
+
+
 def _canonical_phases(h: HadamardPoint, full: bool) -> tuple[tuple, np.ndarray]:
     """Heuristic canonical form under row/column permutation and dephasing.
 
@@ -283,27 +291,38 @@ def _canonical_phases(h: HadamardPoint, full: bool) -> tuple[tuple, np.ndarray]:
     either way, but the default may keep more than one representative of a
     class whose members differ by a first-row/column move.
     """
-    from itertools import permutations
-
     n = h.n
+    m = n - 1
+    if m == 0:  # a 1x1 matrix has no phase block to permute
+        return (), h.phases
     u0 = h.reconstruct()
     pivots = [(0, 0)]
     if full:
         pivots = [(r, c) for r in range(n) for c in range(n)]
+    row_record = np.dtype([(f"f{j}", np.int64) for j in range(m)])
     best_key = None
     best_ph = None
     for (r, c) in pivots:
         row_order = [r] + [i for i in range(n) if i != r]
         col_order = [c] + [j for j in range(n) if j != c]
         ph = dephased_phases(u0[np.ix_(row_order, col_order)])
-        rounded = np.round(ph / 1e-6).astype(np.int64)
-        for cperm in permutations(range(n - 1)):
-            cand = rounded[:, cperm]
-            rperm = sorted(range(n - 1), key=lambda i: tuple(cand[i]))
-            key = tuple(tuple(cand[i]) for i in rperm)
+        rounded = _key_grid(ph)
+        perms = permutations(range(m))
+        while block := list(islice(perms, KEY_PERM_BLOCK)):
+            cperms = np.array(block, dtype=np.intp).reshape(len(block), m)
+            # cands[p, i, :] is row i of the block with its columns in order cperms[p]
+            cands = np.ascontiguousarray(rounded[:, cperms].transpose(1, 0, 2))
+            # one stable sort of every candidate's rows; a record of signed int64
+            # fields compares lexicographically, like the tuples of the key
+            rperms = np.argsort(cands.view(row_record)[..., 0], axis=1, kind="stable")
+            sorted_cands = np.take_along_axis(cands, rperms[:, :, None], axis=1)
+            # lexsort is stable: the first least candidate in permutation order wins
+            flat = sorted_cands.reshape(len(block), m * m)
+            p = np.lexsort(flat.T[::-1])[0]
+            key = tuple(map(tuple, sorted_cands[p].tolist()))
             if best_key is None or key < best_key:
                 best_key = key
-                best_ph = ph[np.ix_(rperm, cperm)]
+                best_ph = ph[np.ix_(rperms[p], cperms[p])]
     return best_key, best_ph
 
 

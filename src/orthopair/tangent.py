@@ -230,22 +230,23 @@ def phase_constraints(h: HadamardPoint) -> tuple[np.ndarray, np.ndarray]:
     """
     u = h.reconstruct()
     n = h.n
-    nf = (n - 1) ** 2
-    gram = u.conj().T @ u
-    cvals = []
-    rows = []
-    for j in range(n):
-        for k in range(j + 1, n):
-            row = np.zeros(nf, dtype=np.complex128)
-            for a in range(1, n):
-                v = 1j * np.conj(u[a, j]) * u[a, k]
-                row[(a - 1) * (n - 1) + (k - 1)] += v
-                if j >= 1:
-                    row[(a - 1) * (n - 1) + (j - 1)] -= v
-            cvals.append(gram[j, k])
-            rows.append(row)
-    cvec = np.array(cvals)
-    Jc = np.array(rows)
+    idx = np.arange(n)
+    j, k = np.nonzero(idx[:, None] < idx)  # constraint rows (j, k), j < k, row-major
+    rows = np.arange(j.size)
+    cvec = (u.conj().T @ u)[j, k]
+    # v[a-1, r] = i conj(U_aj) U_ak for row r = (j, k), written in the real
+    # arithmetic of the scalar complex product so that J stays bit-identical
+    # to accumulating it entry by entry
+    x, y = u[1:, j], u[1:, k]
+    v = np.empty(x.shape, dtype=np.complex128)
+    v.real = x.imag * y.real - x.real * y.imag
+    v.imag = x.imag * y.imag + x.real * y.real
+    # phase (a, b) is column (a-1)(n-1) + (b-1); the pinned column b = 0 has none
+    col = idx[:-1, None] * (n - 1) - 1
+    Jc = np.zeros((j.size, (n - 1) ** 2), dtype=np.complex128)
+    Jc[rows, col + k] += v
+    free = j >= 1
+    Jc[rows[free], (col + j)[:, free]] -= v[:, free]
     return np.concatenate([cvec.real, cvec.imag]), np.vstack([Jc.real, Jc.imag])
 
 

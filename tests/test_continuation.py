@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -5,11 +6,14 @@ import pytest
 
 from orthopair.config import (
     HadamardPoint,
+    dephased_phases,
     fourier_phases,
     from_hadamard,
     is_complex_hadamard,
 )
 from orthopair.continuation import (
+    _canonical_phases,
+    _key_grid,
     canonical_reduce,
     family_jsonl_records,
     newton_correct,
@@ -206,6 +210,40 @@ def test_canonical_reduce_phase_gauge(fourier6):
     v = v / row[:, None]
     shifted = HadamardPoint(6, np.angle(np.sqrt(6) * v[1:, 1:]))
     assert len(canonical_reduce([fourier6, shifted])) == 1
+
+
+def _loop_canonical_phases(h, full):
+    """Reference: the canonical key searched one column permutation at a time."""
+    n = h.n
+    u = h.reconstruct()
+    pivots = [(r, c) for r in range(n) for c in range(n)] if full else [(0, 0)]
+    best_key = best_ph = None
+    for r, c in pivots:
+        row_order = [r] + [i for i in range(n) if i != r]
+        col_order = [c] + [j for j in range(n) if j != c]
+        ph = dephased_phases(u[np.ix_(row_order, col_order)])
+        rounded = _key_grid(ph)
+        for cperm in itertools.permutations(range(n - 1)):
+            cand = rounded[:, cperm]
+            rperm = sorted(range(n - 1), key=lambda i: tuple(cand[i]))
+            key = tuple(tuple(cand[i]) for i in rperm)
+            if best_key is None or key < best_key:
+                best_key, best_ph = key, ph[np.ix_(rperm, cperm)]
+    return best_key, best_ph
+
+
+def test_canonical_key_matches_permutation_loop(fourier6, family_sample):
+    # keys and realising phases are equal, ties included (F6 and F8 have
+    # many least permutations: the first in itertools order must win); F8
+    # searches its 5040 permutations in several blocks
+    cases = [(h, False) for h in [fourier6, fourier_phases(3), fourier_phases(8)]
+             + family_sample.points]
+    cases += [(h, True) for h in [fourier6, family_sample.points[7]]]
+    for h, full in cases:
+        key, ph = _canonical_phases(h, full)
+        key_ref, ph_ref = _loop_canonical_phases(h, full)
+        assert key == key_ref
+        assert np.array_equal(ph, ph_ref)
 
 
 def test_canonical_reduce_idempotent(family_sample):

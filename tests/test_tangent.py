@@ -306,6 +306,38 @@ def test_phase_constraint_shapes(fourier6):
     assert np.linalg.norm(c) <= 1e-14
 
 
+def _loop_phase_constraints(h):
+    """Reference: the constraints and Jacobian accumulated entry by entry."""
+    u = h.reconstruct()
+    n = h.n
+    gram = u.conj().T @ u
+    cvals, rows = [], []
+    for j in range(n):
+        for k in range(j + 1, n):
+            row = np.zeros((n - 1) ** 2, dtype=np.complex128)
+            for a in range(1, n):
+                v = 1j * np.conj(u[a, j]) * u[a, k]
+                row[(a - 1) * (n - 1) + (k - 1)] += v
+                if j >= 1:
+                    row[(a - 1) * (n - 1) + (j - 1)] -= v
+            cvals.append(gram[j, k])
+            rows.append(row)
+    cvec, Jc = np.array(cvals), np.array(rows)
+    return np.concatenate([cvec.real, cvec.imag]), np.vstack([Jc.real, Jc.imag])
+
+
+def test_phase_constraints_match_entrywise_loop(fourier6, family_sample):
+    # same arithmetic as the loop, so equal to the last bit, not to a tolerance
+    rng = np.random.default_rng(33)
+    points = [fourier6, fourier_phases(4), fourier_phases(7, swap34=True)] + family_sample.points
+    points += [HadamardPoint(6, rng.uniform(-3, 3, (5, 5))) for _ in range(5)]
+    for h in points:
+        c, J = phase_constraints(h)
+        c_ref, J_ref = _loop_phase_constraints(h)
+        assert np.array_equal(c, c_ref)
+        assert np.array_equal(J, J_ref)
+
+
 # ---------------------------------------------------------------------------
 # Fiber rank of the invariant map.
 # ---------------------------------------------------------------------------
