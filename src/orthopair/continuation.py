@@ -274,7 +274,13 @@ def sample_family(start: HadamardPoint, count: int, seed: int,
 
 
 def _key_grid(ph: np.ndarray) -> np.ndarray:
-    """Phases rounded to the KEY_GRID integer grid of the canonical key."""
+    """Phases rounded to the KEY_GRID integer grid of the canonical key.
+
+    Angles come in (-pi, pi], so a phase just above -pi and its twin at pi
+    would round to opposite ends of the grid; phases within half a grid
+    step above -pi are moved up by 2 pi first, so both round alike.
+    """
+    ph = np.where(ph < -np.pi + KEY_GRID / 2, ph + 2 * np.pi, ph)
     return np.round(ph / KEY_GRID).astype(np.int64)
 
 

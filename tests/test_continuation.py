@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orthopair.config import (
     HadamardPoint,
@@ -233,17 +235,66 @@ def _loop_canonical_phases(h, full):
 
 
 def test_canonical_key_matches_permutation_loop(fourier6, family_sample):
-    # keys and realising phases are equal, ties included (F6 and F8 have
-    # many least permutations: the first in itertools order must win); F8
-    # searches its 5040 permutations in several blocks
-    cases = [(h, False) for h in [fourier6, fourier_phases(3), fourier_phases(8)]
+    # keys and realising phases are equal, ties included: F6 and F8 have
+    # many least permutations (the first in itertools order must win), and
+    # phase blocks drawn from three values tie within rows and columns (the
+    # key needs no unitarity); n = 8 searches 5040 permutations in blocks
+    rng = np.random.default_rng(34)
+    tied = [HadamardPoint(n, rng.choice([-2.0, 0.0, 1.0], (n - 1, n - 1))) for n in (6, 6, 8)]
+    cases = [(h, False) for h in [fourier6, fourier_phases(3), fourier_phases(8)] + tied
              + family_sample.points]
-    cases += [(h, True) for h in [fourier6, family_sample.points[7]]]
+    cases += [(h, True) for h in [fourier6, tied[0], family_sample.points[7]]]
     for h, full in cases:
         key, ph = _canonical_phases(h, full)
         key_ref, ph_ref = _loop_canonical_phases(h, full)
         assert key == key_ref
         assert np.array_equal(ph, ph_ref)
+
+
+def _near_pi(ph):
+    return np.abs(np.abs(ph) - np.pi) <= 1e-6
+
+
+def test_canonical_reduce_phase_at_minus_pi(fourier6):
+    # F6 has five phases at pi; the twin writes them as -pi + 1e-12, a torus
+    # distance of 1e-12, on the other side of the branch cut of np.angle
+    ph = fourier6.phases.copy()
+    assert np.count_nonzero(_near_pi(ph)) == 5
+    ph[_near_pi(ph)] = -np.pi + 1e-12
+    twin = HadamardPoint(6, ph)
+    assert np.all(twin.phases[_near_pi(ph)] < 0)
+    for full in (False, True):
+        assert len(canonical_reduce([fourier6, twin], full=full)) == 1
+
+
+# Property tests: fixed example streams, so the suite stays deterministic.
+_PROPERTY_SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
+
+
+@_PROPERTY_SETTINGS
+@given(index=st.integers(0, 39), rows=st.permutations(range(1, 6)),
+       cols=st.permutations(range(1, 6)),
+       gauge=st.lists(st.floats(-np.pi, np.pi), min_size=12, max_size=12))
+def test_canonical_key_invariant_under_permutation_and_dephasing(
+        family_sample, fourier6, index, rows, cols, gauge):
+    h = ([fourier6] + family_sample.points)[index]
+    u = h.reconstruct()[np.ix_([0] + rows, [0] + cols)]
+    u = np.exp(1j * np.array(gauge[:6]))[:, None] * u * np.exp(1j * np.array(gauge[6:]))
+    moved = HadamardPoint(6, dephased_phases(u))
+    assert _canonical_phases(moved, full=False)[0] == _canonical_phases(h, full=False)[0]
+
+
+@_PROPERTY_SETTINGS
+@given(swap34=st.booleans(), rows=st.permutations(range(5)), cols=st.permutations(range(5)),
+       offsets=st.lists(st.floats(-1e-9, 1e-9), min_size=5, max_size=5), full=st.booleans())
+def test_canonical_key_not_split_at_pi(swap34, rows, cols, offsets, full):
+    # the phases at pi move by up to 1e-9 either way, so each lands just
+    # below pi or just above -pi; the key must not tell them apart
+    base = HadamardPoint(6, fourier_phases(6, swap34).phases[np.ix_(rows, cols)])
+    ph = base.phases.copy()
+    ph[_near_pi(ph)] += offsets
+    moved = HadamardPoint(6, ph)
+    assert _canonical_phases(moved, full)[0] == _canonical_phases(base, full)[0]
 
 
 def test_canonical_reduce_idempotent(family_sample):
