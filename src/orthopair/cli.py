@@ -1,8 +1,9 @@
 """Command-line interface.
 
 One binary, one subcommand per batch operation, machine-readable JSON on
-stdout and human diagnostics on stderr.  Exit codes: 0 ok, 1 fail,
-2 indeterminate, 3 usage or input error.  Numeric output uses shortest
+stdout and human diagnostics on stderr.  Exit codes: 0 ok, 1 fail
+(including a numerical failure such as a non-converged SVD), 2
+indeterminate, 3 usage or input error.  Numeric output uses shortest
 round-trip decimal (up to 17 significant digits).  Randomised commands
 refuse to run without an explicit --seed so every reported number is
 reproducible.  --tol is accepted by verify, tangent, defect and membership;
@@ -322,6 +323,9 @@ def main(argv=None) -> int:
                "singular_values": [float(x) for x in exc.singular_values]})
         _diag(str(exc))
         return INDETERMINATE
+    except np.linalg.LinAlgError as exc:  # a ValueError, but not an input error
+        _diag(f"numerical failure: {exc}")
+        return FAIL
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         _diag(f"input error: {exc}")
         return USAGE

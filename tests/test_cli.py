@@ -285,6 +285,19 @@ def test_membership_undecided_commutant_exit_code(tmp_path, capsys):
     assert "joint commutant" in err and "gap ratio" in err
 
 
+def test_numerical_failure_exit_code(pair_file, capsys, monkeypatch):
+    # LinAlgError subclasses ValueError; it must not be reported as bad input
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    code, payload, err = run(capsys, "tangent", pair_file)
+    assert code == FAIL
+    assert payload is None
+    assert "numerical failure: SVD did not converge" in err
+    assert "input error" not in err
+
+
 def test_identity(pair_file, capsys):
     code, payload, _ = run(capsys, "identity", pair_file,
                            "--p-subset", "1,2,3", "--q-subset", "1,2,3")
