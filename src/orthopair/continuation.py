@@ -315,7 +315,7 @@ def _canonical_phases(h: HadamardPoint, full: bool) -> tuple[tuple, np.ndarray]:
         rounded = _key_grid(ph)
         perms = permutations(range(m))
         while block := list(islice(perms, KEY_PERM_BLOCK)):
-            cperms = np.array(block, dtype=np.intp).reshape(len(block), m)
+            cperms = np.array(block)
             # cands[p, i, :] is row i of the block with its columns in order cperms[p]
             cands = np.ascontiguousarray(rounded[:, cperms].transpose(1, 0, 2))
             # one stable sort of every candidate's rows; a record of signed int64
