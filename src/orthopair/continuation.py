@@ -295,7 +295,9 @@ def _canonical_phases(h: HadamardPoint, full: bool) -> tuple[tuple, np.ndarray]:
     additionally minimises over the choice of pinned row/column, i.e. the
     whole permutation orbit.  Equivalence classes are never merged wrongly
     either way, but the default may keep more than one representative of a
-    class whose members differ by a first-row/column move.
+    class whose members differ by a first-row/column move.  Ties go to the
+    first least candidate: pivots in row-major order, column permutations
+    in itertools order, equal rows in their original order.
     """
     n = h.n
     m = n - 1
