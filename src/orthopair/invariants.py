@@ -263,25 +263,27 @@ def _complement_residual(vs, us, M, qs):
 
 
 def _complement_jacobian(vs, us, qs):
+    # columns: v_k at 6k + a, then u_k at 18 + 6k + a.  Every entry is written
+    # once, as 0 + value, exactly as accumulating it entry by entry would
     d = 6
     J = np.zeros((9 + 36 + 18, 36), dtype=np.complex128)
-    row = 0
-    for i in range(3):
-        for j in range(3):
-            J[row, d * j:d * j + d] += us[i]
-            J[row, 18 + d * i:18 + d * i + d] += vs[j]
-            row += 1
-    for a in range(d):
-        for b in range(d):
-            for k in range(3):
-                J[row, d * k + a] += us[k][b]
-                J[row, 18 + d * k + b] += vs[k][a]
-            row += 1
-    for i in range(3):
-        for j in range(6):
-            J[row, d * i:d * i + d] += us[i] @ qs[j]
-            J[row, 18 + d * i:18 + d * i + d] += qs[j] @ vs[i]
-            row += 1
+    # rows (i, j): d(u_i . v_j)
+    dual = J[:9].reshape(3, 3, 2, 3, d)
+    i, j = np.divmod(np.arange(9), 3)
+    dual[i, j, 0, j] += us[i]
+    dual[i, j, 1, i] += vs[j]
+    # rows (a, b): d(sum_k v_k u_k^T)[a, b]
+    sums = J[9:45].reshape(d, d, 2, 3, d)
+    a, b, k = np.arange(d)[:, None, None], np.arange(d)[None, :, None], np.arange(3)
+    sums[a, b, 0, k, a] += us[k, b]
+    sums[a, b, 1, k, b] += vs[k, a]
+    # rows (i, j): d(u_i^T q_j v_i); the (1 x 6)(6 x 6) products are the
+    # vector-matrix products of the loop, stacked
+    Q = np.stack(qs)
+    cross = J[45:].reshape(3, 6, 2, 3, d)
+    i = np.arange(3)
+    cross[i, :, 0, i] += (us[:, None, None, :] @ Q)[:, :, 0]
+    cross[i, :, 1, i] += (Q @ vs[:, None, :, None])[..., 0]
     return J
 
 

@@ -285,6 +285,47 @@ def test_complement_result_quality_on_sample(family_sample):
             assert abs(np.trace(t @ q) - 1.0 / 6.0) <= 1e-9
 
 
+def _loop_complement_jacobian(vs, us, qs):
+    """Reference: the complement Jacobian accumulated entry by entry."""
+    d = 6
+    J = np.zeros((9 + 36 + 18, 36), dtype=np.complex128)
+    row = 0
+    for i in range(3):
+        for j in range(3):
+            J[row, d * j:d * j + d] += us[i]
+            J[row, 18 + d * i:18 + d * i + d] += vs[j]
+            row += 1
+    for a in range(d):
+        for b in range(d):
+            for k in range(3):
+                J[row, d * k + a] += us[k][b]
+                J[row, 18 + d * k + b] += vs[k][a]
+            row += 1
+    for i in range(3):
+        for j in range(6):
+            J[row, d * i:d * i + d] += us[i] @ qs[j]
+            J[row, 18 + d * i:18 + d * i + d] += qs[j] @ vs[i]
+            row += 1
+    return J
+
+
+def test_complement_jacobian_matches_entrywise_loop(family_sample):
+    # same products as the loop, so equal to the last bit, not to a tolerance;
+    # inputs are solver starts and random frames at seeded family points
+    rng = np.random.default_rng(34)
+    for h in family_sample.points[::4]:
+        c = from_hadamard(h)
+        M = np.eye(6) - triple_P(c)
+        V, _ = np.linalg.qr(np.linalg.svd(M)[0][:, :3] @ (rng.standard_normal((3, 3))
+                                                           + 1j * rng.standard_normal((3, 3))))
+        random = rng.standard_normal((2, 3, 6)) + 1j * rng.standard_normal((2, 3, 6))
+        for vs, us in ((V.T, V.conj().T @ M), random):
+            J = invariants._complement_jacobian(vs, us, list(c.q))
+            J_ref = _loop_complement_jacobian(vs, us, list(c.q))
+            assert np.array_equal(J, J_ref)
+            assert J.tobytes() == J_ref.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Membership of the real locus.
 # ---------------------------------------------------------------------------

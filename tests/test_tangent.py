@@ -1,21 +1,31 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_invertible, random_unitary
-from orthopair import exact
+from orthopair import exact, tangent
 from orthopair.config import HadamardPoint, fourier_phases, from_hadamard, pair_from_matrices, standard_pair
+from orthopair.invariants import tau, u_invariants_directional
 from orthopair.linalg import decide_rank
-from orthopair.relations import graph_restriction, pair_relation_terms, restrict
+from orthopair.relations import (
+    AlgebraRepPoint,
+    complete_bipartite,
+    evaluate_word,
+    graph_restriction,
+    pair_relation_terms,
+    restrict,
+)
 from orthopair.tangent import (
     GAP_RATIO_REQUIRED,
     IndeterminateDimension,
     a6_moduli_tangent_report,
     defect_report,
+    factored_residual_vector,
     fiber_rank_check,
     moduli_tangent_report,
     orbit_tangent_dim,
     phase_constraints,
-    relation_residual_vector,
     rep_jacobian,
     x33_moduli_tangent_report,
 )
@@ -27,23 +37,130 @@ def conjugated_pair(c, h):
 
 
 # ---------------------------------------------------------------------------
+# The dense oracle: the Jacobian in the generator entries, d^2 x d^2 Kronecker
+# blocks, and the fiber rank computed on its kernel.
+# ---------------------------------------------------------------------------
+
+
+def _dense_residual_vector(mats, relations):
+    """Stacked complex residual of all relations in the generator entries."""
+    d = mats[0].shape[0]
+    out = []
+    for _, terms in relations:
+        acc = np.zeros((d, d), dtype=np.complex128)
+        for coeff, word in terms:
+            acc += coeff * evaluate_word(mats, word, d)
+        out.append(acc.ravel())
+    return np.concatenate(out)
+
+
+def _complex_jacobian(mats, relations):
+    d = mats[0].shape[0]
+    nv = len(mats)
+    J = np.zeros((len(relations) * d * d, nv * d * d), dtype=np.complex128)
+    for ri, (_, terms) in enumerate(relations):
+        rows = slice(ri * d * d, (ri + 1) * d * d)
+        for coeff, word in terms:
+            for pos, v in enumerate(word):
+                pre = evaluate_word(mats, word[:pos], d)
+                suf = evaluate_word(mats, word[pos + 1:], d)
+                J[rows, v * d * d:(v + 1) * d * d] += coeff * np.kron(pre, suf.T)
+    return J
+
+
+def _dense_system(point):
+    mats, terms, _ = tangent._generators(point)
+    return mats, terms, _complex_jacobian(mats, terms)
+
+
+def _dense_spectrum(point):
+    """Singular values of the dense Jacobian, each column block scaled by the
+    spectral norm of its generator."""
+    mats, _, J = _dense_system(point)
+    d = mats[0].shape[0]
+    scale = np.repeat([np.linalg.norm(m, 2) for m in mats], d * d)
+    return np.linalg.svd(J * scale[None, :], compute_uv=False)
+
+
+def _dense_nullity(point, tol=1e-10):
+    s = _dense_spectrum(point)
+    return s.size - decide_rank(s, tol, "dense oracle").rank
+
+
+def _dense_fiber(point, tol=1e-10):
+    """(rank, singular values, moduli dim, degenerate_u3) of d(u1, u2, u3) on
+    the kernel of the dense 3+3 graph Jacobian."""
+    mats, _, J = _dense_system(point)
+    _, s, vh = np.linalg.svd(J, full_matrices=False)
+    nullity = J.shape[1] - decide_rank(s, tol, "dense graph kernel").rank
+    d = mats[0].shape[0]
+    P, qs = mats[0] + mats[1] + mats[2], mats[3:]
+    columns = []
+    for kv in range(nullity):
+        dm = vh[-1 - kv].conj().reshape(6, d, d)
+        columns.append(u_invariants_directional(P, qs, dm[0] + dm[1] + dm[2], dm[3:]))
+    sd = np.linalg.svd(np.array(columns).T, compute_uv=False)
+    rank = 0 if sd[0] < 1e-12 else decide_rank(sd, max(tol, 1e-8), "dense invariant rank").rank
+    factors = [abs(36.0 * np.trace(P @ qs[i] @ P @ qs[j]) - 1.0) for i, j in ((0, 1), (1, 2), (2, 0))]
+    return rank, sd, nullity - orbit_tangent_dim(mats, tol), sum(f < 1e-6 for f in factors) >= 2
+
+
+def _factor_vector(system):
+    return np.concatenate([m.ravel() for pair in system.factors for m in pair])
+
+
+def _factors_from(system, z):
+    out, o = [], 0
+    for v, wt in system.factors:
+        out.append((z[o:o + v.size].reshape(v.shape), z[o + v.size:o + 2 * v.size].reshape(wt.shape)))
+        o += 2 * v.size
+    return out
+
+
+def _fd_points(base_pair, family_sample):
+    points = [base_pair, standard_pair(2), standard_pair(3)]
+    points += [from_hadamard(h) for h in family_sample.points[1:8]]
+    points += [restrict(base_pair, [1, 2, 3]), graph_restriction(base_pair, [1, 2, 3], [1, 2, 3])]
+    return points
+
+
+# ---------------------------------------------------------------------------
 # Jacobian correctness.
 # ---------------------------------------------------------------------------
 
 
 def test_jacobian_matches_finite_differences(base_pair, family_sample):
-    # central differences along random complex directions: a conjugate-linear
-    # term in the residual would show up here and not in the analytic J v
+    # central differences of the factored residual along random complex
+    # directions: a conjugate-linear term in the residual would show up here
+    # and not in the analytic J v
+    rng = np.random.default_rng(22)
+    step = 1e-6
+    for point in _fd_points(base_pair, family_sample):
+        system = rep_jacobian(point)
+        _, terms, _ = tangent._generators(point)
+        assert system.relation_names == tuple(name for name, _ in terms)
+        base = _factor_vector(system)
+        assert system.jacobian.shape[1] == base.size
+        assert np.linalg.norm(factored_residual_vector(system.factors, terms)) <= 1e-12
+        for _ in range(2):
+            v = rng.standard_normal(base.size) + 1j * rng.standard_normal(base.size)
+            v /= np.linalg.norm(v)
+            fd = (factored_residual_vector(_factors_from(system, base + step * v), terms)
+                  - factored_residual_vector(_factors_from(system, base - step * v), terms)) / (2 * step)
+            an = system.jacobian @ v
+            denom = max(np.linalg.norm(an), 1.0)
+            assert np.max(np.abs(an - fd)) / denom <= 1e-6
+
+
+def test_dense_oracle_matches_finite_differences(base_pair, family_sample):
     rng = np.random.default_rng(22)
     step = 1e-6
     points = [base_pair, standard_pair(2), standard_pair(3)]
     points += [from_hadamard(h) for h in family_sample.points[1:8]]
     for c in points:
-        system = rep_jacobian(c)
-        terms = pair_relation_terms(c.n)
-        assert system.relation_names == tuple(name for name, _ in terms)
+        mats, terms, J = _dense_system(c)
         d = c.n
-        base = np.concatenate([m.ravel() for m in c.matrices()])
+        base = np.concatenate([m.ravel() for m in mats])
 
         def mats_from(z):
             return [z[k * d * d:(k + 1) * d * d].reshape(d, d) for k in range(2 * d)]
@@ -51,9 +168,9 @@ def test_jacobian_matches_finite_differences(base_pair, family_sample):
         for _ in range(2):
             v = rng.standard_normal(base.size) + 1j * rng.standard_normal(base.size)
             v /= np.linalg.norm(v)
-            fd = (relation_residual_vector(mats_from(base + step * v), terms)
-                  - relation_residual_vector(mats_from(base - step * v), terms)) / (2 * step)
-            an = system.jacobian @ v
+            fd = (_dense_residual_vector(mats_from(base + step * v), terms)
+                  - _dense_residual_vector(mats_from(base - step * v), terms)) / (2 * step)
+            an = J @ v
             denom = max(np.linalg.norm(an), 1.0)
             assert np.max(np.abs(an - fd)) / denom <= 1e-6
 
@@ -62,27 +179,154 @@ def test_jacobian_zero_direction(base_pair):
     system = rep_jacobian(base_pair)
     zero = np.zeros(system.jacobian.shape[1], dtype=np.complex128)
     assert np.linalg.norm(system.jacobian @ zero) == 0.0
+    _, _, J = _dense_system(base_pair)
+    assert np.linalg.norm(J @ np.zeros(J.shape[1], dtype=np.complex128)) == 0.0
 
 
 def test_jacobian_annihilates_orbit_directions(base_pair):
+    # conjugation moves (V, W^T) to (xi V, -W^T xi); the GL(k) gauge moves
+    # them to (V g, -g W^T) and leaves every generator fixed
     rng = np.random.default_rng(23)
-    for c in (base_pair, standard_pair(2)):
+    for c in (base_pair, standard_pair(2), restrict(base_pair, [1, 2, 3])):
         system = rep_jacobian(c)
-        n = c.n
+        n = system.matrices[0].shape[0]
         norm_j = np.linalg.norm(system.jacobian, 2)
         for _ in range(10):
             xi = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            v = np.concatenate([(xi @ m - m @ xi).ravel() for m in system.matrices])
+            orbit = np.concatenate([m.ravel() for v, wt in system.factors for m in (xi @ v, -wt @ xi)])
+            gauge = []
+            for v, wt in system.factors:
+                g = rng.standard_normal((v.shape[1],) * 2) + 1j * rng.standard_normal((v.shape[1],) * 2)
+                gauge += [(v @ g).ravel(), (-g @ wt).ravel()]
+            for vec in (orbit, np.concatenate(gauge)):
+                vec /= np.linalg.norm(vec)
+                assert np.linalg.norm(system.jacobian @ vec) <= 1e-8 * norm_j
+
+
+def test_dense_oracle_annihilates_orbit_directions(base_pair):
+    rng = np.random.default_rng(23)
+    for c in (base_pair, standard_pair(2)):
+        mats, _, J = _dense_system(c)
+        n = c.n
+        norm_j = np.linalg.norm(J, 2)
+        for _ in range(10):
+            xi = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            v = np.concatenate([(xi @ m - m @ xi).ravel() for m in mats])
             v /= np.linalg.norm(v)
-            assert np.linalg.norm(system.jacobian @ v) <= 1e-8 * norm_j
+            assert np.linalg.norm(J @ v) <= 1e-8 * norm_j
 
 
-def test_jacobian_refuses_off_variety_point(base_pair):
+def test_jacobian_refuses_off_variety_point(base_pair, monkeypatch):
     ps = [p.copy() for p in base_pair.p]
     ps[0] = ps[0] + 1e-3
     broken = pair_from_matrices(ps, list(base_pair.q))
-    with pytest.raises(ValueError):
+
+    def no_factoring(*args):
+        raise AssertionError("an off-variety point reached the factoring")
+
+    monkeypatch.setattr(tangent, "_factor", no_factoring)
+    with pytest.raises(ValueError, match="relation residual"):
         rep_jacobian(broken)
+
+
+def test_factor_rank_refuses_without_gap():
+    # p1 gains a singular value of 1e-9: the relations still hold to 1e-9,
+    # inside the residual gate, but 1e-9 against the 1e-10 cut is no
+    # decisive gap for the rank of p1
+    c = standard_pair(2)
+    blur = pair_from_matrices([c.p[0] + 1e-9 * c.p[1], c.p[1]], list(c.q))
+    assert blur.residual <= tangent.RESIDUAL_GATE
+    with pytest.raises(IndeterminateDimension) as info:
+        rep_jacobian(blur)
+    assert "generator p1" in str(info.value)
+    assert info.value.gap_ratio < GAP_RATIO_REQUIRED
+    with pytest.raises(IndeterminateDimension):
+        moduli_tangent_report(blur)
+
+
+def test_factor_ranks_and_gauge(base_pair):
+    assert rep_jacobian(base_pair).gauge_dim == 12
+    assert rep_jacobian(restrict(base_pair, [1, 2, 3])).gauge_dim == 9 + 6
+    system = rep_jacobian(base_pair)
+    for (v, wt), m in zip(system.factors, system.matrices):
+        assert v.shape == (6, 1)
+        assert np.linalg.norm(wt @ v - np.eye(1)) <= 1e-13
+        assert np.linalg.norm(v @ wt - m) <= 1e-13
+
+
+def _graph33_point(mats, r):
+    return AlgebraRepPoint(algebra="graph", names=("p1", "p2", "p3", "q1", "q2", "q3"),
+                           matrices=tuple(mats), graph=complete_bipartite(3, 3), r=r)
+
+
+def test_x33_refuses_rank_two_and_zero_generators():
+    # both points satisfy every graph relation exactly: only the factor rank
+    # tells them apart from a rank-1 point
+    zero = np.zeros((6, 6))
+    points = [_graph33_point([zero] * 6, 1.0 / 6.0),
+              _graph33_point([np.diag([1.0, 1.0, 0, 0, 0, 0])] + [zero] * 5, 0.0)]
+    for point in points:
+        assert point.residual() == 0.0
+        with pytest.raises(ValueError, match="rank-1"):
+            x33_moduli_tangent_report(point)
+
+
+# ---------------------------------------------------------------------------
+# Agreement of the factored kernel with the dense oracle.
+# ---------------------------------------------------------------------------
+
+
+def _pair_points():
+    rng = np.random.default_rng(27)
+    base = standard_pair(6, swap34=True)
+    points = [(f"standard_pair({n})", standard_pair(n)) for n in range(2, 7)]
+    points += [(f"swap34 n={n}", standard_pair(n, swap34=True)) for n in (4, 6)]
+    points.append(("non-unitary conjugate", conjugated_pair(base, random_invertible(rng, 6))))
+    return points
+
+
+@pytest.mark.parametrize("name, c", _pair_points(), ids=[name for name, _ in _pair_points()])
+def test_factored_pair_kernel_matches_dense_oracle(name, c):
+    report = moduli_tangent_report(c)
+    system = rep_jacobian(c)
+    assert system.gauge_dim == 2 * c.n
+    dense = _dense_nullity(c)
+    assert dense == report.nullity
+    assert report.moduli_dim == dense - orbit_tangent_dim(c)
+    assert report.gap_ratio >= GAP_RATIO_REQUIRED
+
+
+def test_factored_family_kernel_matches_dense_oracle(family_sample):
+    for h in family_sample.points[10:15]:
+        c = from_hadamard(h)
+        report = moduli_tangent_report(c)
+        assert report.nullity == _dense_nullity(c) == 39
+        assert report.moduli_dim == 4
+
+
+@pytest.mark.parametrize("subset", [[1], [1, 2], [1, 2, 3]])
+def test_factored_sandwich_kernel_matches_dense_oracle(base_pair, subset):
+    point = restrict(base_pair, subset)
+    k = len(subset)
+    report = a6_moduli_tangent_report(point)
+    assert rep_jacobian(point).gauge_dim == k * k + 6
+    assert report.nullity == _dense_nullity(point)
+    assert report.moduli_dim == 2 * (6 - k - 1) * (k - 1)
+
+
+def test_factored_graph_kernel_matches_dense_oracle(base_pair, family_sample):
+    points = [graph_restriction(base_pair, [1, 2, 3], [1, 2, 3]),
+              graph_restriction(base_pair, [4, 5, 6], [1, 2, 3])]
+    points += [graph_restriction(from_hadamard(h), [1, 2, 3], [1, 2, 3]) for h in family_sample.points[1:4]]
+    for point in points:
+        report = x33_moduli_tangent_report(point)
+        assert report.nullity == _dense_nullity(point)
+        fiber = fiber_rank_check(point)
+        rank, sd, moduli_dim, degenerate = _dense_fiber(point)
+        assert (fiber.rank, fiber.moduli_dim, fiber.degenerate_u3) == (rank, moduli_dim, degenerate)
+        assert report.moduli_dim == moduli_dim == 4
+        assert fiber.singular_values.shape == sd.shape
+        assert np.max(np.abs(fiber.singular_values - sd)) <= 1e-10 * sd[0]
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +368,9 @@ def test_moduli_dimension_at_base_point(base_pair, standard6):
         assert report.nullity == 39
         assert report.orbit_dim == 35
         assert report.gap_ratio >= GAP_RATIO_REQUIRED
-        assert report.singular_values.shape == (432,)
+        assert report.singular_values.shape == (144,)
+        # the dense oracle has one value per complex generator entry
+        assert _dense_spectrum(c).shape == (432,)
 
 
 def test_moduli_dimension_rigid_n3():
@@ -132,18 +378,26 @@ def test_moduli_dimension_rigid_n3():
 
 
 def test_moduli_spectrum_matches_real_expansion():
-    # the real expansion [[Re J, -Im J], [Im J, Re J]] of the column-scaled
-    # complex Jacobian lists every complex singular value twice
+    # the real expansion [[Re J, -Im J], [Im J, Re J]] of a column-scaled
+    # complex Jacobian lists every complex singular value twice: checked on
+    # the dense oracle, whose nullity the report's equals, and on the
+    # report's own factored spectrum
     c = standard_pair(3)
     report = moduli_tangent_report(c)
-    system = rep_jacobian(c)
-    scale = np.repeat([np.linalg.norm(m, 2) for m in system.matrices], c.n * c.n)
-    J = system.jacobian * scale[None, :]
+    mats, _, J = _dense_system(c)
+    scale = np.repeat([np.linalg.norm(m, 2) for m in mats], c.n * c.n)
+    J = J * scale[None, :]
+    s = _dense_spectrum(c)
     real = np.block([[J.real, -J.imag], [J.imag, J.real]])
     s_real = np.linalg.svd(real, compute_uv=False)
-    assert report.singular_values.shape == (J.shape[1],)
-    assert np.max(np.abs(np.repeat(report.singular_values, 2) - s_real)) <= 1e-12 * s_real[0]
-    assert report.nullity == 8
+    assert s.shape == (J.shape[1],)
+    assert np.max(np.abs(np.repeat(s, 2) - s_real)) <= 1e-12 * s_real[0]
+    assert J.shape[1] - decide_rank(s, 1e-10, "dense oracle").rank == 8 == report.nullity
+    system = rep_jacobian(c)
+    F = system.jacobian * tangent._variable_scales(system.factors)[None, :]
+    f_real = np.linalg.svd(np.block([[F.real, -F.imag], [F.imag, F.real]]), compute_uv=False)
+    assert report.singular_values.shape == (min(F.shape),)
+    assert np.max(np.abs(np.repeat(report.singular_values, 2) - f_real)) <= 1e-12 * f_real[0]
 
 
 def test_moduli_n3_exact_rank_oracle():
@@ -258,6 +512,39 @@ def test_x33_moduli_conjugation_invariant(base_pair):
     conj = conjugated_pair(base_pair, w)
     point = graph_restriction(conj, [1, 2, 3], [1, 2, 3])
     assert x33_moduli_tangent_report(point).moduli_dim == 4
+
+
+# Invariance of the kernel under the symmetries of the relation system:
+# random invertible conjugation, permutations within the p's and within the
+# q's, and exchange of the two systems.
+_PROPERTY_SETTINGS = settings(derandomize=True, max_examples=10, deadline=None)
+# (nullity, moduli_dim) at the n = 3 standard pair and the n = 6 swap34 pair
+_BASE_KERNEL = {3: (8, 0), 6: (39, 4)}
+
+
+def _base_pair(n):
+    return standard_pair(n, swap34=n >= 4)
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@_PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_kernel_invariant_under_conjugation(n, seed):
+    h = random_invertible(np.random.default_rng(seed), n)
+    report = moduli_tangent_report(conjugated_pair(_base_pair(n), h))
+    assert (report.nullity, report.moduli_dim) == _BASE_KERNEL[n]
+
+
+@pytest.mark.parametrize("n", [3, 6])
+@_PROPERTY_SETTINGS
+@given(data=st.data(), exchange=st.booleans())
+def test_kernel_invariant_under_permutation_and_exchange(n, data, exchange):
+    c = _base_pair(n)
+    p_order = data.draw(st.permutations(range(n)))
+    q_order = data.draw(st.permutations(range(n)))
+    moved = pair_from_matrices([c.p[i] for i in p_order], [c.q[j] for j in q_order])
+    report = moduli_tangent_report(tau(moved) if exchange else moved)
+    assert (report.nullity, report.moduli_dim) == _BASE_KERNEL[n]
 
 
 # ---------------------------------------------------------------------------
