@@ -323,7 +323,7 @@ def main(argv=None) -> int:
                "singular_values": [float(x) for x in exc.singular_values]})
         _diag(str(exc))
         return INDETERMINATE
-    except np.linalg.LinAlgError as exc:  # a ValueError, but not an input error
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:  # after the gap refusal; no input error
         _diag(f"numerical failure: {exc}")
         return FAIL
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:

@@ -17,7 +17,7 @@ is a fixed point of the gauge.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,7 +55,11 @@ class PairConfiguration:
     n: int
     p: tuple[np.ndarray, ...]
     q: tuple[np.ndarray, ...]
-    residual: float
+
+    @property
+    def residual(self) -> float:
+        """The largest of the :func:`residual_categories`, recomputed on each read."""
+        return max(residual_categories(self).values())
 
     def matrices(self) -> list[np.ndarray]:
         return list(self.p) + list(self.q)
@@ -64,23 +68,17 @@ class PairConfiguration:
 def pair_from_matrices(ps, qs) -> PairConfiguration:
     ps = tuple(as_matrix(m) for m in ps)
     qs = tuple(as_matrix(m) for m in qs)
-    n = ps[0].shape[0]
-    for m in ps + qs:
-        if m.shape != (n, n):
-            raise ValueError("all projectors must be square of equal size")
-    for system in (ps, qs):
-        if len(system) != n:
-            raise ValueError(f"expected {n} projectors, got {len(system)}")
-    cfg = PairConfiguration(n, ps, qs, 0.0)
-    return replace(cfg, residual=max(residual_categories(cfg).values()))
+    n = len(ps)
+    if n == 0 or len(qs) != n or any(m.shape != (n, n) for m in ps + qs):
+        raise ValueError(f"expected two systems of n >= 1 projectors, all n x n; got {len(ps)}, {len(qs)}")
+    return PairConfiguration(n, ps, qs)
 
 
 def residual_categories(c: PairConfiguration) -> dict[str, float]:
     """Worst violation of each defining relation of the configuration.
 
     Per system: idempotency, unit trace, in-system orthogonality and
-    sum-to-identity; then |Tr(p_i q_j) - 1/n| over all cross pairs.  The
-    configuration's ``residual`` is the largest of these.
+    sum-to-identity; then |Tr(p_i q_j) - 1/n| over all cross pairs.
     """
     cats: dict[str, float] = {}
     for tag, system in (("p", c.p), ("q", c.q)):
@@ -291,7 +289,10 @@ def encode_matrix(m: np.ndarray) -> list:
 
 
 def decode_matrix(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows], dtype=np.complex128)
+    try:  # as_matrix raises ValueError on ragged rows, an empty list and non-finite entries
+        return as_matrix([[complex(re, im) for re, im in row] for row in rows])
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"a matrix is a list of rows of [re, im] numbers: {exc}") from None
 
 
 def save_pair(path, c: PairConfiguration, fmt: str = "projectors") -> None:
@@ -325,8 +326,12 @@ def save_pair(path, c: PairConfiguration, fmt: str = "projectors") -> None:
 def load_pair(path) -> PairConfiguration:
     with open(path) as fh:
         doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ValueError("a pair file holds a JSON object")
     fmt = doc.get("format", "projectors")
     if fmt == "projectors":
+        if not isinstance(doc["p"], list) or not isinstance(doc["q"], list):
+            raise ValueError("'p' and 'q' must be lists of matrices")
         ps = [decode_matrix(m) for m in doc["p"]]
         qs = [decode_matrix(m) for m in doc["q"]]
     elif fmt == "bases":
@@ -347,4 +352,9 @@ def save_hadamard(path, h: HadamardPoint) -> None:
 def load_hadamard(path) -> HadamardPoint:
     with open(path) as fh:
         doc = json.load(fh)
-    return HadamardPoint(int(doc["n"]), np.array(doc["phases"], dtype=float))
+    if not isinstance(doc, dict) or not isinstance(doc.get("n"), int):
+        raise ValueError("a Hadamard file holds a JSON object with an integer 'n'")
+    try:
+        return HadamardPoint(doc["n"], np.array(doc["phases"], dtype=float))
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"phases must be a matrix of numbers: {exc}") from None

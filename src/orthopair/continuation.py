@@ -22,7 +22,7 @@ from itertools import islice, permutations
 import numpy as np
 
 from .config import HadamardPoint, dephased_phases
-from .invariants import InvariantVector, u_invariants
+from .invariants import u_invariants
 from .linalg import gauss_newton, rank1_projector
 from .tangent import defect_report, phase_constraints
 
@@ -139,7 +139,6 @@ class PathResult:
     completed_steps: int
     requested_steps: int
     status: str  # "ok" or a truncation reason
-    invariant_step_bound: float = 0.0  # empirical max |u(k+1) - u(k)| / h
     final_frame: np.ndarray | None = None
 
     @property
@@ -190,29 +189,16 @@ def trace_path(start: HadamardPoint, direction, steps: int, h: float,
         current = result.point
         points.append(result.point)
         residuals.append(result.residual)
-    bound = 0.0
-    if len(points) > 1:
-        us = [_restriction_invariants(p).as_array() for p in points]
-        bound = max(float(np.max(np.abs(b - a))) for a, b in zip(us, us[1:])) / h
-    return PathResult(points, residuals, len(points) - 1, steps, status, bound, frame)
+    return PathResult(points, residuals, len(points) - 1, steps, status, frame)
 
 
 @dataclass(frozen=True)
 class FamilySample:
-    """Random-walk sample of the family with per-point invariants."""
+    """Random-walk sample of the family; the family dump computes its invariants."""
 
     points: list[HadamardPoint]
-    invariants: list[InvariantVector]
     seed: int
     metadata: dict = field(default_factory=dict)
-
-
-def _restriction_invariants(h: HadamardPoint) -> InvariantVector:
-    """Invariants of the restriction to the first three coordinate and
-    column projectors: P = e1 + e2 + e3, q_j the projector onto column j."""
-    u = h.unitary()
-    P = np.diag((np.arange(h.n) < 3).astype(np.complex128))
-    return u_invariants(P, *(rank1_projector(u[:, j]) for j in range(3)))
 
 
 def sample_family(start: HadamardPoint, count: int, seed: int,
@@ -229,7 +215,6 @@ def sample_family(start: HadamardPoint, count: int, seed: int,
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)
     points = [start]
-    invariants = [_restriction_invariants(start)]
     seen_keys = {_canonical_phases(start, full=False)[0]}
     frame = tangent_frame(start)
     current = start
@@ -257,7 +242,6 @@ def sample_family(start: HadamardPoint, count: int, seed: int,
             continue
         seen_keys.add(key)
         points.append(moved)
-        invariants.append(_restriction_invariants(moved))
     meta = {
         "step_scale": step_scale,
         "corrector_tol": CORRECTOR_TOL,
@@ -265,7 +249,7 @@ def sample_family(start: HadamardPoint, count: int, seed: int,
         "duplicates_skipped": duplicates,
         "max_residual": max(p.unitarity_residual() for p in points),
     }
-    return FamilySample(points, invariants, seed, meta)
+    return FamilySample(points, seed, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +336,17 @@ def canonical_reduce(points: list[HadamardPoint], full: bool = False) -> list[Ha
     return out
 
 
+def _restriction_invariants(h: HadamardPoint):
+    """u invariants of the restriction to the first three coordinate and
+    column projectors: P = e1 + e2 + e3, q_j the projector onto column j."""
+    u = h.unitary()
+    P = np.diag((np.arange(h.n) < 3).astype(np.complex128))
+    return u_invariants(P, *(rank1_projector(u[:, j]) for j in range(3)))
+
+
 def family_jsonl_records(points, residuals=None, path_id: int = 0):
-    """One JSON record per point: phases, residual, invariants, step, path."""
+    """One JSON record per point: phases, residual, invariants (computed here
+    and nowhere else), step, path."""
     for k, h in enumerate(points):
         res = residuals[k] if residuals is not None else h.unitarity_residual()
         inv = _restriction_invariants(h)

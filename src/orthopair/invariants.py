@@ -180,7 +180,7 @@ def sigma(P) -> np.ndarray:
 
 def tau(c: PairConfiguration) -> PairConfiguration:
     """Exchange the two projector systems; the relation set is symmetric."""
-    return PairConfiguration(c.n, c.q, c.p, c.residual)
+    return PairConfiguration(c.n, c.q, c.p)
 
 
 def theta(c: PairConfiguration) -> PairConfiguration:
@@ -250,9 +250,6 @@ class ComplementResult:
     triple: tuple[np.ndarray, np.ndarray, np.ndarray] | None
     residual: float
     attempts: int
-
-    def __bool__(self) -> bool:  # pragma: no cover - convenience
-        return self.success
 
 
 def _complement_residual(vs, us, M, qs):

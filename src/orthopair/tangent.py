@@ -45,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import HadamardPoint, PairConfiguration
+from .invariants import u_invariants_directional
 from .linalg import GAP_RATIO_REQUIRED, IndeterminateDimension, as_matrix, decide_rank
 from .relations import (
     AlgebraRepPoint,
@@ -424,8 +425,6 @@ def fiber_rank_check(point: AlgebraRepPoint, tol: float = 1e-10) -> FiberRankRep
     The invariant differential has its own looser cut (at least 1e-8) and
     counts as rank 0 below an absolute floor.
     """
-    from .invariants import u_invariants_directional
-
     if point.algebra != "graph" or len(point.matrices) != 6:
         raise ValueError("fiber rank is computed on 3+3 graph restriction points")
     system = rep_jacobian(point)

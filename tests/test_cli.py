@@ -1,8 +1,15 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from orthopair import invariants
 from orthopair.cli import FAIL, INDETERMINATE, OK, USAGE, main
 
 
@@ -78,6 +85,73 @@ def test_verify_malformed_file(tmp_path, capsys):
     bad.write_text("{not json")
     code, _, err = run(capsys, "verify", str(bad))
     assert code == USAGE
+
+
+MALFORMED = [
+    ("verify", {"format": "projectors", "p": [], "q": []}),
+    ("verify", {"format": "projectors", "p": 5, "q": 5}),
+    ("verify", {"format": "bases", "e_basis": [1, 2], "f_basis": [1, 2]}),
+    ("verify", {"format": "projectors", "p": [[[[1, 0]], [[0, 0], [1, 0]]]], "q": []}),
+    ("verify", None),
+    ("verify", [1, 2]),
+    ("defect", None),
+    ("defect", [1, 2]),
+    ("defect", {"n": 6.9, "phases": [[0.0] * 5] * 5}),
+    ("defect", {"n": 2, "phases": [[{}]]}),
+]
+
+
+@pytest.mark.parametrize("command, doc", MALFORMED)
+def test_malformed_document_is_input_error(tmp_path, capsys, command, doc):
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(doc))
+    code, payload, err = run(capsys, command, str(bad))
+    assert code == USAGE
+    assert payload is None
+    assert "input error" in err
+
+
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+_number = st.floats(-2, 2) | st.floats()
+
+
+def _square(n, entry):
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+def _well_shaped(n):
+    """Documents of the right layout for dimension n, with arbitrary numbers."""
+    matrix = _square(n, st.lists(_number, min_size=2, max_size=2))
+    system = st.lists(matrix, min_size=n, max_size=n)
+    return st.one_of(
+        st.fixed_dictionaries({"format": st.just("projectors"), "p": system, "q": system}),
+        st.fixed_dictionaries({"format": st.just("bases"), "e_basis": matrix, "f_basis": matrix}),
+        st.fixed_dictionaries({"n": st.just(n + 1), "phases": _square(n, _number)}),
+    )
+
+
+_documents = _json | st.integers(1, 3).flatmap(_well_shaped) | st.fixed_dictionaries({}, optional={
+    key: _json for key in ("n", "format", "p", "q", "e_basis", "f_basis", "phases")})
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # entries near the float limit
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(command=st.sampled_from(["verify", "defect"]), doc=_documents)
+def test_any_json_input_gets_a_documented_exit_code(command, doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, path])
+    assert code in (OK, FAIL, INDETERMINATE, USAGE)
+    if code == USAGE:
+        assert out.getvalue() == ""
 
 
 def test_invariants_frozen_values(tmp_path, capsys):
@@ -296,6 +370,18 @@ def test_numerical_failure_exit_code(pair_file, capsys, monkeypatch):
     assert payload is None
     assert "numerical failure: SVD did not converge" in err
     assert "input error" not in err
+
+
+def test_arithmetic_failure_exit_code(pair_file, capsys, monkeypatch):
+    # a failed normalisation is an ArithmeticError, unlike the gap refusal
+    def not_normalised(*args, **kwargs):
+        raise ArithmeticError("conjugator failed to normalise to Hermitian")
+
+    monkeypatch.setattr(invariants, "membership_test", not_normalised)
+    code, payload, err = run(capsys, "membership", pair_file)
+    assert code == FAIL
+    assert payload is None
+    assert "numerical failure" in err
 
 
 def test_identity(pair_file, capsys):

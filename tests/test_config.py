@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -63,6 +64,18 @@ def test_unbiasedness_residual_detects_bad_projector(standard6):
     assert broken.residual == max(cats.values())
     assert cats["unbiasedness"] >= 1.0 - 1.0 / 6.0 - 1e-12
     assert cats["p_orthogonality"] <= 1e-13
+
+
+def test_residual_is_derived_not_stored(base_pair, fourier6, monkeypatch):
+    assert [f.name for f in dataclasses.fields(config.PairConfiguration)] == ["n", "p", "q"]
+    assert base_pair.residual == max(residual_categories(base_pair).values())
+    norm = config.spectral_norm
+    calls = []
+    monkeypatch.setattr(config, "spectral_norm", lambda m: calls.append(m) or norm(m))
+    pair_from_matrices(list(base_pair.p), list(base_pair.q))
+    assert len(calls) == 0
+    from_hadamard(fourier6)
+    assert len(calls) == 1  # the unitarity refusal
 
 
 def test_unbiasedness_residual_permutation_invariant(base_pair):

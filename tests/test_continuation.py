@@ -1,3 +1,5 @@
+import ast
+import inspect
 import itertools
 import json
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orthopair import continuation
 from orthopair.config import (
     HadamardPoint,
     dephased_phases,
@@ -24,7 +27,20 @@ from orthopair.continuation import (
     trace_path,
     write_family_jsonl,
 )
+from orthopair.invariants import u_invariants
 from orthopair.tangent import phase_constraints
+
+
+def dumped_invariants(points, residuals=None):
+    """(u1, u2, u3) of each point, as the family dump records them."""
+    return np.array([[rec["invariants"][k] for k in ("u1", "u2", "u3")]
+                     for rec in family_jsonl_records(points, residuals)])
+
+
+def invariant_step_bound(result, h):
+    """Empirical max |u(k+1) - u(k)| / h along a traced path."""
+    us = dumped_invariants(result.points, result.residuals)
+    return float(np.max(np.abs(np.diff(us, axis=0)))) / h
 
 
 def test_tangent_frame_spans_kernel(fourier6):
@@ -100,7 +116,7 @@ def test_trace_path_basic(fourier6_swapped):
     for a, b in zip(result.points, result.points[1:]):
         d = np.mod(a.phases - b.phases + np.pi, 2 * np.pi) - np.pi
         assert np.linalg.norm(d) >= 1e-2 / 2
-    assert result.invariant_step_bound > 0
+    assert invariant_step_bound(result, 1e-2) > 0
 
 
 def test_trace_path_zero_steps(fourier6_swapped):
@@ -157,7 +173,7 @@ def test_sample_family_500_spans_positive_volume(fourier6_swapped):
     for h in sample.points:
         ok, res = is_complex_hadamard(h.reconstruct(), 1e-9)
         assert ok, res
-    us = np.array([v.as_array() for v in sample.invariants])
+    us = dumped_invariants(sample.points)
     # pairwise-distinct invariant vectors
     keys = {tuple(np.round(u, 12)) for u in us}
     assert len(keys) == len(us)
@@ -168,18 +184,37 @@ def test_sample_family_500_spans_positive_volume(fourier6_swapped):
 def test_trace_invariants_vary_continuously(fourier6_swapped):
     result = trace_path(fourier6_swapped, [0.0, 1.0, 0.0, 0.0], steps=25, h=1e-2)
     assert result.ok
-    # the reported empirical constant bounds per-step invariant motion
-    assert 0 < result.invariant_step_bound < 100.0
+    # the empirical constant bounds per-step invariant motion
+    assert 0 < invariant_step_bound(result, 1e-2) < 100.0
 
 
 def test_family_invariants_match_restriction(family_sample):
-    from orthopair.invariants import u_invariants
-
     h = family_sample.points[3]
     c = from_hadamard(h)
     vec = u_invariants(c.p[0] + c.p[1] + c.p[2], *c.q[:3])
-    stored = family_sample.invariants[3]
-    assert np.array_equal(stored.as_array(), vec.as_array())
+    assert np.array_equal(dumped_invariants([h])[0], vec.as_array())
+
+
+def test_invariants_only_in_family_dump(fourier6_swapped, monkeypatch):
+    paths = [trace_path(fourier6_swapped, np.eye(4)[k], steps=20, h=1e-2) for k in range(4)]
+    sample = sample_family(fourier6_swapped, count=12, seed=5)
+
+    def refuse(h):
+        raise AssertionError("restriction invariants computed outside the family dump")
+
+    monkeypatch.setattr(continuation, "_restriction_invariants", refuse)
+    for k, path in enumerate(paths):
+        again = trace_path(fourier6_swapped, np.eye(4)[k], steps=20, h=1e-2)
+        assert again.status == path.status == "ok"
+        assert all(np.array_equal(a.phases, b.phases) for a, b in zip(again.points, path.points))
+    again = sample_family(fourier6_swapped, count=12, seed=5)
+    assert len(again.points) == len(sample.points) == 12
+    assert all(np.array_equal(a.phases, b.phases) for a, b in zip(again.points, sample.points))
+    callers = {f.name for f in ast.walk(ast.parse(inspect.getsource(continuation)))
+               if isinstance(f, ast.FunctionDef)
+               and any(isinstance(c, ast.Call) and getattr(c.func, "id", None) == "_restriction_invariants"
+                       for c in ast.walk(f))}
+    assert callers == {"family_jsonl_records"}
 
 
 def test_canonical_reduce_column_swap(fourier6):
