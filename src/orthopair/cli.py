@@ -211,7 +211,7 @@ def cmd_complement(args) -> int:
     result = invariants.solve_complement(point.matrices[0], list(point.matrices[1:]), seed=args.seed)
     payload = {"success": result.success, "residual": result.residual, "attempts": result.attempts}
     if result.success and args.out:
-        doc = {"n": c.n, "format": "projectors",
+        doc = {"n": c.n, "format": "triple",
                "p": [config.encode_matrix(m) for m in result.triple],
                "q": [config.encode_matrix(m) for m in c.q]}
         with open(args.out, "w") as fh:

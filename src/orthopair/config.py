@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import adjoint, as_matrix, rank1_projector, spectral_norm
+from .relations import evaluate_relations, pair_relation_terms
 
 __all__ = [
     "PairConfiguration",
@@ -34,7 +35,6 @@ __all__ = [
     "from_hadamard",
     "to_hadamard",
     "dephased_phases",
-    "is_complex_hadamard",
     "save_pair",
     "load_pair",
     "save_hadamard",
@@ -58,8 +58,9 @@ class PairConfiguration:
 
     @property
     def residual(self) -> float:
-        """The largest of the :func:`residual_categories`, recomputed on each read."""
-        return max(residual_categories(self).values())
+        """The worst pair relation residual, the largest of the
+        :func:`residual_categories`; recomputed on each read."""
+        return evaluate_relations(self.matrices(), pair_relation_terms(self.n))[0]
 
     def matrices(self) -> list[np.ndarray]:
         return list(self.p) + list(self.q)
@@ -75,24 +76,18 @@ def pair_from_matrices(ps, qs) -> PairConfiguration:
 
 
 def residual_categories(c: PairConfiguration) -> dict[str, float]:
-    """Worst violation of each defining relation of the configuration.
+    """Worst residual of each kind of defining relation of the configuration.
 
-    Per system: idempotency, unit trace, in-system orthogonality and
-    sum-to-identity; then |Tr(p_i q_j) - 1/n| over all cross pairs.
+    The relations are :func:`~orthopair.relations.pair_relation_terms`; a
+    relation's kind is the first word of its name: ``idempotency``,
+    ``edge`` (x_i x_j x_i = x_i / n across the two systems), ``non-edge``
+    (x_i x_j = 0 within a system) and ``sum`` (each system sums to the
+    identity).
     """
     cats: dict[str, float] = {}
-    for tag, system in (("p", c.p), ("q", c.q)):
-        cats[f"{tag}_idempotency"] = float(max(spectral_norm(m @ m - m) for m in system))
-        cats[f"{tag}_unit_trace"] = float(max(abs(np.trace(m) - 1.0) for m in system))
-        cats[f"{tag}_orthogonality"] = float(max(
-            (spectral_norm(a @ b)
-             for i, a in enumerate(system)
-             for j, b in enumerate(system) if i != j),
-            default=0.0,
-        ))
-        cats[f"{tag}_sum_to_identity"] = float(spectral_norm(sum(system) - np.eye(c.n)))
-    cats["unbiasedness"] = float(max(
-        abs(np.trace(p @ q) - 1.0 / c.n) for p in c.p for q in c.q))
+    for name, r in evaluate_relations(c.matrices(), pair_relation_terms(c.n))[1].items():
+        kind = name.split(" ", 1)[0]
+        cats[kind] = max(cats.get(kind, 0.0), r)
     return cats
 
 
@@ -203,21 +198,6 @@ def fourier_phases(n: int, swap34: bool = False) -> HadamardPoint:
             raise ValueError("swap34 needs n >= 4")
         ang = _swap34_columns(ang)
     return HadamardPoint(n, ang[1:, 1:])
-
-
-def is_complex_hadamard(u, tol: float) -> tuple[bool, float]:
-    """True iff u is unitary and all entry moduli equal 1/sqrt(n), within tol.
-
-    Returns (verdict, residual) with residual the worst of the two defects.
-    """
-    u = as_matrix(u)
-    if u.shape[0] != u.shape[1]:
-        return False, np.inf
-    n = u.shape[0]
-    unit = spectral_norm(u.conj().T @ u - np.eye(n))
-    flat = float(np.max(np.abs(np.abs(u) - 1.0 / np.sqrt(n))))
-    residual = max(unit, flat)
-    return residual <= tol, residual
 
 
 def from_hadamard(h: HadamardPoint) -> PairConfiguration:

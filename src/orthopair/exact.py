@@ -94,9 +94,6 @@ class Q6:
     def __bool__(self):
         return self.a != 0 or self.b != 0
 
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def as_fraction(self) -> Fraction:
         if self.b != 0:
             raise ValueError(f"{self} is not rational")

@@ -32,7 +32,13 @@ import numpy as np
 
 from .config import PairConfiguration, pair_from_matrices
 from .linalg import adjoint, as_matrix, decide_rank, gauss_newton, spectral_norm
-from .relations import an_residual, commutant_dimension
+from .relations import (
+    an_residual,
+    commutant_dimension,
+    complete_bipartite,
+    evaluate_relations,
+    graph_relation_terms,
+)
 
 __all__ = [
     "InvariantVector",
@@ -205,28 +211,25 @@ class IdentityReport:
 def identity_check(p_triple, q_triple) -> IdentityReport:
     """Both sides of the product identity at a pair of unbiased triples.
 
-    Precondition: each triple consists of rank-1, pairwise-orthogonal
-    idempotents and all nine cross traces equal 1/6 within IDENTITY_TOL (the
-    identity is only claimed there).  The left side is the product over
-    ordered pairs i != j of (36 Tr(P q_i P q_j) - 1) with P the sum of the
-    p-triple; the right side exchanges the roles of the two triples.
+    Precondition, within IDENTITY_TOL: the six matrices satisfy the 3+3
+    graph relations at r = 1/6 (idempotents, orthogonal within a triple,
+    x_i x_j x_i = x_i / 6 across) and each has unit trace, which the graph
+    relations alone do not force; the identity is only claimed there.  The
+    left side is the product over ordered pairs i != j of
+    (36 Tr(P q_i P q_j) - 1) with P the sum of the p-triple; the right side
+    exchanges the roles of the two triples.
     """
     p = [as_matrix(m) for m in p_triple]
     q = [as_matrix(m) for m in q_triple]
     if len(p) != 3 or len(q) != 3:
         raise ValueError("identity check needs two triples")
-    for triple in (p, q):
-        for i, a in enumerate(triple):
-            if (spectral_norm(a @ a - a) > IDENTITY_TOL
-                    or abs(np.trace(a) - 1.0) > IDENTITY_TOL):
-                raise ValueError("triple member is not a rank-1 idempotent within tolerance")
-            for j, b in enumerate(triple):
-                if i != j and spectral_norm(a @ b) > IDENTITY_TOL:
-                    raise ValueError("triple is not orthogonal within tolerance")
-    for a in p:
-        for b in q:
-            if abs(np.trace(a @ b) - 1.0 / 6.0) > IDENTITY_TOL:
-                raise ValueError("cross traces are not 1/6 within tolerance; identity not applicable")
+    _, per = evaluate_relations(p + q, graph_relation_terms(complete_bipartite(3, 3), 1.0 / 6.0))
+    name, worst = max(per.items(), key=lambda kv: kv[1])
+    if worst > IDENTITY_TOL:
+        raise ValueError(f"triples violate the 3+3 relations at r = 1/6: {name} residual {worst:.3e} "
+                         f"> {IDENTITY_TOL:.1e}; identity not applicable")
+    if any(abs(np.trace(a) - 1.0) > IDENTITY_TOL for a in p + q):
+        raise ValueError("triple member is not of unit trace within tolerance")
     P = p[0] + p[1] + p[2]
     Q = q[0] + q[1] + q[2]
     lhs = 1.0 + 0.0j

@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "as_matrix",
-    "trace",
     "adjoint",
     "spectral_norm",
     "GAP_RATIO_REQUIRED",
@@ -44,20 +43,13 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def trace(a) -> complex:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"trace of non-square matrix {a.shape}")
-    return complex(np.trace(a))
-
-
 def adjoint(a) -> np.ndarray:
     """Conjugate transpose."""
     return as_matrix(a).conj().T
 
 
 def spectral_norm(a) -> float:
-    """Largest singular value; conjugation-invariant residual norm."""
+    """Largest singular value; a residual norm invariant under unitary conjugation."""
     a = as_matrix(a)
     if a.size == 0:
         return 0.0

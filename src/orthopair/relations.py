@@ -14,21 +14,25 @@ product relations:
 
 Relations are represented as lists of (coefficient, word) terms, where a
 word is a tuple of generator indices and the empty word is the identity
-matrix.  The same term lists drive both the residual evaluators here and
-the analytic Jacobians in :mod:`orthopair.tangent`, so the two can never
-drift apart.  Residuals are measured in spectral norm, which is invariant
-under simultaneous conjugation of all generators.
+matrix.  The same term lists drive the residual evaluators here, the
+analytic Jacobians in :mod:`orthopair.tangent` and the residual categories
+of :func:`orthopair.config.residual_categories`, so none of them can drift
+apart.  Residuals are measured in spectral norm, which is
+invariant under simultaneous unitary conjugation of all generators.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import PairConfiguration
-from .linalg import as_matrix, decide_rank, spectral_norm
+from .linalg import as_matrix, decide_rank
+
+if TYPE_CHECKING:  # config imports this module
+    from .config import PairConfiguration
 
 __all__ = [
     "LooplessGraph",
@@ -185,27 +189,31 @@ def evaluate_word(mats, word: tuple[int, ...], dim: int) -> np.ndarray:
 
 
 def evaluate_relations(mats, relations: list[Relation]) -> tuple[float, dict[str, float]]:
-    """(worst residual, per-relation spectral-norm residuals)."""
+    """(worst residual, per-relation spectral-norm residuals).
+
+    Every relation's d x d residual goes into one stack, normed by one
+    batched SVD.  A residual that overflows to a non-finite entry raises
+    OverflowError naming its relation: the inputs themselves are finite.
+    """
     mats = [as_matrix(m) for m in mats]
     dim = mats[0].shape[0]
     for m in mats:
         if m.shape != (dim, dim):
             raise ValueError("generator matrices must be square of equal size")
-    per: dict[str, float] = {}
-    worst = 0.0
-    for name, terms in relations:
-        if any(v >= len(mats) for _, word in terms for v in word):
-            raise ValueError(f"relation {name!r} needs more than the {len(mats)} generators given")
-        acc = np.zeros((dim, dim), dtype=np.complex128)
-        for coeff, word in terms:
-            if word:
-                acc += coeff * evaluate_word(mats, word, dim)
-            else:
-                acc += coeff * np.eye(dim)
-        r = spectral_norm(acc)
-        per[name] = r
-        worst = max(worst, r)
-    return worst, per
+    stack = np.zeros((len(relations), dim, dim), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual raises below
+        for acc, (name, terms) in zip(stack, relations):
+            try:
+                for coeff, word in terms:
+                    acc += coeff * evaluate_word(mats, word, dim)
+            except IndexError:
+                raise ValueError(f"relation {name!r} needs more than the "
+                                 f"{len(mats)} generators given") from None
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        raise OverflowError(f"relation {relations[int(np.argmin(finite))][0]!r} residual is not finite")
+    per = dict(zip((name for name, _ in relations), np.linalg.norm(stack, 2, axis=(1, 2)).tolist()))
+    return max(per.values(), default=0.0), per
 
 
 def an_residual(P, qs, r_list, sum_to_one: bool = True) -> float:

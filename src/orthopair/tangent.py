@@ -94,8 +94,6 @@ class JacobianSystem:
     matrices: list[np.ndarray]
     factors: list[tuple[np.ndarray, np.ndarray]]
     jacobian: np.ndarray
-    relation_names: tuple[str, ...]
-    base_residual: float
 
     @property
     def gauge_dim(self) -> int:
@@ -217,8 +215,7 @@ def rep_jacobian(point) -> JacobianSystem:
         raise ValueError(f"relation residual {residual:.3e} exceeds {RESIDUAL_GATE:.1e}; "
                          "not a representation point")
     factors = [_factor(m, name) for m, name in zip(mats, names)]
-    return JacobianSystem(mats, factors, _factored_jacobian(factors, terms),
-                          tuple(name for name, _ in terms), residual)
+    return JacobianSystem(mats, factors, _factored_jacobian(factors, terms))
 
 
 def _variable_scales(factors) -> np.ndarray:
@@ -257,7 +254,6 @@ class TangentReport:
     moduli_dim: int
     gap_ratio: float
     singular_values: np.ndarray
-    base_residual: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -275,7 +271,7 @@ def _moduli_report(system: JacobianSystem, tol: float, what: str) -> TangentRepo
     cut = decide_rank(s, tol, what)
     nullity = J.shape[1] - cut.rank - system.gauge_dim
     orbit = orbit_tangent_dim(system.matrices, tol)
-    return TangentReport(nullity, orbit, nullity - orbit, cut.gap_ratio, s, system.base_residual)
+    return TangentReport(nullity, orbit, nullity - orbit, cut.gap_ratio, s)
 
 
 def moduli_tangent_report(c: PairConfiguration, tol: float = 1e-10) -> TangentReport:

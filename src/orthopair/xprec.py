@@ -16,10 +16,7 @@ import numpy as np
 __all__ = [
     "DIGITS",
     "to_mp",
-    "mp_mul",
     "mp_trace",
-    "mp_adjoint",
-    "mp_rank1_projector",
     "mp_singular_values",
     "mp_nullspace",
     "standard_pair_mp",
@@ -54,26 +51,9 @@ def to_mp(a) -> mp.matrix:
         return m
 
 
-def mp_mul(a: mp.matrix, b: mp.matrix) -> mp.matrix:
-    with _precision():
-        return a * b
-
-
 def mp_trace(a: mp.matrix) -> mp.mpc:
     with _precision():
         return sum(a[i, i] for i in range(a.rows))
-
-
-def mp_adjoint(a: mp.matrix) -> mp.matrix:
-    with _precision():
-        return a.transpose_conj()
-
-
-def mp_rank1_projector(v) -> mp.matrix:
-    with _precision():
-        col = mp.matrix([[mp.mpc(complex(x).real, complex(x).imag)] for x in v])
-        nrm2 = sum((col[i, 0].conjugate() * col[i, 0]).real for i in range(col.rows))
-        return (col * col.transpose_conj()) / nrm2
 
 
 def mp_singular_values(a) -> np.ndarray:
@@ -134,32 +114,43 @@ def standard_pair_mp(n: int, swap34: bool = False) -> tuple[list[mp.matrix], lis
 # ---------------------------------------------------------------------------
 
 
-def _norm2(m: mp.matrix) -> mp.mpf:
-    s = mp.svd_c(m, compute_uv=False)
-    return max(s[i] for i in range(s.rows))
-
-
 def pair_residual_categories_mp(ps, qs) -> dict:
-    """Same residual categories as the double-precision verifier, in mp."""
+    """The double-precision verifier's relation kinds, restated in mp with
+    exact 1/n: idempotency, edge (x_i x_j x_i = x_i / n across the systems),
+    non-edge (x_i x_j = 0 within a system) and sum (each system sums to
+    the identity).
+
+    Each residual matrix is formed in mp and its spectral norm taken on the
+    matrix rounded to double: the norm is perfectly conditioned, so the
+    rounding changes it by a relative 1e-16.  A residual beyond the double
+    range raises OverflowError naming its kind.
+    """
     with _precision():
         mp_ps = [to_mp(m) for m in ps]
         mp_qs = [to_mp(m) for m in qs]
         n = mp_ps[0].rows
-        eye = mp.eye(n)
-        cats = {}
-        for tag, system in (("p", mp_ps), ("q", mp_qs)):
-            cats[f"{tag}_idempotency"] = float(max(_norm2(m * m - m) for m in system))
-            cats[f"{tag}_unit_trace"] = float(max(abs(mp_trace(m) - 1) for m in system))
-            orth = mp.mpf(0)
+        inv_n = mp.mpf(1) / n
+        cats: dict[str, float] = {}
+
+        def worst(kind: str, residual: mp.matrix) -> None:
+            m = np.array(residual.tolist(), dtype=complex)
+            if not np.isfinite(m).all():
+                raise OverflowError(f"{kind} residual exceeds the double range")
+            cats[kind] = max(cats.get(kind, 0.0), float(np.linalg.norm(m, 2)))
+
+        for system in (mp_ps, mp_qs):
             for i, a in enumerate(system):
+                worst("idempotency", a * a - a)
                 for j, b in enumerate(system):
                     if i != j:
-                        orth = max(orth, _norm2(a * b))
-            cats[f"{tag}_orthogonality"] = float(orth)
-            cats[f"{tag}_sum_to_identity"] = float(_norm2(sum(system[1:], system[0]) - eye))
-        inv_n = mp.mpf(1) / n
-        cats["unbiasedness"] = float(max(
-            abs(mp_trace(p * q) - inv_n) for p in mp_ps for q in mp_qs))
+                        worst("non-edge", a * b)
+        for p in mp_ps:
+            for q in mp_qs:
+                pq = p * q
+                worst("edge", pq * p - inv_n * p)
+                worst("edge", q * pq - inv_n * q)
+        for system in (mp_ps, mp_qs):
+            worst("sum", sum(system[1:], system[0]) - mp.eye(n))
         return cats
 
 

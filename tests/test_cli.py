@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthopair import invariants
+from orthopair import config, invariants
 from orthopair.cli import FAIL, INDETERMINATE, OK, USAGE, main
 
 
@@ -42,6 +42,7 @@ def test_standard_pair_and_verify(pair_file, capsys):
     assert code == OK
     assert payload["ok"] is True
     assert payload["max_residual"] <= 1e-13
+    assert list(payload["categories"]) == ["idempotency", "non-edge", "edge", "sum"]
 
 
 def test_standard_pair_n2(tmp_path, capsys):
@@ -78,6 +79,19 @@ def test_verify_extended_precision(pair_file, capsys):
     code, payload, _ = run(capsys, "verify", pair_file, "--tol", "1e-12", "--precision", "extended")
     assert code == OK
     assert payload["ok"] is True
+    _, double, _ = run(capsys, "verify", pair_file, "--tol", "1e-12")
+    assert payload["categories"].keys() == double["categories"].keys()
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["verify", "--precision", "extended"], ["tangent"]])
+def test_overflowing_residual_is_numerical_failure(pair_file, tmp_path, capsys, argv):
+    c = config.load_pair(pair_file)
+    big = tmp_path / "big.json"
+    config.save_pair(big, config.pair_from_matrices([1e200 * p for p in c.p], c.q), fmt="projectors")
+    code, payload, err = run(capsys, argv[0], str(big), *argv[1:])
+    assert code == FAIL
+    assert payload is None
+    assert "numerical failure" in err and "idempotency" in err
 
 
 def test_verify_malformed_file(tmp_path, capsys):
@@ -414,6 +428,12 @@ def test_complement(pair_file, tmp_path, capsys):
         axes.add(int(np.argmax(diag)))
         assert np.max(np.abs(t - np.diag(np.diag(t)))) <= 1e-9
     assert axes == {3, 4, 5}
+    # three p's against six q's: tagged as a triple, not a pair file
+    assert doc["format"] == "triple"
+    code, payload, err = run(capsys, "verify", out)
+    assert code == USAGE
+    assert payload is None
+    assert "unknown pair format 'triple'" in err
 
 
 def test_complement_requires_seed(pair_file, capsys):

@@ -10,7 +10,6 @@ from orthopair.config import (
     HadamardPoint,
     fourier_phases,
     from_hadamard,
-    is_complex_hadamard,
     load_hadamard,
     load_pair,
     pair_from_matrices,
@@ -62,17 +61,21 @@ def test_unbiasedness_residual_detects_bad_projector(standard6):
     assert broken.residual >= 1.0 - 1.0 / 6.0 - 1e-12
     cats = residual_categories(broken)
     assert broken.residual == max(cats.values())
-    assert cats["unbiasedness"] >= 1.0 - 1.0 / 6.0 - 1e-12
-    assert cats["p_orthogonality"] <= 1e-13
+    assert cats["edge"] >= 1.0 - 1.0 / 6.0 - 1e-12  # p_0 q_0 p_0 = p_0, not p_0 / 6
+    _, per = relations.evaluate_relations(broken.matrices(), relations.pair_relation_terms(6))
+    assert max(per[f"non-edge x{i}x{j}"] for i in range(6) for j in range(6) if i != j) <= 1e-13
 
 
 def test_residual_is_derived_not_stored(base_pair, fourier6, monkeypatch):
     assert [f.name for f in dataclasses.fields(config.PairConfiguration)] == ["n", "p", "q"]
     assert base_pair.residual == max(residual_categories(base_pair).values())
+    assert base_pair.residual == relations.evaluate_relations(
+        base_pair.matrices(), relations.pair_relation_terms(6))[0]
     norm = config.spectral_norm
     calls = []
     monkeypatch.setattr(config, "spectral_norm", lambda m: calls.append(m) or norm(m))
     pair_from_matrices(list(base_pair.p), list(base_pair.q))
+    residual_categories(base_pair)
     assert len(calls) == 0
     from_hadamard(fourier6)
     assert len(calls) == 1  # the unitarity refusal
@@ -132,8 +135,7 @@ def test_fourier_family_points_are_hadamard():
     rng = np.random.default_rng(10)
     for _ in range(10):
         h = fourier_family_point(rng)
-        ok, res = is_complex_hadamard(h.reconstruct(), 1e-12)
-        assert ok, res
+        assert h.unitarity_residual() <= 1e-12
 
 
 def test_to_hadamard_fourier_is_fixed_point(standard6, fourier6):
@@ -191,12 +193,11 @@ def test_to_hadamard_rejects_non_hermitian(base_pair):
 
 
 def test_is_complex_hadamard_examples(fourier6):
-    ok, res = is_complex_hadamard(config.fourier_matrix(6), 1e-12)
-    assert ok and res <= 1e-14
-    ok, _ = is_complex_hadamard(np.eye(6), 1e-6)
-    assert not ok
-    ok, _ = is_complex_hadamard(np.ones((2, 3)), 1e-6)
-    assert not ok
+    # reconstruct() pins every modulus to 1/sqrt(n), so unitarity decides
+    assert fourier6.unitarity_residual() <= 1e-14
+    assert HadamardPoint(6, np.zeros((5, 5))).unitarity_residual() > 1e-6  # the all-ones matrix
+    with pytest.raises(ValueError):
+        HadamardPoint(3, np.zeros((1, 2)))
 
 
 def test_pair_file_round_trip(tmp_path, base_pair):

@@ -182,6 +182,14 @@ def test_identity_precondition_enforced(standard6):
         identity_check(list(standard6.p[:2]), list(standard6.q[:3]))
 
 
+def test_identity_precondition_reads_relation_terms(standard6, monkeypatch):
+    monkeypatch.setattr(invariants, "spectral_norm", None)  # the precondition takes no norm of its own
+    assert identity_check(list(standard6.p[:3]), list(standard6.q[:3])).gap <= 1e-12
+    qs = [standard6.q[0], standard6.q[1], 2.0 * standard6.q[2]]
+    with pytest.raises(ValueError, match="idempotency x5"):
+        identity_check(list(standard6.p[:3]), qs)
+
+
 def test_identity_on_family_samples(family_sample):
     rng = np.random.default_rng(17)
     subsets = list(itertools.combinations(range(1, 7), 3))

@@ -5,7 +5,7 @@ from conftest import random_unitary
 from orthopair import exact
 from orthopair.config import pair_from_matrices, standard_pair
 from orthopair.invariants import sigma
-from orthopair.linalg import GAP_RATIO_REQUIRED, IndeterminateDimension
+from orthopair.linalg import GAP_RATIO_REQUIRED, IndeterminateDimension, spectral_norm
 from orthopair.relations import (
     LooplessGraph,
     an_residual,
@@ -13,6 +13,7 @@ from orthopair.relations import (
     commutator_operator,
     complete_bipartite,
     evaluate_relations,
+    evaluate_word,
     graph_relation_terms,
     graph_restriction,
     pair_relation_terms,
@@ -64,6 +65,37 @@ def pair_residual(c):
 def test_tl_residual_standard_pair(base_pair):
     g = complete_bipartite(6, 6)
     assert graph_residual(g, 1.0 / 6.0, base_pair.matrices()) <= 1e-13
+
+
+def _relation_norms_by_loop(mats, terms):
+    """The evaluator's reference: one spectral_norm per relation residual."""
+    out = []
+    for _, rel in terms:
+        acc = np.zeros(mats[0].shape, dtype=complex)
+        for coeff, word in rel:
+            acc += coeff * evaluate_word(mats, word, mats[0].shape[0])
+        out.append(spectral_norm(acc))
+    return np.array(out)
+
+
+def test_evaluate_relations_matches_spectral_norm_loop(base_pair):
+    points = [(c.matrices(), pair_relation_terms(c.n))
+              for c in (standard_pair(3), standard_pair(6), base_pair)]
+    points += [(list(p.matrices), p.relation_terms())
+               for p in (restrict(base_pair, [1, 2, 3]), graph_restriction(base_pair, [1, 2, 3], [1, 2, 3]))]
+    for mats, terms in points:
+        worst, per = evaluate_relations(mats, terms)
+        assert list(per) == [name for name, _ in terms]
+        want = _relation_norms_by_loop(mats, terms)
+        assert np.array_equal(np.array(list(per.values())), want)
+        assert worst == want.max()
+
+
+def test_evaluate_relations_overflow_names_the_relation(standard6):
+    # finite entries whose squares overflow: a numerical failure, not bad input
+    big = [1e200 * p for p in standard6.p] + list(standard6.q)
+    with pytest.raises(OverflowError, match="idempotency x0"):
+        evaluate_relations(big, pair_relation_terms(6))
 
 
 def test_tl_residual_zero_representation():

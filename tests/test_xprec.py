@@ -3,7 +3,7 @@
 import numpy as np
 
 from orthopair import exact, xprec
-from orthopair.config import standard_pair
+from orthopair.config import residual_categories, standard_pair
 from orthopair.invariants import u_invariants
 
 
@@ -26,13 +26,13 @@ def test_mp_nullspace():
 
 def test_mp_basic_operations():
     a = xprec.to_mp(np.array([[1.0, 2j], [0.0, 1.0]]))
-    b = xprec.mp_mul(a, a)
+    b = a * a
     assert complex(b[0, 1]) == 4j
     assert complex(xprec.mp_trace(a)) == 2.0
-    adj = xprec.mp_adjoint(a)
+    adj = a.transpose_conj()
     assert complex(adj[1, 0]) == -2j
-    p = xprec.mp_rank1_projector([1.0, 1.0])
-    assert abs(complex(p[0, 1]) - 0.5) < 1e-30
+    _, qs = xprec.standard_pair_mp(2)
+    assert abs(complex(qs[0][0, 1]) - 0.5) < 1e-30
 
 
 def test_standard_pair_residual_extended():
@@ -41,6 +41,18 @@ def test_standard_pair_residual_extended():
     for swap34 in (False, True):
         ps, qs = xprec.standard_pair_mp(6, swap34)
         assert max(xprec.pair_residual_categories_mp(ps, qs).values()) < 1e-30
+
+
+def test_residual_kinds_match_double():
+    # the mp verifier restates the pair relations by kind; both precisions
+    # report the same kinds, and agree on their values at double inputs
+    for n in range(2, 8):
+        c = standard_pair(n)
+        double = residual_categories(c)
+        extended = xprec.pair_residual_categories_mp(c.p, c.q)
+        assert list(extended) == list(double) == ["idempotency", "non-edge", "edge", "sum"]
+        for kind in double:
+            assert abs(extended[kind] - double[kind]) <= 1e-14
 
 
 def test_u_invariants_extended_match_exact():
