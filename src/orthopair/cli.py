@@ -114,27 +114,24 @@ def cmd_invariants(args) -> int:
     return OK
 
 
-def cmd_tangent(args) -> int:
-    c = config.load_pair(args.file)
-    if c.residual > tangent.RESIDUAL_GATE:
-        _emit({"status": "fail", "residual": c.residual})
-        _diag(f"point is off the relation variety: residual {c.residual:.3e}")
+def _report(compute, point, tol: float) -> int:
+    """Emit a tangent or defect report, or the residual of a point off the variety."""
+    try:
+        report = compute(point, tol)
+    except tangent.OffVariety as exc:
+        _emit({"status": "fail", "residual": exc.residual})
+        _diag(f"off the variety: {exc}")
         return FAIL
-    report = tangent.moduli_tangent_report(c, args.tol)
     _emit(report.to_json_dict())
     return OK
+
+
+def cmd_tangent(args) -> int:
+    return _report(tangent.moduli_tangent_report, config.load_pair(args.file), args.tol)
 
 
 def cmd_defect(args) -> int:
-    h = config.load_hadamard(args.file)
-    res = h.unitarity_residual()
-    if res > tangent.RESIDUAL_GATE:
-        _emit({"status": "fail", "residual": res})
-        _diag(f"phases are off the Hadamard variety: residual {res:.3e}")
-        return FAIL
-    report = tangent.defect_report(h, args.tol)
-    _emit(report.to_json_dict())
-    return OK
+    return _report(tangent.defect_report, config.load_hadamard(args.file), args.tol)
 
 
 def _parse_direction(text: str) -> np.ndarray:

@@ -7,7 +7,9 @@ rank-1 idempotents q_1, q_2, q_3 in dimension 6 are
     u2 = 216 (Tr Pq1Pq2Pq3 + Tr Pq1Pq3Pq2)
     u3 = (36 Tr Pq1Pq2 - 1)(36 Tr Pq2Pq3 - 1)(36 Tr Pq3Pq1 - 1)
 
-together with z1 = Tr Pq1Pq2 and z2 = Tr Pq5Pq6 on full six-q points.  On
+together with z1 = Tr Pq1Pq2 and z2 = Tr Pq5Pq6 on full six-q points.  The
+five trace words are written once, as U_WORDS; the differential of the u's is
+the gradient of U_WORDS, contracted with a stack of directions at once.  On
 the sandwich relation locus (q_i P q_i = q_i / 2, q_i rank 1) all three
 factor through (P, Q = sum q_i):
 
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import reduce
 
 import numpy as np
 
@@ -45,6 +48,9 @@ __all__ = [
     "IdentityReport",
     "U1_AFFINE",
     "U2_AFFINE",
+    "U_WORDS",
+    "u_word_traces",
+    "u3_factors",
     "u_invariants",
     "u_invariants_directional",
     "z_functions",
@@ -99,65 +105,75 @@ class InvariantVector:
 
 
 def _tr(*mats) -> complex:
-    acc = mats[0]
-    for m in mats[1:]:
-        acc = acc @ m
-    return complex(np.trace(acc))
+    return complex(np.trace(reduce(np.matmul, mats)))
+
+
+# The u's as trace words over the generators (P, q1, q2, q3): the pair words
+# t12, t13, t23, then the two cubic words of u2.
+U_WORDS = ((0, 1, 0, 2), (0, 1, 0, 3), (0, 2, 0, 3), (0, 1, 0, 2, 0, 3), (0, 1, 0, 3, 0, 2))
+
+
+def u_word_traces(P, qs) -> list[complex]:
+    """Traces of U_WORDS at (P, q1, q2, q3), each product taken left to right."""
+    gens = [as_matrix(m) for m in (P, *qs)]
+    return [_tr(*(gens[g] for g in word)) for word in U_WORDS]
+
+
+def u3_factors(traces) -> tuple[complex, complex, complex]:
+    """The factors 36 Tr(P q_i P q_j) - 1 of u3 for (i, j) = (1, 2), (1, 3), (2, 3)."""
+    return tuple(36.0 * t - 1.0 for t in traces[:3])
+
+
+def _u_chain(traces) -> np.ndarray:
+    """The 3 x 5 derivative of (u1, u2, u3) in the traces of U_WORDS."""
+    f12, f13, f23 = u3_factors(traces)
+    return np.array([[36.0, 36.0, 36.0, 0.0, 0.0],
+                     [0.0, 0.0, 0.0, 216.0, 216.0],
+                     [36.0 * f13 * f23, 36.0 * f12 * f23, 36.0 * f12 * f13, 0.0, 0.0]])
 
 
 def u_invariants(P, q1, q2, q3) -> InvariantVector:
-    """Evaluate (u1, u2, u3) by direct trace computation.
+    """Evaluate (u1, u2, u3) from the traces of U_WORDS.
 
     Symmetric under any permutation of the three q's.  The relation
     residual of (P, q's) is deliberately not enforced here; callers that
     need on-locus guarantees check it themselves.
     """
-    P, q1, q2, q3 = (as_matrix(m) for m in (P, q1, q2, q3))
-    t12, t13, t23 = _tr(P, q1, P, q2), _tr(P, q1, P, q3), _tr(P, q2, P, q3)
-    u1 = 36.0 * (t12 + t13 + t23)
-    u2 = 216.0 * (_tr(P, q1, P, q2, P, q3) + _tr(P, q1, P, q3, P, q2))
-    u3 = (36.0 * t12 - 1.0) * (36.0 * t23 - 1.0) * (36.0 * t13 - 1.0)
+    traces = u_word_traces(P, (q1, q2, q3))
+    f12, f13, f23 = u3_factors(traces)
+    u1 = 36.0 * (traces[0] + traces[1] + traces[2])
+    u2 = 216.0 * (traces[3] + traces[4])
+    u3 = f12 * f23 * f13
     residue = max(abs(u1.imag), abs(u2.imag), abs(u3.imag))
     return InvariantVector(u1.real, u2.real, u3.real, residue, (u1, u2, u3))
 
 
-def u_invariants_directional(P, qs, dP, dqs) -> np.ndarray:
-    """Analytic directional derivative of (u1, u2, u3).
+def _word_gradients(gens) -> np.ndarray:
+    """G with d Tr(U_WORDS[k]) = sum over g of sum(G[k, g] * dX_g).
 
-    Inputs are the base point (P, q1..q3) and a tangent direction
-    (dP, dq1..dq3); the derivative of each trace word is the sum over
-    single-slot substitutions, so no finite differences are involved.
+    Tr(A_1 ... dA_s ... A_L) = sum(dA_s * (A_{s+1} ... A_L A_1 ... A_{s-1})^T):
+    each slot adds the transposed cyclic product of the other slots to the
+    gradient of its generator.
     """
-    P = as_matrix(P)
-    q = [as_matrix(m) for m in qs]
-    dP = as_matrix(dP)
-    dq = [as_matrix(m) for m in dqs]
+    d = gens[0].shape[0]
+    G = np.zeros((len(U_WORDS), len(gens), d, d), dtype=np.complex128)
+    for k, word in enumerate(U_WORDS):
+        for s, g in enumerate(word):
+            G[k, g] += reduce(np.matmul, [gens[x] for x in word[s + 1:] + word[:s]]).T
+    return G
 
-    def d_tr4(i, j):
-        return (_tr(dP, q[i], P, q[j]) + _tr(P, dq[i], P, q[j])
-                + _tr(P, q[i], dP, q[j]) + _tr(P, q[i], P, dq[j]))
 
-    def tr4(i, j):
-        return _tr(P, q[i], P, q[j])
+def u_invariants_directional(P, qs, dP, dqs) -> np.ndarray:
+    """Analytic differential of (u1, u2, u3) on a stack of m directions.
 
-    def d_tr6(i, j, k):
-        base = (P, q[i], P, q[j], P, q[k])
-        dirs = (dP, dq[i], dP, dq[j], dP, dq[k])
-        total = 0.0 + 0.0j
-        for slot in range(6):
-            word = list(base)
-            word[slot] = dirs[slot]
-            total += _tr(*word)
-        return total
-
-    dt12, dt13, dt23 = d_tr4(0, 1), d_tr4(0, 2), d_tr4(1, 2)
-    du1 = 36.0 * (dt12 + dt13 + dt23)
-    du2 = 216.0 * (d_tr6(0, 1, 2) + d_tr6(0, 2, 1))
-    f12 = 36.0 * tr4(0, 1) - 1.0
-    f23 = 36.0 * tr4(1, 2) - 1.0
-    f13 = 36.0 * tr4(0, 2) - 1.0
-    du3 = 36.0 * dt12 * f23 * f13 + f12 * 36.0 * dt23 * f13 + f12 * f23 * 36.0 * dt13
-    return np.array([du1, du2, du3])
+    ``dP`` and each of the three ``dqs`` are d x d x m, direction k being
+    (dP[..., k], dq1[..., k], dq2[..., k], dq3[..., k]); the result is 3 x m.
+    The chain rule times the gradient of U_WORDS is one 3 x 4d^2 matrix,
+    applied to all m directions in one product.
+    """
+    gens = [as_matrix(m) for m in (P, *qs)]
+    grad = _u_chain(u_word_traces(gens[0], gens[1:])) @ _word_gradients(gens).reshape(len(U_WORDS), -1)
+    return grad @ np.stack([dP, *dqs]).reshape(grad.shape[1], -1)
 
 
 def z_functions(P, qs) -> tuple[float, float]:

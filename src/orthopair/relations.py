@@ -23,7 +23,6 @@ invariant under simultaneous unitary conjugation of all generators.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -37,8 +36,6 @@ if TYPE_CHECKING:  # config imports this module
 __all__ = [
     "LooplessGraph",
     "complete_bipartite",
-    "graph_from_dict",
-    "load_graph",
     "AlgebraRepPoint",
     "Relation",
     "graph_relation_terms",
@@ -78,21 +75,6 @@ def complete_bipartite(k: int, n: int) -> LooplessGraph:
     """Full bipartite graph: vertices 0..k-1 in one row, k..k+n-1 in the other."""
     edges = [(i, k + j) for i in range(k) for j in range(n)]
     return LooplessGraph.from_edges(k + n, edges)
-
-
-def graph_from_dict(doc: dict) -> LooplessGraph:
-    """Parse the graph file format: {"vertices": int, "edges": [[i, j], ...]}
-    or the shorthand {"bipartite": [k, n]}."""
-    if "bipartite" in doc:
-        k, n = doc["bipartite"]
-        return complete_bipartite(int(k), int(n))
-    return LooplessGraph.from_edges(int(doc["vertices"]),
-                                    [(int(i), int(j)) for i, j in doc["edges"]])
-
-
-def load_graph(path) -> LooplessGraph:
-    with open(path) as fh:
-        return graph_from_dict(json.load(fh))
 
 
 # A relation is a named sum of words; the empty word stands for the identity.

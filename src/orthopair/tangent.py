@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import HadamardPoint, PairConfiguration
-from .invariants import u_invariants_directional
+from .invariants import u3_factors, u_invariants_directional, u_word_traces
 from .linalg import GAP_RATIO_REQUIRED, IndeterminateDimension, as_matrix, decide_rank
 from .relations import (
     AlgebraRepPoint,
@@ -58,6 +58,7 @@ from .relations import (
 __all__ = [
     "GAP_RATIO_REQUIRED",
     "IndeterminateDimension",
+    "OffVariety",
     "JacobianSystem",
     "TangentReport",
     "rep_jacobian",
@@ -74,6 +75,14 @@ __all__ = [
 
 RESIDUAL_GATE = 1e-8
 FACTOR_TOL = 1e-10  # relative cut of each generator's factor rank
+
+
+class OffVariety(ValueError):
+    """A point refused for a residual above RESIDUAL_GATE, kept in ``residual``."""
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
 
 
 # ---------------------------------------------------------------------------
@@ -204,16 +213,16 @@ def _factor(m: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
 def rep_jacobian(point) -> JacobianSystem:
     """Rank-factored analytic Jacobian of the point's relation system.
 
-    Refuses points whose relation residual exceeds the gate, before any
-    factoring: tangent analysis at non-solutions is meaningless.
+    Refuses points whose relation residual exceeds the gate (OffVariety),
+    before any factoring: tangent analysis at non-solutions is meaningless.
     """
     mats, terms, names = _generators(point)
     if terms is None:
         raise TypeError(f"cannot build a relation Jacobian for {type(point).__name__}")
     residual, _ = evaluate_relations(mats, terms)
     if residual > RESIDUAL_GATE:
-        raise ValueError(f"relation residual {residual:.3e} exceeds {RESIDUAL_GATE:.1e}; "
-                         "not a representation point")
+        raise OffVariety(f"relation residual {residual:.3e} exceeds {RESIDUAL_GATE:.1e}; "
+                         "not a representation point", residual)
     factors = [_factor(m, name) for m, name in zip(mats, names)]
     return JacobianSystem(mats, factors, _factored_jacobian(factors, terms))
 
@@ -369,7 +378,7 @@ class DefectReport:
 def defect_report(h: HadamardPoint, tol: float = 1e-10) -> DefectReport:
     res = h.unitarity_residual()
     if res > RESIDUAL_GATE:
-        raise ValueError(f"unitarity residual {res:.3e} exceeds {RESIDUAL_GATE:.1e}")
+        raise OffVariety(f"unitarity residual {res:.3e} exceeds {RESIDUAL_GATE:.1e}", res)
     _, J = phase_constraints(h)
     _, s, vt = np.linalg.svd(J)
     cut = decide_rank(s, tol, "dephased defect")
@@ -410,13 +419,13 @@ def fiber_rank_check(point: AlgebraRepPoint, tol: float = 1e-10) -> FiberRankRep
     The kernel of the factored Jacobian is mapped to the generator entries
     by dX = dV W^T + V dW^T, whose image is the Zariski tangent (the gauge
     directions map to zero), and orthonormalised there; the invariant
-    differential is applied to that basis, so its singular values do not
-    depend on the factorisation.  The u's are conjugation-invariant, so
-    orbit directions contribute nothing and the rank equals the rank on the
-    moduli tangent; generically it is 3, making the fibers of the invariant
-    map curves.  Points where two factors of u3 vanish simultaneously can
-    drop rank and are flagged (``degenerate_u3``) rather than asserted
-    against.
+    differential is applied to that whole basis in one product, so its
+    singular values do not depend on the factorisation.  The u's are
+    conjugation-invariant, so orbit directions contribute nothing and the
+    rank equals the rank on the moduli tangent; generically it is 3, making
+    the fibers of the invariant map curves.  Points where two factors of u3
+    vanish simultaneously can drop rank and are flagged (``degenerate_u3``)
+    rather than asserted against.
 
     The invariant differential has its own looser cut (at least 1e-8) and
     counts as rank 0 below an absolute floor.
@@ -432,20 +441,13 @@ def fiber_rank_check(point: AlgebraRepPoint, tol: float = 1e-10) -> FiberRankRep
     basis = np.linalg.svd(image, full_matrices=False)[0][:, :nullity]
     d = mats[0].shape[0]
     P, qs = mats[0] + mats[1] + mats[2], mats[3:]
-    columns = []
-    for vec in basis.T:
-        dm = vec.reshape(6, d, d)
-        columns.append(u_invariants_directional(P, qs, dm[0] + dm[1] + dm[2], dm[3:]))
-    D = np.array(columns).T
+    dm = basis.reshape(6, d, d, nullity)
+    D = u_invariants_directional(P, qs, dm[0] + dm[1] + dm[2], dm[3:])
     sd = np.linalg.svd(D, compute_uv=False)
     if sd.size == 0 or sd[0] < 1e-12:
         rank = 0
     else:
         rank = decide_rank(sd, max(tol, 1e-8), "invariant differential rank").rank
-    u3_factors = []
-    for (i, j) in ((0, 1), (1, 2), (2, 0)):
-        t = np.trace(P @ qs[i] @ P @ qs[j])
-        u3_factors.append(abs(36.0 * t - 1.0))
-    degenerate = sum(1 for f in u3_factors if f < 1e-6) >= 2
+    degenerate = sum(abs(f) < 1e-6 for f in u3_factors(u_word_traces(P, qs))) >= 2
     orbit = orbit_tangent_dim(mats, tol)
     return FiberRankReport(rank, sd, nullity - orbit, degenerate)

@@ -17,6 +17,7 @@ from orthopair.invariants import (
     tau,
     theta,
     u_invariants,
+    u_invariants_directional,
     z_functions,
 )
 
@@ -59,13 +60,31 @@ def test_u_values_swapped_base_point(base_pair):
     assert np.allclose(vec.as_array(), [float(w) for w in want], atol=1e-12)
 
 
-def test_u_symmetric_under_q_permutations(standard6):
+def test_u_symmetric_under_q_permutations(standard6, family_sample):
     P = triple_P(standard6)
     qs = standard6.q[:3]
     base = u_invariants(P, *qs).as_array()
     for perm in itertools.permutations(range(3)):
         got = u_invariants(P, qs[perm[0]], qs[perm[1]], qs[perm[2]]).as_array()
         assert np.max(np.abs(got - base)) <= 1e-12
+    # invariant under conjugation, so the differential vanishes on the orbit
+    # directions ([xi, P], [xi, q_i]), measured against equally long random ones
+    rng = np.random.default_rng(16)
+    for h in family_sample.points[1:4]:
+        c = from_hadamard(h)
+        gens = [triple_P(c), *c.q[:3]]
+        base = u_invariants(*gens).as_array()
+        g = random_invertible(rng, 6)
+        ginv = np.linalg.inv(g)
+        got = u_invariants(*(g @ m @ ginv for m in gens)).as_array()
+        assert np.max(np.abs(got - base)) <= 1e-10 * max(1.0, np.max(np.abs(base)))
+        xi = rng.standard_normal((6, 6, 8)) + 1j * rng.standard_normal((6, 6, 8))
+        orbit = np.stack([np.einsum("abk,bc->ack", xi, m) - np.einsum("ab,bck->ack", m, xi) for m in gens])
+        noise = rng.standard_normal(orbit.shape) + 1j * rng.standard_normal(orbit.shape)
+        noise *= np.linalg.norm(orbit.reshape(-1, 8), axis=0) / np.linalg.norm(noise.reshape(-1, 8), axis=0)
+        d_orbit = u_invariants_directional(gens[0], gens[1:], orbit[0], orbit[1:])
+        d_noise = u_invariants_directional(gens[0], gens[1:], noise[0], noise[1:])
+        assert np.all(np.max(np.abs(d_orbit), axis=1) <= 1e-10 * np.max(np.abs(d_noise), axis=1))
 
 
 def test_z_functions(base_pair):

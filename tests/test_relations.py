@@ -41,17 +41,12 @@ def test_graph_constructor_rejects_loops_and_bad_edges():
     assert g.has_edge(0, 3) and not g.has_edge(0, 1)
 
 
-def test_graph_file_format(tmp_path):
-    import json
-
-    from orthopair.relations import graph_from_dict, load_graph
-
-    g = graph_from_dict({"vertices": 4, "edges": [[0, 1], [2, 3], [1, 0]]})
+def test_graph_file_format():
+    # a reversed duplicate edge merges into the first
+    g = LooplessGraph.from_edges(4, [(0, 1), (2, 3), (1, 0)])
     assert g.vertex_count == 4 and len(g.edges) == 2
-    assert graph_from_dict({"bipartite": [3, 6]}) == complete_bipartite(3, 6)
-    path = tmp_path / "g.json"
-    path.write_text(json.dumps({"bipartite": [2, 2]}))
-    assert load_graph(path) == complete_bipartite(2, 2)
+    edges = [(j, i) for i in range(3) for j in range(3, 9)]
+    assert LooplessGraph.from_edges(9, edges) == complete_bipartite(3, 6)
 
 
 def graph_residual(g, r, mats):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from conftest import random_invertible, random_unitary
 from orthopair import exact, tangent
 from orthopair.config import HadamardPoint, fourier_phases, from_hadamard, pair_from_matrices, standard_pair
-from orthopair.invariants import tau, u_invariants_directional
+from orthopair.invariants import tau, u_invariants, u_invariants_directional
 from orthopair.linalg import decide_rank
 from orthopair.relations import (
     AlgebraRepPoint,
@@ -87,6 +87,34 @@ def _dense_nullity(point, tol=1e-10):
     return s.size - decide_rank(s, tol, "dense oracle").rank
 
 
+def _tr(*mats):
+    acc = mats[0]
+    for m in mats[1:]:
+        acc = acc @ m
+    return complex(np.trace(acc))
+
+
+def _loop_directional(P, q, dP, dq):
+    """d(u1, u2, u3) along one direction (dP, dq1..dq3), one single-slot
+    substitution per trace word and slot, with u3 by the product rule."""
+
+    def d_tr4(i, j):
+        return (_tr(dP, q[i], P, q[j]) + _tr(P, dq[i], P, q[j])
+                + _tr(P, q[i], dP, q[j]) + _tr(P, q[i], P, dq[j]))
+
+    def d_tr6(i, j, k):
+        base = (P, q[i], P, q[j], P, q[k])
+        dirs = (dP, dq[i], dP, dq[j], dP, dq[k])
+        return sum(_tr(*base[:s], dirs[s], *base[s + 1:]) for s in range(6))
+
+    dt12, dt13, dt23 = d_tr4(0, 1), d_tr4(0, 2), d_tr4(1, 2)
+    f12, f23, f13 = (36.0 * _tr(P, q[i], P, q[j]) - 1.0 for i, j in ((0, 1), (1, 2), (0, 2)))
+    du1 = 36.0 * (dt12 + dt13 + dt23)
+    du2 = 216.0 * (d_tr6(0, 1, 2) + d_tr6(0, 2, 1))
+    du3 = 36.0 * dt12 * f23 * f13 + f12 * 36.0 * dt23 * f13 + f12 * f23 * 36.0 * dt13
+    return np.array([du1, du2, du3])
+
+
 def _dense_fiber(point, tol=1e-10):
     """(rank, singular values, moduli dim, degenerate_u3) of d(u1, u2, u3) on
     the kernel of the dense 3+3 graph Jacobian."""
@@ -98,7 +126,7 @@ def _dense_fiber(point, tol=1e-10):
     columns = []
     for kv in range(nullity):
         dm = vh[-1 - kv].conj().reshape(6, d, d)
-        columns.append(u_invariants_directional(P, qs, dm[0] + dm[1] + dm[2], dm[3:]))
+        columns.append(_loop_directional(P, qs, dm[0] + dm[1] + dm[2], dm[3:]))
     sd = np.linalg.svd(np.array(columns).T, compute_uv=False)
     rank = 0 if sd[0] < 1e-12 else decide_rank(sd, max(tol, 1e-8), "dense invariant rank").rank
     factors = [abs(36.0 * np.trace(P @ qs[i] @ P @ qs[j]) - 1.0) for i, j in ((0, 1), (1, 2), (2, 0))]
@@ -627,6 +655,33 @@ def test_phase_constraints_match_entrywise_loop(fourier6, family_sample):
 # ---------------------------------------------------------------------------
 # Fiber rank of the invariant map.
 # ---------------------------------------------------------------------------
+
+
+def test_u_differential_matches_loop_and_finite_differences(base_pair, family_sample):
+    rng = np.random.default_rng(41)
+    points = [graph_restriction(base_pair, [1, 2, 3], [1, 2, 3])]
+    points += [graph_restriction(from_hadamard(h), [1, 2, 3], [1, 2, 3]) for h in family_sample.points[1:4]]
+    for point in points:
+        mats = point.matrices
+        P, qs = mats[0] + mats[1] + mats[2], mats[3:]
+        dX = rng.standard_normal((4, 6, 6, 5)) + 1j * rng.standard_normal((4, 6, 6, 5))
+        D = u_invariants_directional(P, qs, dX[0], dX[1:])
+        ref = np.array([_loop_directional(P, qs, dX[0, ..., k], dX[1:, ..., k]) for k in range(5)]).T
+        assert D.shape == ref.shape == (3, 5)
+        assert np.all(np.max(np.abs(D - ref), axis=1) <= 1e-12 * np.max(np.abs(ref), axis=1))
+    # a generic non-Hermitian point, where all three u3 factors are far from
+    # zero, so every term of the u3 product rule counts
+    gens = 0.25 * (rng.standard_normal((4, 6, 6)) + 1j * rng.standard_normal((4, 6, 6)))
+    dX = rng.standard_normal((4, 6, 6, 3)) + 1j * rng.standard_normal((4, 6, 6, 3))
+    pairs = ((1, 2), (1, 3), (2, 3))
+    assert min(abs(36.0 * _tr(gens[0], gens[i], gens[0], gens[j]) - 1.0) for i, j in pairs) > 1.0
+    D = u_invariants_directional(gens[0], gens[1:], dX[0], dX[1:])
+    step = 1e-6
+    for k in range(3):
+        plus = u_invariants(*(gens + step * dX[..., k])).complex_values
+        minus = u_invariants(*(gens - step * dX[..., k])).complex_values
+        fd = (np.array(plus) - np.array(minus)) / (2 * step)
+        assert np.all(np.abs(fd - D[:, k]) <= 1e-7 * np.abs(D[:, k]))
 
 
 def test_fiber_rank_generic_samples(family_sample):
