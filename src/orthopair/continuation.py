@@ -43,7 +43,7 @@ PINV_CUTOFF = 1e-10
 DEFAULT_STEP_SCALE = 5e-3
 CORRECTOR_TOL = 1e-12  # newton_correct converges at this norm of the unitarity constraints
 CORRECTOR_MAX_ITER = 20
-CORRECTOR_STALL = 3  # newton_correct gives up after this many non-decreasing norms in a row
+CORRECTOR_WINDOW = 3  # newton_correct gives up when its norm has not halved over this many steps
 STEP_HALVINGS = 5  # a continuation move halves its step at most this often before it gives up
 KEY_GRID = 1e-6  # the canonical key compares phases rounded to this grid
 KEY_PERM_BLOCK = 720  # column permutations searched per batch: all of them up to n = 7
@@ -93,7 +93,7 @@ def newton_correct(h: HadamardPoint) -> CorrectorResult:
     """Project an approximate point back onto the Hadamard variety.
 
     Gauss-Newton on the unitarity constraints; declares divergence when the
-    residual fails to decrease CORRECTOR_STALL times in a row and then returns the
+    residual has not halved over CORRECTOR_WINDOW steps and then returns the
     best iterate flagged as failed, never a silently bad point.  Quadratic
     convergence is only guaranteed for starting residuals below ~0.1;
     grossly off-manifold starts are refused outright.
@@ -107,7 +107,7 @@ def newton_correct(h: HadamardPoint) -> CorrectorResult:
         return c, lambda: J
 
     x, r, steps, converged = gauss_newton(constraints, h.phases.ravel(), CORRECTOR_TOL,
-                                          CORRECTOR_MAX_ITER, CORRECTOR_STALL, PINV_CUTOFF)
+                                          CORRECTOR_MAX_ITER, CORRECTOR_WINDOW, PINV_CUTOFF)
     return CorrectorResult(_point_from_vector(n, x), r, steps, converged)
 
 

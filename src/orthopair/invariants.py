@@ -41,6 +41,7 @@ from .relations import (
     complete_bipartite,
     evaluate_relations,
     graph_relation_terms,
+    sylvester_operator,
 )
 
 __all__ = [
@@ -76,7 +77,7 @@ IDENTITY_TOL = 1e-8  # identity_check: precondition tolerance on the two triples
 COMPLEMENT_RESTARTS = 20
 COMPLEMENT_TOL = 1e-11  # a solver start converges at this residual
 COMPLEMENT_MAX_ITER = 60  # Gauss-Newton iterations per start
-COMPLEMENT_STALL = 4  # a start gives up after this many non-decreasing norms in a row
+COMPLEMENT_WINDOW = 8  # a start gives up when its norm has not halved over this many steps
 COMPLEMENT_RCOND = 1e-12  # relative singular-value cut of the Gauss-Newton step
 SANDWICH_PRECHECK_TOL = 1e-8  # solve_complement refuses (P, q) off the sandwich relations
 
@@ -113,10 +114,11 @@ def _tr(*mats) -> complex:
 U_WORDS = ((0, 1, 0, 2), (0, 1, 0, 3), (0, 2, 0, 3), (0, 1, 0, 2, 0, 3), (0, 1, 0, 3, 0, 2))
 
 
-def u_word_traces(P, qs) -> list[complex]:
-    """Traces of U_WORDS at (P, q1, q2, q3), each product taken left to right."""
+def u_word_traces(P, qs, words=U_WORDS) -> list[complex]:
+    """Traces of ``words`` (by default U_WORDS) at (P, q1, q2, q3), each
+    product taken left to right."""
     gens = [as_matrix(m) for m in (P, *qs)]
-    return [_tr(*(gens[g] for g in word)) for word in U_WORDS]
+    return [_tr(*(gens[g] for g in word)) for word in words]
 
 
 def u3_factors(traces) -> tuple[complex, complex, complex]:
@@ -233,7 +235,9 @@ def identity_check(p_triple, q_triple) -> IdentityReport:
     relations alone do not force; the identity is only claimed there.  The
     left side is the product over ordered pairs i != j of
     (36 Tr(P q_i P q_j) - 1) with P the sum of the p-triple; the right side
-    exchanges the roles of the two triples.
+    exchanges the roles of the two triples.  By cyclicity the pairs (i, j)
+    and (j, i) give the same factor, so each side is the square of u3 of its
+    triple, read from the three pair words of U_WORDS.
     """
     p = [as_matrix(m) for m in p_triple]
     q = [as_matrix(m) for m in q_triple]
@@ -246,15 +250,13 @@ def identity_check(p_triple, q_triple) -> IdentityReport:
                          f"> {IDENTITY_TOL:.1e}; identity not applicable")
     if any(abs(np.trace(a) - 1.0) > IDENTITY_TOL for a in p + q):
         raise ValueError("triple member is not of unit trace within tolerance")
-    P = p[0] + p[1] + p[2]
-    Q = q[0] + q[1] + q[2]
-    lhs = 1.0 + 0.0j
-    rhs = 1.0 + 0.0j
-    for i in range(3):
-        for j in range(3):
-            if i != j:
-                lhs *= 36.0 * _tr(P, q[i], P, q[j]) - 1.0
-                rhs *= 36.0 * _tr(Q, p[i], Q, p[j]) - 1.0
+
+    def u3_squared(P, triple):
+        f12, f13, f23 = u3_factors(u_word_traces(P, triple, U_WORDS[:3]))
+        return (f12 * f23 * f13) ** 2
+
+    lhs = u3_squared(p[0] + p[1] + p[2], q)
+    rhs = u3_squared(q[0] + q[1] + q[2], p)
     return IdentityReport(lhs.real, rhs.real, abs(lhs - rhs))
 
 
@@ -338,7 +340,7 @@ def solve_complement(P, qs, seed: int) -> ComplementResult:
         V, _ = np.linalg.qr(range_basis @ G)
         x0 = np.stack([V.T, V.conj().T @ M]).ravel()
         x, nr, _, converged = gauss_newton(residual, x0, COMPLEMENT_TOL, COMPLEMENT_MAX_ITER,
-                                           COMPLEMENT_STALL, COMPLEMENT_RCOND)
+                                           COMPLEMENT_WINDOW, COMPLEMENT_RCOND)
         if converged:
             vs, us = x.reshape(2, 3, 6)
             return ComplementResult(True, tuple(np.outer(vs[i], us[i]) for i in range(3)),
@@ -385,10 +387,10 @@ def membership_test(c: PairConfiguration, tol: float = 1e-8) -> MembershipResult
     if commutant_dimension(mats) != 1:
         raise ValueError("configuration is reducible; the conjugator is not unique")
     d = c.n
-    eye = np.eye(d)
-    blocks = [np.kron(m.conj().T, eye) - np.kron(eye, m.T) for m in mats]
-    K = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(K, full_matrices=False)
+    M = np.stack(mats)
+    K = sylvester_operator(M.conj().transpose(0, 2, 1), M)
+    # the triangular QR factor has the singular values and right vectors of K
+    _, s, vh = np.linalg.svd(np.linalg.qr(K, mode="r"))
     nullity = K.shape[1] - decide_rank(s, tol, "conjugator space").rank
     if nullity == 0:
         return MembershipResult(Membership.NOT_THETA_STABLE, None, None)

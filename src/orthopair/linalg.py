@@ -129,31 +129,30 @@ def rank1_projector(v) -> np.ndarray:
     return (p + p.conj().T) / 2.0
 
 
-def gauss_newton(fun, x, tol: float, max_iter: int, stall: int, rcond: float):
+def gauss_newton(fun, x, tol: float, max_iter: int, window: int, rcond: float):
     """The package's one Gauss-Newton loop, with a truncated pseudo-inverse.
 
     ``fun(x)`` returns the residual at ``x`` and a zero-argument callable
     that builds the Jacobian there, so a Jacobian is built only for a step.
     A step is the minimal-norm least-squares solution of J dx = -r, with
     singular values below ``rcond`` times the largest dropped.  The loop
-    stops once the residual norm is at most ``tol``, after ``stall``
-    non-decreasing norms in a row, or after ``max_iter`` steps (the final
-    iterate is still evaluated).  Returns (best iterate, its residual norm,
-    steps taken, converged); the best iterate is the one of smallest norm.
+    stops once the residual norm is at most ``tol``; once it is not below
+    half the norm ``window`` steps earlier (the run makes too little
+    progress to converge); or after ``max_iter`` steps (the final iterate is
+    still evaluated).  Returns (best iterate, its residual norm, steps taken,
+    converged); the best iterate is the one of smallest norm.
     """
     best_x, best_r = x, np.inf
-    last = np.inf
-    worse = 0
+    norms = []
     for it in range(max_iter + 1):
         r, jacobian = fun(x)
         nr = float(np.linalg.norm(r))
+        norms.append(nr)
         if nr < best_r:
             best_x, best_r = x, nr
         if nr <= tol:
             return x, nr, it, True
-        worse = worse + 1 if nr >= last else 0
-        if worse >= stall or it == max_iter:
+        if (it >= window and nr > 0.5 * norms[it - window]) or it == max_iter:
             return best_x, best_r, it, False
-        last = nr
         step, *_ = np.linalg.lstsq(jacobian(), -r, rcond=rcond)
         x = x + step

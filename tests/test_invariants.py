@@ -20,6 +20,8 @@ from orthopair.invariants import (
     u_invariants_directional,
     z_functions,
 )
+from orthopair.linalg import decide_rank
+from orthopair.relations import sylvester_operator
 
 
 def triple_P(c, idx=(1, 2, 3)):
@@ -219,6 +221,31 @@ def test_identity_on_family_samples(family_sample):
             sq = subsets[rng.integers(len(subsets))]
             rep = identity_check([c.p[i - 1] for i in sp], [c.q[j - 1] for j in sq])
             assert rep.gap <= 1e-9
+
+
+def _loop_identity_sides(p, q):
+    """Both sides of the identity as products over the six ordered pairs."""
+    P, Q = sum(p), sum(q)
+    lhs = rhs = 1.0 + 0.0j
+    for i, j in itertools.permutations(range(3), 2):
+        lhs *= 36.0 * np.trace(P @ q[i] @ P @ q[j]) - 1.0
+        rhs *= 36.0 * np.trace(Q @ p[i] @ Q @ p[j]) - 1.0
+    return lhs, rhs
+
+
+def test_identity_matches_ordered_pair_loop(family_sample):
+    # each side is u3 of its triple squared; the loop takes every factor twice
+    rng = np.random.default_rng(36)
+    subsets = list(itertools.combinations(range(6), 3))
+    for h in family_sample.points[:15]:
+        c = from_hadamard(h)
+        for _ in range(4):
+            p = [c.p[i] for i in subsets[rng.integers(len(subsets))]]
+            q = [c.q[j] for j in subsets[rng.integers(len(subsets))]]
+            rep = identity_check(p, q)
+            lhs, rhs = _loop_identity_sides(p, q)
+            assert abs(rep.lhs - lhs.real) <= 1e-12 * max(abs(lhs), 1.0)
+            assert abs(rep.rhs - rhs.real) <= 1e-12 * max(abs(rhs), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -448,6 +475,48 @@ def test_membership_boundary_indeterminate():
     c = pair_from_matrices(sample_system(), sample_system())
     result = membership_test(c)
     assert result.status is Membership.BOUNDARY_INDETERMINATE
+
+
+def _kron_membership_operator(mats):
+    """The operator of g -> m^dag g - g m as a loop of np.kron blocks."""
+    eye = np.eye(mats[0].shape[0])
+    return np.vstack([np.kron(m.conj().T, eye) - np.kron(eye, m.T) for m in mats])
+
+
+def _unreduced_membership(c, tol=1e-8):
+    """Status, conjugator and minors from the full SVD of the kron-built operator."""
+    K = _kron_membership_operator(c.matrices())
+    _, s, vh = np.linalg.svd(K, full_matrices=False)
+    assert K.shape[1] - decide_rank(s, tol, "oracle conjugator space").rank == 1
+    g = vh[-1].conj().reshape(c.n, c.n)
+    g = g * np.exp(1j * np.angle(np.vdot(g.ravel(), g.conj().T.ravel())) / 2.0)
+    g = (g + g.conj().T) / 2.0
+    g = g / np.linalg.norm(g, 2)
+    minors = np.array([np.linalg.det(g[:k, :k]).real for k in range(1, c.n + 1)])
+    signs = (-1.0) ** np.arange(1, c.n + 1)
+    definite = np.all(minors > 0) or np.all(signs * minors > 0)
+    return (Membership.REAL_LOCUS if definite else Membership.THETA_STABLE_ONLY), g, minors
+
+
+def test_membership_matches_unreduced_svd_oracle(standard6, base_pair, family_sample):
+    rng = np.random.default_rng(37)
+    h = random_invertible(rng, 6)
+    hinv = np.linalg.inv(h)
+    conj = pair_from_matrices([h @ p @ hinv for p in base_pair.p], [h @ q @ hinv for q in base_pair.q])
+    points = [standard_pair(3), standard6, base_pair,
+              *(from_hadamard(x) for x in family_sample.points[::13][:3]), conj]
+    for c in points:
+        M = np.stack(c.matrices())
+        assert np.array_equal(sylvester_operator(M.conj().transpose(0, 2, 1), M),
+                              _kron_membership_operator(c.matrices()))
+        result = membership_test(c)
+        status, g, minors = _unreduced_membership(c)
+        assert result.status is status
+        # the conjugator line is fixed up to sign, and the k-th minor of -g is (-1)^k times that of g
+        sign = 1.0 if np.max(np.abs(result.conjugator - g)) <= np.max(np.abs(result.conjugator + g)) else -1.0
+        assert np.max(np.abs(result.conjugator - sign * g)) <= 1e-10
+        flipped = sign ** np.arange(1, c.n + 1) * minors
+        assert np.all(np.abs(np.array(result.minors) - flipped) <= 1e-10 * np.abs(flipped))
 
 
 def test_membership_rejects_reducible(standard6):

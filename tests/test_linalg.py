@@ -184,20 +184,47 @@ def test_gauss_newton_converged_start_takes_no_step():
     assert (x is x0, r, steps, converged) == (True, 0.0, 0, True)
 
 
-def test_gauss_newton_stall_returns_best_iterate():
-    # scripted residual norms with an identity Jacobian: the norm drops to 1,
-    # then fails to decrease three times in a row, before the final 0 is reached
-    script = [4.0, 2.0, 1.0, 3.0, 3.0, 5.0, 0.0]
+def _scripted(norms):
+    """A residual whose norm at the k-th evaluation is norms[k], with an
+    identity Jacobian; returns it with the list of iterates it saw."""
     seen = []
 
     def fun(x):
         seen.append(x)
-        return np.array([script[len(seen) - 1]]), lambda: np.eye(1)
+        return np.array([norms[len(seen) - 1]]), lambda: np.eye(1)
 
+    return fun, seen
+
+
+def test_gauss_newton_stall_returns_best_iterate():
+    # the norm drops to 1, then 3 is not below half the 4 of three steps
+    # earlier: the run stops there, before the final 0 is reached, and
+    # returns the iterate of norm 1
+    fun, seen = _scripted([4.0, 2.0, 1.0, 3.0, 3.0, 5.0, 0.0])
     x, r, steps, converged = gauss_newton(fun, np.zeros(1), 1e-12, 20, 3, 1e-12)
-    assert len(seen) == 6
+    assert len(seen) == 4
     assert x is seen[2] and r == 1.0
-    assert steps == 5 and not converged
+    assert steps == 3 and not converged
+
+
+@pytest.mark.parametrize("window", [3, 6])
+def test_gauss_newton_slow_decrease_stops_at_window(window):
+    # a norm falling by 0.9 per step has not halved over `window` <= 6 steps
+    fun, seen = _scripted([0.9 ** k for k in range(61)])
+    x, r, steps, converged = gauss_newton(fun, np.zeros(1), 1e-12, 60, window, 1e-12)
+    assert steps == window and len(seen) == window + 1 and not converged
+    assert x is seen[-1] and r == 0.9 ** window
+
+
+@pytest.mark.parametrize("window", [3, 8])
+def test_gauss_newton_halving_per_window_converges(window):
+    # rising within each run of `window` steps, but exactly half the norm
+    # `window` steps earlier: never above that half, so the run goes on
+    # until it converges
+    fun, seen = _scripted([0.5 ** (k // window) * (1.0 + 0.1 * (k % window)) for k in range(200)])
+    x, r, steps, converged = gauss_newton(fun, np.zeros(1), 2.0 ** -10, 199, window, 1e-12)
+    assert converged and steps == 10 * window and r == 2.0 ** -10
+    assert x is seen[-1] and len(seen) == steps + 1
 
 
 def test_gauss_newton_budget_evaluates_final_iterate():

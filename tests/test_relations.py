@@ -3,7 +3,7 @@ import pytest
 
 from conftest import random_unitary
 from orthopair import exact
-from orthopair.config import pair_from_matrices, standard_pair
+from orthopair.config import from_hadamard, pair_from_matrices, standard_pair
 from orthopair.invariants import sigma
 from orthopair.linalg import GAP_RATIO_REQUIRED, IndeterminateDimension, spectral_norm
 from orthopair.relations import (
@@ -18,6 +18,7 @@ from orthopair.relations import (
     graph_restriction,
     pair_relation_terms,
     restrict,
+    sylvester_operator,
 )
 
 
@@ -243,6 +244,30 @@ def test_commutant_dimension_reducible_pair(standard6):
     # p-system against itself commutes with every diagonal matrix
     mats = list(standard6.p) + list(standard6.p)
     assert commutant_dimension(mats) == 6
+
+
+def _kron_commutator_operator(mats):
+    """The commutator operator as a loop of np.kron blocks."""
+    eye = np.eye(mats[0].shape[0])
+    return np.vstack([np.kron(eye, m.T) - np.kron(m, eye) for m in mats])
+
+
+def test_commutator_operator_matches_kron_loop(standard6, base_pair, family_sample):
+    # the same products and differences as the loop, so equal, not close
+    rng = np.random.default_rng(35)
+    stacks = [standard_pair(3).matrices(), standard6.matrices(), base_pair.matrices(),
+              *(from_hadamard(h).matrices() for h in family_sample.points[::13][:3]),
+              list(rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4)))]
+    for mats in stacks:
+        assert np.array_equal(commutator_operator(mats), _kron_commutator_operator(mats))
+    # the general operator g -> A g - g B on random stacks, against its kron form
+    A, B = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
+    eye = np.eye(4)
+    kron = np.vstack([np.kron(a, eye) - np.kron(eye, b.T) for a, b in zip(A, B)])
+    assert np.array_equal(sylvester_operator(A, B), kron)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    image = sylvester_operator(A, B) @ g.ravel()
+    assert np.allclose(image.reshape(3, 4, 4), A @ g - g @ B, rtol=0, atol=1e-13)
 
 
 def test_orbit_rank_exact_oracle_n3():
