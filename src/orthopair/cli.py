@@ -43,13 +43,14 @@ def _diag(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _parse_subset(text: str, n: int) -> list[int]:
+def _parse_triple(text: str, n: int) -> list[int]:
+    """Three distinct 1-based indices in 1..n; every subset option names a triple."""
     try:
         idx = [int(t) for t in text.split(",") if t.strip()]
     except ValueError as exc:
         raise _UsageError(f"bad subset {text!r}") from exc
-    if not idx or len(set(idx)) != len(idx) or min(idx) < 1 or max(idx) > n:
-        raise _UsageError(f"subset {text!r} must be distinct indices in 1..{n}")
+    if len(idx) != 3 or len(set(idx)) != 3 or min(idx) < 1 or max(idx) > n:
+        raise _UsageError(f"subset {text!r} must be three distinct indices in 1..{n}")
     return idx
 
 
@@ -95,10 +96,8 @@ def cmd_verify(args) -> int:
 
 def cmd_invariants(args) -> int:
     c = config.load_pair(args.file)
-    p_idx = _parse_subset(args.p_subset, c.n)
-    q_idx = _parse_subset(args.q_subset, c.n)
-    if len(p_idx) != 3 or len(q_idx) != 3:
-        raise _UsageError("u invariants need subsets of size 3")
+    p_idx = _parse_triple(args.p_subset, c.n)
+    q_idx = _parse_triple(args.q_subset, c.n)
     P = sum(c.p[i - 1] for i in p_idx)
     q1, q2, q3 = (c.q[j - 1] for j in q_idx)
     if args.precision == "extended":
@@ -183,10 +182,8 @@ def cmd_membership(args) -> int:
 
 def cmd_identity(args) -> int:
     c = config.load_pair(args.file)
-    p_idx = _parse_subset(args.p_subset, c.n)
-    q_idx = _parse_subset(args.q_subset, c.n)
-    if len(p_idx) != 3 or len(q_idx) != 3:
-        raise _UsageError("identity check needs subsets of size 3")
+    p_idx = _parse_triple(args.p_subset, c.n)
+    q_idx = _parse_triple(args.q_subset, c.n)
     p_triple = [c.p[i - 1] for i in p_idx]
     q_triple = [c.q[j - 1] for j in q_idx]
     if args.precision == "extended":
@@ -203,7 +200,7 @@ def cmd_identity(args) -> int:
 
 def cmd_complement(args) -> int:
     c = config.load_pair(args.file)
-    idx = _parse_subset(args.subset, c.n)
+    idx = _parse_triple(args.subset, c.n)
     point = relations.restrict(c, idx)
     result = invariants.solve_complement(point.matrices[0], list(point.matrices[1:]), seed=args.seed)
     payload = {"success": result.success, "residual": result.residual, "attempts": result.attempts}
@@ -211,8 +208,7 @@ def cmd_complement(args) -> int:
         doc = {"n": c.n, "format": "triple",
                "p": [config.encode_matrix(m) for m in result.triple],
                "q": [config.encode_matrix(m) for m in c.q]}
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh)
+        config.write_json(args.out, doc)
         payload["out"] = args.out
     _emit(payload)
     if not result.success:

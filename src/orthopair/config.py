@@ -17,6 +17,7 @@ is a fixed point of the gauge.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ __all__ = [
     "from_hadamard",
     "to_hadamard",
     "dephased_phases",
+    "write_json",
     "save_pair",
     "load_pair",
     "save_hadamard",
@@ -275,6 +277,20 @@ def decode_matrix(rows) -> np.ndarray:
         raise ValueError(f"a matrix is a list of rows of [re, im] numbers: {exc}") from None
 
 
+def write_json(path, doc) -> None:
+    """Write ``doc`` as JSON to ``path`` through a temporary file in the same
+    directory and a rename: ``path`` ends up complete or as it was."""
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh)
+        os.replace(tmp, path)
+    finally:  # after the rename there is no temporary file left to remove
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def save_pair(path, c: PairConfiguration, fmt: str = "projectors") -> None:
     """Write a pair file.  ``bases`` stores two basis matrices (columns are
     the basis vectors) and refuses non-Hermitian configurations, which it
@@ -299,8 +315,7 @@ def save_pair(path, c: PairConfiguration, fmt: str = "projectors") -> None:
         }
     else:
         raise ValueError(f"unknown pair format {fmt!r}")
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+    write_json(path, doc)
 
 
 def load_pair(path) -> PairConfiguration:
@@ -325,8 +340,7 @@ def load_pair(path) -> PairConfiguration:
 
 
 def save_hadamard(path, h: HadamardPoint) -> None:
-    with open(path, "w") as fh:
-        json.dump({"n": h.n, "phases": [[float(x) for x in row] for row in h.phases]}, fh)
+    write_json(path, {"n": h.n, "phases": [[float(x) for x in row] for row in h.phases]})
 
 
 def load_hadamard(path) -> HadamardPoint:

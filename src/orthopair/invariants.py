@@ -79,7 +79,7 @@ COMPLEMENT_TOL = 1e-11  # a solver start converges at this residual
 COMPLEMENT_MAX_ITER = 60  # Gauss-Newton iterations per start
 COMPLEMENT_WINDOW = 8  # a start gives up when its norm has not halved over this many steps
 COMPLEMENT_RCOND = 1e-12  # relative singular-value cut of the Gauss-Newton step
-SANDWICH_PRECHECK_TOL = 1e-8  # solve_complement refuses (P, q) off the sandwich relations
+SANDWICH_PRECHECK_TOL = 1e-8  # solve_complement: sandwich precheck, and the rank cut of I - P
 
 
 @dataclass(frozen=True)
@@ -273,51 +273,39 @@ class ComplementResult:
     attempts: int
 
 
-def _complement_residual(vs, us, M, qs):
-    r1 = np.array([us[i] @ vs[j] - (1.0 if i == j else 0.0) for i in range(3) for j in range(3)])
-    r2 = (sum(np.outer(vs[k], us[k]) for k in range(3)) - M).ravel()
-    r3 = np.array([us[i] @ qs[j] @ vs[i] - 1.0 / 6.0 for i in range(3) for j in range(6)])
-    return np.concatenate([r1, r2, r3])
-
-
-def _complement_jacobian(vs, us, qs):
-    # columns: v_k at 6k + a, then u_k at 18 + 6k + a.  Every entry is written
-    # once, as 0 + value, exactly as accumulating it entry by entry would
-    d = 6
-    J = np.zeros((9 + 36 + 18, 36), dtype=np.complex128)
-    # rows (i, j): d(u_i . v_j)
-    dual = J[:9].reshape(3, 3, 2, 3, d)
-    i, j = np.divmod(np.arange(9), 3)
-    dual[i, j, 0, j] += us[i]
-    dual[i, j, 1, i] += vs[j]
-    # rows (a, b): d(sum_k v_k u_k^T)[a, b]
-    sums = J[9:45].reshape(d, d, 2, 3, d)
-    a, b, k = np.arange(d)[:, None, None], np.arange(d)[None, :, None], np.arange(3)
-    sums[a, b, 0, k, a] += us[k, b]
-    sums[a, b, 1, k, b] += vs[k, a]
-    # rows (i, j): d(u_i^T q_j v_i); the (1 x 6)(6 x 6) products are the
-    # vector-matrix products of the loop, stacked
-    Q = np.stack(qs)
-    cross = J[45:].reshape(3, 6, 2, 3, d)
+def _cross_residual(A, X):
+    """The 18 cross traces (A^-1 X_j A)_ii - 1/6, rows (i, j), and a callable
+    for their Jacobian in A.  With W_j = A^-1 X_j and Y_j = W_j A,
+    d(A^-1 X_j A) = W_j dA - A^-1 dA Y_j, so row (i, j) reads
+    W_j[i, m] [l = i] - A^-1[i, m] Y_j[l, i] in dA[m, l]."""
+    Ainv = np.linalg.inv(A)
+    W = Ainv @ X
+    Y = W @ A
     i = np.arange(3)
-    cross[i, :, 0, i] += (us[:, None, None, :] @ Q)[:, :, 0]
-    cross[i, :, 1, i] += (Q @ vs[:, None, :, None])[..., 0]
-    return J
+
+    def jacobian():
+        J = -Ainv[:, None, :, None] * Y.transpose(2, 0, 1)[:, :, None, :]
+        J[i, :, :, i] += W[:, i].transpose(1, 0, 2)
+        return J.reshape(18, 9)
+
+    return Y[:, i, i].T.ravel() - 1.0 / 6.0, jacobian
 
 
 def solve_complement(P, qs, seed: int) -> ComplementResult:
     """Find rank-1 idempotents p'_1 + p'_2 + p'_3 = I - P, orthogonal to each
     other and unbiased against all six q's.
 
-    Each p'_i is factored as v_i u_i^T; the residual stacks the duality
-    conditions u_i^T v_j = delta_ij, the sum condition, and the 18 cross
-    traces, and is driven to zero by Gauss-Newton with a truncated
-    pseudo-inverse (the factorisation carries a 3-dimensional scaling gauge,
-    so the Jacobian is rank-deficient by design).  Starts are random
-    orthonormal frames in the range of I - P and their dual rows; on
-    exhaustion of the restart budget the best residual (the smallest norm
-    of any iterate of any start) is reported and no triple is returned --
-    never an unconverged one.
+    The rank of M = I - P is decided by decide_rank at SANDWICH_PRECHECK_TOL,
+    and only a decisive rank 3 is solved.  With B the top three left singular
+    vectors of M and C = B^H M (so M = B C and C B = I), p'_k = v_k u_k^T for
+    v_k the columns of B A and u_k the rows of A^-1 C, A in GL(3).  Duality
+    u_i^T v_j = delta_ij and the sum then hold identically, which leaves the
+    18 cross traces (A^-1 X_j A)_ii - 1/6, X_j = C q_j B, in 9 unknowns.
+    Gauss-Newton with a truncated pseudo-inverse solves them (A -> A D, D
+    diagonal, is a gauge).  Starts are random orthonormal frames V of the
+    range of M, A = B^H V.  ``residual`` is the norm of the 18 cross traces;
+    after the last failed start it is the smallest norm of any iterate, and
+    no triple is returned -- never an unconverged one.
     """
     P = as_matrix(P)
     qs = [as_matrix(q) for q in qs]
@@ -327,24 +315,25 @@ def solve_complement(P, qs, seed: int) -> ComplementResult:
     if pre > SANDWICH_PRECHECK_TOL:
         raise ValueError(f"(P, q) violates the sandwich relations: residual {pre:.3e}")
     M = np.eye(6, dtype=np.complex128) - P
-    range_basis = np.linalg.svd(M)[0][:, :3]
+    left, s, _ = np.linalg.svd(M)
+    if (rank := decide_rank(s, SANDWICH_PRECHECK_TOL, "rank of I - P").rank) != 3:
+        raise ValueError(f"I - P has rank {rank}; the complement triple needs rank 3")
+    B = left[:, :3]
+    C = B.conj().T @ M
+    X = C @ np.stack(qs) @ B
     rng = np.random.default_rng(seed)
-
-    def residual(x):  # x holds v_1, v_2, v_3, then u_1, u_2, u_3
-        vs, us = x.reshape(2, 3, 6)
-        return _complement_residual(vs, us, M, qs), lambda: _complement_jacobian(vs, us, qs)
 
     best = np.inf
     for attempt in range(1, COMPLEMENT_RESTARTS + 1):
         G = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        V, _ = np.linalg.qr(range_basis @ G)
-        x0 = np.stack([V.T, V.conj().T @ M]).ravel()
-        x, nr, _, converged = gauss_newton(residual, x0, COMPLEMENT_TOL, COMPLEMENT_MAX_ITER,
-                                           COMPLEMENT_WINDOW, COMPLEMENT_RCOND)
-        if converged:
-            vs, us = x.reshape(2, 3, 6)
-            return ComplementResult(True, tuple(np.outer(vs[i], us[i]) for i in range(3)),
-                                    nr, attempt)
+        V, _ = np.linalg.qr(B @ G)
+        x, nr, _, converged = gauss_newton(lambda x: _cross_residual(x.reshape(3, 3), X),
+                                           (B.conj().T @ V).ravel(), COMPLEMENT_TOL,
+                                           COMPLEMENT_MAX_ITER, COMPLEMENT_WINDOW, COMPLEMENT_RCOND)
+        if converged:  # p'_k is the outer product of column k of B A and row k of A^-1 C
+            A = x.reshape(3, 3)
+            triple = np.einsum("ak,kb->kab", B @ A, np.linalg.inv(A) @ C)
+            return ComplementResult(True, tuple(triple), nr, attempt)
         best = min(best, nr)
     return ComplementResult(False, None, best, COMPLEMENT_RESTARTS)
 

@@ -441,6 +441,38 @@ def test_complement_requires_seed(pair_file, capsys):
     assert code == USAGE
 
 
+@pytest.mark.parametrize("subset", ["1,2", "1,2,3,4"])
+def test_complement_refuses_subset_not_of_size_three(subset, pair_file, tmp_path, capsys):
+    # I - P then has rank 4 or 2, and no unbiased triple sums to it
+    out = tmp_path / "triple.json"
+    code, payload, err = run(capsys, "complement", pair_file, "--subset", subset, "--seed", "7",
+                             "--out", str(out))
+    assert code == USAGE
+    assert payload is None
+    assert "three distinct indices" in err
+    assert not out.exists()
+
+
+class _Interrupted(Exception):
+    pass
+
+
+def test_complement_out_is_complete_or_absent(pair_file, tmp_path, capsys, monkeypatch):
+    def torn(doc, fh):
+        fh.write('{"n": 6, "format": ')
+        raise _Interrupted
+
+    old = tmp_path / "old.json"
+    old.write_bytes(b'{"old": true}')
+    before = sorted(tmp_path.iterdir())
+    monkeypatch.setattr(json, "dump", torn)
+    for out in (old, tmp_path / "new.json"):
+        with pytest.raises(_Interrupted):
+            main(["complement", pair_file, "--seed", "3", "--out", str(out)])
+        assert sorted(tmp_path.iterdir()) == before
+        assert old.read_bytes() == b'{"old": true}'
+
+
 def test_hadamard_from_pair(pair_file, tmp_path, capsys):
     out = str(tmp_path / "h.json")
     code, payload, _ = run(capsys, "hadamard", "--from-pair", pair_file, "--out", out)

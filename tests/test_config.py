@@ -252,6 +252,35 @@ def test_hadamard_file_round_trip(tmp_path, fourier6_swapped):
     assert np.array_equal(back.phases, fourier6_swapped.phases)
 
 
+class _Interrupted(Exception):
+    pass
+
+
+def test_saves_are_complete_or_absent(tmp_path, monkeypatch, base_pair, fourier6_swapped):
+    # a write that stops half way leaves an existing file byte-identical,
+    # creates no new file and leaves no temporary file behind
+    def torn(doc, fh):
+        fh.write('{"n": 6, ')
+        raise _Interrupted
+
+    writers = (lambda path: save_pair(path, base_pair, fmt="bases"),
+               lambda path: save_pair(path, base_pair, fmt="projectors"),
+               lambda path: save_hadamard(path, fourier6_swapped))
+    old = tmp_path / "old.json"
+    old.write_bytes(b'{"old": true}')
+    monkeypatch.setattr(json, "dump", torn)
+    for write in writers:
+        for path in (old, tmp_path / "new.json"):
+            with pytest.raises(_Interrupted):
+                write(path)
+            assert [p.name for p in tmp_path.iterdir()] == ["old.json"]
+            assert old.read_bytes() == b'{"old": true}'
+    monkeypatch.undo()
+    save_hadamard(old, fourier6_swapped)
+    assert [p.name for p in tmp_path.iterdir()] == ["old.json"]
+    assert np.array_equal(load_hadamard(old).phases, fourier6_swapped.phases)
+
+
 def test_phase_wrapping():
     h = HadamardPoint(2, np.array([[3 * np.pi]]))
     assert abs(h.phases[0, 0] - np.pi) < 1e-15

@@ -293,23 +293,31 @@ def test_complement_rejects_off_locus(base_pair):
 
 
 def test_complement_failure_reports_smallest_residual(base_pair, monkeypatch):
-    # two starts of three steps each fail at seed 2; the second start's last
-    # iterate is far worse than its best
+    # two starts of three steps each fail; seed 0 is the smallest seed at which
+    # both do and the last iterate is worse than the best
     norms = []
-    residual = invariants._complement_residual
+    residual = invariants._cross_residual
 
     def recorded(*args):
-        r = residual(*args)
+        r, jacobian = residual(*args)
         norms.append(float(np.linalg.norm(r)))
-        return r
+        return r, jacobian
 
-    monkeypatch.setattr(invariants, "_complement_residual", recorded)
+    monkeypatch.setattr(invariants, "_cross_residual", recorded)
     monkeypatch.setattr(invariants, "COMPLEMENT_RESTARTS", 2)
     monkeypatch.setattr(invariants, "COMPLEMENT_MAX_ITER", 3)
-    result = solve_complement(triple_P(base_pair), list(base_pair.q), seed=2)
+    result = solve_complement(triple_P(base_pair), list(base_pair.q), seed=0)
     assert not result.success and result.triple is None
     assert len(norms) == 2 * (3 + 1)
     assert result.residual == min(norms) < norms[-1]
+
+
+def test_complement_refuses_rank_other_than_three(base_pair):
+    # P = p1 + p2 passes the sandwich precheck at r = 1/3, but I - P has rank 4
+    # and no unbiased triple sums to it
+    for idx in ((1, 2), (1, 2, 3, 4)):
+        with pytest.raises(ValueError, match="rank"):
+            solve_complement(triple_P(base_pair, idx), list(base_pair.q), seed=1)
 
 
 def test_complement_accepts_convergence_on_final_step(base_pair, monkeypatch):
@@ -339,6 +347,15 @@ def test_complement_result_quality_on_sample(family_sample):
             assert abs(np.trace(t @ q) - 1.0 / 6.0) <= 1e-9
 
 
+def _complement_residual(vs, us, M, qs):
+    """Reference: the 63 complement conditions in the factors p'_k = v_k u_k^T,
+    duality u_i . v_j = delta_ij, then the sum, then the 18 cross traces."""
+    r1 = np.array([us[i] @ vs[j] - (1.0 if i == j else 0.0) for i in range(3) for j in range(3)])
+    r2 = (sum(np.outer(vs[k], us[k]) for k in range(3)) - M).ravel()
+    r3 = np.array([us[i] @ qs[j] @ vs[i] - 1.0 / 6.0 for i in range(3) for j in range(6)])
+    return np.concatenate([r1, r2, r3])
+
+
 def _loop_complement_jacobian(vs, us, qs):
     """Reference: the complement Jacobian accumulated entry by entry."""
     d = 6
@@ -364,20 +381,39 @@ def _loop_complement_jacobian(vs, us, qs):
 
 
 def test_complement_jacobian_matches_entrywise_loop(family_sample):
-    # same products as the loop, so equal to the last bit, not to a tolerance;
-    # inputs are solver starts and random frames at seeded family points
+    # the 3x3 core against the 63-row system in (v, u), through the chart
+    # v_k = column k of B A, u_k = row k of A^-1 C; at solver starts and at
+    # random A, at seeded family points
     rng = np.random.default_rng(34)
+    units = np.eye(9).reshape(9, 3, 3)
     for h in family_sample.points[::4]:
         c = from_hadamard(h)
+        qs = list(c.q)
         M = np.eye(6) - triple_P(c)
-        V, _ = np.linalg.qr(np.linalg.svd(M)[0][:, :3] @ (rng.standard_normal((3, 3))
-                                                           + 1j * rng.standard_normal((3, 3))))
-        random = rng.standard_normal((2, 3, 6)) + 1j * rng.standard_normal((2, 3, 6))
-        for vs, us in ((V.T, V.conj().T @ M), random):
-            J = invariants._complement_jacobian(vs, us, list(c.q))
-            J_ref = _loop_complement_jacobian(vs, us, list(c.q))
-            assert np.array_equal(J, J_ref)
-            assert J.tobytes() == J_ref.tobytes()
+        B = np.linalg.svd(M)[0][:, :3]
+        C = B.conj().T @ M
+        X = C @ np.stack(qs) @ B
+        V, _ = np.linalg.qr(B @ (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))))
+        for A in (B.conj().T @ V, random_invertible(rng, 3, spread=1.0)):
+            Ainv = np.linalg.inv(A)
+            vs, us = (B @ A).T, Ainv @ C
+            r, jacobian = invariants._cross_residual(A, X)
+            r_ref = _complement_residual(vs, us, M, qs)
+            assert np.max(np.abs(r_ref[:45])) <= 1e-13
+            assert np.max(np.abs(r - r_ref[45:])) <= 1e-13
+            # (dv, du) = (B dA, -A^-1 dA A^-1 C) for each unit dA, in the
+            # oracle's column order (v_1, v_2, v_3, u_1, u_2, u_3)
+            chart = np.stack([np.concatenate([(B @ dA).T.ravel(), (-Ainv @ dA @ Ainv @ C).ravel()])
+                              for dA in units], axis=1)
+            J = jacobian()
+            J_ref = _loop_complement_jacobian(vs, us, qs)[45:] @ chart
+            assert np.linalg.norm(J - J_ref) <= 1e-12 * np.linalg.norm(J_ref)
+            # the residual is holomorphic in A: central differences along real steps
+            step = 1e-6
+            fd = np.stack([(invariants._cross_residual(A + step * dA, X)[0]
+                            - invariants._cross_residual(A - step * dA, X)[0]) / (2 * step)
+                           for dA in units], axis=1)
+            assert np.linalg.norm(J - fd) <= 1e-8 * np.linalg.norm(J)
 
 
 # ---------------------------------------------------------------------------
