@@ -243,7 +243,8 @@ def to_hadamard(c: PairConfiguration) -> HadamardPoint:
     fall back to index order) so the gauge fix is deterministic.  The
     q-eigenvector matrix read in that basis is then dephased: first row and
     first column made real positive.  Simultaneously conjugated inputs give
-    the same output up to row/column permutations.
+    the same output up to row/column permutations.  Phases that do not
+    reconstruct to a unitary within UNITARITY_TOL are refused.
     """
     n = c.n
     _require_hermitian(c, GAUGE_TOL)
@@ -258,7 +259,9 @@ def to_hadamard(c: PairConfiguration) -> HadamardPoint:
     dev = float(np.max(np.abs(np.abs(u) - 1.0 / np.sqrt(n))))
     if dev > 10 * GAUGE_TOL:
         raise ValueError(f"transition matrix is not unbiased: modulus deviation {dev:.3e}")
-    return HadamardPoint(n, dephased_phases(u))
+    h = HadamardPoint(n, dephased_phases(u))
+    h.unitary()  # unbiased moduli alone pass repeated or collapsed projectors
+    return h
 
 
 # ---------------------------------------------------------------------------

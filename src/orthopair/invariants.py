@@ -36,11 +36,10 @@ import numpy as np
 from .config import PairConfiguration, pair_from_matrices
 from .linalg import adjoint, as_matrix, decide_rank, gauss_newton, spectral_norm
 from .relations import (
-    an_residual,
+    bipartite_relation_terms,
     commutant_dimension,
-    complete_bipartite,
     evaluate_relations,
-    graph_relation_terms,
+    sandwich_relation_terms,
     sylvester_operator,
 )
 
@@ -226,6 +225,9 @@ class IdentityReport:
     gap: float
 
 
+_IDENTITY_TERMS = bipartite_relation_terms(3, 3, 1.0 / 6.0)  # identity_check's precondition
+
+
 def identity_check(p_triple, q_triple) -> IdentityReport:
     """Both sides of the product identity at a pair of unbiased triples.
 
@@ -243,7 +245,7 @@ def identity_check(p_triple, q_triple) -> IdentityReport:
     q = [as_matrix(m) for m in q_triple]
     if len(p) != 3 or len(q) != 3:
         raise ValueError("identity check needs two triples")
-    _, per = evaluate_relations(p + q, graph_relation_terms(complete_bipartite(3, 3), 1.0 / 6.0))
+    _, per = evaluate_relations(p + q, _IDENTITY_TERMS)
     name, worst = max(per.items(), key=lambda kv: kv[1])
     if worst > IDENTITY_TOL:
         raise ValueError(f"triples violate the 3+3 relations at r = 1/6: {name} residual {worst:.3e} "
@@ -311,7 +313,7 @@ def solve_complement(P, qs, seed: int) -> ComplementResult:
     qs = [as_matrix(q) for q in qs]
     if len(qs) != 6 or P.shape != (6, 6):
         raise ValueError("complement solver works on six-dimensional points with six q's")
-    pre = an_residual(P, qs, [float(np.trace(P).real) / 6.0] * 6)
+    pre = evaluate_relations([P] + qs, sandwich_relation_terms(6, float(np.trace(P).real) / 6.0))[0]
     if pre > SANDWICH_PRECHECK_TOL:
         raise ValueError(f"(P, q) violates the sandwich relations: residual {pre:.3e}")
     M = np.eye(6, dtype=np.complex128) - P

@@ -13,7 +13,7 @@ W_a^T V_a = I.  The tangent kernel is computed in these factors:
 * any other relation (the sum-to-identity relations) is pulled back whole,
   X_a -> V_a W_a^T.
 
-Jacobians are assembled term by term from the same ``relation_terms`` that
+Jacobians are assembled term by term from the same relation term lists that
 drive the residuals: the derivative of a product with respect to one factor
 is the sum over its occurrences of prefix (x) suffix^T in row-major vec
 convention.  At an n = 6 pair this is a 216 x 144 complex matrix (144 rank-1
@@ -197,7 +197,7 @@ def _generators(point) -> tuple[list[np.ndarray], list[Relation] | None, tuple[s
         names = tuple(f"p{i + 1}" for i in range(point.n)) + tuple(f"q{j + 1}" for j in range(point.n))
         return point.matrices(), pair_relation_terms(point.n), names
     if isinstance(point, AlgebraRepPoint):
-        return [as_matrix(m) for m in point.matrices], point.relation_terms(), point.names
+        return [as_matrix(m) for m in point.matrices], point.relations, point.names
     return [as_matrix(m) for m in point], None, ()
 
 

@@ -7,17 +7,15 @@ from orthopair.config import from_hadamard, pair_from_matrices, standard_pair
 from orthopair.invariants import sigma
 from orthopair.linalg import GAP_RATIO_REQUIRED, IndeterminateDimension, spectral_norm
 from orthopair.relations import (
-    LooplessGraph,
-    an_residual,
+    bipartite_relation_terms,
     commutant_dimension,
     commutator_operator,
-    complete_bipartite,
     evaluate_relations,
     evaluate_word,
-    graph_relation_terms,
     graph_restriction,
     pair_relation_terms,
     restrict,
+    sandwich_relation_terms,
     sylvester_operator,
 )
 
@@ -31,27 +29,48 @@ def coordinate_projectors(n):
     return out
 
 
-def test_graph_constructor_rejects_loops_and_bad_edges():
-    with pytest.raises(ValueError):
-        LooplessGraph.from_edges(3, [(0, 0)])
-    with pytest.raises(ValueError):
-        LooplessGraph.from_edges(3, [(0, 5)])
-    g = complete_bipartite(3, 3)
-    assert g.vertex_count == 6
-    assert len(g.edges) == 9
-    assert g.has_edge(0, 3) and not g.has_edge(0, 1)
+def test_bipartite_relation_terms_rows():
+    names = [name for name, _ in bipartite_relation_terms(3, 3, 1.0 / 6.0)]
+    assert sum(name.startswith("idempotency") for name in names) == 6
+    assert sum(name.startswith("edge") for name in names) == 2 * 9
+    assert "edge x0x3x0" in names and "non-edge x0x1" in names
+    assert "non-edge x0x3" not in names
 
 
-def test_graph_file_format():
-    # a reversed duplicate edge merges into the first
-    g = LooplessGraph.from_edges(4, [(0, 1), (2, 3), (1, 0)])
-    assert g.vertex_count == 4 and len(g.edges) == 2
-    edges = [(j, i) for i in range(3) for j in range(3, 9)]
-    assert LooplessGraph.from_edges(9, edges) == complete_bipartite(3, 6)
+def _edge_set_terms(k, m, r):
+    """The graph relations as a loop over an explicit edge set: every ordered
+    pair of distinct vertices, edges once per unordered pair."""
+    edges = {frozenset((i, k + j)) for i in range(k) for j in range(m)}
+    rel = [(f"idempotency x{i}", [(1.0, (i, i)), (-1.0, (i,))]) for i in range(k + m)]
+    for i in range(k + m):
+        for j in range(k + m):
+            if i == j:
+                continue
+            if frozenset((i, j)) in edges:
+                if i < j:
+                    rel.append((f"edge x{i}x{j}x{i}", [(1.0, (i, j, i)), (-r, (i,))]))
+                    rel.append((f"edge x{j}x{i}x{j}", [(1.0, (j, i, j)), (-r, (j,))]))
+            else:
+                rel.append((f"non-edge x{i}x{j}", [(1.0, (i, j))]))
+    return rel
 
 
-def graph_residual(g, r, mats):
-    return evaluate_relations(mats, graph_relation_terms(g, r))[0]
+def test_relation_terms_match_edge_set_loop():
+    # same names, coefficients, words and order
+    for k, m in [(1, 1), (2, 2), (3, 3), (3, 6), (6, 6), (2, 4), (1, 5)]:
+        assert bipartite_relation_terms(k, m, 1.0 / 6.0) == _edge_set_terms(k, m, 1.0 / 6.0)
+    for n in (2, 3, 6):
+        sums = [("sum p - 1", [(1.0, (i,)) for i in range(n)] + [(-1.0, ())]),
+                ("sum q - 1", [(1.0, (n + j,)) for j in range(n)] + [(-1.0, ())])]
+        assert pair_relation_terms(n) == _edge_set_terms(n, n, 1.0 / n) + sums
+
+
+def graph_residual(k, m, r, mats):
+    return evaluate_relations(mats, bipartite_relation_terms(k, m, r))[0]
+
+
+def sandwich_residual(P, qs, r):
+    return evaluate_relations([P] + list(qs), sandwich_relation_terms(len(qs), r))[0]
 
 
 def pair_residual(c):
@@ -59,8 +78,7 @@ def pair_residual(c):
 
 
 def test_tl_residual_standard_pair(base_pair):
-    g = complete_bipartite(6, 6)
-    assert graph_residual(g, 1.0 / 6.0, base_pair.matrices()) <= 1e-13
+    assert graph_residual(6, 6, 1.0 / 6.0, base_pair.matrices()) <= 1e-13
 
 
 def _relation_norms_by_loop(mats, terms):
@@ -77,7 +95,7 @@ def _relation_norms_by_loop(mats, terms):
 def test_evaluate_relations_matches_spectral_norm_loop(base_pair):
     points = [(c.matrices(), pair_relation_terms(c.n))
               for c in (standard_pair(3), standard_pair(6), base_pair)]
-    points += [(list(p.matrices), p.relation_terms())
+    points += [(list(p.matrices), p.relations)
                for p in (restrict(base_pair, [1, 2, 3]), graph_restriction(base_pair, [1, 2, 3], [1, 2, 3]))]
     for mats, terms in points:
         worst, per = evaluate_relations(mats, terms)
@@ -95,40 +113,35 @@ def test_evaluate_relations_overflow_names_the_relation(standard6):
 
 
 def test_tl_residual_zero_representation():
-    g = complete_bipartite(2, 2)
     zeros = [np.zeros((4, 4))] * 4
-    assert graph_residual(g, 0.5, zeros) == 0.0
+    assert graph_residual(2, 2, 0.5, zeros) == 0.0
 
 
 def test_tl_residual_on_x33_restriction(base_pair):
     point = graph_restriction(base_pair, [1, 2, 3], [1, 2, 3])
-    assert point.residual() <= 1e-13
-    g = complete_bipartite(3, 3)
-    assert graph_residual(g, 1.0 / 6.0, list(point.matrices)) <= 1e-13
+    assert evaluate_relations(point.matrices, point.relations)[0] <= 1e-13
+    assert graph_residual(3, 3, 1.0 / 6.0, list(point.matrices)) <= 1e-13
 
 
 def test_tl_residual_conjugation_invariance(base_pair):
     rng = np.random.default_rng(14)
-    g = complete_bipartite(6, 6)
-    base = graph_residual(g, 1.0 / 6.0, base_pair.matrices())
+    base = graph_residual(6, 6, 1.0 / 6.0, base_pair.matrices())
     w = random_unitary(rng, 6)
     mats = [w @ m @ w.conj().T for m in base_pair.matrices()]
-    assert abs(graph_residual(g, 1.0 / 6.0, mats) - base) <= 1e-12
+    assert abs(graph_residual(6, 6, 1.0 / 6.0, mats) - base) <= 1e-12
 
 
 def test_tl_residual_graph_automorphism_invariance(base_pair):
     # exchanging the two rows of the bipartite graph together with the matrices
     point = graph_restriction(base_pair, [1, 2, 3], [1, 2, 3])
-    g = complete_bipartite(3, 3)
     mats = list(point.matrices)
     swapped = mats[3:] + mats[:3]
-    assert abs(graph_residual(g, 1.0 / 6.0, mats) - graph_residual(g, 1.0 / 6.0, swapped)) <= 1e-14
+    assert abs(graph_residual(3, 3, 1.0 / 6.0, mats) - graph_residual(3, 3, 1.0 / 6.0, swapped)) <= 1e-14
 
 
 def test_tl_residual_vertex_count_mismatch():
-    g = complete_bipartite(2, 2)
     with pytest.raises(ValueError):
-        graph_residual(g, 0.5, [np.eye(2)] * 3)
+        graph_residual(2, 2, 0.5, [np.eye(2)] * 3)
 
 
 def test_bnn_residual(base_pair, standard6):
@@ -157,22 +170,22 @@ def test_restriction_residual_bounded_by_full_residual(family_sample):
     tau = pair_residual(c)
     for p_sub, q_sub in [((1, 2), (1, 2, 3, 4)), ((1, 2, 3), (1, 2, 3)), ((4, 6), (2, 5))]:
         point = graph_restriction(c, p_sub, q_sub)
-        assert point.residual() <= tau + 1e-15
+        assert evaluate_relations(point.matrices, point.relations)[0] <= tau + 1e-15
 
 
 def test_an_residual_examples(standard6):
     P = standard6.p[0] + standard6.p[1] + standard6.p[2]
-    assert an_residual(P, list(standard6.q), 0.5) <= 1e-13
+    assert sandwich_residual(P, list(standard6.q), 0.5) <= 1e-13
     qs = coordinate_projectors(6)
-    assert an_residual(np.eye(6), qs, 1.0) == 0.0
-    assert an_residual(np.zeros((6, 6)), qs, 0.0) == 0.0
+    assert sandwich_residual(np.eye(6), qs, 1.0) == 0.0
+    assert sandwich_residual(np.zeros((6, 6)), qs, 0.0) == 0.0
 
 
 def test_bkn_residual(base_pair):
     # one-sided quotient: three p's against the full q row at r = 1/6, with
     # the sum-to-identity relation on the q row only; it holds exactly on
     # restrictions of a valid configuration
-    terms = graph_relation_terms(complete_bipartite(3, 6), 1.0 / 6.0)
+    terms = bipartite_relation_terms(3, 6, 1.0 / 6.0)
     terms.append(("sum q - 1", [(1.0, (3 + j,)) for j in range(6)] + [(-1.0, ())]))
     assert evaluate_relations(list(base_pair.p[:3]) + list(base_pair.q), terms)[0] <= 1e-13
     # dropping a q breaks the row sum
@@ -182,7 +195,7 @@ def test_bkn_residual(base_pair):
 
 def test_two_idempotent_residual(base_pair):
     # the free pair of idempotents: only the two idempotency relations
-    terms = [rel for rel in graph_relation_terms(complete_bipartite(1, 1), 0.0)
+    terms = [rel for rel in bipartite_relation_terms(1, 1, 0.0)
              if rel[0].startswith("idempotency")]
     P = sum(base_pair.p[i] for i in range(3))
     Q = sum(base_pair.q[j] for j in range(3))
@@ -195,23 +208,28 @@ def test_two_idempotent_residual(base_pair):
 def test_a3_residual_ignores_sum(standard6):
     P = standard6.p[0] + standard6.p[1] + standard6.p[2]
     triple = list(standard6.q[:3])
-    # the sum of three rank-1 q's is far from the identity, yet the
-    # three-generator relations hold exactly
-    assert an_residual(P, triple, 0.5) > 0.4
-    assert an_residual(P, triple, 0.5, sum_to_one=False) <= 1e-13
+    # the sum of three rank-1 q's is far from the identity, yet every
+    # other sandwich relation of the triple holds exactly
+    terms = sandwich_relation_terms(3, 0.5)
+    assert evaluate_relations([P] + triple, terms)[0] > 0.4
+    no_sum = [rel for rel in terms if not rel[0].startswith("sum")]
+    assert evaluate_relations([P] + triple, no_sum)[0] <= 1e-13
 
 
 def test_restrict(base_pair):
     point = restrict(base_pair, [1, 2, 3])
-    assert point.residual() <= 1e-13
+    assert evaluate_relations(point.matrices, point.relations)[0] <= 1e-13
     P = point.matrices[0]
     assert abs(np.trace(P) - 3.0) <= 1e-13
     full = restrict(base_pair, range(1, 7))
     assert np.allclose(full.matrices[0], np.eye(6), atol=1e-14)
-    with pytest.raises(ValueError):
-        restrict(base_pair, [])
-    with pytest.raises(ValueError):
-        restrict(base_pair, [0, 1])
+    for make in (lambda s: restrict(base_pair, s), lambda s: graph_restriction(base_pair, s, [1, 2, 3]),
+                 lambda s: graph_restriction(base_pair, [1, 2, 3], s)):
+        with pytest.raises(ValueError, match="^empty subset$"):
+            make([])
+        for bad in ([0, 1], [6, 7]):
+            with pytest.raises(ValueError, match=r"^subset indices must lie in 1\.\.6$"):
+                make(bad)
 
 
 def test_restrict_complement_is_sigma(base_pair):
@@ -219,7 +237,7 @@ def test_restrict_complement_is_sigma(base_pair):
     P456 = restrict(base_pair, [4, 5, 6]).matrices[0]
     assert np.max(np.abs(sigma(P123) - P456)) <= 1e-14
     # sigma keeps the sandwich relations (partial sums are complementary)
-    assert an_residual(sigma(P123), list(base_pair.q), 0.5) <= 1e-13
+    assert sandwich_residual(sigma(P123), list(base_pair.q), 0.5) <= 1e-13
 
 
 def test_commutant_dimension_examples(standard6):

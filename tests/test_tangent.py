@@ -10,11 +10,13 @@ from orthopair.invariants import tau, u_invariants, u_invariants_directional
 from orthopair.linalg import decide_rank
 from orthopair.relations import (
     AlgebraRepPoint,
-    complete_bipartite,
+    bipartite_relation_terms,
+    evaluate_relations,
     evaluate_word,
     graph_restriction,
     pair_relation_terms,
     restrict,
+    sandwich_relation_terms,
 )
 from orthopair.tangent import (
     GAP_RATIO_REQUIRED,
@@ -283,7 +285,7 @@ def test_factor_ranks_and_gauge(base_pair):
 
 def _graph33_point(mats, r):
     return AlgebraRepPoint(algebra="graph", names=("p1", "p2", "p3", "q1", "q2", "q3"),
-                           matrices=tuple(mats), graph=complete_bipartite(3, 3), r=r)
+                           matrices=tuple(mats), relations=bipartite_relation_terms(3, 3, r))
 
 
 def test_x33_refuses_rank_two_and_zero_generators():
@@ -293,7 +295,7 @@ def test_x33_refuses_rank_two_and_zero_generators():
     points = [_graph33_point([zero] * 6, 1.0 / 6.0),
               _graph33_point([np.diag([1.0, 1.0, 0, 0, 0, 0])] + [zero] * 5, 0.0)]
     for point in points:
-        assert point.residual() == 0.0
+        assert evaluate_relations(point.matrices, point.relations)[0] == 0.0
         with pytest.raises(ValueError, match="rank-1"):
             x33_moduli_tangent_report(point)
 
@@ -497,15 +499,13 @@ def test_a6_moduli_dimension(base_pair):
 
 
 def test_a6_moduli_dimension_rank_one(base_pair):
-    from orthopair.relations import AlgebraRepPoint
-
     point = AlgebraRepPoint(
         algebra="sandwich",
         names=("P",) + tuple(f"q{j}" for j in range(1, 7)),
         matrices=(base_pair.p[0],) + tuple(base_pair.q),
-        r_list=(1.0 / 6.0,) * 6,
+        relations=sandwich_relation_terms(6, 1.0 / 6.0),
     )
-    assert point.residual() <= 1e-13
+    assert evaluate_relations(point.matrices, point.relations)[0] <= 1e-13
     # 2(n-k-1)(k-1) = 0 at n = 6, k = 1
     assert a6_moduli_tangent_report(point).moduli_dim == 0
 
@@ -516,13 +516,11 @@ def test_a6_moduli_dimension_generic_sample(family_sample):
 
 
 def test_a6_rejects_reducible(standard6):
-    from orthopair.relations import AlgebraRepPoint
-
     point = AlgebraRepPoint(
         algebra="sandwich",
         names=("P",) + tuple(f"q{j}" for j in range(1, 7)),
         matrices=(standard6.p[0],) + tuple(standard6.p),
-        r_list=(1.0,) * 6,
+        relations=sandwich_relation_terms(6, 1.0),
     )
     with pytest.raises(ValueError):
         a6_moduli_tangent_report(point)
