@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import adjoint, as_matrix, rank1_projector, spectral_norm
+from .linalg import adjoint, as_matrix, decide_rank, rank1_projector, spectral_norm
 from .relations import evaluate_relations, pair_relation_terms
 
 __all__ = [
@@ -213,9 +213,11 @@ def from_hadamard(h: HadamardPoint) -> PairConfiguration:
 
 
 def _unit_eigenvector(p: np.ndarray) -> np.ndarray:
-    """Unit vector spanning the range of a (numerically) rank-1 projector."""
+    """Unit vector spanning the range of a projector; refused unless its rank is 1 at DEFAULT_TOL."""
     # the dominant left singular vector is the range direction
     uu, s, _ = np.linalg.svd(p)
+    if (rank := decide_rank(s, DEFAULT_TOL, "projector rank").rank) != 1:
+        raise ValueError(f"projector has rank {rank}; one basis vector stands only for rank 1")
     return uu[:, 0]
 
 
@@ -260,7 +262,7 @@ def to_hadamard(c: PairConfiguration) -> HadamardPoint:
     if dev > 10 * GAUGE_TOL:
         raise ValueError(f"transition matrix is not unbiased: modulus deviation {dev:.3e}")
     h = HadamardPoint(n, dephased_phases(u))
-    h.unitary()  # unbiased moduli alone pass repeated or collapsed projectors
+    h.unitary()  # unbiased moduli of rank-1 projectors alone pass repeated ones
     return h
 
 

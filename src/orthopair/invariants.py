@@ -38,9 +38,9 @@ from .linalg import adjoint, as_matrix, decide_rank, gauss_newton, spectral_norm
 from .relations import (
     bipartite_relation_terms,
     commutant_dimension,
-    evaluate_relations,
     sandwich_relation_terms,
     sylvester_operator,
+    violated_relation,
 )
 
 __all__ = [
@@ -245,9 +245,8 @@ def identity_check(p_triple, q_triple) -> IdentityReport:
     q = [as_matrix(m) for m in q_triple]
     if len(p) != 3 or len(q) != 3:
         raise ValueError("identity check needs two triples")
-    _, per = evaluate_relations(p + q, _IDENTITY_TERMS)
-    name, worst = max(per.items(), key=lambda kv: kv[1])
-    if worst > IDENTITY_TOL:
+    if (violated := violated_relation(p + q, _IDENTITY_TERMS, IDENTITY_TOL)) is not None:
+        name, worst = violated
         raise ValueError(f"triples violate the 3+3 relations at r = 1/6: {name} residual {worst:.3e} "
                          f"> {IDENTITY_TOL:.1e}; identity not applicable")
     if any(abs(np.trace(a) - 1.0) > IDENTITY_TOL for a in p + q):
@@ -313,9 +312,9 @@ def solve_complement(P, qs, seed: int) -> ComplementResult:
     qs = [as_matrix(q) for q in qs]
     if len(qs) != 6 or P.shape != (6, 6):
         raise ValueError("complement solver works on six-dimensional points with six q's")
-    pre = evaluate_relations([P] + qs, sandwich_relation_terms(6, float(np.trace(P).real) / 6.0))[0]
-    if pre > SANDWICH_PRECHECK_TOL:
-        raise ValueError(f"(P, q) violates the sandwich relations: residual {pre:.3e}")
+    terms = sandwich_relation_terms(6, float(np.trace(P).real) / 6.0)
+    if (violated := violated_relation([P] + qs, terms, SANDWICH_PRECHECK_TOL)) is not None:
+        raise ValueError(f"(P, q) violates the sandwich relations: residual {violated[1]:.3e}")
     M = np.eye(6, dtype=np.complex128) - P
     left, s, _ = np.linalg.svd(M)
     if (rank := decide_rank(s, SANDWICH_PRECHECK_TOL, "rank of I - P").rank) != 3:
@@ -372,16 +371,23 @@ def membership_test(c: PairConfiguration, tol: float = 1e-8) -> MembershipResult
     within tol * scale^k of zero make the strict inequalities undecidable
     and are flagged as boundary-indeterminate.  The irreducibility gate and
     the dimension of the solution space are rank decisions: without a
-    decisive singular-value gap they raise IndeterminateDimension.
+    decisive singular-value gap they raise IndeterminateDimension.  At a
+    Hermitian configuration the system is the commutator system up to
+    sign, and one SVD decides both.
     """
     mats = c.matrices()
-    if commutant_dimension(mats) != 1:
-        raise ValueError("configuration is reducible; the conjugator is not unique")
     d = c.n
     M = np.stack(mats)
-    K = sylvester_operator(M.conj().transpose(0, 2, 1), M)
+    Mh = M.conj().transpose(0, 2, 1)
+    K = sylvester_operator(Mh, M)
     # the triangular QR factor has the singular values and right vectors of K
     _, s, vh = np.linalg.svd(np.linalg.qr(K, mode="r"))
+    if np.array_equal(Mh, M):  # K is minus the commutator operator: cut as commutant_dimension
+        joint = K.shape[1] - decide_rank(s, 1e-10, "joint commutant").rank
+    else:
+        joint = commutant_dimension(mats)
+    if joint != 1:
+        raise ValueError("configuration is reducible; the conjugator is not unique")
     nullity = K.shape[1] - decide_rank(s, tol, "conjugator space").rank
     if nullity == 0:
         return MembershipResult(Membership.NOT_THETA_STABLE, None, None)

@@ -38,7 +38,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of ndim {m.ndim}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():  # on complex entries: both parts finite
         raise ValueError("matrix has non-finite entries")
     return m
 

@@ -23,6 +23,8 @@ invariant under simultaneous unitary conjugation of all generators.
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -40,6 +42,7 @@ __all__ = [
     "pair_relation_terms",
     "sandwich_relation_terms",
     "evaluate_relations",
+    "violated_relation",
     "restrict",
     "graph_restriction",
     "sylvester_operator",
@@ -107,6 +110,7 @@ def sandwich_relation_terms(n: int, r: float) -> list[Relation]:
 
 
 def evaluate_word(mats, word: tuple[int, ...], dim: int) -> np.ndarray:
+    """The product of ``word``, left to right: the tests' reference product."""
     if not word:
         return np.eye(dim, dtype=np.complex128)
     out = mats[word[0]]
@@ -115,32 +119,77 @@ def evaluate_word(mats, word: tuple[int, ...], dim: int) -> np.ndarray:
     return out
 
 
-def evaluate_relations(mats, relations: list[Relation]) -> tuple[float, dict[str, float]]:
-    """(worst residual, per-relation spectral-norm residuals).
+def _residual_stack(mats, relations: list[Relation]) -> np.ndarray:
+    """The d x d residual of every relation, stacked in list order.
 
-    Every relation's d x d residual goes into one stack, normed by one
-    batched SVD.  A residual that overflows to a non-finite entry raises
-    OverflowError naming its relation: the inputs themselves are finite.
+    Each distinct word is multiplied out once, as its prefix times its last
+    letter, all words of one length in one batched matmul.  Each relation
+    adds its terms in listed order, so the stack equals the term-by-term sum
+    of :func:`evaluate_word` products.  A residual that overflows to a
+    non-finite entry raises OverflowError naming its relation.
     """
-    mats = [as_matrix(m) for m in mats]
-    dim = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (dim, dim):
+    try:
+        gens = np.asarray(mats, dtype=np.complex128)
+        ok = gens.ndim == 3 and gens.shape[1] == gens.shape[2] and np.isfinite(gens).all()
+    except (TypeError, ValueError):
+        ok = False
+    if not ok:  # the per-matrix checks name the fault
+        gens = [as_matrix(m) for m in mats]
+        if any(m.shape != (gens[0].shape[0],) * 2 for m in gens):
             raise ValueError("generator matrices must be square of equal size")
+        gens = np.stack(gens)
+    k, dim = gens.shape[0], gens.shape[1]
+    # (j, relation, coeff, word) in order of j, then of relation
+    terms = sorted((j, r, coeff, tuple(word)) for r, (_, rel) in enumerate(relations)
+                   for j, (coeff, word) in enumerate(rel))
+    slots, rows, coeffs, words = zip(*terms) if terms else ((),) * 4
+    # prods stacks the identity, the generators, then the needed words of
+    # each length in turn; row[w] is the row of word w
+    row = {(): 0, **{(g,): 1 + g % k for g in range(-k, k)}}
+    prods = np.concatenate([np.eye(dim, dtype=np.complex128)[None], gens])
+    need = sorted({w[:n] for w in set(words) for n in range(2, len(w) + 1)}, key=len)  # with prefixes
     stack = np.zeros((len(relations), dim, dim), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual raises below
-        for acc, (name, terms) in zip(stack, relations):
-            try:
-                for coeff, word in terms:
-                    acc += coeff * evaluate_word(mats, word, dim)
-            except IndexError:
-                raise ValueError(f"relation {name!r} needs more than the "
-                                 f"{len(mats)} generators given") from None
+        try:  # a letter outside the generators has no row, or no generator
+            for _, level in itertools.groupby(need, key=len):
+                level = list(level)
+                row.update(zip(level, range(len(prods), len(prods) + len(level))))
+                prefixes = prods[[row[w[:-1]] for w in level]]
+                prods = np.concatenate([prods, prefixes @ gens[[w[-1] for w in level]]])
+            summands = np.array(coeffs)[:, None, None] * prods[[row[w] for w in words]]
+        except (KeyError, IndexError):
+            name = next(name for name, rel in relations
+                        if any(not all(-k <= g < k for g in w) for _, w in rel))
+            raise ValueError(f"relation {name!r} needs more than the {k} generators given") from None
+        rows, ends = np.array(rows, dtype=np.intp), list(itertools.accumulate(Counter(slots).values()))
+        for a, b in zip([0] + ends, ends):  # step j adds the j-th terms
+            stack[rows[a:b]] += summands[a:b]
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
         raise OverflowError(f"relation {relations[int(np.argmin(finite))][0]!r} residual is not finite")
-    per = dict(zip((name for name, _ in relations), np.linalg.norm(stack, 2, axis=(1, 2)).tolist()))
+    return stack
+
+
+def evaluate_relations(mats, relations: list[Relation]) -> tuple[float, dict[str, float]]:
+    """(worst residual, per-relation spectral-norm residuals): the
+    :func:`_residual_stack`, normed by one batched SVD."""
+    norms = np.linalg.norm(_residual_stack(mats, relations), 2, axis=(1, 2))
+    per = dict(zip((name for name, _ in relations), norms.tolist()))
     return max(per.values(), default=0.0), per
+
+
+def violated_relation(mats, relations: list[Relation], tol: float) -> tuple[str, float] | None:
+    """(name, spectral residual) of the worst relation above ``tol``, or None.
+
+    The spectral norm is at most the Frobenius norm, so residuals whose
+    Frobenius norms are all within ``tol`` pass without an SVD.
+    """
+    stack = _residual_stack(mats, relations)
+    if np.linalg.norm(stack, axis=(1, 2)).max(initial=0.0) <= tol:
+        return None
+    norms = np.linalg.norm(stack, 2, axis=(1, 2))
+    worst = int(np.argmax(norms))
+    return (relations[worst][0], float(norms[worst])) if norms[worst] > tol else None
 
 
 def _subset(indices, n: int) -> list[int]:

@@ -51,8 +51,8 @@ from .relations import (
     AlgebraRepPoint,
     Relation,
     commutant_dimension,
-    evaluate_relations,
     pair_relation_terms,
+    violated_relation,
 )
 
 __all__ = [
@@ -219,10 +219,9 @@ def rep_jacobian(point) -> JacobianSystem:
     mats, terms, names = _generators(point)
     if terms is None:
         raise TypeError(f"cannot build a relation Jacobian for {type(point).__name__}")
-    residual, _ = evaluate_relations(mats, terms)
-    if residual > RESIDUAL_GATE:
-        raise OffVariety(f"relation residual {residual:.3e} exceeds {RESIDUAL_GATE:.1e}; "
-                         "not a representation point", residual)
+    if (violated := violated_relation(mats, terms, RESIDUAL_GATE)) is not None:
+        raise OffVariety(f"relation residual {violated[1]:.3e} exceeds {RESIDUAL_GATE:.1e}; "
+                         "not a representation point", violated[1])
     factors = [_factor(m, name) for m, name in zip(mats, names)]
     return JacobianSystem(mats, factors, _factored_jacobian(factors, terms))
 

@@ -480,13 +480,14 @@ def test_hadamard_from_pair(pair_file, tmp_path, capsys):
     assert payload["unitarity_residual"] <= 1e-12
 
 
-@pytest.mark.parametrize("edit", [
-    lambda p: [p[0] + p[1], 0 * p[1]] + p[2:],  # a collapsed projector next to a rank-2 one
-    lambda p: [p[0], p[0]] + p[2:],  # a repeated projector
+@pytest.mark.parametrize("edit, reason", [
+    (lambda p: [p[0] + p[1], 0 * p[1]] + p[2:], "rank 2"),  # a collapsed projector next to a rank-2 one
+    (lambda p: [p[0], p[0]] + p[2:], "unitary"),  # a repeated projector
 ], ids=["collapsed", "repeated"])
-def test_hadamard_from_pair_refuses_non_configuration(edit, tmp_path, capsys):
-    # both p-systems keep every transition-matrix modulus at 1/sqrt(6), yet
-    # their phases are far from a unitary: refused before anything is written
+def test_hadamard_from_pair_refuses_non_configuration(edit, reason, tmp_path, capsys):
+    # both p-systems keep every transition-matrix modulus at 1/sqrt(6): the
+    # rank-2 projector has no one basis vector, and the repeated projector's
+    # phases are far from a unitary; refused before anything is written
     c = config.standard_pair(6, swap34=True)
     bad = config.pair_from_matrices(edit(list(c.p)), list(c.q))
     assert bad.residual >= 0.1
@@ -495,7 +496,7 @@ def test_hadamard_from_pair_refuses_non_configuration(edit, tmp_path, capsys):
     out = tmp_path / "h.json"
     code, payload, err = run(capsys, "hadamard", "--from-pair", str(path), "--out", str(out))
     assert code == USAGE and payload is None
-    assert "unitary" in err
+    assert reason in err
     assert not out.exists()
 
 

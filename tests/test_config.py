@@ -234,6 +234,18 @@ def test_bases_format_refuses_non_hermitian(tmp_path, base_pair, standard6):
             assert np.max(np.abs(a - b)) <= 1e-12
 
 
+def test_bases_format_refuses_projector_not_of_rank_one(tmp_path, base_pair):
+    # p1 -> p1 + p2 (rank 2), p2 -> 0 (rank 0): Hermitian, but one vector per
+    # projector cannot stand for it
+    p = list(base_pair.p)
+    bad = pair_from_matrices([p[0] + p[1], 0 * p[1]] + p[2:], list(base_pair.q))
+    assert abs(bad.residual - 1.0 / 6.0) <= 1e-12
+    path = tmp_path / "bad.json"
+    with pytest.raises(ValueError, match="rank 2"):
+        save_pair(path, bad, fmt="bases")
+    assert not path.exists()
+
+
 def test_pair_file_format_documented(tmp_path, base_pair):
     path = tmp_path / "pair.json"
     save_pair(path, base_pair, fmt="bases")

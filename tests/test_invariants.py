@@ -21,7 +21,7 @@ from orthopair.invariants import (
     z_functions,
 )
 from orthopair.linalg import decide_rank
-from orthopair.relations import sylvester_operator
+from orthopair.relations import commutant_dimension, sylvester_operator
 
 
 def triple_P(c, idx=(1, 2, 3)):
@@ -553,6 +553,49 @@ def test_membership_matches_unreduced_svd_oracle(standard6, base_pair, family_sa
         assert np.max(np.abs(result.conjugator - sign * g)) <= 1e-10
         flipped = sign ** np.arange(1, c.n + 1) * minors
         assert np.all(np.abs(np.array(result.minors) - flipped) <= 1e-10 * np.abs(flipped))
+
+
+def test_membership_hermitian_gate_matches_commutant_dimension(monkeypatch, standard6, base_pair,
+                                                              family_sample):
+    # at Hermitian points the gate reads the conjugator's singular values and
+    # must decide the commutant commutant_dimension decides
+    points = [standard_pair(3), standard6, base_pair,
+              *(from_hadamard(x) for x in family_sample.points[::13][:3])]
+    want = [commutant_dimension(c.matrices()) for c in points]
+    ranks, calls = [], []
+    real_decide = invariants.decide_rank
+
+    def decide(s, tol, what):
+        report = real_decide(s, tol, what)
+        if what == "joint commutant":
+            ranks.append(report.rank)
+        return report
+
+    monkeypatch.setattr(invariants, "decide_rank", decide)
+    monkeypatch.setattr(invariants, "commutant_dimension", lambda *a: calls.append(a))
+    for c in points:
+        M = np.stack(c.matrices())
+        assert np.array_equal(M.conj().transpose(0, 2, 1), M)
+        assert membership_test(c).status is Membership.REAL_LOCUS
+    assert calls == []
+    assert [c.n ** 2 - r for c, r in zip(points, ranks)] == want == [1] * len(points)
+
+
+def test_membership_non_hermitian_gate_calls_commutant_dimension(monkeypatch, base_pair):
+    rng = np.random.default_rng(43)
+    h = random_invertible(rng, 6)
+    hinv = np.linalg.inv(h)
+    conj = pair_from_matrices([h @ p @ hinv for p in base_pair.p], [h @ q @ hinv for q in base_pair.q])
+    calls = []
+    real = invariants.commutant_dimension
+
+    def counted(mats):
+        calls.append(len(mats))
+        return real(mats)
+
+    monkeypatch.setattr(invariants, "commutant_dimension", counted)
+    assert membership_test(conj).status is Membership.REAL_LOCUS
+    assert calls == [12]
 
 
 def test_membership_rejects_reducible(standard6):

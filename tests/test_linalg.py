@@ -4,6 +4,7 @@ import pytest
 from orthopair import xprec
 from orthopair.linalg import (
     adjoint,
+    as_matrix,
     decide_rank,
     gauss_newton,
     rank1_projector,
@@ -55,6 +56,16 @@ def test_mul_rejects_nonfinite():
     bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
         evaluate_relations([bad, np.eye(2)], [("x0 x1", [(1.0, (0, 1))])])
+
+
+@pytest.mark.parametrize("entry", [complex(np.inf, 0.0), complex(0.0, np.nan)], ids=["inf-real", "nan-imag"])
+def test_as_matrix_rejects_either_nonfinite_part(entry):
+    bad = np.eye(2, dtype=complex)
+    bad[0, 1] = entry
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        as_matrix(bad)
+    with pytest.raises(ValueError, match="matrix has non-finite entries"):
+        evaluate_relations([np.eye(2), bad], [("x0 x1", [(1.0, (0, 1))])])
 
 
 def test_trace_basics():

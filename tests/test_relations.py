@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_unitary
+from conftest import random_invertible, random_unitary
 from orthopair import exact
 from orthopair.config import from_hadamard, pair_from_matrices, standard_pair
 from orthopair.invariants import sigma
 from orthopair.linalg import GAP_RATIO_REQUIRED, IndeterminateDimension, spectral_norm
 from orthopair.relations import (
+    _residual_stack,
     bipartite_relation_terms,
     commutant_dimension,
     commutator_operator,
@@ -17,6 +18,7 @@ from orthopair.relations import (
     restrict,
     sandwich_relation_terms,
     sylvester_operator,
+    violated_relation,
 )
 
 
@@ -103,6 +105,69 @@ def test_evaluate_relations_matches_spectral_norm_loop(base_pair):
         want = _relation_norms_by_loop(mats, terms)
         assert np.array_equal(np.array(list(per.values())), want)
         assert worst == want.max()
+
+
+def _residual_stack_by_loop(mats, terms):
+    """The residual stack term by term: each word through evaluate_word, added
+    to its relation's residual in listed order."""
+    stack = np.zeros((len(terms), *mats[0].shape), dtype=complex)
+    for acc, (_, rel) in zip(stack, terms):
+        for coeff, word in rel:
+            acc += coeff * evaluate_word(mats, word, mats[0].shape[0])
+    return stack
+
+
+def test_residual_stack_matches_evaluate_word_loop(base_pair, family_sample):
+    rng = np.random.default_rng(41)
+    h = random_invertible(rng, 6)
+    hinv = np.linalg.inv(h)
+    conj = pair_from_matrices([h @ p @ hinv for p in base_pair.p], [h @ q @ hinv for q in base_pair.q])
+    sixes = [base_pair, *(from_hadamard(x) for x in family_sample.points[::13][:3]), conj]
+    points = [(standard_pair(n).matrices(), pair_relation_terms(n)) for n in (2, 3)]
+    for c in sixes:
+        points += [(c.matrices(), pair_relation_terms(6)),
+                   (list(c.p[:3] + c.q[:3]), bipartite_relation_terms(3, 3, 1.0 / 6.0)),
+                   ([sum(c.p[:3])] + list(c.q), sandwich_relation_terms(6, 0.5))]
+    for mats, terms in points:
+        assert np.array_equal(_residual_stack(mats, terms), _residual_stack_by_loop(mats, terms))
+
+
+def test_residual_stack_refusals():
+    rel = [("x0 x1", [(1.0, (0, 1))])]
+    with pytest.raises(ValueError, match="non-finite"):
+        evaluate_relations([np.eye(2), np.full((2, 2), np.inf)], rel)
+    with pytest.raises(ValueError, match="square of equal size"):
+        evaluate_relations([np.eye(2), np.eye(3)], rel)
+    with pytest.raises(ValueError, match="expected a matrix, got array of ndim 1"):
+        evaluate_relations([np.eye(2), np.ones(2)], rel)
+    with pytest.raises(ValueError, match="relation 'x0 x1' needs more than the 1 generators given"):
+        evaluate_relations([np.eye(2)], rel)
+
+
+def test_violated_relation_frobenius_screen_and_spectral_decision():
+    tol = 1e-8
+    rel = [("a I", [(1.0, (0,))])]
+    # ||a I_6||_F = sqrt(6) a: at a = 0.7 tol the screen fails (1.7 tol) but the
+    # spectral norm passes; at a = 1.3 tol the relation is reported
+    low = 0.7 * tol * np.eye(6)
+    assert np.linalg.norm(low) > tol >= np.linalg.norm(low, 2)
+    assert violated_relation([low], rel, tol) is None
+    high = [1.3 * tol * np.eye(6)]
+    worst, per = evaluate_relations(high, rel)
+    assert violated_relation(high, rel, tol) == ("a I", worst) == ("a I", per["a I"])
+
+
+def test_violated_relation_matches_worst_residual(base_pair, family_sample):
+    terms = bipartite_relation_terms(3, 3, 1.0 / 6.0)
+    for c in (base_pair, *(from_hadamard(x) for x in family_sample.points[:3])):
+        mats = list(c.p[:3] + c.q[:3])
+        assert violated_relation(mats, terms, 1e-8) is None
+        bent = [mats[0] + 1e-6 * np.diag(np.arange(6.0))] + mats[1:]
+        worst, per = evaluate_relations(bent, terms)
+        name = max(per, key=per.get)
+        assert worst > 1e-8
+        assert violated_relation(bent, terms, 1e-8) == (name, worst)
+        assert violated_relation(bent, terms, worst) is None
 
 
 def test_evaluate_relations_overflow_names_the_relation(standard6):
