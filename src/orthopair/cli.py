@@ -3,7 +3,9 @@
 One binary, one subcommand per batch operation, machine-readable JSON on
 stdout and human diagnostics on stderr.  Exit codes: 0 ok, 1 fail
 (including a numerical failure such as a non-converged SVD), 2
-indeterminate, 3 usage or input error.  Numeric output uses shortest
+indeterminate (e.g. membership, decided by the conjugator's inertia, with
+one of its "eigenvalues" within --tol of zero), 3 usage or input error.
+Numeric output uses shortest
 round-trip decimal (up to 17 significant digits).  Randomised commands
 refuse to run without an explicit --seed so every reported number is
 reproducible.  --tol is accepted by verify, tangent, defect and membership;
@@ -171,11 +173,11 @@ def cmd_membership(args) -> int:
     c = config.load_pair(args.file)
     result = invariants.membership_test(c, args.tol)
     payload = {"status": result.status.value}
-    if result.minors is not None:
-        payload["minors"] = list(result.minors)
+    if result.eigenvalues is not None:
+        payload["eigenvalues"] = list(result.eigenvalues)
     _emit(payload)
     if result.status is invariants.Membership.BOUNDARY_INDETERMINATE:
-        _diag("membership undecided: a leading principal minor is within tolerance of zero")
+        _diag("membership undecided: an eigenvalue of the conjugator is within tolerance of zero")
         return INDETERMINATE
     return OK
 

@@ -156,7 +156,8 @@ def trace_path(start: HadamardPoint, direction, steps: int, h: float,
     after which the path is truncated and returned with a status.  Every
     emitted point is a converged corrector result (constraint norm at most
     CORRECTOR_TOL) and consecutive points are at least h/2 apart in (torus)
-    phase norm.
+    phase norm, so ``h`` must be finite and positive; a walk back negates
+    ``direction``.
 
     The frame at ``start`` is a fresh kernel basis unless ``initial_frame``
     is given (e.g. the ``final_frame`` of a previous path, which makes a
@@ -165,6 +166,8 @@ def trace_path(start: HadamardPoint, direction, steps: int, h: float,
     direction = np.asarray(direction, dtype=float)
     if direction.shape != (FAMILY_DIM,):
         raise ValueError(f"direction must have {FAMILY_DIM} components")
+    if not (np.isfinite(direction).all() and np.isfinite(h) and h > 0):
+        raise ValueError("the direction must be finite and the step finite and positive")
     nrm = np.linalg.norm(direction)
     if nrm == 0:
         raise ValueError("direction must be nonzero")

@@ -355,7 +355,7 @@ class Membership(Enum):
 class MembershipResult:
     status: Membership
     conjugator: np.ndarray | None
-    minors: tuple[float, ...] | None
+    eigenvalues: tuple[float, ...] | None
 
 
 def membership_test(c: PairConfiguration, tol: float = 1e-8) -> MembershipResult:
@@ -364,12 +364,12 @@ def membership_test(c: PairConfiguration, tol: float = 1e-8) -> MembershipResult
     Solves the stacked linear system p^dag g = g p over all 2n projectors.
     No nonzero solution means the configuration is not equivalent to its
     adjoint.  Otherwise irreducibility makes the solution line unique; it is
-    rotated to a Hermitian representative and the leading principal minors
-    decide (Sylvester): all positive, or all of alternating sign starting
-    negative (so -g is positive), certifies equivalence to a Hermitian
-    configuration, i.e. a genuine pair of mutually unbiased bases.  Minors
-    within tol * scale^k of zero make the strict inequalities undecidable
-    and are flagged as boundary-indeterminate.  The irreducibility gate and
+    rotated to a Hermitian representative g, scaled to max|lambda| = 1, and
+    its inertia, which conjugation leaves unchanged, decides: ``eigenvalues``
+    (ascending) all of one sign certify equivalence to a Hermitian
+    configuration, i.e. a genuine pair of mutually unbiased bases; both signs
+    leave it theta-stable only.  An eigenvalue within tol of zero makes the
+    inertia undecidable: boundary-indeterminate.  The irreducibility gate and
     the dimension of the solution space are rank decisions: without a
     decisive singular-value gap they raise IndeterminateDimension.  At a
     Hermitian configuration the system is the commutator system up to
@@ -399,22 +399,14 @@ def membership_test(c: PairConfiguration, tol: float = 1e-8) -> MembershipResult
     phase = np.vdot(g.ravel(), g.conj().T.ravel())
     g = g * np.exp(1j * np.angle(phase) / 2.0)
     herm_defect = spectral_norm(g - g.conj().T)
-    g = (g + g.conj().T) / 2.0
-    g = g / spectral_norm(g)
     if herm_defect > 1e-6:
         raise ArithmeticError(f"conjugator failed to normalise to Hermitian (defect {herm_defect:.3e})")
-    scale = float(np.max(np.abs(g)))
-    minors = []
-    for k in range(1, d + 1):
-        mk = np.linalg.det(g[:k, :k])
-        minors.append(float(mk.real))
-    thresholds = [tol * scale ** k for k in range(1, d + 1)]
-    pos = all(m > t for m, t in zip(minors, thresholds))
-    # -g positive definite: minors alternate in sign starting negative
-    neg = all(((-1) ** k) * m > t for k, (m, t) in enumerate(zip(minors, thresholds), start=1))
-    if pos or neg:
-        return MembershipResult(Membership.REAL_LOCUS, g, tuple(minors))
-    near_zero = any(abs(m) <= t for m, t in zip(minors, thresholds))
-    if near_zero:
-        return MembershipResult(Membership.BOUNDARY_INDETERMINATE, g, tuple(minors))
-    return MembershipResult(Membership.THETA_STABLE_ONLY, g, tuple(minors))
+    g = (g + g.conj().T) / 2.0
+    lam = np.linalg.eigvalsh(g)
+    scale = np.max(np.abs(lam))
+    g, lam = g / scale, lam / scale
+    if np.min(np.abs(lam)) <= tol:
+        return MembershipResult(Membership.BOUNDARY_INDETERMINATE, g, tuple(lam.tolist()))
+    definite = lam[0] > 0 or lam[-1] < 0  # ascending: all of one sign
+    return MembershipResult(Membership.REAL_LOCUS if definite else Membership.THETA_STABLE_ONLY, g,
+                            tuple(lam.tolist()))

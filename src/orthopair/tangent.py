@@ -279,6 +279,8 @@ def _moduli_report(system: JacobianSystem, tol: float, what: str) -> TangentRepo
     cut = decide_rank(s, tol, what)
     nullity = J.shape[1] - cut.rank - system.gauge_dim
     orbit = orbit_tangent_dim(system.matrices, tol)
+    if nullity < orbit:  # the orbit tangent lies in the kernel: the cut counted residual noise as rank
+        raise IndeterminateDimension(f"{what}: nullity {nullity} < orbit dimension {orbit}", s, cut.gap_ratio)
     return TangentReport(nullity, orbit, nullity - orbit, cut.gap_ratio, s)
 
 

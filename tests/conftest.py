@@ -42,3 +42,18 @@ def random_invertible(rng, n, spread=0.3):
     if np.linalg.cond(h) > 1e3:
         return random_invertible(rng, n, spread)
     return h
+
+
+def conjugated_hermitian_pair(rng, h):
+    """Two random orthonormal bases as rank-1 projectors, conjugated by h.
+
+    The membership conjugator of the result is h^-dag h^-1 up to scale, so a
+    diagonal h sets its eigenvalues.
+    """
+    n = h.shape[0]
+    hinv = np.linalg.inv(h)
+
+    def system():
+        return [h @ np.outer(v, v.conj()) @ hinv for v in random_unitary(rng, n).T]
+
+    return config.pair_from_matrices(system(), system())

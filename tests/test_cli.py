@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import conjugated_hermitian_pair
 from orthopair import config, invariants
 from orthopair.cli import FAIL, INDETERMINATE, OK, USAGE, main
 
@@ -218,6 +219,19 @@ def test_defect_report(hadamard_file, capsys):
     assert payload["moduli_dim"] == 4
 
 
+def test_tangent_refuses_nullity_below_orbit_exit_code(tmp_path, capsys):
+    # p1 scaled by 1 + 1e-9 passes the residual gate, but the cut counts
+    # residual noise as rank: nullity 29 < orbit 35 is refused, exit code 2
+    c = config.standard_pair(6, swap34=True)
+    path = tmp_path / "scaled.json"
+    config.save_pair(path, config.pair_from_matrices([(1.0 + 1e-9) * c.p[0], *c.p[1:]], list(c.q)))
+    code, payload, err = run(capsys, "tangent", str(path))
+    assert code == INDETERMINATE
+    assert payload["status"] == "indeterminate"
+    assert len(payload["singular_values"]) == 144
+    assert "nullity 29 < orbit dimension 35" in err
+
+
 def test_tangent_rejects_extended(pair_file, capsys):
     code, _, err = run(capsys, "tangent", pair_file, "--precision", "extended")
     assert code == USAGE
@@ -293,6 +307,18 @@ def test_trace_append_accumulates_paths(hadamard_file, tmp_path, capsys):
     assert {rec["path"] for rec in lines} == {0, 1}
 
 
+@pytest.mark.parametrize("step, direction", [("0", "0"), ("-1e-2", "0"), ("inf", "0"),
+                                             ("1e-2", "nan,0,0,0"), ("1e-2", "inf,0,0,0")])
+def test_trace_refuses_step_without_progress_guard(step, direction, hadamard_file, tmp_path, capsys):
+    out = tmp_path / "p.jsonl"
+    code, payload, err = run(capsys, "trace", "--start", hadamard_file, "--direction", direction,
+                             "--steps", "3", f"--step={step}", "--out", str(out))
+    assert code == USAGE
+    assert payload is None
+    assert "input error" in err
+    assert not out.exists()
+
+
 def test_trace_zero_steps(hadamard_file, tmp_path, capsys):
     out = str(tmp_path / "p.jsonl")
     code, payload, _ = run(capsys, "trace", "--start", hadamard_file, "--direction", "1",
@@ -314,43 +340,23 @@ def test_membership(pair_file, capsys):
 
 
 def test_membership_boundary_exit_code(tmp_path, capsys):
-    # a configuration whose conjugator has a vanishing leading minor:
-    # Sylvester undecidable, exit code 2
-    rng = np.random.default_rng(32)
-    g = np.zeros((2, 2))
-    g[0, 1] = g[1, 0] = 1.0
-
-    def dual_system(vectors):
-        out = []
-        for v in vectors:
-            w = g @ v
-            out.append(np.outer(v, w.conj()) / np.vdot(w, v))
-        return out
-
-    def sample_system():
-        while True:
-            vecs = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2)]
-            w0 = g @ vecs[0]
-            if abs(np.vdot(w0, vecs[0])) < 1e-2:
-                continue
-            v1 = vecs[1] - vecs[0] * (np.conj(w0) @ vecs[1] / (np.conj(w0) @ vecs[0]))
-            if abs(np.conj(g @ v1) @ v1) < 1e-2:
-                continue
-            return dual_system([vecs[0], v1])
-
-    from orthopair.config import encode_matrix
-
-    doc = {
-        "n": 2,
-        "format": "projectors",
-        "p": [encode_matrix(m) for m in sample_system()],
-        "q": [encode_matrix(m) for m in sample_system()],
-    }
+    # conjugator diag(1, 1e-12): an eigenvalue within the default 1e-10 of
+    # zero leaves the inertia undecided, exit code 2
     path = tmp_path / "boundary.json"
-    path.write_text(json.dumps(doc))
+    config.save_pair(path, conjugated_hermitian_pair(np.random.default_rng(32), np.diag([1.0, 1e6])))
     code, payload, err = run(capsys, "membership", str(path))
     assert code == INDETERMINATE
     assert payload["status"] == "boundary_indeterminate"
+    assert sorted(abs(x) for x in payload["eigenvalues"])[0] <= 1e-10
+    assert "eigenvalue" in err
+
+
+def test_membership_reports_conjugator_eigenvalues(pair_file, capsys):
+    code, payload, _ = run(capsys, "membership", pair_file)
+    assert code == OK and payload["status"] == "real_locus"
+    lam = np.array(payload["eigenvalues"])
+    assert lam.shape == (6,) and np.max(np.abs(lam)) == 1.0
+    assert np.all(lam > 0) or np.all(lam < 0)
 
 
 def test_membership_undecided_commutant_exit_code(tmp_path, capsys):

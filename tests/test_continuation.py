@@ -144,6 +144,21 @@ def test_trace_path_validates_direction(fourier6):
         trace_path(fourier6, [0.0, 0.0, 0.0, 0.0], steps=1, h=1e-2)
 
 
+@pytest.mark.parametrize("h, direction", [
+    (0.0, [1.0, 0.0, 0.0, 0.0]),
+    (-1e-2, [1.0, 0.0, 0.0, 0.0]),
+    (np.nan, [1.0, 0.0, 0.0, 0.0]),
+    (np.inf, [1.0, 0.0, 0.0, 0.0]),
+    (1e-2, [np.nan, 0.0, 0.0, 0.0]),
+    (1e-2, [np.inf, 0.0, 0.0, 0.0]),
+])
+def test_trace_path_refuses_step_without_progress_guard(fourier6_swapped, h, direction):
+    # the guard wants consecutive points h/2 apart: h <= 0 or a non-finite
+    # predictor would make it vacuous or turn bad input into a corrector failure
+    with pytest.raises(ValueError, match="finite"):
+        trace_path(fourier6_swapped, direction, steps=3, h=h)
+
+
 def test_sample_family_single(fourier6):
     sample = sample_family(fourier6, count=1, seed=0)
     assert len(sample.points) == 1

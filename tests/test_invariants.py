@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import random_invertible, random_unitary
+from conftest import conjugated_hermitian_pair, random_invertible, random_unitary
 from orthopair import exact, invariants
 from orthopair.config import from_hadamard, pair_from_matrices, standard_pair
 from orthopair.invariants import (
@@ -493,24 +493,72 @@ def test_membership_theta_stable_only():
 
 
 def test_membership_boundary_indeterminate():
-    rng = np.random.default_rng(21)
-    g = np.zeros((2, 2))
-    g[0, 1] = g[1, 0] = 1.0  # invertible Hermitian with zero leading minor
-
-    def sample_system():
-        while True:
-            vecs = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(2)]
-            w0 = g @ vecs[0]
-            if abs(np.vdot(w0, vecs[0])) < 1e-2:
-                continue
-            v1 = vecs[1] - vecs[0] * (np.conj(w0) @ vecs[1] / (np.conj(w0) @ vecs[0]))
-            if abs(np.conj(g @ v1) @ v1) < 1e-2:
-                continue
-            return _dual_system([vecs[0], v1], g)
-
-    c = pair_from_matrices(sample_system(), sample_system())
+    # conjugator diag(1, 1e-10): definite, but its smaller eigenvalue is
+    # within the tolerance of zero, so the inertia is undecided
+    c = conjugated_hermitian_pair(np.random.default_rng(21), np.diag([1.0, 1e5]))
     result = membership_test(c)
     assert result.status is Membership.BOUNDARY_INDETERMINATE
+    lam = np.sort(np.abs(result.eigenvalues))
+    assert lam[1] == 1.0 and abs(lam[0] - 1e-10) <= 1e-12
+
+
+def _g_self_adjoint_pair(rng, g):
+    """Two complete systems of rank-1 idempotents self-adjoint for the form g,
+    drawn as in test_membership_theta_stable_only: g is their conjugator."""
+    n = g.shape[0]
+
+    def system():
+        while True:
+            basis = []
+            for v in [rng.standard_normal(n) + 1j * rng.standard_normal(n) for _ in range(n)]:
+                for u in basis:
+                    v = v - u * (np.conj(g @ u) @ v / (np.conj(g @ u) @ u))
+                basis.append(v)
+            if all(abs(np.conj(g @ v) @ v) >= 1e-3 for v in basis):
+                return _dual_system(basis, g)
+
+    return pair_from_matrices(system(), system())
+
+
+def _conjugate(c, u):
+    return pair_from_matrices([u.conj().T @ p @ u for p in c.p], [u.conj().T @ q @ u for q in c.q])
+
+
+# (seed, form) of the g-self-adjoint points below: an indefinite diagonal
+# form, and a form whose first basis vector is isotropic
+_FORMS = {"indefinite": (20, np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])),
+          "isotropic_e1": (21, np.array([[0.0, 1.0], [1.0, 0.0]]))}
+
+
+@pytest.mark.parametrize("point, want", [("indefinite", Membership.THETA_STABLE_ONLY),
+                                         ("isotropic_e1", Membership.THETA_STABLE_ONLY),
+                                         ("swap34", Membership.REAL_LOCUS)],
+                         ids=["indefinite", "isotropic_e1", "swap34"])
+def test_membership_invariant_under_conjugation_and_involutions(point, want, base_pair):
+    # the inertia of the conjugator decides, and it does not change under
+    # unitary conjugation (the conjugator goes to u^dag g u), a relabelling of
+    # the p's, tau, or theta (the conjugator goes to g^-1)
+    if point == "swap34":
+        c = base_pair
+    else:
+        seed, g = _FORMS[point]
+        c = _g_self_adjoint_pair(np.random.default_rng(seed), g)
+    rng = np.random.default_rng(44)
+    # a unitary whose first column (e1 + e_m)/sqrt(2) is g-isotropic at the
+    # indefinite point, where g = diag(1, 1, 1, -1, -1, -1) and m = 4
+    m = c.n // 2
+    probe = np.eye(c.n)
+    probe[np.ix_([0, m], [0, m])] = np.array([[1.0, -1.0], [1.0, 1.0]]) / np.sqrt(2.0)
+    transforms = {
+        "identity": lambda c: c,
+        "probe": lambda c: _conjugate(c, probe),
+        "unitary": lambda c: _conjugate(c, random_unitary(rng, c.n)),
+        "permute_p": lambda c: pair_from_matrices([c.p[i] for i in rng.permutation(c.n)], list(c.q)),
+        "tau": tau,
+        "theta": theta,
+    }
+    statuses = {key: membership_test(t(c)).status for key, t in transforms.items()}
+    assert statuses == dict.fromkeys(transforms, want)
 
 
 def _kron_membership_operator(mats):
@@ -520,7 +568,7 @@ def _kron_membership_operator(mats):
 
 
 def _unreduced_membership(c, tol=1e-8):
-    """Status, conjugator and minors from the full SVD of the kron-built operator."""
+    """Status, conjugator and eigenvalues from the full SVD of the kron-built operator."""
     K = _kron_membership_operator(c.matrices())
     _, s, vh = np.linalg.svd(K, full_matrices=False)
     assert K.shape[1] - decide_rank(s, tol, "oracle conjugator space").rank == 1
@@ -528,10 +576,9 @@ def _unreduced_membership(c, tol=1e-8):
     g = g * np.exp(1j * np.angle(np.vdot(g.ravel(), g.conj().T.ravel())) / 2.0)
     g = (g + g.conj().T) / 2.0
     g = g / np.linalg.norm(g, 2)
-    minors = np.array([np.linalg.det(g[:k, :k]).real for k in range(1, c.n + 1)])
-    signs = (-1.0) ** np.arange(1, c.n + 1)
-    definite = np.all(minors > 0) or np.all(signs * minors > 0)
-    return (Membership.REAL_LOCUS if definite else Membership.THETA_STABLE_ONLY), g, minors
+    lam = np.linalg.eigvalsh(g)
+    definite = np.all(lam > 0) or np.all(lam < 0)
+    return (Membership.REAL_LOCUS if definite else Membership.THETA_STABLE_ONLY), g, lam
 
 
 def test_membership_matches_unreduced_svd_oracle(standard6, base_pair, family_sample):
@@ -546,13 +593,14 @@ def test_membership_matches_unreduced_svd_oracle(standard6, base_pair, family_sa
         assert np.array_equal(sylvester_operator(M.conj().transpose(0, 2, 1), M),
                               _kron_membership_operator(c.matrices()))
         result = membership_test(c)
-        status, g, minors = _unreduced_membership(c)
+        status, g, lam = _unreduced_membership(c)
         assert result.status is status
-        # the conjugator line is fixed up to sign, and the k-th minor of -g is (-1)^k times that of g
+        # the conjugator line is fixed up to sign; the eigenvalues of -g are
+        # those of g negated and in reverse order
         sign = 1.0 if np.max(np.abs(result.conjugator - g)) <= np.max(np.abs(result.conjugator + g)) else -1.0
         assert np.max(np.abs(result.conjugator - sign * g)) <= 1e-10
-        flipped = sign ** np.arange(1, c.n + 1) * minors
-        assert np.all(np.abs(np.array(result.minors) - flipped) <= 1e-10 * np.abs(flipped))
+        flipped = lam if sign > 0 else -lam[::-1]
+        assert np.all(np.abs(np.array(result.eigenvalues) - flipped) <= 1e-10 * np.abs(flipped))
 
 
 def test_membership_hermitian_gate_matches_commutant_dimension(monkeypatch, standard6, base_pair,

@@ -402,6 +402,22 @@ def test_moduli_dimension_at_base_point(base_pair, standard6):
         assert _dense_spectrum(c).shape == (432,)
 
 
+@pytest.mark.parametrize("eps", [1e-12, 1e-10, 3e-10, 1e-9, 3e-9])
+def test_moduli_dimension_never_negative_inside_residual_gate(base_pair, eps):
+    # p1 scaled by 1 + eps passes the residual gate; from eps ~ 5e-10 the
+    # lifted zero singular values (~ eps / 2) pass the 1e-10 cut, and the
+    # nullity falls below the orbit dimension: that report is refused
+    c = pair_from_matrices([(1.0 + eps) * base_pair.p[0], *base_pair.p[1:]], list(base_pair.q))
+    assert c.residual <= tangent.RESIDUAL_GATE
+    try:
+        report = moduli_tangent_report(c)
+    except IndeterminateDimension as exc:
+        assert "< orbit dimension 35" in str(exc)
+        assert exc.singular_values.shape == (144,)
+    else:
+        assert (report.nullity, report.orbit_dim, report.moduli_dim) == (39, 35, 4)
+
+
 def test_moduli_dimension_rigid_n3():
     assert moduli_tangent_report(standard_pair(3)).moduli_dim == 0
 
