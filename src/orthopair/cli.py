@@ -309,6 +309,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if not 0 < getattr(args, "tol", 1.0) < np.inf:  # also false for nan
+            raise _UsageError(f"--tol must be finite and positive, got {args.tol}")
         return args.func(args)
     except _UsageError as exc:
         _diag(f"usage error: {exc}")

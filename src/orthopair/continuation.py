@@ -59,8 +59,7 @@ def _phase_distance(a: HadamardPoint, b: HadamardPoint) -> float:
     return float(np.linalg.norm(d))
 
 
-def tangent_frame(h: HadamardPoint, tol: float = 1e-10,
-                  prev: np.ndarray | None = None) -> np.ndarray:
+def tangent_frame(h: HadamardPoint, prev: np.ndarray | None = None) -> np.ndarray:
     """Orthonormal basis of the family tangent at an on-manifold point.
 
     Returns a ((n-1)^2, 4) array of kernel vectors of the unitarity
@@ -69,7 +68,7 @@ def tangent_frame(h: HadamardPoint, tol: float = 1e-10,
     continuous along a path.  Points whose defect is not 4 are off the
     family or singular and are refused.
     """
-    report = defect_report(h, tol)
+    report = defect_report(h)
     if report.defect != FAMILY_DIM:
         raise ValueError(f"dephased defect is {report.defect}, not {FAMILY_DIM}; no 4-frame here")
     V = report.kernel

@@ -37,9 +37,8 @@ from .config import PairConfiguration, pair_from_matrices
 from .linalg import adjoint, as_matrix, decide_rank, gauss_newton, spectral_norm
 from .relations import (
     bipartite_relation_terms,
-    commutant_dimension,
+    pair_relation_terms,
     sandwich_relation_terms,
-    sylvester_operator,
     violated_relation,
 )
 
@@ -72,13 +71,13 @@ U1_AFFINE = (0.5, -13.5)
 U2_AFFINE = (72.0, -108.0, 54.0)
 
 IMAG_GUARD = 1e-10
-IDENTITY_TOL = 1e-8  # identity_check: precondition tolerance on the two triples
+RELATION_TOL = 1e-8  # relation preconditions of identity_check, solve_complement and membership_test
 COMPLEMENT_RESTARTS = 20
 COMPLEMENT_TOL = 1e-11  # a solver start converges at this residual
 COMPLEMENT_MAX_ITER = 60  # Gauss-Newton iterations per start
 COMPLEMENT_WINDOW = 8  # a start gives up when its norm has not halved over this many steps
 COMPLEMENT_RCOND = 1e-12  # relative singular-value cut of the Gauss-Newton step
-SANDWICH_PRECHECK_TOL = 1e-8  # solve_complement: sandwich precheck, and the rank cut of I - P
+COMPLEMENT_RANK_TOL = 1e-8  # solve_complement: the rank cut of I - P
 
 
 @dataclass(frozen=True)
@@ -228,29 +227,33 @@ class IdentityReport:
 _IDENTITY_TERMS = bipartite_relation_terms(3, 3, 1.0 / 6.0)  # identity_check's precondition
 
 
+def _require_system(mats, terms, what: str) -> None:
+    """ValueError unless, within RELATION_TOL, ``mats`` satisfy ``terms`` and
+    have unit traces, which idempotency and products alone do not force."""
+    if (violated := violated_relation(mats, terms, RELATION_TOL)) is not None:
+        name, worst = violated
+        raise ValueError(f"{what}: {name} residual {worst:.3e} > {RELATION_TOL:.1e}")
+    if any(abs(np.trace(a) - 1.0) > RELATION_TOL for a in mats):
+        raise ValueError(f"{what}: a member is not of unit trace within {RELATION_TOL:.1e}")
+
+
 def identity_check(p_triple, q_triple) -> IdentityReport:
     """Both sides of the product identity at a pair of unbiased triples.
 
-    Precondition, within IDENTITY_TOL: the six matrices satisfy the 3+3
+    Precondition, within RELATION_TOL: the six matrices satisfy the 3+3
     graph relations at r = 1/6 (idempotents, orthogonal within a triple,
-    x_i x_j x_i = x_i / 6 across) and each has unit trace, which the graph
-    relations alone do not force; the identity is only claimed there.  The
-    left side is the product over ordered pairs i != j of
-    (36 Tr(P q_i P q_j) - 1) with P the sum of the p-triple; the right side
-    exchanges the roles of the two triples.  By cyclicity the pairs (i, j)
-    and (j, i) give the same factor, so each side is the square of u3 of its
-    triple, read from the three pair words of U_WORDS.
+    x_i x_j x_i = x_i / 6 across) and have unit traces; the identity is only
+    claimed there.  The left side is the product over ordered pairs i != j
+    of (36 Tr(P q_i P q_j) - 1) with P the sum of the p-triple; the right
+    side exchanges the roles of the two triples.  By cyclicity the pairs
+    (i, j) and (j, i) give the same factor, so each side is the square of u3
+    of its triple, read from the three pair words of U_WORDS.
     """
     p = [as_matrix(m) for m in p_triple]
     q = [as_matrix(m) for m in q_triple]
     if len(p) != 3 or len(q) != 3:
         raise ValueError("identity check needs two triples")
-    if (violated := violated_relation(p + q, _IDENTITY_TERMS, IDENTITY_TOL)) is not None:
-        name, worst = violated
-        raise ValueError(f"triples violate the 3+3 relations at r = 1/6: {name} residual {worst:.3e} "
-                         f"> {IDENTITY_TOL:.1e}; identity not applicable")
-    if any(abs(np.trace(a) - 1.0) > IDENTITY_TOL for a in p + q):
-        raise ValueError("triple member is not of unit trace within tolerance")
+    _require_system(p + q, _IDENTITY_TERMS, "identity not applicable to these triples")
 
     def u3_squared(P, triple):
         f12, f13, f23 = u3_factors(u_word_traces(P, triple, U_WORDS[:3]))
@@ -296,7 +299,7 @@ def solve_complement(P, qs, seed: int) -> ComplementResult:
     """Find rank-1 idempotents p'_1 + p'_2 + p'_3 = I - P, orthogonal to each
     other and unbiased against all six q's.
 
-    The rank of M = I - P is decided by decide_rank at SANDWICH_PRECHECK_TOL,
+    The rank of M = I - P is decided by decide_rank at COMPLEMENT_RANK_TOL,
     and only a decisive rank 3 is solved.  With B the top three left singular
     vectors of M and C = B^H M (so M = B C and C B = I), p'_k = v_k u_k^T for
     v_k the columns of B A and u_k the rows of A^-1 C, A in GL(3).  Duality
@@ -313,11 +316,11 @@ def solve_complement(P, qs, seed: int) -> ComplementResult:
     if len(qs) != 6 or P.shape != (6, 6):
         raise ValueError("complement solver works on six-dimensional points with six q's")
     terms = sandwich_relation_terms(6, float(np.trace(P).real) / 6.0)
-    if (violated := violated_relation([P] + qs, terms, SANDWICH_PRECHECK_TOL)) is not None:
+    if (violated := violated_relation([P] + qs, terms, RELATION_TOL)) is not None:
         raise ValueError(f"(P, q) violates the sandwich relations: residual {violated[1]:.3e}")
     M = np.eye(6, dtype=np.complex128) - P
     left, s, _ = np.linalg.svd(M)
-    if (rank := decide_rank(s, SANDWICH_PRECHECK_TOL, "rank of I - P").rank) != 3:
+    if (rank := decide_rank(s, COMPLEMENT_RANK_TOL, "rank of I - P").rank) != 3:
         raise ValueError(f"I - P has rank {rank}; the complement triple needs rank 3")
     B = left[:, :3]
     C = B.conj().T @ M
@@ -361,39 +364,40 @@ class MembershipResult:
 def membership_test(c: PairConfiguration, tol: float = 1e-8) -> MembershipResult:
     """Classify a configuration against the adjoint involution.
 
-    Solves the stacked linear system p^dag g = g p over all 2n projectors.
-    No nonzero solution means the configuration is not equivalent to its
-    adjoint.  Otherwise irreducibility makes the solution line unique; it is
-    rotated to a Hermitian representative g, scaled to max|lambda| = 1, and
-    its inertia, which conjugation leaves unchanged, decides: ``eigenvalues``
-    (ascending) all of one sign certify equivalence to a Hermitian
-    configuration, i.e. a genuine pair of mutually unbiased bases; both signs
-    leave it theta-stable only.  An eigenvalue within tol of zero makes the
-    inertia undecidable: boundary-indeterminate.  The irreducibility gate and
-    the dimension of the solution space are rank decisions: without a
-    decisive singular-value gap they raise IndeterminateDimension.  At a
-    Hermitian configuration the system is the commutator system up to
-    sign, and one SVD decides both.
+    Solves p^dag g = g p over all 2n projectors in the basis of the p's,
+    which must be a complete system of rank-1 idempotents within
+    RELATION_TOL (else ValueError).  The p equations then hold exactly on
+    the span of G_k = p_k^dag p_k, and the commutant of the p's is the span
+    of the p_k: column k of the conjugator operator stacks q_j^dag G_k -
+    G_k q_j over j, of the commutant operator p_k q_j - q_j p_k, and one
+    batched SVD factorises both.  No nonzero solution means the
+    configuration is not equivalent to its adjoint.  Otherwise
+    irreducibility makes the solution line unique; it is rotated to a
+    Hermitian representative g, scaled so that its eigenvalue of largest
+    modulus is 1, and its inertia, which conjugation leaves unchanged,
+    decides: ``eigenvalues`` (ascending) all positive certify equivalence to
+    a Hermitian configuration, i.e. a genuine pair of mutually unbiased
+    bases; both signs leave it theta-stable only, and one within tol of
+    zero boundary-indeterminate.  The irreducibility gate and the dimension
+    of the solution space are rank decisions: without a decisive
+    singular-value gap they raise IndeterminateDimension.
     """
-    mats = c.matrices()
-    d = c.n
-    M = np.stack(mats)
-    Mh = M.conj().transpose(0, 2, 1)
-    K = sylvester_operator(Mh, M)
-    # the triangular QR factor has the singular values and right vectors of K
-    _, s, vh = np.linalg.svd(np.linalg.qr(K, mode="r"))
-    if np.array_equal(Mh, M):  # K is minus the commutator operator: cut as commutant_dimension
-        joint = K.shape[1] - decide_rank(s, 1e-10, "joint commutant").rank
-    else:
-        joint = commutant_dimension(mats)
-    if joint != 1:
+    n = c.n
+    p_terms = [rel for rel in pair_relation_terms(n) if all(g < n for _, w in rel[1] for g in w)]
+    _require_system(c.p, p_terms, "the p's are not a complete system of rank-1 idempotents")
+    p, q = np.stack(c.p), np.stack(c.q)[:, None]  # p[k], q[j, 0]
+    G = p.conj().transpose(0, 2, 1) @ p  # G_k = p_k^dag p_k
+    ops = np.stack([q.conj().transpose(0, 1, 3, 2) @ G - G @ q, p @ q - q @ p])  # [operator, j, k]
+    _, s, vh = np.linalg.svd(np.moveaxis(ops, 2, -1).reshape(2, -1, n), full_matrices=False)
+    if n - decide_rank(s[1], 1e-10, "joint commutant").rank != 1:
         raise ValueError("configuration is reducible; the conjugator is not unique")
-    nullity = K.shape[1] - decide_rank(s, tol, "conjugator space").rank
+    nullity = n - decide_rank(s[0], tol, "conjugator space").rank
     if nullity == 0:
         return MembershipResult(Membership.NOT_THETA_STABLE, None, None)
     if nullity > 1:
         raise ValueError(f"conjugator space has dimension {nullity}; configuration degenerate")
-    g = vh[-1].conj().reshape(d, d)
+    g = np.tensordot(vh[0, -1].conj(), G, 1)
+    g = g / np.linalg.norm(g)
     # rotate the line so that g is Hermitian: if g^dag = c g with |c| = 1,
     # multiplying by exp(i arg(c)/2) lands on the Hermitian representative
     phase = np.vdot(g.ravel(), g.conj().T.ravel())
@@ -403,10 +407,10 @@ def membership_test(c: PairConfiguration, tol: float = 1e-8) -> MembershipResult
         raise ArithmeticError(f"conjugator failed to normalise to Hermitian (defect {herm_defect:.3e})")
     g = (g + g.conj().T) / 2.0
     lam = np.linalg.eigvalsh(g)
-    scale = np.max(np.abs(lam))
-    g, lam = g / scale, lam / scale
+    scale = lam[np.argmax(np.abs(lam))]  # the line's sign: its largest |lambda| becomes +1
+    g, lam = g / scale, np.sort(lam / scale)
     if np.min(np.abs(lam)) <= tol:
         return MembershipResult(Membership.BOUNDARY_INDETERMINATE, g, tuple(lam.tolist()))
-    definite = lam[0] > 0 or lam[-1] < 0  # ascending: all of one sign
+    definite = lam[0] > 0  # ascending, and lam[-1] = 1: all of one sign
     return MembershipResult(Membership.REAL_LOCUS if definite else Membership.THETA_STABLE_ONLY, g,
                             tuple(lam.tolist()))

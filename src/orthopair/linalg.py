@@ -88,10 +88,10 @@ def decide_rank(s, tol: float, what: str) -> RankReport:
     gap ratio is sigma_rank / sigma_{rank+1}, or s[-1] / cut when no value
     lies below the cut; a ratio below GAP_RATIO_REQUIRED raises
     :class:`IndeterminateDimension` carrying the spectrum, and ``what``
-    names the decision in its message.
+    names the decision in its message.  ``tol`` must lie in (0, 1).
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
+    if not 0 < tol < 1:  # also false for nan
+        raise ValueError(f"rank tolerance must lie in (0, 1), got {tol!r}")
     s = np.asarray(s, dtype=float)
     if s.size == 0 or s[0] == 0.0:
         return RankReport(s, 0, 0.0, np.inf)

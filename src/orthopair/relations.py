@@ -45,7 +45,7 @@ __all__ = [
     "violated_relation",
     "restrict",
     "graph_restriction",
-    "sylvester_operator",
+    "commutator_operator",
     "commutant_dimension",
 ]
 
@@ -235,26 +235,20 @@ def graph_restriction(c: PairConfiguration, p_subset, q_subset) -> AlgebraRepPoi
     )
 
 
-def sylvester_operator(A, B) -> np.ndarray:
-    """Matrix of g -> (A_k g - g B_k for all k), acting on row-major vec(g).
+def commutator_operator(mats) -> np.ndarray:
+    """Matrix of xi -> (xi m - m xi for all m), acting on row-major vec(xi).
 
-    ``A`` and ``B`` are k x d x d stacks.  The row block of k is
-    kron(A_k, I) - kron(I, B_k^T): entry ((i, a), (j, b)) is
-    A_k[i, j] [a = b] - [i = j] B_k[b, a].  Both terms are written for all k
+    The row block of m is kron(I, m^T) - kron(m, I): entry ((i, a), (j, b))
+    is [i = j] m[b, a] - m[i, j] [a = b].  Both terms are written for all m
     at once into diagonal views of one zero array, which gives the same
     entries as the np.kron difference.
     """
-    k, d, _ = A.shape
-    K = np.zeros((k, d, d, d, d), dtype=np.result_type(A, B))
-    np.einsum("kiaja->kija", K)[...] = A[..., None]
-    np.einsum("kiaib->kiab", K)[...] -= B.transpose(0, 2, 1)[:, None]
-    return K.reshape(k * d * d, d * d)
-
-
-def commutator_operator(mats) -> np.ndarray:
-    """Matrix of xi -> (xi m - m xi for all m), acting on row-major vec(xi)."""
     M = np.stack([as_matrix(m) for m in mats])
-    return sylvester_operator(-M, -M)  # xi m - m xi = (-m) xi - xi (-m)
+    k, d, _ = M.shape
+    K = np.zeros((k, d, d, d, d), dtype=np.complex128)
+    np.einsum("kiaib->kiab", K)[...] = M.transpose(0, 2, 1)[:, None]
+    np.einsum("kiaja->kija", K)[...] -= M[..., None]
+    return K.reshape(k * d * d, d * d)
 
 
 def commutant_dimension(mats, tol: float = 1e-10) -> int:

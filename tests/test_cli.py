@@ -255,6 +255,25 @@ def test_cli_flags_only_where_read(argv, pair_file, hadamard_file, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["tangent", "{pair}", "--tol", "nan"],
+    ["tangent", "{pair}", "--tol", "inf"],
+    ["tangent", "{pair}", "--tol", "1"],
+    ["defect", "{hadamard}", "--tol", "inf"],
+    ["verify", "{pair}", "--tol", "nan"],
+    ["verify", "{pair}", "--tol", "0"],
+    ["membership", "{pair}", "--tol", "1"],
+])
+def test_out_of_range_tolerance_is_an_input_error(argv, pair_file, hadamard_file, capsys):
+    # no decision is made up at a tolerance that counts no singular value,
+    # and no tolerance that JSON cannot carry is echoed
+    argv = [a.format(pair=pair_file, hadamard=hadamard_file) for a in argv]
+    code, payload, err = run(capsys, *argv)
+    assert code == USAGE
+    assert payload is None
+    assert "--tol must be finite and positive" in err or "rank tolerance must lie in (0, 1)" in err
+
+
 def test_tangent_off_variety_fails_with_residual(pair_file, tmp_path, capsys):
     doc = json.loads(open(pair_file).read())
     doc["f_basis"][2][3] = [0.3, 0.1]  # knock the point off the variety
@@ -359,24 +378,43 @@ def test_membership_reports_conjugator_eigenvalues(pair_file, capsys):
     assert np.all(lam > 0) or np.all(lam < 0)
 
 
-def test_membership_undecided_commutant_exit_code(tmp_path, capsys):
-    # diagonal generators whose entry differences leave 2e-9 above the
-    # 1e-10 cut and 4e-11 below it: the irreducibility gate has no decisive
-    # gap, so membership reports the spectrum and exits 2
-    from orthopair.config import encode_matrix
-
-    a = np.diag([0.0, 2e-9, 1.0, 1.0])
-    b = np.diag([0.0, 0.0, 1.0, 1.0 + 4e-11])
-    doc = {"n": 4, "format": "projectors",
-           "p": [encode_matrix(a)] * 4, "q": [encode_matrix(b)] * 4}
-    path = tmp_path / "undecided.json"
+def _projectors_file(path, ps, qs):
+    doc = {"n": len(ps), "format": "projectors",
+           "p": [config.encode_matrix(m) for m in ps], "q": [config.encode_matrix(m) for m in qs]}
     path.write_text(json.dumps(doc))
-    code, payload, err = run(capsys, "membership", str(path))
+    return str(path)
+
+
+def test_membership_undecided_commutant_exit_code(tmp_path, capsys):
+    # coordinate p's, and q_j = p_j plus symmetric couplings 4e-11 between
+    # coordinates 0 and 1, 2e-9 between 1 and 2, and 1 between 2 and 3: the
+    # diagonal matrices commuting with the q's leave 2e-9 above the 1e-10
+    # cut and 4e-11 below it, so the irreducibility gate has no decisive
+    # gap; membership reports the spectrum of the 4-column commutant
+    # operator and exits 2
+    ps = [np.diag(e) for e in np.eye(4)]
+    coupling = np.zeros((4, 4))
+    for (i, j), x in {(0, 1): 4e-11, (1, 2): 2e-9, (2, 3): 1.0}.items():
+        coupling[i, j] = coupling[j, i] = x
+    path = _projectors_file(tmp_path / "undecided.json", ps, [p + coupling for p in ps])
+    code, payload, err = run(capsys, "membership", path)
     assert code == INDETERMINATE
     assert payload["status"] == "indeterminate"
     assert payload["gap_ratio"] < 1e3
-    assert len(payload["singular_values"]) == 16
+    assert len(payload["singular_values"]) == 4
     assert "joint commutant" in err and "gap ratio" in err
+
+
+def test_membership_refuses_p_off_a_complete_system(tmp_path, capsys):
+    # four copies of diag(0, 2e-9, 1, 1) are idempotent within 1e-8 but sum
+    # to diag(0, 8e-9, 4, 4): the reduction to n unknowns does not hold there
+    a = np.diag([0.0, 2e-9, 1.0, 1.0])
+    b = np.diag([0.0, 0.0, 1.0, 1.0 + 4e-11])
+    path = _projectors_file(tmp_path / "off.json", [a] * 4, [b] * 4)
+    code, payload, err = run(capsys, "membership", path)
+    assert code == USAGE
+    assert payload is None
+    assert "input error" in err and "sum p - 1 residual 3.000e+00" in err
 
 
 def test_numerical_failure_exit_code(pair_file, capsys, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import conjugated_hermitian_pair, random_invertible, random_unitary
-from orthopair import exact, invariants
+from orthopair import exact, invariants, relations
 from orthopair.config import from_hadamard, pair_from_matrices, standard_pair
 from orthopair.invariants import (
     U1_AFFINE,
@@ -21,7 +21,7 @@ from orthopair.invariants import (
     z_functions,
 )
 from orthopair.linalg import decide_rank
-from orthopair.relations import commutant_dimension, sylvester_operator
+from orthopair.relations import commutant_dimension
 
 
 def triple_P(c, idx=(1, 2, 3)):
@@ -586,12 +586,10 @@ def test_membership_matches_unreduced_svd_oracle(standard6, base_pair, family_sa
     h = random_invertible(rng, 6)
     hinv = np.linalg.inv(h)
     conj = pair_from_matrices([h @ p @ hinv for p in base_pair.p], [h @ q @ hinv for q in base_pair.q])
+    forms = [_g_self_adjoint_pair(np.random.default_rng(seed), g) for seed, g in _FORMS.values()]
     points = [standard_pair(3), standard6, base_pair,
-              *(from_hadamard(x) for x in family_sample.points[::13][:3]), conj]
+              *(from_hadamard(x) for x in family_sample.points[::13][:3]), conj, *forms]
     for c in points:
-        M = np.stack(c.matrices())
-        assert np.array_equal(sylvester_operator(M.conj().transpose(0, 2, 1), M),
-                              _kron_membership_operator(c.matrices()))
         result = membership_test(c)
         status, g, lam = _unreduced_membership(c)
         assert result.status is status
@@ -601,17 +599,25 @@ def test_membership_matches_unreduced_svd_oracle(standard6, base_pair, family_sa
         assert np.max(np.abs(result.conjugator - sign * g)) <= 1e-10
         flipped = lam if sign > 0 else -lam[::-1]
         assert np.all(np.abs(np.array(result.eigenvalues) - flipped) <= 1e-10 * np.abs(flipped))
+        assert result.eigenvalues[-1] == 1.0  # the line is oriented: its largest |lambda| is +1
 
 
-def test_membership_hermitian_gate_matches_commutant_dimension(monkeypatch, standard6, base_pair,
+def test_membership_commutant_gate_matches_commutant_dimension(monkeypatch, standard6, base_pair,
                                                               family_sample):
-    # at Hermitian points the gate reads the conjugator's singular values and
-    # must decide the commutant commutant_dimension decides
+    # the gate decides the joint commutant that commutant_dimension decides,
+    # at Hermitian, non-unitarily conjugated and reducible points, from one
+    # SVD of n-column operators and without calling commutant_dimension
+    rng = np.random.default_rng(43)
+    h = random_invertible(rng, 6)
+    hinv = np.linalg.inv(h)
+    conj = pair_from_matrices([h @ p @ hinv for p in base_pair.p], [h @ q @ hinv for q in base_pair.q])
     points = [standard_pair(3), standard6, base_pair,
-              *(from_hadamard(x) for x in family_sample.points[::13][:3])]
+              *(from_hadamard(x) for x in family_sample.points[::13][:3]), conj,
+              pair_from_matrices(list(standard6.p), list(standard6.p))]
     want = [commutant_dimension(c.matrices()) for c in points]
-    ranks, calls = [], []
-    real_decide = invariants.decide_rank
+    assert want == [1] * (len(points) - 1) + [6]
+    ranks, shapes = [], []
+    real_decide, real_svd = invariants.decide_rank, np.linalg.svd
 
     def decide(s, tol, what):
         report = real_decide(s, tol, what)
@@ -619,31 +625,20 @@ def test_membership_hermitian_gate_matches_commutant_dimension(monkeypatch, stan
             ranks.append(report.rank)
         return report
 
+    def svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real_svd(a, *args, **kwargs)
+
     monkeypatch.setattr(invariants, "decide_rank", decide)
-    monkeypatch.setattr(invariants, "commutant_dimension", lambda *a: calls.append(a))
-    for c in points:
-        M = np.stack(c.matrices())
-        assert np.array_equal(M.conj().transpose(0, 2, 1), M)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(relations, "commutant_dimension", None)
+    for c in points[:-1]:
+        shapes.clear()
         assert membership_test(c).status is Membership.REAL_LOCUS
-    assert calls == []
-    assert [c.n ** 2 - r for c, r in zip(points, ranks)] == want == [1] * len(points)
-
-
-def test_membership_non_hermitian_gate_calls_commutant_dimension(monkeypatch, base_pair):
-    rng = np.random.default_rng(43)
-    h = random_invertible(rng, 6)
-    hinv = np.linalg.inv(h)
-    conj = pair_from_matrices([h @ p @ hinv for p in base_pair.p], [h @ q @ hinv for q in base_pair.q])
-    calls = []
-    real = invariants.commutant_dimension
-
-    def counted(mats):
-        calls.append(len(mats))
-        return real(mats)
-
-    monkeypatch.setattr(invariants, "commutant_dimension", counted)
-    assert membership_test(conj).status is Membership.REAL_LOCUS
-    assert calls == [12]
+        assert [s[0] for s in shapes] == [2] and shapes[0][-1] == c.n
+    with pytest.raises(ValueError, match="reducible"):
+        membership_test(points[-1])
+    assert [c.n - r for c, r in zip(points, ranks)] == want
 
 
 def test_membership_rejects_reducible(standard6):

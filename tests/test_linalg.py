@@ -116,6 +116,14 @@ def test_numerical_rank_singular_values_sorted():
         svd_rank(m, -1.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, np.inf, 1.0, 2.0, 0.0])
+def test_decide_rank_refuses_tolerance_outside_unit_interval(tol):
+    # a cut at or above s[0], or a non-finite one, counts no singular value
+    # and would report rank 0 with gap ratio inf on any spectrum
+    with pytest.raises(ValueError, match="rank tolerance must lie in"):
+        decide_rank([3.0, 2.0, 1.0], tol, "test")
+
+
 def test_nullspace_basics():
     assert kernel(np.eye(6), 1e-10) == []
     vecs = kernel(np.zeros((3, 3)), 1e-10)

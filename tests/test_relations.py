@@ -17,7 +17,6 @@ from orthopair.relations import (
     pair_relation_terms,
     restrict,
     sandwich_relation_terms,
-    sylvester_operator,
     violated_relation,
 )
 
@@ -343,14 +342,6 @@ def test_commutator_operator_matches_kron_loop(standard6, base_pair, family_samp
               list(rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4)))]
     for mats in stacks:
         assert np.array_equal(commutator_operator(mats), _kron_commutator_operator(mats))
-    # the general operator g -> A g - g B on random stacks, against its kron form
-    A, B = rng.standard_normal((2, 3, 4, 4)) + 1j * rng.standard_normal((2, 3, 4, 4))
-    eye = np.eye(4)
-    kron = np.vstack([np.kron(a, eye) - np.kron(eye, b.T) for a, b in zip(A, B)])
-    assert np.array_equal(sylvester_operator(A, B), kron)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    image = sylvester_operator(A, B) @ g.ravel()
-    assert np.allclose(image.reshape(3, 4, 4), A @ g - g @ B, rtol=0, atol=1e-13)
 
 
 def test_orbit_rank_exact_oracle_n3():
