@@ -36,6 +36,7 @@ import numpy as np
 from .config import PairConfiguration, pair_from_matrices
 from .linalg import adjoint, as_matrix, decide_rank, gauss_newton, spectral_norm
 from .relations import (
+    RELATION_TOL,
     bipartite_relation_terms,
     pair_relation_terms,
     sandwich_relation_terms,
@@ -71,7 +72,6 @@ U1_AFFINE = (0.5, -13.5)
 U2_AFFINE = (72.0, -108.0, 54.0)
 
 IMAG_GUARD = 1e-10
-RELATION_TOL = 1e-8  # relation preconditions of identity_check, solve_complement and membership_test
 COMPLEMENT_RESTARTS = 20
 COMPLEMENT_TOL = 1e-11  # a solver start converges at this residual
 COMPLEMENT_MAX_ITER = 60  # Gauss-Newton iterations per start

@@ -42,6 +42,7 @@ __all__ = [
     "pair_relation_terms",
     "sandwich_relation_terms",
     "evaluate_relations",
+    "RELATION_TOL",
     "violated_relation",
     "restrict",
     "graph_restriction",
@@ -176,6 +177,9 @@ def evaluate_relations(mats, relations: list[Relation]) -> tuple[float, dict[str
     norms = np.linalg.norm(_residual_stack(mats, relations), 2, axis=(1, 2))
     per = dict(zip((name for name, _ in relations), norms.tolist()))
     return max(per.values(), default=0.0), per
+
+
+RELATION_TOL = 1e-8  # the relation gate of rep_jacobian, identity_check, solve_complement and membership_test
 
 
 def violated_relation(mats, relations: list[Relation], tol: float) -> tuple[str, float] | None:

@@ -35,7 +35,10 @@ Dimension decisions are never taken on faith: every rank cut -- each
 generator's factor rank included -- goes through
 :func:`orthopair.linalg.decide_rank`, which refuses with
 :class:`IndeterminateDimension` carrying the full spectrum unless the cut
-exhibits a singular-value gap ratio of at least GAP_RATIO_REQUIRED.
+exhibits a singular-value gap ratio of at least GAP_RATIO_REQUIRED.  The
+nullity, the orbit dimension and the refusal of a nullity below the orbit
+are decided in one place, :func:`_moduli_report`, for every moduli report
+and for the fiber check.
 """
 
 from __future__ import annotations
@@ -44,10 +47,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import HadamardPoint, PairConfiguration
+from .config import UNITARITY_TOL, HadamardPoint, PairConfiguration
 from .invariants import u3_factors, u_invariants_directional, u_word_traces
 from .linalg import GAP_RATIO_REQUIRED, IndeterminateDimension, as_matrix, decide_rank
 from .relations import (
+    RELATION_TOL,
     AlgebraRepPoint,
     Relation,
     commutant_dimension,
@@ -73,12 +77,13 @@ __all__ = [
     "fiber_rank_check",
 ]
 
-RESIDUAL_GATE = 1e-8
+RANK_TOL = 1e-10  # relative cut of the nullity, orbit and defect decisions
 FACTOR_TOL = 1e-10  # relative cut of each generator's factor rank
 
 
 class OffVariety(ValueError):
-    """A point refused for a residual above RESIDUAL_GATE, kept in ``residual``."""
+    """A point refused for a relation residual above RELATION_TOL or a
+    unitarity residual above config.UNITARITY_TOL, kept in ``residual``."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)
@@ -187,18 +192,14 @@ def _factored_jacobian(factors, relations: list[Relation]) -> np.ndarray:
     return J
 
 
-def _generators(point) -> tuple[list[np.ndarray], list[Relation] | None, tuple[str, ...]]:
-    """Generator matrices of a point, its relation terms and generator names.
-
-    A plain sequence of matrices has no relation terms (None); only the
-    conjugation orbit, which needs none, accepts one.
-    """
+def _generators(point) -> tuple[list[np.ndarray], list[Relation], tuple[str, ...]]:
+    """Generator matrices of a point, its relation terms and generator names."""
     if isinstance(point, PairConfiguration):
         names = tuple(f"p{i + 1}" for i in range(point.n)) + tuple(f"q{j + 1}" for j in range(point.n))
         return point.matrices(), pair_relation_terms(point.n), names
     if isinstance(point, AlgebraRepPoint):
         return [as_matrix(m) for m in point.matrices], point.relations, point.names
-    return [as_matrix(m) for m in point], None, ()
+    raise TypeError(f"cannot build a relation Jacobian for {type(point).__name__}")
 
 
 def _factor(m: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -213,14 +214,12 @@ def _factor(m: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
 def rep_jacobian(point) -> JacobianSystem:
     """Rank-factored analytic Jacobian of the point's relation system.
 
-    Refuses points whose relation residual exceeds the gate (OffVariety),
+    Refuses points whose relation residual exceeds RELATION_TOL (OffVariety),
     before any factoring: tangent analysis at non-solutions is meaningless.
     """
     mats, terms, names = _generators(point)
-    if terms is None:
-        raise TypeError(f"cannot build a relation Jacobian for {type(point).__name__}")
-    if (violated := violated_relation(mats, terms, RESIDUAL_GATE)) is not None:
-        raise OffVariety(f"relation residual {violated[1]:.3e} exceeds {RESIDUAL_GATE:.1e}; "
+    if (violated := violated_relation(mats, terms, RELATION_TOL)) is not None:
+        raise OffVariety(f"relation residual {violated[1]:.3e} exceeds {RELATION_TOL:.1e}; "
                          "not a representation point", violated[1])
     factors = [_factor(m, name) for m, name in zip(mats, names)]
     return JacobianSystem(mats, factors, _factored_jacobian(factors, terms))
@@ -236,14 +235,13 @@ def _variable_scales(factors) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def orbit_tangent_dim(point, tol: float = 1e-10) -> int:
-    """Dimension of the conjugation-orbit tangent at the point.
+def orbit_tangent_dim(mats, tol: float = RANK_TOL) -> int:
+    """Dimension of the conjugation-orbit tangent at the generator matrices.
 
     The orbit tangent is span{([xi, m] for all generators m)}, the image of
     the commutator map, so its dimension is d^2 minus the joint commutant
-    dimension.  Accepts a point or a plain sequence of generator matrices.
+    dimension.
     """
-    mats, _, _ = _generators(point)
     d = mats[0].shape[0]
     return d * d - commutant_dimension(mats, tol)
 
@@ -273,46 +271,54 @@ class TangentReport:
         }
 
 
-def _moduli_report(system: JacobianSystem, tol: float, what: str) -> TangentReport:
-    J = system.jacobian * _variable_scales(system.factors)[None, :]
-    s = np.linalg.svd(J, compute_uv=False)
+def _moduli_report(system: JacobianSystem, tol: float, what: str, s: np.ndarray | None = None) -> TangentReport:
+    """The one decision of a Zariski nullity, an orbit dimension and their
+    difference.  ``s`` is the spectrum of the column-scaled Jacobian, when
+    the caller has already factorised it."""
+    if s is None:
+        s = np.linalg.svd(system.jacobian * _variable_scales(system.factors)[None, :], compute_uv=False)
     cut = decide_rank(s, tol, what)
-    nullity = J.shape[1] - cut.rank - system.gauge_dim
+    nullity = system.jacobian.shape[1] - cut.rank - system.gauge_dim
     orbit = orbit_tangent_dim(system.matrices, tol)
     if nullity < orbit:  # the orbit tangent lies in the kernel: the cut counted residual noise as rank
         raise IndeterminateDimension(f"{what}: nullity {nullity} < orbit dimension {orbit}", s, cut.gap_ratio)
     return TangentReport(nullity, orbit, nullity - orbit, cut.gap_ratio, s)
 
 
-def moduli_tangent_report(c: PairConfiguration, tol: float = 1e-10) -> TangentReport:
+def moduli_tangent_report(c: PairConfiguration, tol: float = RANK_TOL) -> TangentReport:
     """Moduli tangent dimension of a full pair configuration."""
     return _moduli_report(rep_jacobian(c), tol, "pair moduli tangent")
 
 
-def a6_moduli_tangent_report(point: AlgebraRepPoint, tol: float = 1e-10) -> TangentReport:
+def a6_moduli_tangent_report(point: AlgebraRepPoint) -> TangentReport:
     """Moduli tangent dimension of a sandwich-algebra point (P, q_1..q_6).
 
-    The point must be irreducible (scalar commutant); reducible points have
-    non-unique orbit bookkeeping and are refused.
+    The point must be irreducible (scalar commutant, so an orbit of
+    dimension d^2 - 1); reducible points have non-unique orbit bookkeeping
+    and are refused.
     """
     if point.algebra != "sandwich":
         raise ValueError("expected a sandwich-algebra point")
-    if commutant_dimension(point.matrices) != 1:
+    report = _moduli_report(rep_jacobian(point), RANK_TOL, "sandwich moduli tangent")
+    if report.orbit_dim != point.matrices[0].shape[0] ** 2 - 1:
         raise ValueError("point is reducible; moduli tangent undefined here")
-    return _moduli_report(rep_jacobian(point), tol, "sandwich moduli tangent")
+    return report
 
 
-def x33_moduli_tangent_report(point: AlgebraRepPoint, tol: float = 1e-10) -> TangentReport:
-    """Moduli tangent dimension of a bipartite 3+3 graph point in dimension 6.
-
-    No sum constraints are imposed; every generator must have factor rank 1.
-    """
+def _graph33_system(point: AlgebraRepPoint) -> JacobianSystem:
+    """Factored Jacobian of a 3+3 graph point in dimension 6, refused unless
+    every generator has factor rank 1.  No sum constraints are imposed."""
     if point.algebra != "graph" or len(point.matrices) != 6:
         raise ValueError("expected a graph point on the 3+3 complete bipartite graph")
     system = rep_jacobian(point)
     if any(v.shape[1] != 1 for v, _ in system.factors):
         raise ValueError("graph point generators must be rank-1 idempotents")
-    return _moduli_report(system, tol, "bipartite 3+3 moduli tangent")
+    return system
+
+
+def x33_moduli_tangent_report(point: AlgebraRepPoint) -> TangentReport:
+    """Moduli tangent dimension of a bipartite 3+3 graph point in dimension 6."""
+    return _moduli_report(_graph33_system(point), RANK_TOL, "bipartite 3+3 moduli tangent")
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +382,10 @@ class DefectReport:
         }
 
 
-def defect_report(h: HadamardPoint, tol: float = 1e-10) -> DefectReport:
+def defect_report(h: HadamardPoint, tol: float = RANK_TOL) -> DefectReport:
     res = h.unitarity_residual()
-    if res > RESIDUAL_GATE:
-        raise OffVariety(f"unitarity residual {res:.3e} exceeds {RESIDUAL_GATE:.1e}", res)
+    if res > UNITARITY_TOL:
+        raise OffVariety(f"unitarity residual {res:.3e} exceeds {UNITARITY_TOL:.1e}", res)
     _, J = phase_constraints(h)
     _, s, vt = np.linalg.svd(J)
     cut = decide_rank(s, tol, "dephased defect")
@@ -414,32 +420,33 @@ def _tangent_image(factors, vectors: np.ndarray) -> np.ndarray:
     return np.vstack(blocks)
 
 
-def fiber_rank_check(point: AlgebraRepPoint, tol: float = 1e-10) -> FiberRankReport:
+def fiber_rank_check(point: AlgebraRepPoint) -> FiberRankReport:
     """Rank of d(u1, u2, u3) on the kernel of the 3+3 graph relation Jacobian.
 
-    The kernel of the factored Jacobian is mapped to the generator entries
-    by dX = dV W^T + V dW^T, whose image is the Zariski tangent (the gauge
-    directions map to zero), and orthonormalised there; the invariant
-    differential is applied to that whole basis in one product, so its
-    singular values do not depend on the factorisation.  The u's are
-    conjugation-invariant, so orbit directions contribute nothing and the
-    rank equals the rank on the moduli tangent; generically it is 3, making
-    the fibers of the invariant map curves.  Points where two factors of u3
-    vanish simultaneously can drop rank and are flagged (``degenerate_u3``)
-    rather than asserted against.
+    The kernel is decided once, by the 3+3 moduli report: one SVD of the
+    column-scaled factored Jacobian gives both the report's spectrum and
+    the kernel, scaled back to the factor variables.  The kernel is mapped
+    to the generator entries by dX = dV W^T + V dW^T, whose image is the
+    Zariski tangent (the gauge directions map to zero), and orthonormalised
+    there; the invariant differential is applied to that whole basis in one
+    product, so its singular values do not depend on the factorisation.
+    The u's are conjugation-invariant, so orbit directions contribute
+    nothing and the rank equals the rank on the moduli tangent; generically
+    it is 3, making the fibers of the invariant map curves.  Points where
+    two factors of u3 vanish simultaneously can drop rank and are flagged
+    (``degenerate_u3``) rather than asserted against.
 
-    The invariant differential has its own looser cut (at least 1e-8) and
-    counts as rank 0 below an absolute floor.
+    The invariant differential has its own looser cut, 1e-8, and counts as
+    rank 0 below an absolute floor.
     """
-    if point.algebra != "graph" or len(point.matrices) != 6:
-        raise ValueError("fiber rank is computed on 3+3 graph restriction points")
-    system = rep_jacobian(point)
-    mats, J = system.matrices, system.jacobian
-    _, s, vh = np.linalg.svd(J)
-    j_rank = decide_rank(s, tol, "graph relation kernel").rank
-    nullity = J.shape[1] - j_rank - system.gauge_dim
-    image = _tangent_image(system.factors, vh[j_rank:].conj().T)
-    basis = np.linalg.svd(image, full_matrices=False)[0][:, :nullity]
+    system = _graph33_system(point)
+    scales = _variable_scales(system.factors)
+    _, s, vh = np.linalg.svd(system.jacobian * scales[None, :])
+    report = _moduli_report(system, RANK_TOL, "bipartite 3+3 moduli tangent", s)
+    nullity = report.nullity
+    kernel = scales[:, None] * vh[vh.shape[0] - nullity - system.gauge_dim:].conj().T
+    basis = np.linalg.svd(_tangent_image(system.factors, kernel), full_matrices=False)[0][:, :nullity]
+    mats = system.matrices
     d = mats[0].shape[0]
     P, qs = mats[0] + mats[1] + mats[2], mats[3:]
     dm = basis.reshape(6, d, d, nullity)
@@ -448,7 +455,6 @@ def fiber_rank_check(point: AlgebraRepPoint, tol: float = 1e-10) -> FiberRankRep
     if sd.size == 0 or sd[0] < 1e-12:
         rank = 0
     else:
-        rank = decide_rank(sd, max(tol, 1e-8), "invariant differential rank").rank
+        rank = decide_rank(sd, 1e-8, "invariant differential rank").rank
     degenerate = sum(abs(f) < 1e-6 for f in u3_factors(u_word_traces(P, qs))) >= 2
-    orbit = orbit_tangent_dim(mats, tol)
-    return FiberRankReport(rank, sd, nullity - orbit, degenerate)
+    return FiberRankReport(rank, sd, report.moduli_dim, degenerate)

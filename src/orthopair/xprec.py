@@ -18,7 +18,6 @@ __all__ = [
     "to_mp",
     "mp_trace",
     "mp_singular_values",
-    "mp_nullspace",
     "standard_pair_mp",
     "pair_residual_categories_mp",
     "u_invariants_mp_matrices",
@@ -62,22 +61,6 @@ def mp_singular_values(a) -> np.ndarray:
         s = mp.svd_c(to_mp(a), compute_uv=False)
         vals = sorted((float(s[i]) for i in range(s.rows)), reverse=True)
     return np.array(vals)
-
-
-def mp_nullspace(a, tol: float) -> list[np.ndarray]:
-    with _precision():
-        m = to_mp(a)
-        # full matrices: wide inputs need all n right singular vectors
-        u, s, v = mp.svd_c(m, full_matrices=True, compute_uv=True)
-        smax = max(float(s[i]) for i in range(s.rows)) if s.rows else 0.0
-        out = []
-        ncols = m.cols
-        for i in range(ncols):
-            sval = float(s[i]) if i < s.rows else 0.0
-            if smax == 0.0 or sval <= tol * smax:
-                vec = np.array([complex(v[i, j]) for j in range(ncols)]).conj()
-                out.append(vec)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from orthopair.config import HadamardPoint, fourier_phases, from_hadamard, pair_
 from orthopair.invariants import tau, u_invariants, u_invariants_directional
 from orthopair.linalg import decide_rank
 from orthopair.relations import (
+    RELATION_TOL,
     AlgebraRepPoint,
     bipartite_relation_terms,
     evaluate_relations,
@@ -264,7 +265,7 @@ def test_factor_rank_refuses_without_gap():
     # decisive gap for the rank of p1
     c = standard_pair(2)
     blur = pair_from_matrices([c.p[0] + 1e-9 * c.p[1], c.p[1]], list(c.q))
-    assert blur.residual <= tangent.RESIDUAL_GATE
+    assert blur.residual <= RELATION_TOL
     with pytest.raises(IndeterminateDimension) as info:
         rep_jacobian(blur)
     assert "generator p1" in str(info.value)
@@ -298,6 +299,8 @@ def test_x33_refuses_rank_two_and_zero_generators():
         assert evaluate_relations(point.matrices, point.relations)[0] == 0.0
         with pytest.raises(ValueError, match="rank-1"):
             x33_moduli_tangent_report(point)
+        with pytest.raises(ValueError, match="rank-1"):
+            fiber_rank_check(point)
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +324,7 @@ def test_factored_pair_kernel_matches_dense_oracle(name, c):
     assert system.gauge_dim == 2 * c.n
     dense = _dense_nullity(c)
     assert dense == report.nullity
-    assert report.moduli_dim == dense - orbit_tangent_dim(c)
+    assert report.moduli_dim == dense - orbit_tangent_dim(c.matrices())
     assert report.gap_ratio >= GAP_RATIO_REQUIRED
 
 
@@ -364,13 +367,13 @@ def test_factored_graph_kernel_matches_dense_oracle(base_pair, family_sample):
 
 
 def test_orbit_dimension(base_pair):
-    assert orbit_tangent_dim(base_pair) == 35
-    assert orbit_tangent_dim(standard_pair(2)) == 3
+    assert orbit_tangent_dim(base_pair.matrices()) == 35
+    assert orbit_tangent_dim(standard_pair(2).matrices()) == 3
 
 
 def test_orbit_dimension_reducible(standard6):
     degenerate = pair_from_matrices(list(standard6.p), list(standard6.p))
-    assert orbit_tangent_dim(degenerate) == 30  # commutant is the diagonal algebra
+    assert orbit_tangent_dim(degenerate.matrices()) == 30  # commutant is the diagonal algebra
 
 
 def test_orbit_dimension_refuses_without_gap():
@@ -408,7 +411,7 @@ def test_moduli_dimension_never_negative_inside_residual_gate(base_pair, eps):
     # lifted zero singular values (~ eps / 2) pass the 1e-10 cut, and the
     # nullity falls below the orbit dimension: that report is refused
     c = pair_from_matrices([(1.0 + eps) * base_pair.p[0], *base_pair.p[1:]], list(base_pair.q))
-    assert c.residual <= tangent.RESIDUAL_GATE
+    assert c.residual <= RELATION_TOL
     try:
         report = moduli_tangent_report(c)
     except IndeterminateDimension as exc:
@@ -499,7 +502,7 @@ def test_moduli_n3_exact_rank_oracle():
     nullity = ncols - rank
     assert nullity == 8
     # 8 = orbit dimension at an irreducible point of sl(3): moduli dimension 0
-    assert nullity - orbit_tangent_dim(standard_pair(3)) == 0
+    assert nullity - orbit_tangent_dim(standard_pair(3).matrices()) == 0
 
 
 def test_moduli_dimension_conjugation_invariant(base_pair):
@@ -531,15 +534,44 @@ def test_a6_moduli_dimension_generic_sample(family_sample):
     assert a6_moduli_tangent_report(restrict(c, [1, 2, 3])).moduli_dim == 8
 
 
-def test_a6_rejects_reducible(standard6):
-    point = AlgebraRepPoint(
-        algebra="sandwich",
-        names=("P",) + tuple(f"q{j}" for j in range(1, 7)),
-        matrices=(standard6.p[0],) + tuple(standard6.p),
-        relations=sandwich_relation_terms(6, 1.0),
-    )
-    with pytest.raises(ValueError):
+def _reducible_sandwich_point():
+    # P = diag(1, 0, 1, 0, 1, 0) and q's onto (e_2k +- e_2k+1)/sqrt(2): every
+    # sandwich relation holds at r = 1/2, and the three 2x2 blocks leave a
+    # commutant of dimension 3
+    P = np.diag([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
+    qs = []
+    for k in range(3):
+        for sign in (1.0, -1.0):
+            v = np.zeros(6)
+            v[2 * k], v[2 * k + 1] = 1.0, sign
+            qs.append(np.outer(v, v) / 2.0)
+    return AlgebraRepPoint(algebra="sandwich", names=("P",) + tuple(f"q{j}" for j in range(1, 7)),
+                           matrices=(P, *qs), relations=sandwich_relation_terms(6, 0.5))
+
+
+def test_a6_rejects_reducible():
+    point = _reducible_sandwich_point()
+    assert evaluate_relations(point.matrices, point.relations)[0] <= 1e-15
+    assert orbit_tangent_dim(point.matrices) == 33
+    with pytest.raises(ValueError, match="reducible"):
         a6_moduli_tangent_report(point)
+
+
+def test_a6_decides_the_commutant_once(base_pair, monkeypatch):
+    # irreducibility is read from the report's own orbit dimension
+    calls = []
+    commutant = tangent.commutant_dimension
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return commutant(*args, **kwargs)
+
+    monkeypatch.setattr(tangent, "commutant_dimension", counted)
+    assert a6_moduli_tangent_report(restrict(base_pair, [1, 2, 3])).moduli_dim == 8
+    assert len(calls) == 1
+    with pytest.raises(ValueError, match="reducible"):
+        a6_moduli_tangent_report(_reducible_sandwich_point())
+    assert len(calls) == 2
 
 
 def test_x33_moduli_dimension(base_pair):
@@ -716,6 +748,18 @@ def test_fiber_rank_at_base_point_degenerates(base_pair):
     report = fiber_rank_check(point)
     assert report.rank == 2
     assert report.moduli_dim == 4
+
+
+def test_fiber_moduli_dimension_is_the_x33_report(base_pair):
+    # the fiber check reads its kernel and moduli dimension from the 3+3
+    # report's scaled Jacobian, at unitarily and non-unitarily conjugated points
+    rng = np.random.default_rng(34)
+    hs = [random_unitary(rng, 6), random_invertible(rng, 6), random_invertible(rng, 6, spread=1.0),
+          np.diag(np.geomspace(1.0, 100.0, 6))]
+    for h in hs:
+        point = graph_restriction(conjugated_pair(base_pair, h), [1, 2, 3], [1, 2, 3])
+        report = x33_moduli_tangent_report(point)
+        assert fiber_rank_check(point).moduli_dim == report.moduli_dim == 4
 
 
 # ---------------------------------------------------------------------------

@@ -15,15 +15,6 @@ def test_mp_singular_values_match_numpy():
     assert np.allclose(s_np, s_mp, rtol=1e-12)
 
 
-def test_mp_nullspace():
-    m = np.zeros((3, 3), dtype=complex)
-    m[0, 0] = 1.0
-    vecs = xprec.mp_nullspace(m, 1e-10)
-    assert len(vecs) == 2
-    for v in vecs:
-        assert np.linalg.norm(m @ v) < 1e-30
-
-
 def test_mp_basic_operations():
     a = xprec.to_mp(np.array([[1.0, 2j], [0.0, 1.0]]))
     b = a * a
