@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -224,17 +224,17 @@ class IdentityReport:
     gap: float
 
 
-_IDENTITY_TERMS = bipartite_relation_terms(3, 3, 1.0 / 6.0)  # identity_check's precondition
-
-
-def _require_system(mats, terms, what: str) -> None:
-    """ValueError unless, within RELATION_TOL, ``mats`` satisfy ``terms`` and
-    have unit traces, which idempotency and products alone do not force."""
+def _require_system(mats, terms, what: str) -> np.ndarray:
+    """The generator stack of ``mats``; ValueError unless, within
+    RELATION_TOL, they satisfy ``terms`` and have unit traces, which
+    idempotency and products alone do not force."""
     if (violated := violated_relation(mats, terms, RELATION_TOL)) is not None:
         name, worst = violated
         raise ValueError(f"{what}: {name} residual {worst:.3e} > {RELATION_TOL:.1e}")
-    if any(abs(np.trace(a) - 1.0) > RELATION_TOL for a in mats):
+    gens = np.asarray(mats, dtype=np.complex128)
+    if (np.abs(np.trace(gens, axis1=1, axis2=2) - 1.0) > RELATION_TOL).any():
         raise ValueError(f"{what}: a member is not of unit trace within {RELATION_TOL:.1e}")
+    return gens
 
 
 def identity_check(p_triple, q_triple) -> IdentityReport:
@@ -247,20 +247,25 @@ def identity_check(p_triple, q_triple) -> IdentityReport:
     of (36 Tr(P q_i P q_j) - 1) with P the sum of the p-triple; the right
     side exchanges the roles of the two triples.  By cyclicity the pairs
     (i, j) and (j, i) give the same factor, so each side is the square of u3
-    of its triple, read from the three pair words of U_WORDS.
+    of its triple, read from the three pair words of U_WORDS.  The six pair
+    words of both sides are one batched product, ((P q_i) P) q_j.
     """
     p = [as_matrix(m) for m in p_triple]
     q = [as_matrix(m) for m in q_triple]
     if len(p) != 3 or len(q) != 3:
         raise ValueError("identity check needs two triples")
-    _require_system(p + q, _IDENTITY_TERMS, "identity not applicable to these triples")
+    gens = _require_system(p + q, bipartite_relation_terms(3, 3, 1.0 / 6.0),
+                           "identity not applicable to these triples")
+    triples = gens.reshape(2, 3, *gens.shape[1:])  # [side, member]: the p's, the q's
+    sums = (triples[:, 0] + triples[:, 1] + triples[:, 2])[:, None]  # P, then Q
+    i, j = [0, 0, 1], [1, 2, 2]  # the pairs (1, 2), (1, 3), (2, 3) of U_WORDS
+    words = sums @ triples[::-1, i] @ sums @ triples[::-1, j]  # the lhs words, then the rhs words
 
-    def u3_squared(P, triple):
-        f12, f13, f23 = u3_factors(u_word_traces(P, triple, U_WORDS[:3]))
+    def u3_squared(traces):
+        f12, f13, f23 = u3_factors(traces)
         return (f12 * f23 * f13) ** 2
 
-    lhs = u3_squared(p[0] + p[1] + p[2], q)
-    rhs = u3_squared(q[0] + q[1] + q[2], p)
+    lhs, rhs = (u3_squared(t) for t in np.trace(words, axis1=2, axis2=3).tolist())
     return IdentityReport(lhs.real, rhs.real, abs(lhs - rhs))
 
 
@@ -361,6 +366,12 @@ class MembershipResult:
     eigenvalues: tuple[float, ...] | None
 
 
+@lru_cache
+def _p_relation_terms(n: int) -> tuple:
+    """The relations of pair_relation_terms(n) among the p's alone."""
+    return tuple(rel for rel in pair_relation_terms(n) if all(g < n for _, w in rel[1] for g in w))
+
+
 def membership_test(c: PairConfiguration, tol: float = 1e-8) -> MembershipResult:
     """Classify a configuration against the adjoint involution.
 
@@ -383,9 +394,8 @@ def membership_test(c: PairConfiguration, tol: float = 1e-8) -> MembershipResult
     singular-value gap they raise IndeterminateDimension.
     """
     n = c.n
-    p_terms = [rel for rel in pair_relation_terms(n) if all(g < n for _, w in rel[1] for g in w)]
-    _require_system(c.p, p_terms, "the p's are not a complete system of rank-1 idempotents")
-    p, q = np.stack(c.p), np.stack(c.q)[:, None]  # p[k], q[j, 0]
+    p = _require_system(c.p, _p_relation_terms(n), "the p's are not a complete system of rank-1 idempotents")
+    q = np.stack(c.q)[:, None]  # p[k], q[j, 0]
     G = p.conj().transpose(0, 2, 1) @ p  # G_k = p_k^dag p_k
     ops = np.stack([q.conj().transpose(0, 1, 3, 2) @ G - G @ q, p @ q - q @ p])  # [operator, j, k]
     _, s, vh = np.linalg.svd(np.moveaxis(ops, 2, -1).reshape(2, -1, n), full_matrices=False)

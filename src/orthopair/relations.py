@@ -12,21 +12,29 @@ product relations:
 * the sandwich algebra on (P, q_1..q_n): P^2 = P, q_i^2 = q_i,
   q_i P q_i = r q_i and sum q_i = 1.
 
-Relations are represented as lists of (coefficient, word) terms, where a
-word is a tuple of generator indices and the empty word is the identity
-matrix.  The same term lists drive the residual evaluators here, the
-analytic Jacobians in :mod:`orthopair.tangent` and the residual categories
-of :func:`orthopair.config.residual_categories`, so none of them can drift
-apart.  Residuals are measured in spectral norm, which is
-invariant under simultaneous unitary conjugation of all generators.
+Relations are named sums of (coefficient, word) terms, where a word is a
+tuple of generator indices and the empty word is the identity matrix.  The
+builders return memoised tuples, so each system is built once and can never
+be changed under a caller.  The same term lists drive the residual
+evaluators here, the analytic Jacobians in :mod:`orthopair.tangent` and the
+residual categories of :func:`orthopair.config.residual_categories`, so
+none of them can drift apart.  The residual evaluator compiles each term
+tuple once per generator count into index arrays (the words to multiply
+out, level by level, and where each term is added); a call then does only
+the matrix products and the scatter-add.  A plain list of terms is
+converted to tuples on each call.  Residuals are measured in spectral norm,
+which is invariant under simultaneous unitary conjugation of all
+generators.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -52,7 +60,7 @@ __all__ = [
 
 
 # A relation is a named sum of words; the empty word stands for the identity.
-Relation = tuple[str, list[tuple[complex, tuple[int, ...]]]]
+Relation = tuple[str, tuple[tuple[complex, tuple[int, ...]], ...]]
 
 
 @dataclass(frozen=True, eq=False)  # array fields: equality and hash by identity
@@ -65,49 +73,51 @@ class AlgebraRepPoint:
     algebra: str
     names: tuple[str, ...]
     matrices: tuple[np.ndarray, ...]
-    relations: list[Relation]
+    relations: tuple[Relation, ...]
 
 
-def bipartite_relation_terms(k: int, m: int, r: float) -> list[Relation]:
+@functools.lru_cache
+def bipartite_relation_terms(k: int, m: int, r: float) -> tuple[Relation, ...]:
     """Idempotency, cross triple products and in-row annihilation of the
     complete bipartite graph on rows 0..k-1 and k..k+m-1.
 
     Restriction points of larger configurations live on such sub-graphs.
     """
-    rel: list[Relation] = [(f"idempotency x{i}", [(1.0, (i, i)), (-1.0, (i,))]) for i in range(k + m)]
+    rel: list[Relation] = [(f"idempotency x{i}", ((1.0, (i, i)), (-1.0, (i,)))) for i in range(k + m)]
     for i in range(k + m):
         for j in range(k + m):
             if (i < k) != (j < k):
                 if i < j:
-                    rel.append((f"edge x{i}x{j}x{i}", [(1.0, (i, j, i)), (-r, (i,))]))
-                    rel.append((f"edge x{j}x{i}x{j}", [(1.0, (j, i, j)), (-r, (j,))]))
+                    rel.append((f"edge x{i}x{j}x{i}", ((1.0, (i, j, i)), (-r, (i,)))))
+                    rel.append((f"edge x{j}x{i}x{j}", ((1.0, (j, i, j)), (-r, (j,)))))
             elif i != j:
-                rel.append((f"non-edge x{i}x{j}", [(1.0, (i, j))]))
-    return rel
+                rel.append((f"non-edge x{i}x{j}", ((1.0, (i, j)),)))
+    return tuple(rel)
 
 
-def pair_relation_terms(n: int) -> list[Relation]:
+@functools.lru_cache
+def pair_relation_terms(n: int) -> tuple[Relation, ...]:
     """Full bipartite graph relations at r = 1/n plus both sum relations.
 
     Generators 0..n-1 are the p's, n..2n-1 the q's.
     """
-    rel = bipartite_relation_terms(n, n, 1.0 / n)
-    rel.append(("sum p - 1", [(1.0, (i,)) for i in range(n)] + [(-1.0, ())]))
-    rel.append(("sum q - 1", [(1.0, (n + j,)) for j in range(n)] + [(-1.0, ())]))
-    return rel
+    return bipartite_relation_terms(n, n, 1.0 / n) + (
+        ("sum p - 1", tuple((1.0, (i,)) for i in range(n)) + ((-1.0, ()),)),
+        ("sum q - 1", tuple((1.0, (n + j,)) for j in range(n)) + ((-1.0, ()),)))
 
 
-def sandwich_relation_terms(n: int, r: float) -> list[Relation]:
+@functools.lru_cache
+def sandwich_relation_terms(n: int, r: float) -> tuple[Relation, ...]:
     """Relations of the sandwich algebra on generators (P, q_1..q_n).
 
     Generator 0 is P, generators 1..n the q's, each with sandwich scalar r.
     """
-    rel: list[Relation] = [("idempotency P", [(1.0, (0, 0)), (-1.0, (0,))])]
+    rel: list[Relation] = [("idempotency P", ((1.0, (0, 0)), (-1.0, (0,))))]
     for i in range(1, n + 1):
-        rel.append((f"idempotency q{i}", [(1.0, (i, i)), (-1.0, (i,))]))
-        rel.append((f"sandwich q{i}Pq{i}", [(1.0, (i, 0, i)), (-float(r), (i,))]))
-    rel.append(("sum q - 1", [(1.0, (i,)) for i in range(1, n + 1)] + [(-1.0, ())]))
-    return rel
+        rel.append((f"idempotency q{i}", ((1.0, (i, i)), (-1.0, (i,)))))
+        rel.append((f"sandwich q{i}Pq{i}", ((1.0, (i, 0, i)), (-float(r), (i,)))))
+    rel.append(("sum q - 1", tuple((1.0, (i,)) for i in range(1, n + 1)) + ((-1.0, ()),)))
+    return tuple(rel)
 
 
 def evaluate_word(mats, word: tuple[int, ...], dim: int) -> np.ndarray:
@@ -120,14 +130,68 @@ def evaluate_word(mats, word: tuple[int, ...], dim: int) -> np.ndarray:
     return out
 
 
-def _residual_stack(mats, relations: list[Relation]) -> np.ndarray:
+class _Plan(NamedTuple):
+    """The index arrays of one term tuple at one generator count k.
+
+    Product rows stack the identity, the k generators, then the words of
+    each length >= 2 in turn; ``levels`` holds, per length, the rows of the
+    words' prefixes and their last letters.  Terms are sorted by their
+    place j in their relation, then by relation; ``words``, ``coeffs`` and
+    ``relations`` give each term's product row, coefficient and relation
+    index, and ``slots`` the bounds of each j.
+    """
+
+    rows: int
+    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
+    words: np.ndarray
+    coeffs: np.ndarray
+    relations: np.ndarray
+    slots: tuple[tuple[int, int], ...]
+
+
+@functools.lru_cache
+def _compile(relations: tuple[Relation, ...], k: int) -> _Plan:
+    """The plan of :func:`_residual_stack` for ``relations`` on ``k``
+    generators; a letter g in -k..-1 stands for generator g + k."""
+    for name, rel in relations:
+        if not all(-k <= g < k for _, w in rel for g in w):
+            raise ValueError(f"relation {name!r} needs more than the {k} generators given")
+    # (j, relation, coeff, word) in order of j, then of relation
+    terms = sorted((j, r, coeff, tuple(g % k for g in word)) for r, (_, rel) in enumerate(relations)
+                   for j, (coeff, word) in enumerate(rel))
+    slots, rels, coeffs, words = zip(*terms) if terms else ((),) * 4
+    row = {(): 0, **{(g,): 1 + g for g in range(k)}}
+    need = sorted({w[:n] for w in set(words) for n in range(2, len(w) + 1)}, key=len)  # with prefixes
+    levels = []
+    for _, level in itertools.groupby(need, key=len):
+        level = list(level)
+        levels.append((np.array([row[w[:-1]] for w in level], dtype=np.intp),
+                       np.array([w[-1] for w in level], dtype=np.intp)))
+        row.update(zip(level, range(len(row), len(row) + len(level))))
+    ends = list(itertools.accumulate(Counter(slots).values()))
+    return _Plan(len(row), tuple(levels), np.array([row[w] for w in words], dtype=np.intp), np.array(coeffs),
+                 np.array(rels, dtype=np.intp), tuple(zip([0] + ends, ends)))
+
+
+def _plan(relations: Sequence[Relation], k: int) -> _Plan:
+    """The compiled plan of a term tuple; a list (or lists inside a tuple)
+    is compiled from its tuple form, converted on each call."""
+    try:
+        return _compile(relations, k)
+    except TypeError:  # unhashable
+        return _compile(tuple((name, tuple((coeff, tuple(word)) for coeff, word in rel))
+                              for name, rel in relations), k)
+
+
+def _residual_stack(mats, relations: Sequence[Relation]) -> np.ndarray:
     """The d x d residual of every relation, stacked in list order.
 
     Each distinct word is multiplied out once, as its prefix times its last
-    letter, all words of one length in one batched matmul.  Each relation
-    adds its terms in listed order, so the stack equals the term-by-term sum
-    of :func:`evaluate_word` products.  A residual that overflows to a
-    non-finite entry raises OverflowError naming its relation.
+    letter, all words of one length in one batched matmul, from the plan
+    compiled once per term tuple.  Each relation adds its terms in listed
+    order, so the stack equals the term-by-term sum of :func:`evaluate_word`
+    products.  A residual that overflows to a non-finite entry raises
+    OverflowError naming its relation.
     """
     try:
         gens = np.asarray(mats, dtype=np.complex128)
@@ -140,38 +204,26 @@ def _residual_stack(mats, relations: list[Relation]) -> np.ndarray:
             raise ValueError("generator matrices must be square of equal size")
         gens = np.stack(gens)
     k, dim = gens.shape[0], gens.shape[1]
-    # (j, relation, coeff, word) in order of j, then of relation
-    terms = sorted((j, r, coeff, tuple(word)) for r, (_, rel) in enumerate(relations)
-                   for j, (coeff, word) in enumerate(rel))
-    slots, rows, coeffs, words = zip(*terms) if terms else ((),) * 4
-    # prods stacks the identity, the generators, then the needed words of
-    # each length in turn; row[w] is the row of word w
-    row = {(): 0, **{(g,): 1 + g % k for g in range(-k, k)}}
-    prods = np.concatenate([np.eye(dim, dtype=np.complex128)[None], gens])
-    need = sorted({w[:n] for w in set(words) for n in range(2, len(w) + 1)}, key=len)  # with prefixes
+    plan = _plan(relations, k)
+    prods = np.empty((plan.rows, dim, dim), dtype=np.complex128)
+    prods[0] = np.eye(dim)
+    prods[1:k + 1] = gens
     stack = np.zeros((len(relations), dim, dim), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual raises below
-        try:  # a letter outside the generators has no row, or no generator
-            for _, level in itertools.groupby(need, key=len):
-                level = list(level)
-                row.update(zip(level, range(len(prods), len(prods) + len(level))))
-                prefixes = prods[[row[w[:-1]] for w in level]]
-                prods = np.concatenate([prods, prefixes @ gens[[w[-1] for w in level]]])
-            summands = np.array(coeffs)[:, None, None] * prods[[row[w] for w in words]]
-        except (KeyError, IndexError):
-            name = next(name for name, rel in relations
-                        if any(not all(-k <= g < k for g in w) for _, w in rel))
-            raise ValueError(f"relation {name!r} needs more than the {k} generators given") from None
-        rows, ends = np.array(rows, dtype=np.intp), list(itertools.accumulate(Counter(slots).values()))
-        for a, b in zip([0] + ends, ends):  # step j adds the j-th terms
-            stack[rows[a:b]] += summands[a:b]
+        start = k + 1
+        for prefixes, letters in plan.levels:
+            np.matmul(prods[prefixes], gens[letters], out=prods[start:start + len(letters)])
+            start += len(letters)
+        summands = plan.coeffs[:, None, None] * prods[plan.words]
+        for a, b in plan.slots:  # step j adds the j-th terms
+            stack[plan.relations[a:b]] += summands[a:b]
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
         raise OverflowError(f"relation {relations[int(np.argmin(finite))][0]!r} residual is not finite")
     return stack
 
 
-def evaluate_relations(mats, relations: list[Relation]) -> tuple[float, dict[str, float]]:
+def evaluate_relations(mats, relations: Sequence[Relation]) -> tuple[float, dict[str, float]]:
     """(worst residual, per-relation spectral-norm residuals): the
     :func:`_residual_stack`, normed by one batched SVD."""
     norms = np.linalg.norm(_residual_stack(mats, relations), 2, axis=(1, 2))
@@ -182,7 +234,7 @@ def evaluate_relations(mats, relations: list[Relation]) -> tuple[float, dict[str
 RELATION_TOL = 1e-8  # the relation gate of rep_jacobian, identity_check, solve_complement and membership_test
 
 
-def violated_relation(mats, relations: list[Relation], tol: float) -> tuple[str, float] | None:
+def violated_relation(mats, relations: Sequence[Relation], tol: float) -> tuple[str, float] | None:
     """(name, spectral residual) of the worst relation above ``tol``, or None.
 
     The spectral norm is at most the Frobenius norm, so residuals whose

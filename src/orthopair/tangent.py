@@ -43,6 +43,7 @@ and for the fiber check.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,7 +116,7 @@ class JacobianSystem:
         return sum(v.shape[1] ** 2 for v, _ in self.factors)
 
 
-def _factored_relations(relations: list[Relation], factors):
+def _factored_relations(relations: Sequence[Relation], factors):
     """Each relation as (rows, cols, terms) over the factor list
     [V_0, W_0^T, V_1, W_1^T, ...]; a term is (coefficient, factor word).
 
@@ -145,7 +146,7 @@ def _flat(factors) -> list[np.ndarray]:
     return [m for pair in factors for m in pair]
 
 
-def factored_residual_vector(factors, relations: list[Relation]) -> np.ndarray:
+def factored_residual_vector(factors, relations: Sequence[Relation]) -> np.ndarray:
     """Stacked complex residual of all relations in rank factors.
 
     ``factors`` is a list of (V_a, W_a^T); each relation contributes its core
@@ -170,7 +171,7 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
-def _factored_jacobian(factors, relations: list[Relation]) -> np.ndarray:
+def _factored_jacobian(factors, relations: Sequence[Relation]) -> np.ndarray:
     flat = _flat(factors)
     frels = _factored_relations(relations, factors)
     offsets = np.cumsum([0] + [m.size for m in flat])
@@ -192,7 +193,7 @@ def _factored_jacobian(factors, relations: list[Relation]) -> np.ndarray:
     return J
 
 
-def _generators(point) -> tuple[list[np.ndarray], list[Relation], tuple[str, ...]]:
+def _generators(point) -> tuple[list[np.ndarray], Sequence[Relation], tuple[str, ...]]:
     """Generator matrices of a point, its relation terms and generator names."""
     if isinstance(point, PairConfiguration):
         names = tuple(f"p{i + 1}" for i in range(point.n)) + tuple(f"q{j + 1}" for j in range(point.n))

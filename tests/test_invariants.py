@@ -465,29 +465,10 @@ def test_membership_not_theta_stable():
 
 
 def test_membership_theta_stable_only():
-    rng = np.random.default_rng(20)
     g = np.diag([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
     # two complete systems of g-self-adjoint idempotents: theta-stable with
     # an indefinite conjugator, hence not on the real locus
-
-    def g_orthonormalize(vectors):
-        basis = []
-        for v in vectors:
-            for u in basis:
-                v = v - u * (np.conj(g @ u) @ v / (np.conj(g @ u) @ u))
-            if abs(np.conj(g @ v) @ v) < 1e-3:
-                return None
-            basis.append(v)
-        return basis
-
-    def sample_system():
-        while True:
-            vecs = [rng.standard_normal(6) + 1j * rng.standard_normal(6) for _ in range(6)]
-            basis = g_orthonormalize(vecs)
-            if basis is not None:
-                return _dual_system(basis, g)
-
-    c = pair_from_matrices(sample_system(), sample_system())
+    c = _g_self_adjoint_pair(np.random.default_rng(20), g)
     result = membership_test(c)
     assert result.status is Membership.THETA_STABLE_ONLY
 
@@ -503,8 +484,10 @@ def test_membership_boundary_indeterminate():
 
 
 def _g_self_adjoint_pair(rng, g):
-    """Two complete systems of rank-1 idempotents self-adjoint for the form g,
-    drawn as in test_membership_theta_stable_only: g is their conjugator."""
+    """Two complete systems of rank-1 idempotents self-adjoint for the form g:
+    each draws n complex Gaussian vectors, g-orthogonalises them in turn and
+    redraws until every vector's g-norm is at least 1e-3; g is their
+    conjugator."""
     n = g.shape[0]
 
     def system():

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from conftest import random_invertible, random_unitary
-from orthopair import exact
+from orthopair import exact, relations
 from orthopair.config import from_hadamard, pair_from_matrices, standard_pair
-from orthopair.invariants import sigma
+from orthopair.invariants import identity_check, sigma
 from orthopair.linalg import GAP_RATIO_REQUIRED, IndeterminateDimension, spectral_norm
 from orthopair.relations import (
     _residual_stack,
@@ -56,14 +56,19 @@ def _edge_set_terms(k, m, r):
     return rel
 
 
+def _as_lists(terms):
+    """A term list in the loop's form: relations and their terms as lists."""
+    return [(name, list(rel)) for name, rel in terms]
+
+
 def test_relation_terms_match_edge_set_loop():
     # same names, coefficients, words and order
     for k, m in [(1, 1), (2, 2), (3, 3), (3, 6), (6, 6), (2, 4), (1, 5)]:
-        assert bipartite_relation_terms(k, m, 1.0 / 6.0) == _edge_set_terms(k, m, 1.0 / 6.0)
+        assert _as_lists(bipartite_relation_terms(k, m, 1.0 / 6.0)) == _edge_set_terms(k, m, 1.0 / 6.0)
     for n in (2, 3, 6):
         sums = [("sum p - 1", [(1.0, (i,)) for i in range(n)] + [(-1.0, ())]),
                 ("sum q - 1", [(1.0, (n + j,)) for j in range(n)] + [(-1.0, ())])]
-        assert pair_relation_terms(n) == _edge_set_terms(n, n, 1.0 / n) + sums
+        assert _as_lists(pair_relation_terms(n)) == _edge_set_terms(n, n, 1.0 / n) + sums
 
 
 def graph_residual(k, m, r, mats):
@@ -141,6 +146,46 @@ def test_residual_stack_refusals():
         evaluate_relations([np.eye(2), np.ones(2)], rel)
     with pytest.raises(ValueError, match="relation 'x0 x1' needs more than the 1 generators given"):
         evaluate_relations([np.eye(2)], rel)
+
+
+def test_term_lists_are_memoised_tuples():
+    # the builders hand out one immutable tuple per system
+    for build, args in [(bipartite_relation_terms, (3, 3, 1.0 / 6.0)), (pair_relation_terms, (6,)),
+                        (sandwich_relation_terms, (6, 0.5))]:
+        terms = build(*args)
+        assert build(*args) is terms
+        assert isinstance(terms, tuple) and all(isinstance(rel, tuple) for _, rel in terms)
+
+
+def test_residual_plan_compiled_once(standard6):
+    relations._compile.cache_clear()
+    for _ in range(100):
+        identity_check(list(standard6.p[:3]), list(standard6.q[:3]))
+    info = relations._compile.cache_info()
+    assert (info.misses, info.hits) == (1, 99)
+
+
+def test_residual_stack_of_a_list_equals_its_tuple(base_pair):
+    # a plain list, with lists inside, is compiled from its tuple form
+    mats = base_pair.matrices()
+    terms = pair_relation_terms(6)
+    as_lists = [[name, [[coeff, list(word)] for coeff, word in rel]] for name, rel in terms]
+    assert np.array_equal(_residual_stack(mats, as_lists), _residual_stack(mats, terms))
+    # a letter beyond the generators is refused naming its relation, in both forms
+    for form in (terms, as_lists):
+        with pytest.raises(ValueError, match="relation 'idempotency x11' needs more than the 11 generators given"):
+            _residual_stack(mats[:11], form)
+
+
+def test_residual_stack_negative_letters(base_pair):
+    # letter g in -k..-1 stands for generator g + k, as in Python indexing
+    mats = base_pair.matrices()
+    negative = [(name, [(coeff, tuple(g - 12 for g in word)) for coeff, word in rel])
+                for name, rel in pair_relation_terms(6)]
+    mixed = [("x0 x11 - x0 x-1", [(1.0, (0, 11)), (-1.0, (0, -1))]), ("x-12 x-1 x-12", [(1.0, (-12, -1, -12))])]
+    assert np.array_equal(_residual_stack(mats, negative), _residual_stack(mats, pair_relation_terms(6)))
+    for terms in (negative, mixed):
+        assert np.array_equal(_residual_stack(mats, terms), _residual_stack_by_loop(mats, terms))
 
 
 def test_violated_relation_frobenius_screen_and_spectral_decision():
@@ -249,8 +294,8 @@ def test_bkn_residual(base_pair):
     # one-sided quotient: three p's against the full q row at r = 1/6, with
     # the sum-to-identity relation on the q row only; it holds exactly on
     # restrictions of a valid configuration
-    terms = bipartite_relation_terms(3, 6, 1.0 / 6.0)
-    terms.append(("sum q - 1", [(1.0, (3 + j,)) for j in range(6)] + [(-1.0, ())]))
+    terms = bipartite_relation_terms(3, 6, 1.0 / 6.0) + (
+        ("sum q - 1", tuple((1.0, (3 + j,)) for j in range(6)) + ((-1.0, ()),)),)
     assert evaluate_relations(list(base_pair.p[:3]) + list(base_pair.q), terms)[0] <= 1e-13
     # dropping a q breaks the row sum
     with pytest.raises(ValueError):
