@@ -11,12 +11,18 @@ directions, so singular values below 1e-10 of the largest are dropped and
 the step is the minimal-norm one, i.e. orthogonal to the family.  That
 makes predictor steps of size h land back on the manifold a distance ~h
 from where they started.
+
+A converged corrector hands the Jacobian of its final evaluation to the
+tangent frame at the point it returns, so a continuation point costs one
+Jacobian per corrector evaluation and one SVD for its kernel; only the
+start of a walk takes its frame from :func:`tangent.defect_report`.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import islice, permutations
 
 import numpy as np
@@ -24,7 +30,7 @@ import numpy as np
 from .config import HadamardPoint, dephased_phases
 from .invariants import u_invariants
 from .linalg import gauss_newton, rank1_projector
-from .tangent import defect_report, phase_constraints
+from .tangent import RANK_TOL, _defect_kernel, defect_report, phase_constraints
 
 __all__ = [
     "CorrectorResult",
@@ -47,6 +53,7 @@ CORRECTOR_WINDOW = 3  # newton_correct gives up when its norm has not halved ove
 STEP_HALVINGS = 5  # a continuation move halves its step at most this often before it gives up
 KEY_GRID = 1e-6  # the canonical key compares phases rounded to this grid
 KEY_PERM_BLOCK = 720  # column permutations searched per batch: all of them up to n = 7
+KEY_MAX_N = 10  # the canonical key packs each row of ranks into one int64 code up to this n
 
 
 def _point_from_vector(n: int, x: np.ndarray) -> HadamardPoint:
@@ -59,7 +66,8 @@ def _phase_distance(a: HadamardPoint, b: HadamardPoint) -> float:
     return float(np.linalg.norm(d))
 
 
-def tangent_frame(h: HadamardPoint, prev: np.ndarray | None = None) -> np.ndarray:
+def tangent_frame(h: HadamardPoint, prev: np.ndarray | None = None,
+                  jacobian: np.ndarray | None = None) -> np.ndarray:
     """Orthonormal basis of the family tangent at an on-manifold point.
 
     Returns a ((n-1)^2, 4) array of kernel vectors of the unitarity
@@ -67,11 +75,24 @@ def tangent_frame(h: HadamardPoint, prev: np.ndarray | None = None) -> np.ndarra
     Procrustes) to match it as closely as possible, which keeps frames
     continuous along a path.  Points whose defect is not 4 are off the
     family or singular and are refused.
+
+    Without ``jacobian`` the kernel is that of :func:`tangent.defect_report`,
+    which refuses points outside UNITARITY_TOL.  ``jacobian`` is the phase
+    Jacobian at ``h`` that a converged :func:`newton_correct` hands over
+    (``CorrectorResult.jacobian``); its kernel is taken by the same single
+    SVD and defect decision, with no unitarity gate.  None is needed there:
+    the corrector converged at ||c|| <= CORRECTOR_TOL = 1e-12, c holds the
+    real and imaginary parts of the off-diagonal entries of U^dag U - I
+    above the diagonal, and the reconstruction pins the moduli, so the
+    diagonal is rounding; hence ||U^dag U - I||_2 <= ||U^dag U - I||_F,
+    about sqrt(2) ||c||, far below UNITARITY_TOL = 1e-8.
     """
-    report = defect_report(h)
-    if report.defect != FAMILY_DIM:
-        raise ValueError(f"dephased defect is {report.defect}, not {FAMILY_DIM}; no 4-frame here")
-    V = report.kernel
+    if jacobian is None:
+        V = defect_report(h).kernel
+    else:
+        V = _defect_kernel(jacobian, RANK_TOL)[1]
+    if V.shape[1] != FAMILY_DIM:
+        raise ValueError(f"dephased defect is {V.shape[1]}, not {FAMILY_DIM}; no 4-frame here")
     if prev is not None:
         if prev.shape != V.shape:
             raise ValueError("previous frame has wrong shape")
@@ -80,12 +101,16 @@ def tangent_frame(h: HadamardPoint, prev: np.ndarray | None = None) -> np.ndarra
     return V
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: equality and hash by identity
 class CorrectorResult:
+    """``jacobian`` is the phase Jacobian (:func:`tangent.phase_constraints`)
+    at ``point`` when the corrector converged, None otherwise."""
+
     point: HadamardPoint
     residual: float
     iterations: int
     converged: bool
+    jacobian: np.ndarray | None = None
 
 
 def newton_correct(h: HadamardPoint) -> CorrectorResult:
@@ -95,19 +120,31 @@ def newton_correct(h: HadamardPoint) -> CorrectorResult:
     residual has not halved over CORRECTOR_WINDOW steps and then returns the
     best iterate flagged as failed, never a silently bad point.  Quadratic
     convergence is only guaranteed for starting residuals below ~0.1;
-    grossly off-manifold starts are refused outright.
+    grossly off-manifold starts (unitarity residual above 0.5, screened by
+    :meth:`HadamardPoint.unitarity_violation`) are refused outright.
+
+    Every evaluation builds the constraints and their Jacobian together.  A
+    converged result keeps the point and the Jacobian of its final
+    evaluation, which is the Jacobian at that point; :func:`tangent_frame`
+    takes its kernel from it.
     """
-    if h.unitarity_residual() > 0.5:
+    if h.unitarity_violation(0.5) is not None:
         raise ValueError("starting residual above 0.5; far outside any corrector basin")
     n = h.n
+    last = []  # the point and Jacobian of the latest evaluation
 
     def constraints(x):
-        c, J = phase_constraints(_point_from_vector(n, x))
+        point = _point_from_vector(n, x)
+        c, J = phase_constraints(point)
+        last[:] = point, J
         return c, lambda: J
 
     x, r, steps, converged = gauss_newton(constraints, h.phases.ravel(), CORRECTOR_TOL,
                                           CORRECTOR_MAX_ITER, CORRECTOR_WINDOW, PINV_CUTOFF)
-    return CorrectorResult(_point_from_vector(n, x), r, steps, converged)
+    if converged:  # gauss_newton stops at the iterate it has just evaluated
+        point, J = last
+        return CorrectorResult(point, r, steps, True, J)
+    return CorrectorResult(_point_from_vector(n, x), r, steps, False)
 
 
 def _corrected_step(current: HadamardPoint, scale: float, predict, min_move: float):
@@ -184,7 +221,7 @@ def trace_path(start: HadamardPoint, direction, steps: int, h: float,
             status = f"corrector failed at step {k} after {STEP_HALVINGS} halvings"
             break
         try:
-            frame = tangent_frame(result.point, prev=frame)
+            frame = tangent_frame(result.point, prev=frame, jacobian=result.jacobian)
         except ValueError as exc:
             status = f"family frame lost at step {k}: {exc}"
             break
@@ -233,7 +270,7 @@ def sample_family(start: HadamardPoint, count: int, seed: int,
             continue
         moved = result.point
         try:
-            frame = tangent_frame(moved, prev=frame)
+            frame = tangent_frame(moved, prev=frame, jacobian=result.jacobian)
         except ValueError:
             failures += 1  # singular point of the family: do not move there
             continue
@@ -270,6 +307,28 @@ def _key_grid(ph: np.ndarray) -> np.ndarray:
     return np.round(ph / KEY_GRID).astype(np.int64)
 
 
+@lru_cache(maxsize=None)
+def _key_blocks(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The column permutations of an m x m block in ``itertools`` order, in
+    batches of KEY_PERM_BLOCK, each with its packing matrix; built once per m.
+
+    Entries below 2^bits, bits the bit length of m^2 - 1, pack row i of a
+    block r under column order cperms[p] into the int64 code
+    sum_j r[i, cperms[p, j]] 2^(bits (m - 1 - j)) = (r @ packer)[i, p]:
+    packer[c, p] is the weight of the position column c takes in cperms[p].
+    Codes compare as the rows do, lexicographically, and fit in 63 bits for
+    m < KEY_MAX_N.  At m = 9 the batches hold about 30 MB.
+    """
+    bits = (m * m - 1).bit_length()
+    weights = np.int64(1) << (bits * np.arange(m - 1, -1, -1, dtype=np.int64))
+    blocks = []
+    perms = permutations(range(m))
+    while block := list(islice(perms, KEY_PERM_BLOCK)):
+        cperms = np.array(block, dtype=np.int8)
+        blocks.append((cperms, np.ascontiguousarray(weights[np.argsort(cperms, axis=1)].T)))
+    return tuple(blocks)
+
+
 def _canonical_phases(h: HadamardPoint, full: bool) -> tuple[tuple, np.ndarray]:
     """Heuristic canonical form under row/column permutation and dephasing.
 
@@ -284,16 +343,24 @@ def _canonical_phases(h: HadamardPoint, full: bool) -> tuple[tuple, np.ndarray]:
     class whose members differ by a first-row/column move.  Ties go to the
     first least candidate: pivots in row-major order, column permutations
     in itertools order, equal rows in their original order.
+
+    The search compares packed rows: the rounded block is replaced by the
+    ranks of its values (order-preserving, equal values equal, below m^2),
+    each permuted row becomes one int64 code (:func:`_key_blocks`), and a
+    candidate's sorted codes compare as its sorted rows.  The codes fit up
+    to n = KEY_MAX_N = 10; larger n, whose search would take at least 10!
+    permutations per pivot, is refused before any permutation is built.
     """
     n = h.n
     m = n - 1
+    if n > KEY_MAX_N:
+        raise ValueError(f"the canonical key is searched up to n = {KEY_MAX_N}; got n = {n}")
     if m == 0:  # a 1x1 matrix has no phase block to permute
         return (), h.phases
     u0 = h.reconstruct()
     pivots = [(0, 0)]
     if full:
         pivots = [(r, c) for r in range(n) for c in range(n)]
-    row_record = np.dtype([(f"f{j}", np.int64) for j in range(m)])
     best_key = None
     best_ph = None
     for (r, c) in pivots:
@@ -301,22 +368,17 @@ def _canonical_phases(h: HadamardPoint, full: bool) -> tuple[tuple, np.ndarray]:
         col_order = [c] + [j for j in range(n) if j != c]
         ph = dephased_phases(u0[np.ix_(row_order, col_order)])
         rounded = _key_grid(ph)
-        perms = permutations(range(m))
-        while block := list(islice(perms, KEY_PERM_BLOCK)):
-            cperms = np.array(block)
-            # cands[p, i, :] is row i of the block with its columns in order cperms[p]
-            cands = np.ascontiguousarray(rounded[:, cperms].transpose(1, 0, 2))
-            # one stable sort of every candidate's rows; a record of signed int64
-            # fields compares lexicographically, like the tuples of the key
-            rperms = np.argsort(cands.view(row_record)[..., 0], axis=1, kind="stable")
-            sorted_cands = np.take_along_axis(cands, rperms[:, :, None], axis=1)
-            # lexsort is stable: the first least candidate in permutation order wins
-            flat = sorted_cands.reshape(len(block), m * m)
-            p = np.lexsort(flat.T[::-1])[0]
-            key = tuple(map(tuple, sorted_cands[p].tolist()))
+        ranks = np.searchsorted(np.sort(rounded, axis=None), rounded)
+        for cperms, packer in _key_blocks(m):
+            codes = ranks @ packer  # codes[i, p]: row i with its columns in order cperms[p]
+            # lexsort is stable and takes its last key first: the candidate
+            # whose sorted codes are least, the first one in permutation order
+            p = np.lexsort(np.sort(codes, axis=0)[::-1])[0]
+            rperm = np.argsort(codes[:, p], kind="stable")
+            key = tuple(map(tuple, rounded[np.ix_(rperm, cperms[p])].tolist()))
             if best_key is None or key < best_key:
                 best_key = key
-                best_ph = ph[np.ix_(rperms[p], cperms[p])]
+                best_ph = ph[np.ix_(rperm, cperms[p])]
     return best_key, best_ph
 
 

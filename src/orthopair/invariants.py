@@ -250,10 +250,11 @@ def identity_check(p_triple, q_triple) -> IdentityReport:
     of its triple, read from the three pair words of U_WORDS.  The six pair
     words of both sides are one batched product, ((P q_i) P) q_j.
     """
-    p = [as_matrix(m) for m in p_triple]
-    q = [as_matrix(m) for m in q_triple]
+    p, q = list(p_triple), list(q_triple)
     if len(p) != 3 or len(q) != 3:
         raise ValueError("identity check needs two triples")
+    # the relation gate converts and checks the six matrices, naming a
+    # matrix that is not 2-d or not finite as as_matrix does
     gens = _require_system(p + q, bipartite_relation_terms(3, 3, 1.0 / 6.0),
                            "identity not applicable to these triples")
     triples = gens.reshape(2, 3, *gens.shape[1:])  # [side, member]: the p's, the q's

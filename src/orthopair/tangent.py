@@ -50,7 +50,7 @@ import numpy as np
 
 from .config import UNITARITY_TOL, HadamardPoint, PairConfiguration
 from .invariants import u3_factors, u_invariants_directional, u_word_traces
-from .linalg import GAP_RATIO_REQUIRED, IndeterminateDimension, as_matrix, decide_rank
+from .linalg import GAP_RATIO_REQUIRED, IndeterminateDimension, RankReport, as_matrix, decide_rank
 from .relations import (
     RELATION_TOL,
     AlgebraRepPoint,
@@ -383,14 +383,21 @@ class DefectReport:
         }
 
 
+def _defect_kernel(J: np.ndarray, tol: float) -> tuple[RankReport, np.ndarray]:
+    """The one defect decision on a phase Jacobian: one SVD, the gap-checked
+    cut, and the kernel basis as columns."""
+    _, s, vt = np.linalg.svd(J)
+    cut = decide_rank(s, tol, "dephased defect")
+    return cut, vt[cut.rank:].T
+
+
 def defect_report(h: HadamardPoint, tol: float = RANK_TOL) -> DefectReport:
     res = h.unitarity_residual()
     if res > UNITARITY_TOL:
         raise OffVariety(f"unitarity residual {res:.3e} exceeds {UNITARITY_TOL:.1e}", res)
     _, J = phase_constraints(h)
-    _, s, vt = np.linalg.svd(J)
-    cut = decide_rank(s, tol, "dephased defect")
-    return DefectReport(J.shape[1] - cut.rank, cut.gap_ratio, s, res, vt[cut.rank:].T)
+    cut, kernel = _defect_kernel(J, tol)
+    return DefectReport(kernel.shape[1], cut.gap_ratio, cut.singular_values, res, kernel)
 
 
 # ---------------------------------------------------------------------------

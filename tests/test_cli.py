@@ -352,6 +352,17 @@ def test_sample_requires_seed(hadamard_file, tmp_path, capsys):
     assert code == USAGE
 
 
+def test_sample_refuses_n_beyond_the_canonical_key(tmp_path, capsys):
+    start = str(tmp_path / "f11.json")
+    assert run(capsys, "hadamard", "--fourier", "11", "--out", start)[0] == OK
+    out = tmp_path / "o.jsonl"
+    code, payload, err = run(capsys, "sample", "--start", start, "--count", "2", "--seed", "1",
+                             "--out", str(out))
+    assert code == USAGE and payload is None
+    assert "canonical key is searched up to n = 10" in err
+    assert not out.exists()
+
+
 def test_membership(pair_file, capsys):
     code, payload, _ = run(capsys, "membership", pair_file)
     assert code == OK

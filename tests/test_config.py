@@ -78,7 +78,10 @@ def test_residual_is_derived_not_stored(base_pair, fourier6, monkeypatch):
     residual_categories(base_pair)
     assert len(calls) == 0
     from_hadamard(fourier6)
-    assert len(calls) == 1  # the unitarity refusal
+    assert len(calls) == 0  # the unitarity gate passes on the Frobenius screen
+    with pytest.raises(ValueError, match="do not reconstruct to a unitary"):
+        from_hadamard(HadamardPoint(6, np.zeros((5, 5))))  # the all-ones matrix
+    assert len(calls) == 1  # decided on the spectral norm
 
 
 def test_unbiasedness_residual_permutation_invariant(base_pair):

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orthopair import continuation
+from orthopair import config, continuation, invariants, linalg, tangent
 from orthopair.config import (
+    UNITARITY_TOL,
     HadamardPoint,
     dephased_phases,
     fourier_phases,
@@ -104,6 +105,50 @@ def test_newton_large_normal_kick_is_never_silent(fourier6):
         assert result.point.unitarity_residual() <= 1e-9
     else:
         assert result.residual > 1e-12  # flagged, not silently wrong
+
+
+def test_converged_corrector_hands_over_its_jacobian(fourier6_swapped):
+    frame = tangent_frame(fourier6_swapped)
+    rng = np.random.default_rng(40)
+    for size in (0.0, 1e-3, 1e-2):
+        step = frame @ rng.standard_normal(4) + 1e-3 * rng.standard_normal(25)
+        result = newton_correct(HadamardPoint(6, fourier6_swapped.phases + size * step.reshape(5, 5)))
+        assert result.converged and result.iterations >= (size > 0)
+        assert np.array_equal(result.jacobian, phase_constraints(result.point)[1])
+        handed = tangent_frame(result.point, prev=frame, jacobian=result.jacobian)
+        assert np.array_equal(handed, tangent_frame(result.point, prev=frame))
+
+
+def _count_calls(monkeypatch, fn) -> list:
+    """Record every call of ``fn`` through any orthopair module that binds it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for mod in (config, continuation, invariants, linalg, tangent):
+        for key, value in list(vars(mod).items()):
+            if value is fn:
+                monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
+def test_trace_path_builds_one_jacobian_per_evaluation(fourier6_swapped, monkeypatch):
+    # each corrector evaluation builds constraints and Jacobian together, the
+    # frame reuses the converged one, and only the start pays for the defect
+    # report; the unitarity gates pass on the Frobenius screen, so the SVD
+    # norms are the start's residual and the start frame's gate
+    builds = _count_calls(monkeypatch, tangent.phase_constraints)
+    norms = _count_calls(monkeypatch, linalg.spectral_norm)
+    results = []
+    correct = continuation.newton_correct
+    monkeypatch.setattr(continuation, "newton_correct",
+                        lambda h: results.append(correct(h)) or results[-1])
+    path = trace_path(fourier6_swapped, [1.0, 0.0, 0.0, 0.0], steps=50, h=1e-2)
+    assert path.ok and len(results) >= 50
+    assert len(builds) == sum(r.iterations + 1 for r in results) + 1
+    assert len(norms) == 2
 
 
 def test_trace_path_basic(fourier6_swapped):
@@ -350,6 +395,53 @@ def test_canonical_reduce_idempotent(family_sample):
     assert len(once) == len(twice)
     for a, b in zip(once, twice):
         assert np.allclose(a.phases, b.phases, atol=1e-12)
+
+
+def _on_gate(h, direction, gate):
+    """Points on the ray h + t direction whose unitarity residuals bracket
+    ``gate``: (just below, just above), by bisection on t."""
+    lo, hi = 0.0, 1.0
+    while HadamardPoint(h.n, h.phases + hi * direction).unitarity_residual() <= gate:
+        hi *= 2
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        if HadamardPoint(h.n, h.phases + mid * direction).unitarity_residual() <= gate:
+            lo = mid
+        else:
+            hi = mid
+    return tuple(HadamardPoint(h.n, h.phases + t * direction) for t in (lo, hi))
+
+
+@pytest.mark.parametrize("gate", [UNITARITY_TOL, 0.5])
+def test_unitarity_screen_keeps_the_spectral_verdict(fourier6, gate):
+    # the Frobenius norm exceeds the gate on both sides, so the screen cannot
+    # decide and the spectral norm does, just below and just above the gate
+    direction = np.random.default_rng(41).standard_normal((5, 5))
+    below, above = _on_gate(fourier6, direction, gate)
+    for h in (below, above):
+        u = h.reconstruct()
+        assert np.linalg.norm(u.conj().T @ u - np.eye(6)) > gate
+    assert below.unitarity_residual() <= gate < above.unitarity_residual()
+    assert below.unitarity_violation(gate) is None
+    assert above.unitarity_violation(gate) == above.unitarity_residual()
+    if gate == UNITARITY_TOL:
+        assert np.array_equal(below.unitary(), below.reconstruct())
+        with pytest.raises(ValueError, match="do not reconstruct to a unitary"):
+            above.unitary()
+    else:
+        assert isinstance(newton_correct(below), continuation.CorrectorResult)
+        with pytest.raises(ValueError, match="starting residual above 0.5"):
+            newton_correct(above)
+
+
+def test_canonical_key_refuses_n11_before_any_permutation(monkeypatch):
+    enumerated = []
+    monkeypatch.setattr(continuation, "permutations", lambda *a: enumerated.append(a))
+    h = fourier_phases(11)
+    for full in (False, True):
+        with pytest.raises(ValueError, match="up to n = 10"):
+            canonical_reduce([h], full=full)
+    assert enumerated == []
 
 
 def test_jsonl_records(tmp_path, fourier6_swapped):
