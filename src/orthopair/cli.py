@@ -1,11 +1,13 @@
 """Command-line interface.
 
 One binary, one subcommand per batch operation, machine-readable JSON on
-stdout and human diagnostics on stderr.  Exit codes: 0 ok, 1 fail
-(including a numerical failure such as a non-converged SVD), 2
+stdout and human diagnostics on stderr.  Exit codes: 0 ok, 1 fail, 2
 indeterminate (e.g. membership, decided by the conjugator's inertia, with
-one of its "eigenvalues" within --tol of zero), 3 usage or input error.
-Numeric output uses shortest
+one of its "eigenvalues" within --tol of zero), 3 usage or input error.  A
+fail is a numerical failure, such as a non-converged SVD, or a point off the
+variety: every command that gates a point on a residual of its defining
+equations (OffVariety) prints {"status": "fail", "residual": ...}, mapped
+in one place, main.  Numeric output uses shortest
 round-trip decimal (up to 17 significant digits).  Randomised commands
 refuse to run without an explicit --seed so every reported number is
 reproducible.  --tol is accepted by verify, tangent, defect and membership;
@@ -22,7 +24,7 @@ import sys
 import numpy as np
 
 from . import config, continuation, invariants, relations, tangent
-from .linalg import IndeterminateDimension
+from .linalg import IndeterminateDimension, OffVariety
 
 OK, FAIL, INDETERMINATE, USAGE = 0, 1, 2, 3
 
@@ -115,24 +117,14 @@ def cmd_invariants(args) -> int:
     return OK
 
 
-def _report(compute, point, tol: float) -> int:
-    """Emit a tangent or defect report, or the residual of a point off the variety."""
-    try:
-        report = compute(point, tol)
-    except tangent.OffVariety as exc:
-        _emit({"status": "fail", "residual": exc.residual})
-        _diag(f"off the variety: {exc}")
-        return FAIL
-    _emit(report.to_json_dict())
+def cmd_tangent(args) -> int:
+    _emit(tangent.moduli_tangent_report(config.load_pair(args.file), args.tol).to_json_dict())
     return OK
 
 
-def cmd_tangent(args) -> int:
-    return _report(tangent.moduli_tangent_report, config.load_pair(args.file), args.tol)
-
-
 def cmd_defect(args) -> int:
-    return _report(tangent.defect_report, config.load_hadamard(args.file), args.tol)
+    _emit(tangent.defect_report(config.load_hadamard(args.file), args.tol).to_json_dict())
+    return OK
 
 
 def _parse_direction(text: str) -> np.ndarray:
@@ -320,6 +312,10 @@ def main(argv=None) -> int:
                "singular_values": [float(x) for x in exc.singular_values]})
         _diag(str(exc))
         return INDETERMINATE
+    except OffVariety as exc:  # before the input errors: a refused point is a fail
+        _emit({"status": "fail", "residual": exc.residual})
+        _diag(f"off the variety: {exc}")
+        return FAIL
     except (np.linalg.LinAlgError, ArithmeticError) as exc:  # after the gap refusal; no input error
         _diag(f"numerical failure: {exc}")
         return FAIL

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import adjoint, as_matrix, decide_rank, rank1_projector, spectral_norm
+from .linalg import OffVariety, adjoint, as_matrix, range_factor, rank1_projector, spectral_norm, worst_above
 from .relations import evaluate_relations, pair_relation_terms
 
 __all__ = [
@@ -187,24 +187,17 @@ class HadamardPoint:
         return float(spectral_norm(self._gram_defect()))
 
     def unitarity_violation(self, tol: float) -> float | None:
-        """The :meth:`unitarity_residual` if it exceeds ``tol``, else None.
-
-        The spectral norm is at most the Frobenius norm, so a point whose
-        U^dag U - I has Frobenius norm within ``tol`` passes without an SVD;
-        any other point is decided on the spectral norm, so the verdict is
-        that of comparing the residual itself.
-        """
-        g = self._gram_defect()
-        if np.linalg.norm(g) <= tol:
-            return None
-        res = float(spectral_norm(g))
-        return res if res > tol else None
+        """The :meth:`unitarity_residual` if it exceeds ``tol``, else None,
+        decided by :func:`~orthopair.linalg.worst_above`: a point whose
+        U^dag U - I has Frobenius norm within ``tol`` passes without an SVD."""
+        worst = worst_above(self._gram_defect()[None], tol)
+        return None if worst is None else worst[1]
 
     def unitary(self) -> np.ndarray:
-        """The reconstructed matrix; refused unless unitary within UNITARITY_TOL."""
+        """The reconstructed matrix; refused (OffVariety) unless unitary within UNITARITY_TOL."""
         if (res := self.unitarity_violation(UNITARITY_TOL)) is not None:
-            raise ValueError(f"phases do not reconstruct to a unitary: "
-                             f"residual {res:.3e} > {UNITARITY_TOL:.1e}")
+            raise OffVariety(f"phases do not reconstruct to a unitary: "
+                             f"residual {res:.3e} > {UNITARITY_TOL:.1e}", res)
         return self.reconstruct()
 
 
@@ -231,11 +224,10 @@ def from_hadamard(h: HadamardPoint) -> PairConfiguration:
 
 def _unit_eigenvector(p: np.ndarray) -> np.ndarray:
     """Unit vector spanning the range of a projector; refused unless its rank is 1 at DEFAULT_TOL."""
-    # the dominant left singular vector is the range direction
-    uu, s, _ = np.linalg.svd(p)
-    if (rank := decide_rank(s, DEFAULT_TOL, "projector rank").rank) != 1:
-        raise ValueError(f"projector has rank {rank}; one basis vector stands only for rank 1")
-    return uu[:, 0]
+    v, _ = range_factor(p, DEFAULT_TOL, "projector rank")
+    if v.shape[1] != 1:
+        raise ValueError(f"projector has rank {v.shape[1]}; one basis vector stands only for rank 1")
+    return v[:, 0]
 
 
 def _require_hermitian(c: PairConfiguration, tol: float) -> None:
@@ -262,8 +254,10 @@ def to_hadamard(c: PairConfiguration) -> HadamardPoint:
     fall back to index order) so the gauge fix is deterministic.  The
     q-eigenvector matrix read in that basis is then dephased: first row and
     first column made real positive.  Simultaneously conjugated inputs give
-    the same output up to row/column permutations.  Phases that do not
-    reconstruct to a unitary within UNITARITY_TOL are refused.
+    the same output up to row/column permutations.  A transition matrix
+    whose entry moduli are off 1/sqrt(n) by more than 10 GAUGE_TOL, and
+    phases that do not reconstruct to a unitary within UNITARITY_TOL, are
+    refused with OffVariety.
     """
     n = c.n
     _require_hermitian(c, GAUGE_TOL)
@@ -277,7 +271,7 @@ def to_hadamard(c: PairConfiguration) -> HadamardPoint:
     # entry moduli certify unbiasedness of the transition matrix
     dev = float(np.max(np.abs(np.abs(u) - 1.0 / np.sqrt(n))))
     if dev > 10 * GAUGE_TOL:
-        raise ValueError(f"transition matrix is not unbiased: modulus deviation {dev:.3e}")
+        raise OffVariety(f"transition matrix is not unbiased: modulus deviation {dev:.3e}", dev)
     h = HadamardPoint(n, dephased_phases(u))
     h.unitary()  # unbiased moduli of rank-1 projectors alone pass repeated ones
     return h

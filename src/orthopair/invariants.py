@@ -1,4 +1,4 @@
-"""Moduli invariants, involutions, the trace identity and companion solvers.
+"""Moduli invariants, the trace identity and companion solvers.
 
 The scalar invariants attached to a rank-3 idempotent P and a triple of
 rank-1 idempotents q_1, q_2, q_3 in dimension 6 are
@@ -33,14 +33,14 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .config import PairConfiguration, pair_from_matrices
-from .linalg import adjoint, as_matrix, decide_rank, gauss_newton, spectral_norm
+from .config import PairConfiguration
+from .linalg import OffVariety, as_matrix, decide_rank, gauss_newton, range_factor, spectral_norm
 from .relations import (
     RELATION_TOL,
     bipartite_relation_terms,
     pair_relation_terms,
+    require_relations,
     sandwich_relation_terms,
-    violated_relation,
 )
 
 __all__ = [
@@ -54,9 +54,6 @@ __all__ = [
     "u_invariants",
     "u_invariants_directional",
     "z_functions",
-    "sigma",
-    "tau",
-    "theta",
     "identity_check",
     "ComplementResult",
     "solve_complement",
@@ -188,31 +185,6 @@ def z_functions(P, qs) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Involutions.
-# ---------------------------------------------------------------------------
-
-
-def sigma(P) -> np.ndarray:
-    """Complementary idempotent I - P; an exact involution."""
-    P = as_matrix(P)
-    if P.shape[0] != P.shape[1]:
-        raise ValueError("sigma needs a square matrix")
-    return np.eye(P.shape[0], dtype=np.complex128) - P
-
-
-def tau(c: PairConfiguration) -> PairConfiguration:
-    """Exchange the two projector systems; the relation set is symmetric."""
-    return PairConfiguration(c.n, c.q, c.p)
-
-
-def theta(c: PairConfiguration) -> PairConfiguration:
-    """Replace every projector by its adjoint (anti-holomorphic involution)."""
-    ps = [adjoint(p) for p in c.p]
-    qs = [adjoint(q) for q in c.q]
-    return pair_from_matrices(ps, qs)
-
-
-# ---------------------------------------------------------------------------
 # The ordered-pair trace identity.
 # ---------------------------------------------------------------------------
 
@@ -225,15 +197,14 @@ class IdentityReport:
 
 
 def _require_system(mats, terms, what: str) -> np.ndarray:
-    """The generator stack of ``mats``; ValueError unless, within
+    """The generator stack of ``mats``; OffVariety unless, within
     RELATION_TOL, they satisfy ``terms`` and have unit traces, which
-    idempotency and products alone do not force."""
-    if (violated := violated_relation(mats, terms, RELATION_TOL)) is not None:
-        name, worst = violated
-        raise ValueError(f"{what}: {name} residual {worst:.3e} > {RELATION_TOL:.1e}")
+    idempotency and products alone do not force (the residual is then the
+    largest trace deviation)."""
+    require_relations(mats, terms, what)
     gens = np.asarray(mats, dtype=np.complex128)
-    if (np.abs(np.trace(gens, axis1=1, axis2=2) - 1.0) > RELATION_TOL).any():
-        raise ValueError(f"{what}: a member is not of unit trace within {RELATION_TOL:.1e}")
+    if (dev := float(np.abs(np.trace(gens, axis1=1, axis2=2) - 1.0).max())) > RELATION_TOL:
+        raise OffVariety(f"{what}: a member is not of unit trace within {RELATION_TOL:.1e}", dev)
     return gens
 
 
@@ -305,9 +276,11 @@ def solve_complement(P, qs, seed: int) -> ComplementResult:
     """Find rank-1 idempotents p'_1 + p'_2 + p'_3 = I - P, orthogonal to each
     other and unbiased against all six q's.
 
-    The rank of M = I - P is decided by decide_rank at COMPLEMENT_RANK_TOL,
-    and only a decisive rank 3 is solved.  With B the top three left singular
-    vectors of M and C = B^H M (so M = B C and C B = I), p'_k = v_k u_k^T for
+    (P, q) must satisfy the sandwich relations within RELATION_TOL (else
+    OffVariety).  The rank of M = I - P is decided by
+    :func:`~orthopair.linalg.range_factor` at COMPLEMENT_RANK_TOL, and only a
+    decisive rank 3 is solved.  With B the top three left singular vectors
+    of M and C = B^H M (so M = B C and C B = I), p'_k = v_k u_k^T for
     v_k the columns of B A and u_k the rows of A^-1 C, A in GL(3).  Duality
     u_i^T v_j = delta_ij and the sum then hold identically, which leaves the
     18 cross traces (A^-1 X_j A)_ii - 1/6, X_j = C q_j B, in 9 unknowns.
@@ -321,15 +294,11 @@ def solve_complement(P, qs, seed: int) -> ComplementResult:
     qs = [as_matrix(q) for q in qs]
     if len(qs) != 6 or P.shape != (6, 6):
         raise ValueError("complement solver works on six-dimensional points with six q's")
-    terms = sandwich_relation_terms(6, float(np.trace(P).real) / 6.0)
-    if (violated := violated_relation([P] + qs, terms, RELATION_TOL)) is not None:
-        raise ValueError(f"(P, q) violates the sandwich relations: residual {violated[1]:.3e}")
-    M = np.eye(6, dtype=np.complex128) - P
-    left, s, _ = np.linalg.svd(M)
-    if (rank := decide_rank(s, COMPLEMENT_RANK_TOL, "rank of I - P").rank) != 3:
-        raise ValueError(f"I - P has rank {rank}; the complement triple needs rank 3")
-    B = left[:, :3]
-    C = B.conj().T @ M
+    require_relations([P] + qs, sandwich_relation_terms(6, float(np.trace(P).real) / 6.0),
+                      "(P, q) violates the sandwich relations")
+    B, C = range_factor(np.eye(6, dtype=np.complex128) - P, COMPLEMENT_RANK_TOL, "rank of I - P")
+    if B.shape[1] != 3:
+        raise ValueError(f"I - P has rank {B.shape[1]}; the complement triple needs rank 3")
     X = C @ np.stack(qs) @ B
     rng = np.random.default_rng(seed)
 
@@ -378,7 +347,7 @@ def membership_test(c: PairConfiguration, tol: float = 1e-8) -> MembershipResult
 
     Solves p^dag g = g p over all 2n projectors in the basis of the p's,
     which must be a complete system of rank-1 idempotents within
-    RELATION_TOL (else ValueError).  The p equations then hold exactly on
+    RELATION_TOL (else OffVariety).  The p equations then hold exactly on
     the span of G_k = p_k^dag p_k, and the commutant of the p's is the span
     of the p_k: column k of the conjugator operator stacks q_j^dag G_k -
     G_k q_j over j, of the commutant operator p_k q_j - q_j p_k, and one

@@ -3,13 +3,14 @@
 All operators in this package are plain numpy arrays of dtype complex128
 (row-major, finite entries).  This module provides the handful of primitives
 everything else is built on: traces, adjoints, spectral norms, the one
-Gauss-Newton loop of the corrector and the complement solver, and -- most
-importantly -- the one numerical rank rule every integer answer of the
-package goes through.  :func:`decide_rank` uses a *relative* threshold (tol
-times the largest singular value) with an explicit, caller-controlled
-tolerance, and refuses with :class:`IndeterminateDimension` when the
-singular-value gap at the cut is not decisive, so ill-conditioned decisions
-are never silently trusted.
+residual gate and its refusal :class:`OffVariety`, the one range factor of
+an idempotent, the one Gauss-Newton loop of the corrector and the complement
+solver, and -- most importantly -- the one numerical rank rule every integer
+answer of the package goes through.  :func:`decide_rank` uses a *relative*
+threshold (tol times the largest singular value) with an explicit,
+caller-controlled tolerance, and refuses with :class:`IndeterminateDimension`
+when the singular-value gap at the cut is not decisive, so ill-conditioned
+decisions are never silently trusted.
 """
 
 from __future__ import annotations
@@ -22,10 +23,13 @@ __all__ = [
     "as_matrix",
     "adjoint",
     "spectral_norm",
+    "OffVariety",
+    "worst_above",
     "GAP_RATIO_REQUIRED",
     "IndeterminateDimension",
     "RankReport",
     "decide_rank",
+    "range_factor",
     "rank1_projector",
     "gauss_newton",
 ]
@@ -54,6 +58,34 @@ def spectral_norm(a) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.norm(a, 2))
+
+
+class OffVariety(ValueError):
+    """A point refused because a residual of its defining equations exceeds
+    its gate, kept in ``residual``: a relation residual or unit-trace
+    deviation above relations.RELATION_TOL, a unitarity residual above
+    config.UNITARITY_TOL, or a transition-matrix modulus deviation above
+    10 config.GAUGE_TOL."""
+
+    def __init__(self, message: str, residual: float):
+        super().__init__(message)
+        self.residual = residual
+
+
+def worst_above(stack, tol: float) -> tuple[int, float] | None:
+    """(index, spectral norm) of the matrix of largest spectral norm in the
+    k x m x n ``stack`` if that norm exceeds ``tol``, else None.
+
+    The spectral norm is at most the Frobenius norm, so a stack whose
+    Frobenius norms are all within ``tol`` passes without an SVD; any other
+    stack is decided on its spectral norms, one batched SVD, so the verdict
+    is that of comparing the norms themselves.
+    """
+    if np.linalg.norm(stack, axis=(1, 2)).max(initial=0.0) <= tol:
+        return None
+    norms = np.linalg.norm(stack, 2, axis=(1, 2))
+    worst = int(np.argmax(norms))
+    return (worst, float(norms[worst])) if norms[worst] > tol else None
 
 
 @dataclass(frozen=True)
@@ -112,6 +144,15 @@ def decide_rank(s, tol: float, what: str) -> RankReport:
             s, float(gap),
         )
     return RankReport(s, rank, thresh, float(gap))
+
+
+def range_factor(m: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """(V, V^H m) with V the leading left singular vectors of m, as many as
+    the rank :func:`decide_rank` finds at ``tol`` (``what`` names it).  At
+    an idempotent m, m = V (V^H m) and (V^H m) V = I."""
+    u, s, _ = np.linalg.svd(m)
+    v = u[:, :decide_rank(s, tol, what).rank]
+    return v, v.conj().T @ m
 
 
 def rank1_projector(v) -> np.ndarray:

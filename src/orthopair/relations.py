@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .linalg import as_matrix, decide_rank
+from .linalg import OffVariety, as_matrix, decide_rank, worst_above
 
 if TYPE_CHECKING:  # config imports this module
     from .config import PairConfiguration
@@ -51,7 +51,7 @@ __all__ = [
     "sandwich_relation_terms",
     "evaluate_relations",
     "RELATION_TOL",
-    "violated_relation",
+    "require_relations",
     "restrict",
     "graph_restriction",
     "commutator_operator",
@@ -234,18 +234,15 @@ def evaluate_relations(mats, relations: Sequence[Relation]) -> tuple[float, dict
 RELATION_TOL = 1e-8  # the relation gate of rep_jacobian, identity_check, solve_complement and membership_test
 
 
-def violated_relation(mats, relations: Sequence[Relation], tol: float) -> tuple[str, float] | None:
-    """(name, spectral residual) of the worst relation above ``tol``, or None.
-
-    The spectral norm is at most the Frobenius norm, so residuals whose
-    Frobenius norms are all within ``tol`` pass without an SVD.
-    """
-    stack = _residual_stack(mats, relations)
-    if np.linalg.norm(stack, axis=(1, 2)).max(initial=0.0) <= tol:
-        return None
-    norms = np.linalg.norm(stack, 2, axis=(1, 2))
-    worst = int(np.argmax(norms))
-    return (relations[worst][0], float(norms[worst])) if norms[worst] > tol else None
+def require_relations(mats, relations: Sequence[Relation], what: str) -> None:
+    """Refuse with OffVariety, naming the worst relation, unless every
+    relation residual is within RELATION_TOL.  The gate is
+    :func:`~orthopair.linalg.worst_above`: residuals whose Frobenius norms
+    are all within the tolerance pass without an SVD."""
+    if (worst := worst_above(_residual_stack(mats, relations), RELATION_TOL)) is not None:
+        index, residual = worst
+        raise OffVariety(f"{what}: {relations[index][0]} residual {residual:.3e} > {RELATION_TOL:.1e}",
+                         residual)
 
 
 def _subset(indices, n: int) -> list[int]:

@@ -48,17 +48,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import UNITARITY_TOL, HadamardPoint, PairConfiguration
+from .config import HadamardPoint, PairConfiguration
 from .invariants import u3_factors, u_invariants_directional, u_word_traces
-from .linalg import GAP_RATIO_REQUIRED, IndeterminateDimension, RankReport, as_matrix, decide_rank
-from .relations import (
-    RELATION_TOL,
-    AlgebraRepPoint,
-    Relation,
-    commutant_dimension,
-    pair_relation_terms,
-    violated_relation,
+from .linalg import (
+    GAP_RATIO_REQUIRED,
+    IndeterminateDimension,
+    OffVariety,
+    RankReport,
+    as_matrix,
+    decide_rank,
+    range_factor,
 )
+from .relations import AlgebraRepPoint, Relation, commutant_dimension, pair_relation_terms, require_relations
 
 __all__ = [
     "GAP_RATIO_REQUIRED",
@@ -67,7 +68,6 @@ __all__ = [
     "JacobianSystem",
     "TangentReport",
     "rep_jacobian",
-    "factored_residual_vector",
     "orbit_tangent_dim",
     "moduli_tangent_report",
     "a6_moduli_tangent_report",
@@ -80,15 +80,6 @@ __all__ = [
 
 RANK_TOL = 1e-10  # relative cut of the nullity, orbit and defect decisions
 FACTOR_TOL = 1e-10  # relative cut of each generator's factor rank
-
-
-class OffVariety(ValueError):
-    """A point refused for a relation residual above RELATION_TOL or a
-    unitarity residual above config.UNITARITY_TOL, kept in ``residual``."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(message)
-        self.residual = residual
 
 
 # ---------------------------------------------------------------------------
@@ -142,29 +133,6 @@ def _factored_relations(relations: Sequence[Relation], factors):
     return out
 
 
-def _flat(factors) -> list[np.ndarray]:
-    return [m for pair in factors for m in pair]
-
-
-def factored_residual_vector(factors, relations: Sequence[Relation]) -> np.ndarray:
-    """Stacked complex residual of all relations in rank factors.
-
-    ``factors`` is a list of (V_a, W_a^T); each relation contributes its core
-    or, if it has none, its full d x d residual, in row-major order.
-    """
-    flat = _flat(factors)
-    out = []
-    for rows, cols, terms in _factored_relations(relations, factors):
-        acc = np.zeros((rows, cols), dtype=np.complex128)
-        for coeff, word in terms:
-            prod = np.eye(rows, dtype=np.complex128)
-            for f in word:
-                prod = prod @ flat[f]
-            acc += coeff * prod
-        out.append(acc.ravel())
-    return np.concatenate(out)
-
-
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron of two matrices, without its generic n-d bookkeeping."""
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(
@@ -172,7 +140,7 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _factored_jacobian(factors, relations: Sequence[Relation]) -> np.ndarray:
-    flat = _flat(factors)
+    flat = [m for pair in factors for m in pair]
     frels = _factored_relations(relations, factors)
     offsets = np.cumsum([0] + [m.size for m in flat])
     J = np.zeros((sum(rows * cols for rows, cols, _ in frels), offsets[-1]), dtype=np.complex128)
@@ -203,15 +171,6 @@ def _generators(point) -> tuple[list[np.ndarray], Sequence[Relation], tuple[str,
     raise TypeError(f"cannot build a relation Jacobian for {type(point).__name__}")
 
 
-def _factor(m: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
-    """(V, W^T) with V the leading left singular vectors of m and W^T = V^H m;
-    the rank is a gap-checked decision."""
-    u, s, _ = np.linalg.svd(m)
-    k = decide_rank(s, FACTOR_TOL, f"factor rank of generator {name}").rank
-    v = u[:, :k]
-    return v, v.conj().T @ m
-
-
 def rep_jacobian(point) -> JacobianSystem:
     """Rank-factored analytic Jacobian of the point's relation system.
 
@@ -219,10 +178,8 @@ def rep_jacobian(point) -> JacobianSystem:
     before any factoring: tangent analysis at non-solutions is meaningless.
     """
     mats, terms, names = _generators(point)
-    if (violated := violated_relation(mats, terms, RELATION_TOL)) is not None:
-        raise OffVariety(f"relation residual {violated[1]:.3e} exceeds {RELATION_TOL:.1e}; "
-                         "not a representation point", violated[1])
-    factors = [_factor(m, name) for m, name in zip(mats, names)]
+    require_relations(mats, terms, "relation residual exceeds the gate; not a representation point")
+    factors = [range_factor(m, FACTOR_TOL, f"factor rank of generator {name}") for m, name in zip(mats, names)]
     return JacobianSystem(mats, factors, _factored_jacobian(factors, terms))
 
 
@@ -392,12 +349,11 @@ def _defect_kernel(J: np.ndarray, tol: float) -> tuple[RankReport, np.ndarray]:
 
 
 def defect_report(h: HadamardPoint, tol: float = RANK_TOL) -> DefectReport:
-    res = h.unitarity_residual()
-    if res > UNITARITY_TOL:
-        raise OffVariety(f"unitarity residual {res:.3e} exceeds {UNITARITY_TOL:.1e}", res)
+    """The dephased defect of ``h``; OffVariety through :meth:`HadamardPoint.unitary`."""
+    h.unitary()
     _, J = phase_constraints(h)
     cut, kernel = _defect_kernel(J, tol)
-    return DefectReport(kernel.shape[1], cut.gap_ratio, cut.singular_values, res, kernel)
+    return DefectReport(kernel.shape[1], cut.gap_ratio, cut.singular_values, h.unitarity_residual(), kernel)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,20 @@ def random_invertible(rng, n, spread=0.3):
     return h
 
 
+def count_spectral_norms(monkeypatch) -> list:
+    """Record the shape of every spectral-norm (ord 2) call of np.linalg.norm,
+    one SVD or one batched SVD each."""
+    norm, calls = np.linalg.norm, []
+
+    def counted(x, ord=None, axis=None, keepdims=False):
+        if ord == 2:
+            calls.append(np.shape(x))
+        return norm(x, ord, axis, keepdims)
+
+    monkeypatch.setattr(np.linalg, "norm", counted)
+    return calls
+
+
 def conjugated_hermitian_pair(rng, h):
     """Two random orthonormal bases as rank-1 projectors, conjugated by h.
 
@@ -57,3 +71,23 @@ def conjugated_hermitian_pair(rng, h):
         return [h @ np.outer(v, v.conj()) @ hinv for v in random_unitary(rng, n).T]
 
     return config.pair_from_matrices(system(), system())
+
+
+# The three involutions of a configuration, written against the package API
+# for the property tests.
+
+
+def sigma(P):
+    """Complementary idempotent I - P; an exact involution."""
+    P = np.asarray(P, dtype=np.complex128)
+    return np.eye(P.shape[0], dtype=np.complex128) - P
+
+
+def tau(c):
+    """Exchange the two projector systems; the relation set is symmetric."""
+    return config.PairConfiguration(c.n, c.q, c.p)
+
+
+def theta(c):
+    """Replace every projector by its adjoint (anti-holomorphic involution)."""
+    return config.pair_from_matrices([p.conj().T for p in c.p], [q.conj().T for q in c.q])

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import sigma, tau, theta
 from orthopair import exact
 from orthopair.cli import OK, main
 from orthopair.config import (
@@ -25,10 +26,7 @@ from orthopair.invariants import (
     Membership,
     identity_check,
     membership_test,
-    sigma,
     solve_complement,
-    tau,
-    theta,
     u_invariants,
 )
 from orthopair.relations import graph_restriction, restrict

@@ -294,6 +294,48 @@ def test_defect_off_variety_fails_with_residual(tmp_path, capsys):
     assert payload["residual"] > 1e-8
 
 
+@pytest.fixture()
+def off_variety_inputs(pair_file, tmp_path):
+    """An off-unitary Hadamard file, a pair file with p2 and q4 bent off their
+    bases, and a pair file with a repeated projector."""
+    rng = np.random.default_rng(31)
+    hadamard = tmp_path / "offh.json"
+    hadamard.write_text(json.dumps({"n": 6, "phases": rng.uniform(-3, 3, (5, 5)).tolist()}))
+    doc = json.loads(open(pair_file).read())
+    doc["e_basis"][3][1] = [0.3, 0.1]
+    doc["f_basis"][2][3] = [0.3, 0.1]
+    pair = tmp_path / "off.json"
+    pair.write_text(json.dumps(doc))
+    c = config.standard_pair(6, swap34=True)
+    repeated = tmp_path / "repeated.json"
+    config.save_pair(str(repeated), config.pair_from_matrices([c.p[0], c.p[0]] + list(c.p[2:]), list(c.q)))
+    return {"HADAMARD": str(hadamard), "PAIR": str(pair), "REPEATED": str(repeated)}
+
+
+@pytest.mark.parametrize("argv", [
+    ["tangent", "PAIR"],
+    ["defect", "HADAMARD"],
+    ["trace", "--start", "HADAMARD", "--direction", "0", "--steps", "3", "--out", "OUT"],
+    ["sample", "--start", "HADAMARD", "--count", "3", "--seed", "1", "--out", "OUT"],
+    ["membership", "PAIR"],
+    ["identity", "PAIR"],
+    ["complement", "PAIR", "--seed", "7", "--out", "OUT"],
+    ["hadamard", "--from-pair", "REPEATED", "--out", "OUT"],
+    ["hadamard", "--from-pair", "PAIR", "--out", "OUT"],
+], ids=["tangent", "defect", "trace", "sample", "membership", "identity", "complement",
+        "hadamard-repeated", "hadamard-unbiased"])
+def test_off_variety_exit_code_matrix(argv, off_variety_inputs, tmp_path, capsys):
+    # every command that gates a point refuses one off the variety alike: exit
+    # 1, the gate's residual on stdout, and no output file
+    out = tmp_path / "out.json"
+    paths = {**off_variety_inputs, "OUT": str(out)}
+    code, payload, err = run(capsys, *(paths.get(a, a) for a in argv))
+    assert code == FAIL
+    assert payload["status"] == "fail" and payload["residual"] > 1e-8
+    assert "off the variety" in err
+    assert not out.exists()
+
+
 def test_trace_and_seed_determinism(hadamard_file, tmp_path, capsys):
     out1 = str(tmp_path / "path1.jsonl")
     code, payload, _ = run(capsys, "trace", "--start", hadamard_file, "--direction", "0",
@@ -423,9 +465,9 @@ def test_membership_refuses_p_off_a_complete_system(tmp_path, capsys):
     b = np.diag([0.0, 0.0, 1.0, 1.0 + 4e-11])
     path = _projectors_file(tmp_path / "off.json", [a] * 4, [b] * 4)
     code, payload, err = run(capsys, "membership", path)
-    assert code == USAGE
-    assert payload is None
-    assert "input error" in err and "sum p - 1 residual 3.000e+00" in err
+    assert code == FAIL
+    assert payload["status"] == "fail" and payload["residual"] == pytest.approx(3.0)
+    assert "off the variety" in err and "sum p - 1 residual 3.000e+00" in err
 
 
 def test_numerical_failure_exit_code(pair_file, capsys, monkeypatch):
@@ -535,14 +577,15 @@ def test_hadamard_from_pair(pair_file, tmp_path, capsys):
     assert payload["unitarity_residual"] <= 1e-12
 
 
-@pytest.mark.parametrize("edit, reason", [
-    (lambda p: [p[0] + p[1], 0 * p[1]] + p[2:], "rank 2"),  # a collapsed projector next to a rank-2 one
-    (lambda p: [p[0], p[0]] + p[2:], "unitary"),  # a repeated projector
+@pytest.mark.parametrize("edit, reason, want", [
+    (lambda p: [p[0] + p[1], 0 * p[1]] + p[2:], "rank 2", USAGE),  # a collapsed projector next to a rank-2 one
+    (lambda p: [p[0], p[0]] + p[2:], "unitary", FAIL),  # a repeated projector
 ], ids=["collapsed", "repeated"])
-def test_hadamard_from_pair_refuses_non_configuration(edit, reason, tmp_path, capsys):
+def test_hadamard_from_pair_refuses_non_configuration(edit, reason, want, tmp_path, capsys):
     # both p-systems keep every transition-matrix modulus at 1/sqrt(6): the
-    # rank-2 projector has no one basis vector, and the repeated projector's
-    # phases are far from a unitary; refused before anything is written
+    # rank-2 projector has no one basis vector (an input error), and the
+    # repeated projector's phases are far from a unitary (off the variety);
+    # refused before anything is written
     c = config.standard_pair(6, swap34=True)
     bad = config.pair_from_matrices(edit(list(c.p)), list(c.q))
     assert bad.residual >= 0.1
@@ -550,7 +593,8 @@ def test_hadamard_from_pair_refuses_non_configuration(edit, reason, tmp_path, ca
     config.save_pair(str(path), bad)
     out = tmp_path / "h.json"
     code, payload, err = run(capsys, "hadamard", "--from-pair", str(path), "--out", str(out))
-    assert code == USAGE and payload is None
+    assert code == want
+    assert (payload is None) == (want == USAGE)  # a point off the variety reports its residual
     assert reason in err
     assert not out.exists()
 

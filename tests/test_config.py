@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import random_invertible, random_unitary
+from conftest import count_spectral_norms, random_invertible, random_unitary
 from orthopair import config, relations
 from orthopair.config import (
     HadamardPoint,
@@ -20,6 +20,7 @@ from orthopair.config import (
     to_hadamard,
 )
 from orthopair.continuation import canonical_reduce, newton_correct, tangent_frame
+from orthopair.linalg import OffVariety
 
 
 @pytest.mark.parametrize("n", range(2, 13))
@@ -71,17 +72,18 @@ def test_residual_is_derived_not_stored(base_pair, fourier6, monkeypatch):
     assert base_pair.residual == max(residual_categories(base_pair).values())
     assert base_pair.residual == relations.evaluate_relations(
         base_pair.matrices(), relations.pair_relation_terms(6))[0]
-    norm = config.spectral_norm
-    calls = []
-    monkeypatch.setattr(config, "spectral_norm", lambda m: calls.append(m) or norm(m))
+    svds = count_spectral_norms(monkeypatch)
     pair_from_matrices(list(base_pair.p), list(base_pair.q))
+    assert svds == []
     residual_categories(base_pair)
-    assert len(calls) == 0
+    assert svds == [(len(relations.pair_relation_terms(6)), 6, 6)]  # one batched SVD of the residual stack
+    svds.clear()
     from_hadamard(fourier6)
-    assert len(calls) == 0  # the unitarity gate passes on the Frobenius screen
-    with pytest.raises(ValueError, match="do not reconstruct to a unitary"):
+    assert svds == []  # the unitarity gate, linalg.worst_above, passes on the Frobenius screen
+    with pytest.raises(OffVariety, match="do not reconstruct to a unitary") as info:
         from_hadamard(HadamardPoint(6, np.zeros((5, 5))))  # the all-ones matrix
-    assert len(calls) == 1  # decided on the spectral norm
+    assert svds == [(1, 6, 6)]  # decided on the spectral norm, at the shared gate
+    assert info.value.residual == HadamardPoint(6, np.zeros((5, 5))).unitarity_residual()  # 5 = ||J - I||
 
 
 def test_unbiasedness_residual_permutation_invariant(base_pair):

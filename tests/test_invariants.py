@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import conjugated_hermitian_pair, random_invertible, random_unitary
+from conftest import conjugated_hermitian_pair, random_invertible, random_unitary, sigma, tau, theta
 from orthopair import exact, invariants, relations
 from orthopair.config import from_hadamard, pair_from_matrices, standard_pair
 from orthopair.invariants import (
@@ -12,10 +12,7 @@ from orthopair.invariants import (
     Membership,
     identity_check,
     membership_test,
-    sigma,
     solve_complement,
-    tau,
-    theta,
     u_invariants,
     u_invariants_directional,
     z_functions,

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import random_invertible, random_unitary
+from conftest import count_spectral_norms, random_invertible, random_unitary, sigma
 from orthopair import exact, relations
 from orthopair.config import from_hadamard, pair_from_matrices, standard_pair
-from orthopair.invariants import identity_check, sigma
-from orthopair.linalg import GAP_RATIO_REQUIRED, IndeterminateDimension, spectral_norm
+from orthopair.invariants import identity_check
+from orthopair.linalg import GAP_RATIO_REQUIRED, IndeterminateDimension, OffVariety, spectral_norm, worst_above
 from orthopair.relations import (
+    RELATION_TOL,
     _residual_stack,
     bipartite_relation_terms,
     commutant_dimension,
@@ -15,9 +16,9 @@ from orthopair.relations import (
     evaluate_word,
     graph_restriction,
     pair_relation_terms,
+    require_relations,
     restrict,
     sandwich_relation_terms,
-    violated_relation,
 )
 
 
@@ -188,30 +189,43 @@ def test_residual_stack_negative_letters(base_pair):
         assert np.array_equal(_residual_stack(mats, terms), _residual_stack_by_loop(mats, terms))
 
 
-def test_violated_relation_frobenius_screen_and_spectral_decision():
-    tol = 1e-8
+def test_require_relations_frobenius_screen_and_spectral_decision(base_pair, monkeypatch):
+    tol = RELATION_TOL
     rel = [("a I", [(1.0, (0,))])]
+    svds = count_spectral_norms(monkeypatch)
+    require_relations(base_pair.matrices(), pair_relation_terms(6), "base pair")
+    assert svds == []  # every Frobenius norm is within the gate: the screen takes no SVD
     # ||a I_6||_F = sqrt(6) a: at a = 0.7 tol the screen fails (1.7 tol) but the
     # spectral norm passes; at a = 1.3 tol the relation is reported
     low = 0.7 * tol * np.eye(6)
     assert np.linalg.norm(low) > tol >= np.linalg.norm(low, 2)
-    assert violated_relation([low], rel, tol) is None
+    svds.clear()
+    require_relations([low], rel, "low")
+    assert len(svds) == 1  # the screen cannot decide: one batched SVD does
     high = [1.3 * tol * np.eye(6)]
     worst, per = evaluate_relations(high, rel)
-    assert violated_relation(high, rel, tol) == ("a I", worst) == ("a I", per["a I"])
+    with pytest.raises(OffVariety, match="^high: a I residual 1.300e-08 > 1.0e-08$") as info:
+        require_relations(high, rel, "high")
+    assert info.value.residual == worst == per["a I"]
+    assert worst_above(np.stack(high), tol) == (0, worst)
 
 
-def test_violated_relation_matches_worst_residual(base_pair, family_sample):
+def test_require_relations_matches_worst_residual(base_pair, family_sample):
     terms = bipartite_relation_terms(3, 3, 1.0 / 6.0)
     for c in (base_pair, *(from_hadamard(x) for x in family_sample.points[:3])):
         mats = list(c.p[:3] + c.q[:3])
-        assert violated_relation(mats, terms, 1e-8) is None
+        require_relations(mats, terms, "on the variety")
         bent = [mats[0] + 1e-6 * np.diag(np.arange(6.0))] + mats[1:]
         worst, per = evaluate_relations(bent, terms)
         name = max(per, key=per.get)
-        assert worst > 1e-8
-        assert violated_relation(bent, terms, 1e-8) == (name, worst)
-        assert violated_relation(bent, terms, worst) is None
+        assert worst > RELATION_TOL
+        with pytest.raises(OffVariety) as info:
+            require_relations(bent, terms, "bent")
+        assert str(info.value).startswith(f"bent: {name} residual ")
+        assert info.value.residual == worst
+        stack = _residual_stack(bent, terms)
+        assert worst_above(stack, RELATION_TOL) == (list(per).index(name), worst)
+        assert worst_above(stack, worst) is None  # a tolerance equal to the worst residual passes
 
 
 def test_evaluate_relations_overflow_names_the_relation(standard6):

@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_invertible, random_unitary
+from conftest import random_invertible, random_unitary, tau
 from orthopair import exact, tangent
 from orthopair.config import HadamardPoint, fourier_phases, from_hadamard, pair_from_matrices, standard_pair
-from orthopair.invariants import tau, u_invariants, u_invariants_directional
+from orthopair.invariants import u_invariants, u_invariants_directional
 from orthopair.linalg import decide_rank
 from orthopair.relations import (
     RELATION_TOL,
@@ -24,7 +24,6 @@ from orthopair.tangent import (
     IndeterminateDimension,
     a6_moduli_tangent_report,
     defect_report,
-    factored_residual_vector,
     fiber_rank_check,
     moduli_tangent_report,
     orbit_tangent_dim,
@@ -134,6 +133,25 @@ def _dense_fiber(point, tol=1e-10):
     rank = 0 if sd[0] < 1e-12 else decide_rank(sd, max(tol, 1e-8), "dense invariant rank").rank
     factors = [abs(36.0 * np.trace(P @ qs[i] @ P @ qs[j]) - 1.0) for i, j in ((0, 1), (1, 2), (2, 0))]
     return rank, sd, nullity - orbit_tangent_dim(mats, tol), sum(f < 1e-6 for f in factors) >= 2
+
+
+def factored_residual_vector(factors, relations):
+    """Stacked complex residual of all relations in rank factors.
+
+    ``factors`` is a list of (V_a, W_a^T); each relation contributes its core
+    or, if it has none, its full d x d residual, in row-major order.
+    """
+    flat = [m for pair in factors for m in pair]
+    out = []
+    for rows, cols, terms in tangent._factored_relations(relations, factors):
+        acc = np.zeros((rows, cols), dtype=np.complex128)
+        for coeff, word in terms:
+            prod = np.eye(rows, dtype=np.complex128)
+            for f in word:
+                prod = prod @ flat[f]
+            acc += coeff * prod
+        out.append(acc.ravel())
+    return np.concatenate(out)
 
 
 def _factor_vector(system):
@@ -254,7 +272,7 @@ def test_jacobian_refuses_off_variety_point(base_pair, monkeypatch):
     def no_factoring(*args):
         raise AssertionError("an off-variety point reached the factoring")
 
-    monkeypatch.setattr(tangent, "_factor", no_factoring)
+    monkeypatch.setattr(tangent, "range_factor", no_factoring)
     with pytest.raises(ValueError, match="relation residual"):
         rep_jacobian(broken)
 
