@@ -100,6 +100,8 @@ def cmd_verify(args) -> int:
 
 def cmd_invariants(args) -> int:
     c = config.load_pair(args.file)
+    relations.require_relations(c.matrices(), relations.pair_relation_terms(c.n),
+                                "invariants not applicable to this pair")
     p_idx = _parse_triple(args.p_subset, c.n)
     q_idx = _parse_triple(args.q_subset, c.n)
     P = sum(c.p[i - 1] for i in p_idx)
@@ -180,15 +182,13 @@ def cmd_identity(args) -> int:
     q_idx = _parse_triple(args.q_subset, c.n)
     p_triple = [c.p[i - 1] for i in p_idx]
     q_triple = [c.q[j - 1] for j in q_idx]
+    rep = invariants.identity_check(p_triple, q_triple)  # the gate of both precisions
+    lhs, rhs, gap = rep.lhs, rep.rhs, rep.gap
     if args.precision == "extended":
         from . import xprec
 
         lhs, rhs, gap = xprec.identity_sides_mp_matrices(p_triple, q_triple)
-        report = {"lhs": lhs, "rhs": rhs, "gap": gap}
-    else:
-        rep = invariants.identity_check(p_triple, q_triple)
-        report = {"lhs": rep.lhs, "rhs": rep.rhs, "gap": rep.gap}
-    _emit(report)
+    _emit({"lhs": lhs, "rhs": rhs, "gap": gap})
     return OK
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import OffVariety, adjoint, as_matrix, range_factor, rank1_projector, spectral_norm, worst_above
+from .linalg import OffVariety, as_matrix, range_factor, rank1_projector, spectral_norm, worst_above
 from .relations import evaluate_relations, pair_relation_terms
 
 __all__ = [
@@ -231,9 +231,9 @@ def _unit_eigenvector(p: np.ndarray) -> np.ndarray:
 
 
 def _require_hermitian(c: PairConfiguration, tol: float) -> None:
-    for m in c.matrices():
-        if spectral_norm(m - adjoint(m)) > tol:
-            raise ValueError("configuration is not Hermitian (not a fixed point of the adjoint involution)")
+    gens = np.asarray(c.matrices())
+    if worst_above(gens - gens.conj().transpose(0, 2, 1), tol) is not None:
+        raise ValueError("configuration is not Hermitian (not a fixed point of the adjoint involution)")
 
 
 def dephased_phases(u: np.ndarray) -> np.ndarray:

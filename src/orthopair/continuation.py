@@ -15,7 +15,9 @@ from where they started.
 A converged corrector hands the Jacobian of its final evaluation to the
 tangent frame at the point it returns, so a continuation point costs one
 Jacobian per corrector evaluation and one SVD for its kernel; only the
-start of a walk takes its frame from :func:`tangent.defect_report`.
+start of a walk builds a Jacobian for its frame.  Every frame is the kernel
+of a phase Jacobian, cut by the one dephased-defect decision,
+:func:`tangent._defect_kernel`.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ import numpy as np
 
 from .config import HadamardPoint, dephased_phases
 from .invariants import u_invariants
-from .linalg import gauss_newton, rank1_projector
-from .tangent import RANK_TOL, _defect_kernel, defect_report, phase_constraints
+from .linalg import OffVariety, gauss_newton, rank1_projector
+from .tangent import RANK_TOL, _defect_kernel, phase_constraints
 
 __all__ = [
     "CorrectorResult",
@@ -76,21 +78,22 @@ def tangent_frame(h: HadamardPoint, prev: np.ndarray | None = None,
     continuous along a path.  Points whose defect is not 4 are off the
     family or singular and are refused.
 
-    Without ``jacobian`` the kernel is that of :func:`tangent.defect_report`,
-    which refuses points outside UNITARITY_TOL.  ``jacobian`` is the phase
-    Jacobian at ``h`` that a converged :func:`newton_correct` hands over
-    (``CorrectorResult.jacobian``); its kernel is taken by the same single
-    SVD and defect decision, with no unitarity gate.  None is needed there:
-    the corrector converged at ||c|| <= CORRECTOR_TOL = 1e-12, c holds the
-    real and imaginary parts of the off-diagonal entries of U^dag U - I
-    above the diagonal, and the reconstruction pins the moduli, so the
-    diagonal is rounding; hence ||U^dag U - I||_2 <= ||U^dag U - I||_F,
-    about sqrt(2) ||c||, far below UNITARITY_TOL = 1e-8.
+    The kernel is that of the phase Jacobian at ``h``, by the single SVD
+    and cut of :func:`tangent._defect_kernel`.  ``jacobian`` is that
+    Jacobian as a converged :func:`newton_correct` hands it over
+    (``CorrectorResult.jacobian``).  Without it (a walk start) the point is
+    gated by :meth:`HadamardPoint.unitary`, which refuses it outside
+    UNITARITY_TOL, and the Jacobian is built.  With it there is no gate, and
+    none is needed: the corrector converged at ||c|| <= CORRECTOR_TOL =
+    1e-12, c holds the real and imaginary parts of the off-diagonal entries
+    of U^dag U - I above the diagonal, and the reconstruction pins the
+    moduli, so the diagonal is rounding; hence ||U^dag U - I||_2 <=
+    ||U^dag U - I||_F, about sqrt(2) ||c||, far below UNITARITY_TOL = 1e-8.
     """
     if jacobian is None:
-        V = defect_report(h).kernel
-    else:
-        V = _defect_kernel(jacobian, RANK_TOL)[1]
+        h.unitary()
+        jacobian = phase_constraints(h)[1]
+    V = _defect_kernel(jacobian, RANK_TOL)[1]
     if V.shape[1] != FAMILY_DIM:
         raise ValueError(f"dephased defect is {V.shape[1]}, not {FAMILY_DIM}; no 4-frame here")
     if prev is not None:
@@ -121,15 +124,16 @@ def newton_correct(h: HadamardPoint) -> CorrectorResult:
     best iterate flagged as failed, never a silently bad point.  Quadratic
     convergence is only guaranteed for starting residuals below ~0.1;
     grossly off-manifold starts (unitarity residual above 0.5, screened by
-    :meth:`HadamardPoint.unitarity_violation`) are refused outright.
+    :meth:`HadamardPoint.unitarity_violation`) are refused outright with
+    OffVariety.
 
     Every evaluation builds the constraints and their Jacobian together.  A
     converged result keeps the point and the Jacobian of its final
     evaluation, which is the Jacobian at that point; :func:`tangent_frame`
     takes its kernel from it.
     """
-    if h.unitarity_violation(0.5) is not None:
-        raise ValueError("starting residual above 0.5; far outside any corrector basin")
+    if (res := h.unitarity_violation(0.5)) is not None:
+        raise OffVariety("starting residual above 0.5; far outside any corrector basin", res)
     n = h.n
     last = []  # the point and Jacobian of the latest evaluation
 
@@ -161,7 +165,7 @@ def _corrected_step(current: HadamardPoint, scale: float, predict, min_move: flo
         s = scale / 2.0 ** tries
         try:
             result = newton_correct(_point_from_vector(current.n, x + predict(s)))
-        except ValueError:  # prediction outside the corrector's basin
+        except OffVariety:  # prediction outside the corrector's basin
             continue
         if result.converged and _phase_distance(result.point, current) >= min_move * s:
             return result, tries

@@ -64,8 +64,8 @@ class OffVariety(ValueError):
     """A point refused because a residual of its defining equations exceeds
     its gate, kept in ``residual``: a relation residual or unit-trace
     deviation above relations.RELATION_TOL, a unitarity residual above
-    config.UNITARITY_TOL, or a transition-matrix modulus deviation above
-    10 config.GAUGE_TOL."""
+    config.UNITARITY_TOL (above 0.5 at the corrector's basin gate), or a
+    transition-matrix modulus deviation above 10 config.GAUGE_TOL."""
 
     def __init__(self, message: str, residual: float):
         super().__init__(message)

@@ -210,7 +210,9 @@ class TangentReport:
 
     ``nullity`` is the Zariski nullity in the generator entries (the
     factored nullity minus the gauge); ``singular_values`` and ``gap_ratio``
-    are those of the column-scaled factored Jacobian.
+    are those of the column-scaled factored Jacobian.  The dephased defect
+    (:func:`defect_report`) is the same report on the phase Jacobian, with
+    ``orbit_dim`` 0.
     """
 
     nullity: int
@@ -315,31 +317,6 @@ def phase_constraints(h: HadamardPoint) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([cvec.real, cvec.imag]), np.vstack([Jc.real, Jc.imag])
 
 
-@dataclass(frozen=True)
-class DefectReport:
-    """Dephased defect: the real nullity of the unitarity Jacobian in phase
-    coordinates, i.e. the dimension of the local family of complex Hadamard
-    matrices through the point with all gauge freedom removed.
-
-    ``kernel`` holds an orthonormal basis of that kernel as columns.
-    """
-
-    defect: int
-    gap_ratio: float
-    singular_values: np.ndarray
-    unitarity_residual: float
-    kernel: np.ndarray
-
-    def to_json_dict(self) -> dict:
-        return {
-            "nullity": self.defect,
-            "orbit_dim": 0,
-            "moduli_dim": self.defect,
-            "gap_ratio": self.gap_ratio,
-            "singular_values": [float(x) for x in self.singular_values],
-        }
-
-
 def _defect_kernel(J: np.ndarray, tol: float) -> tuple[RankReport, np.ndarray]:
     """The one defect decision on a phase Jacobian: one SVD, the gap-checked
     cut, and the kernel basis as columns."""
@@ -348,12 +325,17 @@ def _defect_kernel(J: np.ndarray, tol: float) -> tuple[RankReport, np.ndarray]:
     return cut, vt[cut.rank:].T
 
 
-def defect_report(h: HadamardPoint, tol: float = RANK_TOL) -> DefectReport:
-    """The dephased defect of ``h``; OffVariety through :meth:`HadamardPoint.unitary`."""
+def defect_report(h: HadamardPoint, tol: float = RANK_TOL) -> TangentReport:
+    """The dephased defect of ``h``: the real nullity of the unitarity
+    Jacobian in phase coordinates, i.e. the dimension of the local family of
+    complex Hadamard matrices through the point with all gauge freedom
+    removed.  Phase coordinates have no orbit to subtract, so it is reported
+    as nullity and moduli dimension alike with ``orbit_dim`` 0.  OffVariety
+    through :meth:`HadamardPoint.unitary`."""
     h.unitary()
-    _, J = phase_constraints(h)
-    cut, kernel = _defect_kernel(J, tol)
-    return DefectReport(kernel.shape[1], cut.gap_ratio, cut.singular_values, h.unitarity_residual(), kernel)
+    cut, kernel = _defect_kernel(phase_constraints(h)[1], tol)
+    defect = kernel.shape[1]
+    return TangentReport(defect, 0, defect, cut.gap_ratio, cut.singular_values)
 
 
 # ---------------------------------------------------------------------------

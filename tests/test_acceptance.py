@@ -100,8 +100,8 @@ def test_criterion_03_dephased_defect():
     t0 = time.perf_counter()
     rep = defect_report(fourier_phases(6))
     elapsed = time.perf_counter() - t0
-    ok = rep.defect == 4 and elapsed < 1.0
-    report(3, ok, f"defect(F6) = {rep.defect} (want 4), gap {rep.gap_ratio:.1e}, "
+    ok = rep.moduli_dim == 4 and elapsed < 1.0
+    report(3, ok, f"defect(F6) = {rep.moduli_dim} (want 4), gap {rep.gap_ratio:.1e}, "
                   f"{elapsed * 1e3:.0f} ms (< 1 s)")
 
 
@@ -248,7 +248,7 @@ def test_criterion_09_property_suites(samples100):
 
 def test_criterion_10_rigidity_controls():
     dim3 = moduli_tangent_report(standard_pair(3)).moduli_dim
-    defect2 = defect_report(fourier_phases(2)).defect
+    defect2 = defect_report(fourier_phases(2)).moduli_dim
     ok = dim3 == 0 and defect2 == 0
     report(10, ok, f"moduli dim at n=3 = {dim3} (want 0), defect(F2) = {defect2} "
                    f"(want 0): the nullity rule does not inflate dimensions")

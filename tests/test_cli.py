@@ -319,11 +319,14 @@ def off_variety_inputs(pair_file, tmp_path):
     ["sample", "--start", "HADAMARD", "--count", "3", "--seed", "1", "--out", "OUT"],
     ["membership", "PAIR"],
     ["identity", "PAIR"],
+    ["identity", "PAIR", "--precision", "extended"],
+    ["invariants", "PAIR"],
+    ["invariants", "PAIR", "--precision", "extended"],
     ["complement", "PAIR", "--seed", "7", "--out", "OUT"],
     ["hadamard", "--from-pair", "REPEATED", "--out", "OUT"],
     ["hadamard", "--from-pair", "PAIR", "--out", "OUT"],
-], ids=["tangent", "defect", "trace", "sample", "membership", "identity", "complement",
-        "hadamard-repeated", "hadamard-unbiased"])
+], ids=["tangent", "defect", "trace", "sample", "membership", "identity", "identity-extended",
+        "invariants", "invariants-extended", "complement", "hadamard-repeated", "hadamard-unbiased"])
 def test_off_variety_exit_code_matrix(argv, off_variety_inputs, tmp_path, capsys):
     # every command that gates a point refuses one off the variety alike: exit
     # 1, the gate's residual on stdout, and no output file
@@ -333,6 +336,22 @@ def test_off_variety_exit_code_matrix(argv, off_variety_inputs, tmp_path, capsys
     assert code == FAIL
     assert payload["status"] == "fail" and payload["residual"] > 1e-8
     assert "off the variety" in err
+    assert not out.exists()
+
+
+def test_non_hermitian_pair_is_an_input_error(base_pair, tmp_path, capsys):
+    # a non-unitary conjugate satisfies the relations but is not Hermitian,
+    # so no Hadamard gauge fix exists for it
+    h = np.diag(np.linspace(1.0, 2.0, 6)).astype(complex)
+    hinv = np.linalg.inv(h)
+    skew = config.pair_from_matrices([h @ p @ hinv for p in base_pair.p], [h @ q @ hinv for q in base_pair.q])
+    path = tmp_path / "skew.json"
+    config.save_pair(str(path), skew, fmt="projectors")
+    out = tmp_path / "h.json"
+    code, payload, err = run(capsys, "hadamard", "--from-pair", str(path), "--out", str(out))
+    assert code == USAGE
+    assert payload is None
+    assert "configuration is not Hermitian" in err
     assert not out.exists()
 
 

@@ -239,6 +239,25 @@ def test_bases_format_refuses_non_hermitian(tmp_path, base_pair, standard6):
             assert np.max(np.abs(a - b)) <= 1e-12
 
 
+def test_hermitian_gate_is_screened(tmp_path, base_pair, monkeypatch):
+    # a Hermitian pair passes the gate on the Frobenius screen, with no SVD
+    svds = count_spectral_norms(monkeypatch)
+    save_pair(tmp_path / "pair.json", base_pair, fmt="bases")
+    assert svds == []
+    # m - m^H = 2 i t I has spectral norm 2t and Frobenius norm 2t sqrt(6):
+    # the screen cannot decide, and the spectral norm decides as before
+    tol = 1e-6
+    for t, hermitian in ((0.45 * tol, True), (0.55 * tol, False)):
+        skew = pair_from_matrices([base_pair.p[0] + 1j * t * np.eye(6)] + list(base_pair.p[1:]),
+                                  list(base_pair.q))
+        if hermitian:
+            config._require_hermitian(skew, tol)
+        else:
+            with pytest.raises(ValueError, match="configuration is not Hermitian"):
+                config._require_hermitian(skew, tol)
+    assert svds == [(12, 6, 6), (12, 6, 6)]  # one batched SVD per undecided screen
+
+
 def test_bases_format_refuses_projector_not_of_rank_one(tmp_path, base_pair):
     # p1 -> p1 + p2 (rank 2), p2 -> 0 (rank 0): Hermitian, but one vector per
     # projector cannot stand for it

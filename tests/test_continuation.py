@@ -136,11 +136,12 @@ def _count_calls(monkeypatch, fn) -> list:
 
 def test_trace_path_builds_one_jacobian_per_evaluation(fourier6_swapped, monkeypatch):
     # each corrector evaluation builds constraints and Jacobian together, the
-    # frame reuses the converged one, and only the start pays for the defect
-    # report; the unitarity gates pass on the Frobenius screen, so the SVD
-    # norms are the start's residual and the start frame's gate
+    # frame reuses the converged one, and only the start builds one for its
+    # frame, with no defect report; the unitarity gates pass on the Frobenius
+    # screen, so the one SVD norm is the start's residual
     builds = _count_calls(monkeypatch, tangent.phase_constraints)
     norms = _count_calls(monkeypatch, linalg.spectral_norm)
+    reports = _count_calls(monkeypatch, tangent.defect_report)
     results = []
     correct = continuation.newton_correct
     monkeypatch.setattr(continuation, "newton_correct",
@@ -148,7 +149,26 @@ def test_trace_path_builds_one_jacobian_per_evaluation(fourier6_swapped, monkeyp
     path = trace_path(fourier6_swapped, [1.0, 0.0, 0.0, 0.0], steps=50, h=1e-2)
     assert path.ok and len(results) >= 50
     assert len(builds) == sum(r.iterations + 1 for r in results) + 1
-    assert len(norms) == 2
+    assert len(norms) == 1
+    assert len(reports) == 0
+
+
+def test_corrector_fault_is_not_a_step_halving(fourier6_swapped, monkeypatch):
+    # only a refusal outside the corrector's basin (OffVariety) halves the
+    # step; any other ValueError from a mid-walk corrector call propagates
+    correct, calls = continuation.newton_correct, []
+
+    def faulty(h):
+        calls.append(h)
+        if len(calls) == 3:
+            raise ValueError("injected corrector fault")
+        return correct(h)
+
+    monkeypatch.setattr(continuation, "newton_correct", faulty)
+    with pytest.raises(ValueError, match="injected corrector fault") as info:
+        trace_path(fourier6_swapped, [1.0, 0.0, 0.0, 0.0], steps=5, h=1e-2)
+    assert not isinstance(info.value, linalg.OffVariety)
+    assert len(calls) == 3
 
 
 def test_trace_path_basic(fourier6_swapped):
@@ -430,8 +450,9 @@ def test_unitarity_screen_keeps_the_spectral_verdict(fourier6, gate):
             above.unitary()
     else:
         assert isinstance(newton_correct(below), continuation.CorrectorResult)
-        with pytest.raises(ValueError, match="starting residual above 0.5"):
+        with pytest.raises(linalg.OffVariety, match="starting residual above 0.5") as info:
             newton_correct(above)
+        assert info.value.residual == above.unitarity_residual()
 
 
 def test_canonical_key_refuses_n11_before_any_permutation(monkeypatch):

@@ -22,6 +22,7 @@ from orthopair.relations import (
 from orthopair.tangent import (
     GAP_RATIO_REQUIRED,
     IndeterminateDimension,
+    TangentReport,
     a6_moduli_tangent_report,
     defect_report,
     fiber_rank_check,
@@ -644,15 +645,17 @@ def test_kernel_invariant_under_permutation_and_exchange(n, data, exchange):
 
 
 def test_defect_fourier6(fourier6, fourier6_swapped):
-    assert defect_report(fourier6).defect == 4
-    assert defect_report(fourier6_swapped).defect == 4
+    assert defect_report(fourier6).moduli_dim == 4
+    assert defect_report(fourier6_swapped).moduli_dim == 4
     report = defect_report(fourier6)
     assert report.gap_ratio >= GAP_RATIO_REQUIRED
+    assert isinstance(report, TangentReport)
+    assert report.orbit_dim == 0 and report.nullity == report.moduli_dim
 
 
 def test_defect_rigid_small_n():
-    assert defect_report(fourier_phases(2)).defect == 0
-    assert defect_report(fourier_phases(3)).defect == 0
+    assert defect_report(fourier_phases(2)).moduli_dim == 0
+    assert defect_report(fourier_phases(3)).moduli_dim == 0
 
 
 def test_defect_n2_exhaustive_phase_oracle():
@@ -666,9 +669,9 @@ def test_defect_n2_exhaustive_phase_oracle():
 
 
 def test_defect_matches_moduli_dimension(base_pair, fourier6_swapped, family_sample):
-    assert defect_report(fourier6_swapped).defect == moduli_tangent_report(base_pair).moduli_dim
+    assert defect_report(fourier6_swapped).moduli_dim == moduli_tangent_report(base_pair).moduli_dim
     for h in family_sample.points[1:11]:
-        assert defect_report(h).defect == moduli_tangent_report(from_hadamard(h)).moduli_dim
+        assert defect_report(h).moduli_dim == moduli_tangent_report(from_hadamard(h)).moduli_dim
 
 
 def test_defect_refuses_off_manifold():
