@@ -30,6 +30,7 @@ __all__ = [
     "RankReport",
     "decide_rank",
     "range_factor",
+    "range_factors",
     "rank1_projector",
     "gauss_newton",
 ]
@@ -146,13 +147,19 @@ def decide_rank(s, tol: float, what: str) -> RankReport:
     return RankReport(s, rank, thresh, float(gap))
 
 
+def range_factors(stack: np.ndarray, tol: float, whats) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """The :func:`range_factor` of each matrix of the k x m x n ``stack``
+    (``whats`` names them) from one batched SVD, and the k spectra."""
+    u, s, _ = np.linalg.svd(stack)
+    vs = [ui[:, :decide_rank(si, tol, what).rank] for ui, si, what in zip(u, s, whats)]
+    return [(v, v.conj().T @ m) for v, m in zip(vs, stack)], s
+
+
 def range_factor(m: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, np.ndarray]:
     """(V, V^H m) with V the leading left singular vectors of m, as many as
     the rank :func:`decide_rank` finds at ``tol`` (``what`` names it).  At
     an idempotent m, m = V (V^H m) and (V^H m) V = I."""
-    u, s, _ = np.linalg.svd(m)
-    v = u[:, :decide_rank(s, tol, what).rank]
-    return v, v.conj().T @ m
+    return range_factors(np.asarray(m)[None], tol, [what])[0][0]
 
 
 def rank1_projector(v) -> np.ndarray:

@@ -160,6 +160,16 @@ def _compile(relations: tuple[Relation, ...], k: int) -> _Plan:
     terms = sorted((j, r, coeff, tuple(g % k for g in word)) for r, (_, rel) in enumerate(relations)
                    for j, (coeff, word) in enumerate(rel))
     slots, rels, coeffs, words = zip(*terms) if terms else ((),) * 4
+    row, levels = _word_rows(words, k)
+    ends = list(itertools.accumulate(Counter(slots).values()))
+    return _Plan(len(row), levels, np.array([row[w] for w in words], dtype=np.intp), np.array(coeffs),
+                 np.array(rels, dtype=np.intp), tuple(zip([0] + ends, ends)))
+
+
+def _word_rows(words, k: int) -> tuple[dict, tuple[tuple[np.ndarray, np.ndarray], ...]]:
+    """{word: product row} of the identity, the k letters and ``words`` with
+    their prefixes, and per word length >= 2 the rows of those words'
+    prefixes and their last letters, as :func:`_word_products` takes them."""
     row = {(): 0, **{(g,): 1 + g for g in range(k)}}
     need = sorted({w[:n] for w in set(words) for n in range(2, len(w) + 1)}, key=len)  # with prefixes
     levels = []
@@ -168,19 +178,31 @@ def _compile(relations: tuple[Relation, ...], k: int) -> _Plan:
         levels.append((np.array([row[w[:-1]] for w in level], dtype=np.intp),
                        np.array([w[-1] for w in level], dtype=np.intp)))
         row.update(zip(level, range(len(row), len(row) + len(level))))
-    ends = list(itertools.accumulate(Counter(slots).values()))
-    return _Plan(len(row), tuple(levels), np.array([row[w] for w in words], dtype=np.intp), np.array(coeffs),
-                 np.array(rels, dtype=np.intp), tuple(zip([0] + ends, ends)))
+    return row, tuple(levels)
 
 
-def _plan(relations: Sequence[Relation], k: int) -> _Plan:
-    """The compiled plan of a term tuple; a list (or lists inside a tuple)
-    is compiled from its tuple form, converted on each call."""
+def _word_products(gens: np.ndarray, rows: int, levels) -> np.ndarray:
+    """The product stack of :func:`_word_rows`: the identity, the letters
+    ``gens``, then each word as its prefix times its last letter, all words
+    of one length in one batched matmul."""
+    prods = np.empty((rows,) + gens.shape[1:], dtype=np.complex128)
+    prods[0] = np.eye(gens.shape[1])
+    start = len(gens) + 1
+    prods[1:start] = gens
+    for prefixes, letters in levels:
+        np.matmul(prods[prefixes], gens[letters], out=prods[start:start + len(letters)])
+        start += len(letters)
+    return prods
+
+
+def _plan(compile_, relations: Sequence[Relation], *args):
+    """``compile_(relations, *args)``, memoised per term tuple; a list (or
+    lists inside a tuple) is compiled from its tuple form on each call."""
     try:
-        return _compile(relations, k)
+        return compile_(relations, *args)
     except TypeError:  # unhashable
-        return _compile(tuple((name, tuple((coeff, tuple(word)) for coeff, word in rel))
-                              for name, rel in relations), k)
+        return compile_(tuple((name, tuple((coeff, tuple(word)) for coeff, word in rel))
+                              for name, rel in relations), *args)
 
 
 def _residual_stack(mats, relations: Sequence[Relation]) -> np.ndarray:
@@ -203,18 +225,10 @@ def _residual_stack(mats, relations: Sequence[Relation]) -> np.ndarray:
         if any(m.shape != (gens[0].shape[0],) * 2 for m in gens):
             raise ValueError("generator matrices must be square of equal size")
         gens = np.stack(gens)
-    k, dim = gens.shape[0], gens.shape[1]
-    plan = _plan(relations, k)
-    prods = np.empty((plan.rows, dim, dim), dtype=np.complex128)
-    prods[0] = np.eye(dim)
-    prods[1:k + 1] = gens
-    stack = np.zeros((len(relations), dim, dim), dtype=np.complex128)
+    plan = _plan(_compile, relations, gens.shape[0])
+    stack = np.zeros((len(relations),) + gens.shape[1:], dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual raises below
-        start = k + 1
-        for prefixes, letters in plan.levels:
-            np.matmul(prods[prefixes], gens[letters], out=prods[start:start + len(letters)])
-            start += len(letters)
-        summands = plan.coeffs[:, None, None] * prods[plan.words]
+        summands = plan.coeffs[:, None, None] * _word_products(gens, plan.rows, plan.levels)[plan.words]
         for a, b in plan.slots:  # step j adds the j-th terms
             stack[plan.relations[a:b]] += summands[a:b]
     finite = np.isfinite(stack).all(axis=(1, 2))

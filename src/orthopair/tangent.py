@@ -13,12 +13,15 @@ W_a^T V_a = I.  The tangent kernel is computed in these factors:
 * any other relation (the sum-to-identity relations) is pulled back whole,
   X_a -> V_a W_a^T.
 
-Jacobians are assembled term by term from the same relation term lists that
-drive the residuals: the derivative of a product with respect to one factor
-is the sum over its occurrences of prefix (x) suffix^T in row-major vec
-convention.  At an n = 6 pair this is a 216 x 144 complex matrix (144 rank-1
-cores and 36 rows per sum relation; 2d columns per generator) where the
-dense Jacobian in the generator entries is 5256 x 432.
+Jacobians come from the same relation term lists that drive the residuals:
+the derivative of a product with respect to one factor is the sum over its
+occurrences of prefix (x) suffix^T in row-major vec convention.  A plan
+compiled once per term tuple, factor ranks and d lists the occurrences; a
+call multiplies out the zero-padded factors level by level, takes one outer
+product per block shape and scatter-adds them all into J.  At an n = 6 pair
+J is 180 x 144 (108 rank-1 cores, each pair of edge cores being one, and 36
+rows per sum relation; 2d columns per generator) where the dense Jacobian in
+the generator entries is 5256 x 432.
 
 The idempotency relations confine the dense tangent to the rank-k_a tangent
 of every generator, and the factor map (V_a, W_a^T) -> V_a W_a^T is onto that
@@ -43,6 +46,8 @@ and for the fiber check.
 
 from __future__ import annotations
 
+import functools
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -57,9 +62,10 @@ from .linalg import (
     RankReport,
     as_matrix,
     decide_rank,
-    range_factor,
+    range_factors,
 )
 from .relations import AlgebraRepPoint, Relation, commutant_dimension, pair_relation_terms, require_relations
+from .relations import _plan, _word_products, _word_rows
 
 __all__ = [
     "GAP_RATIO_REQUIRED",
@@ -92,14 +98,16 @@ class JacobianSystem:
     """Complex analytic Jacobian of a relation system in rank factors.
 
     ``factors[a]`` is (V_a, W_a^T) with X_a = V_a W_a^T.  ``jacobian`` has
-    one block of rows per relation (its core, or d^2 rows for a relation
-    pulled back whole) and, per generator, a block of d k_a columns for
-    vec(V_a) followed by one for vec(W_a^T), all in row-major vec order.
+    one block of rows per :func:`_factored_relations` entry and, per
+    generator, a block of d k_a columns for vec(V_a) followed by one for
+    vec(W_a^T), all in row-major vec order; ``scales`` scales them by 1 on
+    V_a and by the spectral norm of X_a on W_a^T, preserving the nullity.
     """
 
     matrices: list[np.ndarray]
     factors: list[tuple[np.ndarray, np.ndarray]]
     jacobian: np.ndarray
+    scales: np.ndarray
 
     @property
     def gauge_dim(self) -> int:
@@ -107,58 +115,77 @@ class JacobianSystem:
         return sum(v.shape[1] ** 2 for v, _ in self.factors)
 
 
-def _factored_relations(relations: Sequence[Relation], factors):
+def _factored_relations(relations: Sequence[Relation], ranks: tuple[int, ...], d: int):
     """Each relation as (rows, cols, terms) over the factor list
-    [V_0, W_0^T, V_1, W_1^T, ...]; a term is (coefficient, factor word).
+    [V_0, W_0^T, V_1, W_1^T, ...] of generators of factor ranks ``ranks``
+    in dimension d; a term is (coefficient, factor word).
 
     A relation whose words all start with generator a and end with c becomes
     its core: word (a, b, ..., c) is W_a^T V_b W_b^T ... V_c and the
     one-letter word the identity I_{k_a}.  Any other relation is pulled back
     whole, word (a, b, ...) being V_a W_a^T V_b W_b^T ... and the empty word
-    the identity I_d.
+    the identity I_d.  Cores of rank-1 letters are polynomials in the
+    commuting scalars G_ab = W_a^T V_b, so two with equal terms as
+    (coefficient, multiset of pairs (a, b)), such as x_i x_j x_i - r x_i and
+    x_j x_i x_j - r x_j, are one: it is listed once, its coefficients scaled
+    by the root of its multiplicity, which leaves J^H J alike.
     """
-    d = factors[0][0].shape[0]
-    ranks = [v.shape[1] for v, _ in factors]
-    out = []
-    for _, terms in relations:
-        words = [word for _, word in terms]
+    k, merged = len(ranks), {}
+    for key, (_, terms) in enumerate(relations):  # key: the index, or the polynomial of a rank-1 core
+        words = [tuple(g % k for g in word) for _, word in terms]
         if all(words) and len({(w[0], w[-1]) for w in words}) == 1:
-            a, c = words[0][0], words[0][-1]
-            out.append((ranks[a], ranks[c],
-                        [(coeff, tuple(f for x, y in zip(w, w[1:]) for f in (2 * x + 1, 2 * y)))
-                         for coeff, w in terms]))
+            rows, cols = ranks[words[0][0]], ranks[words[0][-1]]
+            fwords = [tuple(f for x, y in zip(w, w[1:]) for f in (2 * x + 1, 2 * y)) for w in words]
+            if all(ranks[g] == 1 for w in words for g in w):
+                key = frozenset(Counter((c, tuple(sorted(zip(w, w[1:])))) for (c, _), w in zip(terms, words)).items())
         else:
-            out.append((d, d, [(coeff, tuple(f for x in w for f in (2 * x, 2 * x + 1)))
-                               for coeff, w in terms]))
-    return out
+            rows = cols = d
+            fwords = [tuple(f for x in w for f in (2 * x, 2 * x + 1)) for w in words]
+        merged.setdefault(key, [0, rows, cols, [(c, w) for (c, _), w in zip(terms, fwords)]])[0] += 1
+    return [(rows, cols, [(np.sqrt(copies) * c, w) for c, w in terms]) for copies, rows, cols, terms in merged.values()]
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices, without its generic n-d bookkeeping."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-
-def _factored_jacobian(factors, relations: Sequence[Relation]) -> np.ndarray:
-    flat = [m for pair in factors for m in pair]
-    frels = _factored_relations(relations, factors)
-    offsets = np.cumsum([0] + [m.size for m in flat])
-    J = np.zeros((sum(rows * cols for rows, cols, _ in frels), offsets[-1]), dtype=np.complex128)
-    r0 = 0
-    for rows, cols, terms in frels:
-        block = J[r0:r0 + rows * cols]
+@functools.lru_cache
+def _jacobian_plan(relations: tuple[Relation, ...], ranks: tuple[int, ...], d: int):
+    """The plan of :func:`_jacobian`: the product rows and levels, J's
+    shape, one group of factor occurrences per block shape (coefficients,
+    prefix and suffix rows) and the index of every entry they add in J's
+    float64 view, its real and imaginary parts side by side."""
+    shapes = [shape for k in ranks for shape in ((d, k), (k, d))]  # of V_0, W_0^T, V_1, ...
+    offsets = np.cumsum([0] + [m * n for m, n in shapes])
+    found, r0 = {}, 0  # block shape -> occurrences
+    for rows, cols, terms in _factored_relations(relations, ranks, d):
         for coeff, word in terms:
-            # prefix[p] = product of word[:p], suffix[-1 - p] = product of word[p+1:]
-            prefix = [np.eye(rows, dtype=np.complex128)]
-            for f in word[:-1]:
-                prefix.append(prefix[-1] @ flat[f])
-            suffix = [np.eye(cols, dtype=np.complex128)]
-            for f in reversed(word[1:]):
-                suffix.append(flat[f] @ suffix[-1])
             for pos, f in enumerate(word):
-                block[:, offsets[f]:offsets[f + 1]] += coeff * _kron(prefix[pos], suffix[-1 - pos].T)
+                found.setdefault((rows, cols, *shapes[f]), []).append(
+                    (coeff, word[:pos], word[pos + 1:], r0 * offsets[-1] + offsets[f]))
         r0 += rows * cols
-    return J
+    row, levels = _word_rows([w for occ in found.values() for o in occ for w in o[1:3]], len(shapes))
+    groups, index = [], []
+    for (rows, cols, m, n), occ in found.items():
+        coeffs, prefixes, suffixes, starts = zip(*occ)
+        # J[r0 + r cols + c, c0 + i n + j] += coeff prefix[r, i] suffix[j, c]; starts index J[r0, c0]
+        r, c, i, j = np.ix_(range(rows), range(cols), range(m), range(n))
+        index.append((np.reshape(starts, (-1, 1, 1, 1, 1)) + (r * cols + c) * offsets[-1] + i * n + j).ravel())
+        groups.append(((rows, cols, m, n), np.array(coeffs)[:, None, None, None, None],
+                       np.array([row[w] for w in prefixes]), np.array([row[w] for w in suffixes])))
+    return len(row), levels, (r0, int(offsets[-1])), groups, (2 * np.concatenate(index)[:, None] + [0, 1]).ravel()
+
+
+def _jacobian(factors, relations: Sequence[Relation]) -> np.ndarray:
+    """The factored Jacobian from its compiled plan: the products of the
+    factors zero-padded to d x d (exact in their leading blocks), one
+    broadcast outer product per block shape and one scatter-add."""
+    d = factors[0][0].shape[0]
+    rows, levels, shape, groups, index = _plan(_jacobian_plan, relations, tuple(v.shape[1] for v, _ in factors), d)
+    flat = np.zeros((len(factors), 2, d, d), dtype=np.complex128)
+    for a, (v, wt) in enumerate(factors):
+        flat[a, 0, :, :v.shape[1]], flat[a, 1, :wt.shape[0]] = v, wt
+    prods = _word_products(flat.reshape(-1, d, d), rows, levels)
+    values = np.concatenate([(coeffs * prods[pre, :r, None, :m, None]
+                              * prods[suf, :n, :c].transpose(0, 2, 1)[:, None, :, None, :]).ravel()
+                             for (r, c, m, n), coeffs, pre, suf in groups])
+    return np.bincount(index, values.view(np.float64), 2 * shape[0] * shape[1]).view(np.complex128).reshape(shape)
 
 
 def _generators(point) -> tuple[list[np.ndarray], Sequence[Relation], tuple[str, ...]]:
@@ -179,18 +206,9 @@ def rep_jacobian(point) -> JacobianSystem:
     """
     mats, terms, names = _generators(point)
     require_relations(mats, terms, "relation residual exceeds the gate; not a representation point")
-    factors = [range_factor(m, FACTOR_TOL, f"factor rank of generator {name}") for m, name in zip(mats, names)]
-    return JacobianSystem(mats, factors, _factored_jacobian(factors, terms))
-
-
-def _variable_scales(factors) -> np.ndarray:
-    """Per-variable column scaling, preserving nullity: V_a is orthonormal and
-    W_a^T carries the spectral norm of its generator."""
-    parts = []
-    for v, wt in factors:
-        nrm = float(np.linalg.norm(wt, 2)) if wt.size else 1.0
-        parts += [np.ones(v.size), np.full(wt.size, nrm)]
-    return np.concatenate(parts)
+    factors, spectra = range_factors(np.stack(mats), FACTOR_TOL, [f"factor rank of generator {x}" for x in names])
+    scales = np.concatenate([np.full(v.size, x) for (v, _), s in zip(factors, spectra) for x in (1.0, s[0])])
+    return JacobianSystem(mats, factors, _jacobian(factors, terms), scales)
 
 
 def orbit_tangent_dim(mats, tol: float = RANK_TOL) -> int:
@@ -236,7 +254,7 @@ def _moduli_report(system: JacobianSystem, tol: float, what: str, s: np.ndarray 
     difference.  ``s`` is the spectrum of the column-scaled Jacobian, when
     the caller has already factorised it."""
     if s is None:
-        s = np.linalg.svd(system.jacobian * _variable_scales(system.factors)[None, :], compute_uv=False)
+        s = np.linalg.svd(system.jacobian * system.scales, compute_uv=False)
     cut = decide_rank(s, tol, what)
     nullity = system.jacobian.shape[1] - cut.rank - system.gauge_dim
     orbit = orbit_tangent_dim(system.matrices, tol)
@@ -386,11 +404,10 @@ def fiber_rank_check(point: AlgebraRepPoint) -> FiberRankReport:
     rank 0 below an absolute floor.
     """
     system = _graph33_system(point)
-    scales = _variable_scales(system.factors)
-    _, s, vh = np.linalg.svd(system.jacobian * scales[None, :])
+    _, s, vh = np.linalg.svd(system.jacobian * system.scales)
     report = _moduli_report(system, RANK_TOL, "bipartite 3+3 moduli tangent", s)
     nullity = report.nullity
-    kernel = scales[:, None] * vh[vh.shape[0] - nullity - system.gauge_dim:].conj().T
+    kernel = system.scales[:, None] * vh[vh.shape[0] - nullity - system.gauge_dim:].conj().T
     basis = np.linalg.svd(_tangent_image(system.factors, kernel), full_matrices=False)[0][:, :nullity]
     mats = system.matrices
     d = mats[0].shape[0]

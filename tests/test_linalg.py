@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from orthopair import xprec
+from orthopair.config import from_hadamard
 from orthopair.linalg import (
+    IndeterminateDimension,
     adjoint,
     as_matrix,
     decide_rank,
     gauss_newton,
+    range_factor,
+    range_factors,
     rank1_projector,
     spectral_norm,
 )
@@ -259,3 +263,18 @@ def test_gauss_newton_budget_evaluates_final_iterate():
     assert steps == 5 and not converged
     # the same final iterate meeting the tolerance counts as converged
     assert gauss_newton(fun, np.ones(1), 2.0 ** -5, 5, 3, 1e-12)[2:] == (5, True)
+
+
+def test_range_factors_equal_each_range_factor(base_pair, family_sample):
+    # one batched SVD gives every matrix the factor and spectrum of its own SVD, bit for bit
+    for mats in (base_pair.matrices(), from_hadamard(family_sample.points[5]).matrices()):
+        factors, spectra = range_factors(np.stack(mats), 1e-10, [f"m{i}" for i in range(len(mats))])
+        for m, (v, wt), s in zip(mats, factors, spectra):
+            v1, wt1 = range_factor(m, 1e-10, "m")
+            assert v.shape == (6, 1) and np.array_equal(v, v1) and np.array_equal(wt, wt1)
+            assert np.array_equal(s, np.linalg.svd(m)[1])
+    # each rank is decided on its own spectrum, and the refusal names its matrix
+    blurred = np.stack([np.diag([1.0, 0.0]), np.diag([1.0, 1e-9])]).astype(complex)
+    with pytest.raises(IndeterminateDimension, match="second"):
+        range_factors(blurred, 1e-10, ["first", "second"])
+    assert [v.shape[1] for v, _ in range_factors(blurred[:1], 1e-10, ["first"])[0]] == [1]

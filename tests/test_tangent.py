@@ -144,7 +144,8 @@ def factored_residual_vector(factors, relations):
     """
     flat = [m for pair in factors for m in pair]
     out = []
-    for rows, cols, terms in tangent._factored_relations(relations, factors):
+    ranks = tuple(v.shape[1] for v, _ in factors)
+    for rows, cols, terms in tangent._factored_relations(relations, ranks, factors[0][0].shape[0]):
         acc = np.zeros((rows, cols), dtype=np.complex128)
         for coeff, word in terms:
             prod = np.eye(rows, dtype=np.complex128)
@@ -153,6 +154,53 @@ def factored_residual_vector(factors, relations):
             acc += coeff * prod
         out.append(acc.ravel())
     return np.concatenate(out)
+
+
+def _reference_factored_relations(relations, factors):
+    """Each relation as (rows, cols, terms) over [V_0, W_0^T, V_1, ...], one
+    block per relation: its core when its words all start with one generator
+    and end with one, else its whole d x d residual."""
+    d = factors[0][0].shape[0]
+    ranks = [v.shape[1] for v, _ in factors]
+    out = []
+    for _, terms in relations:
+        words = [word for _, word in terms]
+        if all(words) and len({(w[0], w[-1]) for w in words}) == 1:
+            a, c = words[0][0], words[0][-1]
+            out.append((ranks[a], ranks[c],
+                        [(coeff, tuple(f for x, y in zip(w, w[1:]) for f in (2 * x + 1, 2 * y)))
+                         for coeff, w in terms]))
+        else:
+            out.append((d, d, [(coeff, tuple(f for x in w for f in (2 * x, 2 * x + 1))) for coeff, w in terms]))
+    return out
+
+
+def _kron(a, b):
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
+def _reference_jacobian(factors, relations):
+    """The factored Jacobian assembled term by term, one block per relation:
+    prefix (x) suffix^T for every occurrence of every factor."""
+    flat = [m for pair in factors for m in pair]
+    frels = _reference_factored_relations(relations, factors)
+    offsets = np.cumsum([0] + [m.size for m in flat])
+    J = np.zeros((sum(rows * cols for rows, cols, _ in frels), offsets[-1]), dtype=np.complex128)
+    r0 = 0
+    for rows, cols, terms in frels:
+        block = J[r0:r0 + rows * cols]
+        for coeff, word in terms:
+            # prefix[p] = product of word[:p], suffix[-1 - p] = product of word[p+1:]
+            prefix = [np.eye(rows, dtype=np.complex128)]
+            for f in word[:-1]:
+                prefix.append(prefix[-1] @ flat[f])
+            suffix = [np.eye(cols, dtype=np.complex128)]
+            for f in reversed(word[1:]):
+                suffix.append(flat[f] @ suffix[-1])
+            for pos, f in enumerate(word):
+                block[:, offsets[f]:offsets[f + 1]] += coeff * _kron(prefix[pos], suffix[-1 - pos].T)
+        r0 += rows * cols
+    return J
 
 
 def _factor_vector(system):
@@ -199,6 +247,50 @@ def test_jacobian_matches_finite_differences(base_pair, family_sample):
             an = system.jacobian @ v
             denom = max(np.linalg.norm(an), 1.0)
             assert np.max(np.abs(an - fd)) / denom <= 1e-6
+
+
+def _plan_points(base_pair, family_sample):
+    """(point, rows of the reference, rows of the plan): each pair of edge
+    relations x_i x_j x_i - r x_i, x_j x_i x_j - r x_j of rank-1 letters is
+    one row of the plan."""
+    return [(standard_pair(3), 54, 45), (standard_pair(6), 216, 180), (base_pair, 216, 180),
+            (from_hadamard(family_sample.points[3]), 216, 180), (from_hadamard(family_sample.points[12]), 216, 180),
+            (restrict(base_pair, [1, 2, 3]), 57, 57), (graph_restriction(base_pair, [1, 2, 3], [1, 2, 3]), 36, 27)]
+
+
+def test_jacobian_plan_matches_term_by_term_reference(base_pair, family_sample):
+    # merged rows leave J^H J, and so the spectrum above the cut, as it was;
+    # the factor spectra give each W_a^T column its spectral norm
+    for point, ref_rows, plan_rows in _plan_points(base_pair, family_sample):
+        system = rep_jacobian(point)
+        norms = np.concatenate([np.full(v.size, x) for v, wt in system.factors for x in (1.0, np.linalg.norm(wt, 2))])
+        assert np.max(np.abs(system.scales - norms)) <= 1e-14 * norms.max()
+        _, terms, _ = tangent._generators(point)
+        J, R = system.jacobian, _reference_jacobian(system.factors, terms)
+        assert (J.shape, R.shape) == ((plan_rows, R.shape[1]), (ref_rows, _factor_vector(system).size))
+        norm2 = np.linalg.norm(R, 2) ** 2
+        assert np.max(np.abs(J.conj().T @ J - R.conj().T @ R)) <= 1e-13 * norm2
+        s, r = (np.linalg.svd(A * system.scales, compute_uv=False) for A in (J, R))
+        rank = decide_rank(r, tangent.RANK_TOL, "reference").rank
+        assert np.max(np.abs(s[:rank] - r[:rank])) <= 1e-12 * r[0]
+        assert decide_rank(s, tangent.RANK_TOL, "plan").rank == rank
+
+
+def test_moduli_report_cost(monkeypatch):
+    # one batched SVD factors the generators, one decides the nullity and one
+    # the commutant; a second report reuses the compiled plan
+    svd, calls = np.linalg.svd, []
+
+    def counted(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert moduli_tangent_report(standard_pair(6)).moduli_dim == 4
+    assert len(calls) <= 3
+    misses = tangent._jacobian_plan.cache_info().misses
+    assert moduli_tangent_report(standard_pair(6)).moduli_dim == 4
+    assert tangent._jacobian_plan.cache_info().misses == misses
 
 
 def test_dense_oracle_matches_finite_differences(base_pair, family_sample):
@@ -273,7 +365,7 @@ def test_jacobian_refuses_off_variety_point(base_pair, monkeypatch):
     def no_factoring(*args):
         raise AssertionError("an off-variety point reached the factoring")
 
-    monkeypatch.setattr(tangent, "range_factor", no_factoring)
+    monkeypatch.setattr(tangent, "range_factors", no_factoring)
     with pytest.raises(ValueError, match="relation residual"):
         rep_jacobian(broken)
 
@@ -461,7 +553,7 @@ def test_moduli_spectrum_matches_real_expansion():
     assert np.max(np.abs(np.repeat(s, 2) - s_real)) <= 1e-12 * s_real[0]
     assert J.shape[1] - decide_rank(s, 1e-10, "dense oracle").rank == 8 == report.nullity
     system = rep_jacobian(c)
-    F = system.jacobian * tangent._variable_scales(system.factors)[None, :]
+    F = system.jacobian * system.scales
     f_real = np.linalg.svd(np.block([[F.real, -F.imag], [F.imag, F.real]]), compute_uv=False)
     assert report.singular_values.shape == (min(F.shape),)
     assert np.max(np.abs(np.repeat(report.singular_values, 2) - f_real)) <= 1e-12 * f_real[0]
