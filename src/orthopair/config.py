@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import OffVariety, as_matrix, range_factor, rank1_projector, spectral_norm, worst_above
+from .linalg import RANK_TOL, OffVariety, as_matrix, range_factors, rank1_projector, spectral_norm, worst_above
 from .relations import evaluate_relations, pair_relation_terms
 
 __all__ = [
@@ -45,7 +45,7 @@ __all__ = [
     "decode_matrix",
 ]
 
-DEFAULT_TOL = 1e-10
+BASES_TOL = 1e-10  # save_pair(fmt="bases"): the Hermitian check
 UNITARITY_TOL = 1e-8  # phases this far from unitary are refused (HadamardPoint.unitary)
 GAUGE_TOL = 1e-8  # to_hadamard: Hermitian check; 10x this on the transition-matrix moduli
 
@@ -203,6 +203,8 @@ class HadamardPoint:
 
 def fourier_phases(n: int, swap34: bool = False) -> HadamardPoint:
     """HadamardPoint of the (optionally column-swapped) Fourier matrix."""
+    if n < 2:
+        raise ValueError("Fourier phases need n >= 2")
     i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     ang = 2 * np.pi * i * j / n
     if swap34:
@@ -222,12 +224,16 @@ def from_hadamard(h: HadamardPoint) -> PairConfiguration:
     return _pair_from_unitary(h.unitary())
 
 
-def _unit_eigenvector(p: np.ndarray) -> np.ndarray:
-    """Unit vector spanning the range of a projector; refused unless its rank is 1 at DEFAULT_TOL."""
-    v, _ = range_factor(p, DEFAULT_TOL, "projector rank")
-    if v.shape[1] != 1:
-        raise ValueError(f"projector has rank {v.shape[1]}; one basis vector stands only for rank 1")
-    return v[:, 0]
+def _unit_eigenvectors(c: PairConfiguration) -> tuple[np.ndarray, np.ndarray]:
+    """Two n x n matrices whose columns are unit vectors spanning the ranges
+    of the p's and of the q's, from one batched SVD of all 2n projectors;
+    refused unless every rank is 1 at RANK_TOL."""
+    factors, _ = range_factors(np.stack(c.matrices()), RANK_TOL, ["projector rank"] * (2 * c.n))
+    for v, _ in factors:
+        if v.shape[1] != 1:
+            raise ValueError(f"projector has rank {v.shape[1]}; one basis vector stands only for rank 1")
+    return (np.stack([v[:, 0] for v, _ in factors[:c.n]], axis=1),
+            np.stack([v[:, 0] for v, _ in factors[c.n:]], axis=1))
 
 
 def _require_hermitian(c: PairConfiguration, tol: float) -> None:
@@ -261,12 +267,10 @@ def to_hadamard(c: PairConfiguration) -> HadamardPoint:
     """
     n = c.n
     _require_hermitian(c, GAUGE_TOL)
-    vs = [_unit_eigenvector(p) for p in c.p]
-    axis = [int(np.argmax(np.abs(v))) for v in vs]
+    vs, ws = _unit_eigenvectors(c)
+    axis = np.argmax(np.abs(vs), axis=0)
     order = sorted(range(n), key=lambda i: (axis[i], i))
-    vmat = np.stack([vs[i] for i in order], axis=1)
-    ws = [_unit_eigenvector(q) for q in c.q]
-    u = vmat.conj().T @ np.stack(ws, axis=1)
+    u = vs[:, order].conj().T @ ws
 
     # entry moduli certify unbiasedness of the transition matrix
     dev = float(np.max(np.abs(np.abs(u) - 1.0 / np.sqrt(n))))
@@ -320,9 +324,8 @@ def save_pair(path, c: PairConfiguration, fmt: str = "projectors") -> None:
             "q": [encode_matrix(m) for m in c.q],
         }
     elif fmt == "bases":
-        _require_hermitian(c, DEFAULT_TOL)
-        e_basis = np.stack([_unit_eigenvector(p) for p in c.p], axis=1)
-        f_basis = np.stack([_unit_eigenvector(q) for q in c.q], axis=1)
+        _require_hermitian(c, BASES_TOL)
+        e_basis, f_basis = _unit_eigenvectors(c)
         doc = {
             "n": c.n,
             "format": "bases",

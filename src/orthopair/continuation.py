@@ -25,14 +25,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import islice, permutations
+from itertools import permutations
 
 import numpy as np
 
-from .config import HadamardPoint, dephased_phases
+from .config import HadamardPoint, _wrap_angles, dephased_phases
 from .invariants import u_invariants
-from .linalg import OffVariety, gauss_newton, rank1_projector
-from .tangent import RANK_TOL, _defect_kernel, phase_constraints
+from .linalg import RANK_TOL, OffVariety, gauss_newton, rank1_projector
+from .tangent import _defect_kernel, phase_constraints
 
 __all__ = [
     "CorrectorResult",
@@ -54,7 +54,6 @@ CORRECTOR_MAX_ITER = 20
 CORRECTOR_WINDOW = 3  # newton_correct gives up when its norm has not halved over this many steps
 STEP_HALVINGS = 5  # a continuation move halves its step at most this often before it gives up
 KEY_GRID = 1e-6  # the canonical key compares phases rounded to this grid
-KEY_PERM_BLOCK = 720  # column permutations searched per batch: all of them up to n = 7
 KEY_MAX_N = 10  # the canonical key packs each row of ranks into one int64 code up to this n
 
 
@@ -63,9 +62,7 @@ def _point_from_vector(n: int, x: np.ndarray) -> HadamardPoint:
 
 
 def _phase_distance(a: HadamardPoint, b: HadamardPoint) -> float:
-    d = a.phases - b.phases
-    d = np.mod(d + np.pi, 2 * np.pi) - np.pi
-    return float(np.linalg.norm(d))
+    return float(np.linalg.norm(_wrap_angles(a.phases - b.phases)))
 
 
 def tangent_frame(h: HadamardPoint, prev: np.ndarray | None = None,
@@ -312,25 +309,21 @@ def _key_grid(ph: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _key_blocks(m: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """The column permutations of an m x m block in ``itertools`` order, in
-    batches of KEY_PERM_BLOCK, each with its packing matrix; built once per m.
+def _key_blocks(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The column permutations of an m x m block in ``itertools`` order and
+    their packing matrix; built once per m.
 
     Entries below 2^bits, bits the bit length of m^2 - 1, pack row i of a
     block r under column order cperms[p] into the int64 code
     sum_j r[i, cperms[p, j]] 2^(bits (m - 1 - j)) = (r @ packer)[i, p]:
     packer[c, p] is the weight of the position column c takes in cperms[p].
     Codes compare as the rows do, lexicographically, and fit in 63 bits for
-    m < KEY_MAX_N.  At m = 9 the batches hold about 30 MB.
+    m < KEY_MAX_N.  At m = 9 they hold about 30 MB, and a pivot's codes as much.
     """
     bits = (m * m - 1).bit_length()
     weights = np.int64(1) << (bits * np.arange(m - 1, -1, -1, dtype=np.int64))
-    blocks = []
-    perms = permutations(range(m))
-    while block := list(islice(perms, KEY_PERM_BLOCK)):
-        cperms = np.array(block, dtype=np.int8)
-        blocks.append((cperms, np.ascontiguousarray(weights[np.argsort(cperms, axis=1)].T)))
-    return tuple(blocks)
+    cperms = np.array(list(permutations(range(m))), dtype=np.int8)
+    return cperms, np.ascontiguousarray(weights[np.argsort(cperms, axis=1)].T)
 
 
 def _canonical_phases(h: HadamardPoint, full: bool) -> tuple[tuple, np.ndarray]:
@@ -373,16 +366,16 @@ def _canonical_phases(h: HadamardPoint, full: bool) -> tuple[tuple, np.ndarray]:
         ph = dephased_phases(u0[np.ix_(row_order, col_order)])
         rounded = _key_grid(ph)
         ranks = np.searchsorted(np.sort(rounded, axis=None), rounded)
-        for cperms, packer in _key_blocks(m):
-            codes = ranks @ packer  # codes[i, p]: row i with its columns in order cperms[p]
-            # lexsort is stable and takes its last key first: the candidate
-            # whose sorted codes are least, the first one in permutation order
-            p = np.lexsort(np.sort(codes, axis=0)[::-1])[0]
-            rperm = np.argsort(codes[:, p], kind="stable")
-            key = tuple(map(tuple, rounded[np.ix_(rperm, cperms[p])].tolist()))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_ph = ph[np.ix_(rperm, cperms[p])]
+        cperms, packer = _key_blocks(m)
+        codes = ranks @ packer  # codes[i, p]: row i with its columns in order cperms[p]
+        # lexsort is stable and takes its last key first: the candidate
+        # whose sorted codes are least, the first one in permutation order
+        p = np.lexsort(np.sort(codes, axis=0)[::-1])[0]
+        rperm = np.argsort(codes[:, p], kind="stable")
+        key = tuple(map(tuple, rounded[np.ix_(rperm, cperms[p])].tolist()))
+        if best_key is None or key < best_key:
+            best_key = key
+            best_ph = ph[np.ix_(rperm, cperms[p])]
     return best_key, best_ph
 
 

@@ -17,12 +17,12 @@ factor through (P, Q = sum q_i):
     u2 = 72 Tr(PQPQPQ) - 108 Tr(PQPQ) + 54
 
 with constants fixed once by the exact-arithmetic oracle in
-:mod:`orthopair.exact` (see U1_AFFINE / U2_AFFINE below).
+:mod:`orthopair.exact` (exact.fit_u1_constants, exact.fit_u2_constants).
 
 On Hermitian inputs every reported invariant is real because each trace is
-paired with the trace of the reversed word; the imaginary parts are kept as
-a residue guard and non-Hermitian (genuinely complex) values are flagged
-rather than truncated.
+paired with the trace of the reversed word; the worst imaginary part is
+reported as a residue, and non-Hermitian (genuinely complex) values are kept
+whole in ``complex_values`` rather than truncated.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .config import PairConfiguration
-from .linalg import OffVariety, as_matrix, decide_rank, gauss_newton, range_factor, spectral_norm
+from .linalg import RANK_TOL, OffVariety, as_matrix, decide_rank, gauss_newton, range_factors, spectral_norm
 from .relations import (
     RELATION_TOL,
     bipartite_relation_terms,
@@ -46,8 +46,6 @@ from .relations import (
 __all__ = [
     "InvariantVector",
     "IdentityReport",
-    "U1_AFFINE",
-    "U2_AFFINE",
     "U_WORDS",
     "u_word_traces",
     "u3_factors",
@@ -62,13 +60,6 @@ __all__ = [
     "membership_test",
 ]
 
-# u1 = U1_AFFINE[0] * 36 Tr(PQPQ) + U1_AFFINE[1] on the sandwich locus;
-# u2 = U2_AFFINE[0] Tr(PQPQPQ) + U2_AFFINE[1] Tr(PQPQ) + U2_AFFINE[2].
-# Values fixed by exact.fit_u1_constants / exact.fit_u2_constants.
-U1_AFFINE = (0.5, -13.5)
-U2_AFFINE = (72.0, -108.0, 54.0)
-
-IMAG_GUARD = 1e-10
 COMPLEMENT_RESTARTS = 20
 COMPLEMENT_TOL = 1e-11  # a solver start converges at this residual
 COMPLEMENT_MAX_ITER = 60  # Gauss-Newton iterations per start
@@ -82,8 +73,7 @@ class InvariantVector:
     """Real parts of (u1, u2, u3) with the worst imaginary residue.
 
     ``imag_residue`` beyond ~1e-10 means the input was genuinely complex
-    (non-Hermitian); ``is_complex`` flags that case and the full complex
-    values are kept in ``complex_values``.
+    (non-Hermitian); the full complex values are kept in ``complex_values``.
     """
 
     u1: float
@@ -91,13 +81,6 @@ class InvariantVector:
     u3: float
     imag_residue: float
     complex_values: tuple[complex, complex, complex]
-
-    @property
-    def is_complex(self) -> bool:
-        return self.imag_residue > IMAG_GUARD
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u1, self.u2, self.u3])
 
 
 def _tr(*mats) -> complex:
@@ -109,11 +92,10 @@ def _tr(*mats) -> complex:
 U_WORDS = ((0, 1, 0, 2), (0, 1, 0, 3), (0, 2, 0, 3), (0, 1, 0, 2, 0, 3), (0, 1, 0, 3, 0, 2))
 
 
-def u_word_traces(P, qs, words=U_WORDS) -> list[complex]:
-    """Traces of ``words`` (by default U_WORDS) at (P, q1, q2, q3), each
-    product taken left to right."""
+def u_word_traces(P, qs) -> list[complex]:
+    """Traces of U_WORDS at (P, q1, q2, q3), each product taken left to right."""
     gens = [as_matrix(m) for m in (P, *qs)]
-    return [_tr(*(gens[g] for g in word)) for word in words]
+    return [_tr(*(gens[g] for g in word)) for word in U_WORDS]
 
 
 def u3_factors(traces) -> tuple[complex, complex, complex]:
@@ -211,10 +193,10 @@ def _require_system(mats, terms, what: str) -> np.ndarray:
 def identity_check(p_triple, q_triple) -> IdentityReport:
     """Both sides of the product identity at a pair of unbiased triples.
 
-    Precondition, within RELATION_TOL: the six matrices satisfy the 3+3
-    graph relations at r = 1/6 (idempotents, orthogonal within a triple,
-    x_i x_j x_i = x_i / 6 across) and have unit traces; the identity is only
-    claimed there.  The left side is the product over ordered pairs i != j
+    The six matrices must be 6 x 6 (else ValueError).  Precondition, within
+    RELATION_TOL: they satisfy the 3+3 graph relations at r = 1/6
+    (idempotents, orthogonal within a triple, x_i x_j x_i = x_i / 6 across)
+    and have unit traces; the identity is only claimed there.  The left side is the product over ordered pairs i != j
     of (36 Tr(P q_i P q_j) - 1) with P the sum of the p-triple; the right
     side exchanges the roles of the two triples.  By cyclicity the pairs
     (i, j) and (j, i) give the same factor, so each side is the square of u3
@@ -224,8 +206,9 @@ def identity_check(p_triple, q_triple) -> IdentityReport:
     p, q = list(p_triple), list(q_triple)
     if len(p) != 3 or len(q) != 3:
         raise ValueError("identity check needs two triples")
-    # the relation gate converts and checks the six matrices, naming a
-    # matrix that is not 2-d or not finite as as_matrix does
+    if any(np.shape(m) != (6, 6) for m in p + q):
+        raise ValueError("identity check works on six-dimensional points")
+    # the relation gate converts the six matrices, naming one that is not finite as as_matrix does
     gens = _require_system(p + q, bipartite_relation_terms(3, 3, 1.0 / 6.0),
                            "identity not applicable to these triples")
     triples = gens.reshape(2, 3, *gens.shape[1:])  # [side, member]: the p's, the q's
@@ -278,7 +261,7 @@ def solve_complement(P, qs, seed: int) -> ComplementResult:
 
     (P, q) must satisfy the sandwich relations within RELATION_TOL (else
     OffVariety).  The rank of M = I - P is decided by
-    :func:`~orthopair.linalg.range_factor` at COMPLEMENT_RANK_TOL, and only a
+    :func:`~orthopair.linalg.range_factors` at COMPLEMENT_RANK_TOL, and only a
     decisive rank 3 is solved.  With B the top three left singular vectors
     of M and C = B^H M (so M = B C and C B = I), p'_k = v_k u_k^T for
     v_k the columns of B A and u_k the rows of A^-1 C, A in GL(3).  Duality
@@ -296,7 +279,7 @@ def solve_complement(P, qs, seed: int) -> ComplementResult:
         raise ValueError("complement solver works on six-dimensional points with six q's")
     require_relations([P] + qs, sandwich_relation_terms(6, float(np.trace(P).real) / 6.0),
                       "(P, q) violates the sandwich relations")
-    B, C = range_factor(np.eye(6, dtype=np.complex128) - P, COMPLEMENT_RANK_TOL, "rank of I - P")
+    [(B, C)], _ = range_factors((np.eye(6) - P)[None], COMPLEMENT_RANK_TOL, ["rank of I - P"])
     if B.shape[1] != 3:
         raise ValueError(f"I - P has rank {B.shape[1]}; the complement triple needs rank 3")
     X = C @ np.stack(qs) @ B
@@ -369,7 +352,7 @@ def membership_test(c: PairConfiguration, tol: float = 1e-8) -> MembershipResult
     G = p.conj().transpose(0, 2, 1) @ p  # G_k = p_k^dag p_k
     ops = np.stack([q.conj().transpose(0, 1, 3, 2) @ G - G @ q, p @ q - q @ p])  # [operator, j, k]
     _, s, vh = np.linalg.svd(np.moveaxis(ops, 2, -1).reshape(2, -1, n), full_matrices=False)
-    if n - decide_rank(s[1], 1e-10, "joint commutant").rank != 1:
+    if n - decide_rank(s[1], RANK_TOL, "joint commutant").rank != 1:
         raise ValueError("configuration is reducible; the conjugator is not unique")
     nullity = n - decide_rank(s[0], tol, "conjugator space").rank
     if nullity == 0:

@@ -2,15 +2,16 @@
 
 All operators in this package are plain numpy arrays of dtype complex128
 (row-major, finite entries).  This module provides the handful of primitives
-everything else is built on: traces, adjoints, spectral norms, the one
-residual gate and its refusal :class:`OffVariety`, the one range factor of
-an idempotent, the one Gauss-Newton loop of the corrector and the complement
+everything else is built on: spectral norms, the one residual gate and its
+refusal :class:`OffVariety`, the one batched range factorisation of
+idempotents, the one Gauss-Newton loop of the corrector and the complement
 solver, and -- most importantly -- the one numerical rank rule every integer
 answer of the package goes through.  :func:`decide_rank` uses a *relative*
 threshold (tol times the largest singular value) with an explicit,
 caller-controlled tolerance, and refuses with :class:`IndeterminateDimension`
 when the singular-value gap at the cut is not decisive, so ill-conditioned
-decisions are never silently trusted.
+decisions are never silently trusted.  RANK_TOL is the package's one default
+relative cut.
 """
 
 from __future__ import annotations
@@ -21,21 +22,21 @@ import numpy as np
 
 __all__ = [
     "as_matrix",
-    "adjoint",
     "spectral_norm",
     "OffVariety",
     "worst_above",
     "GAP_RATIO_REQUIRED",
+    "RANK_TOL",
     "IndeterminateDimension",
     "RankReport",
     "decide_rank",
-    "range_factor",
     "range_factors",
     "rank1_projector",
     "gauss_newton",
 ]
 
 GAP_RATIO_REQUIRED = 1e3
+RANK_TOL = 1e-10  # default relative cut: tangent, defect, factor, projector and commutant ranks
 
 
 def as_matrix(a) -> np.ndarray:
@@ -48,17 +49,9 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def adjoint(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(a).conj().T
-
-
 def spectral_norm(a) -> float:
     """Largest singular value; a residual norm invariant under unitary conjugation."""
-    a = as_matrix(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(np.linalg.norm(as_matrix(a), 2))
 
 
 class OffVariety(ValueError):
@@ -148,18 +141,14 @@ def decide_rank(s, tol: float, what: str) -> RankReport:
 
 
 def range_factors(stack: np.ndarray, tol: float, whats) -> tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """The :func:`range_factor` of each matrix of the k x m x n ``stack``
-    (``whats`` names them) from one batched SVD, and the k spectra."""
+    """(V, V^H m) for each matrix m of the k x m x n ``stack`` from one
+    batched SVD, and the k spectra.  V holds the leading left singular
+    vectors of m, as many as the rank :func:`decide_rank` finds at ``tol``
+    (``whats`` names the k decisions).  At an idempotent m, m = V (V^H m)
+    and (V^H m) V = I."""
     u, s, _ = np.linalg.svd(stack)
     vs = [ui[:, :decide_rank(si, tol, what).rank] for ui, si, what in zip(u, s, whats)]
     return [(v, v.conj().T @ m) for v, m in zip(vs, stack)], s
-
-
-def range_factor(m: np.ndarray, tol: float, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """(V, V^H m) with V the leading left singular vectors of m, as many as
-    the rank :func:`decide_rank` finds at ``tol`` (``what`` names it).  At
-    an idempotent m, m = V (V^H m) and (V^H m) V = I."""
-    return range_factors(np.asarray(m)[None], tol, [what])[0][0]
 
 
 def rank1_projector(v) -> np.ndarray:

@@ -38,7 +38,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .linalg import OffVariety, as_matrix, decide_rank, worst_above
+from .linalg import RANK_TOL, OffVariety, as_matrix, decide_rank, worst_above
 
 if TYPE_CHECKING:  # config imports this module
     from .config import PairConfiguration
@@ -318,7 +318,7 @@ def commutator_operator(mats) -> np.ndarray:
     return K.reshape(k * d * d, d * d)
 
 
-def commutant_dimension(mats, tol: float = 1e-10) -> int:
+def commutant_dimension(mats, tol: float = RANK_TOL) -> int:
     """Dimension of the joint commutant {xi : xi m = m xi for all m}.
 
     1 means the matrices act irreducibly (Schur).  Computed as the nullity

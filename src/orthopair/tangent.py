@@ -57,6 +57,7 @@ from .config import HadamardPoint, PairConfiguration
 from .invariants import u3_factors, u_invariants_directional, u_word_traces
 from .linalg import (
     GAP_RATIO_REQUIRED,
+    RANK_TOL,
     IndeterminateDimension,
     OffVariety,
     RankReport,
@@ -83,10 +84,6 @@ __all__ = [
     "FiberRankReport",
     "fiber_rank_check",
 ]
-
-RANK_TOL = 1e-10  # relative cut of the nullity, orbit and defect decisions
-FACTOR_TOL = 1e-10  # relative cut of each generator's factor rank
-
 
 # ---------------------------------------------------------------------------
 # Rank-factored relation Jacobians.
@@ -206,7 +203,7 @@ def rep_jacobian(point) -> JacobianSystem:
     """
     mats, terms, names = _generators(point)
     require_relations(mats, terms, "relation residual exceeds the gate; not a representation point")
-    factors, spectra = range_factors(np.stack(mats), FACTOR_TOL, [f"factor rank of generator {x}" for x in names])
+    factors, spectra = range_factors(np.stack(mats), RANK_TOL, [f"factor rank of generator {x}" for x in names])
     scales = np.concatenate([np.full(v.size, x) for (v, _), s in zip(factors, spectra) for x in (1.0, s[0])])
     return JacobianSystem(mats, factors, _jacobian(factors, terms), scales)
 

@@ -73,6 +73,18 @@ def conjugated_hermitian_pair(rng, h):
     return config.pair_from_matrices(system(), system())
 
 
+# u1 = U1_AFFINE[0] * 36 Tr(PQPQ) + U1_AFFINE[1] on the sandwich locus;
+# u2 = U2_AFFINE[0] Tr(PQPQPQ) + U2_AFFINE[1] Tr(PQPQ) + U2_AFFINE[2].
+# Values fixed by exact.fit_u1_constants / exact.fit_u2_constants.
+U1_AFFINE = (0.5, -13.5)
+U2_AFFINE = (72.0, -108.0, 54.0)
+
+
+def u_array(vec):
+    """(u1, u2, u3) of an InvariantVector as an array."""
+    return np.array([vec.u1, vec.u2, vec.u3])
+
+
 # The three involutions of a configuration, written against the package API
 # for the property tests.
 

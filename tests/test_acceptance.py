@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import sigma, tau, theta
+from conftest import U1_AFFINE, U2_AFFINE, sigma, tau, theta, u_array
 from orthopair import exact
 from orthopair.cli import OK, main
 from orthopair.config import (
@@ -21,8 +21,6 @@ from orthopair.config import (
 )
 from orthopair.continuation import sample_family, trace_path
 from orthopair.invariants import (
-    U1_AFFINE,
-    U2_AFFINE,
     Membership,
     identity_check,
     membership_test,
@@ -142,8 +140,8 @@ def test_criterion_06_family_witness(traces):
         hadamard_ok += h.unitarity_residual() <= 1e-9
         mem = membership_test(from_hadamard(h))
         membership_ok += mem.status is Membership.REAL_LOCUS
-    us = np.array([u_invariants(
-        (c := from_hadamard(h)).p[0] + c.p[1] + c.p[2], *c.q[:3]).as_array()
+    us = np.array([u_array(u_invariants(
+        (c := from_hadamard(h)).p[0] + c.p[1] + c.p[2], *c.q[:3]))
         for h in points])
     extent = us.max(axis=0) - us.min(axis=0)
     elapsed = time.perf_counter() - t0
@@ -223,9 +221,9 @@ def test_criterion_09_property_suites(samples100):
               and all(np.array_equal(a, b) for a, b in
                       zip(theta(theta(base_pair)).matrices(), base_pair.matrices())))
     perm_ok = True
-    base = u_invariants(P, *base_pair.q[:3]).as_array()
+    base = u_array(u_invariants(P, *base_pair.q[:3]))
     for perm in itertools.permutations(range(3)):
-        got = u_invariants(P, base_pair.q[perm[0]], base_pair.q[perm[1]], base_pair.q[perm[2]]).as_array()
+        got = u_array(u_invariants(P, base_pair.q[perm[0]], base_pair.q[perm[1]], base_pair.q[perm[2]]))
         perm_ok = perm_ok and np.max(np.abs(got - base)) <= 1e-12
     a1, b1 = exact.fit_u1_constants()
     a2, b2, c2 = exact.fit_u2_constants()

@@ -339,6 +339,28 @@ def test_off_variety_exit_code_matrix(argv, off_variety_inputs, tmp_path, capsys
     assert not out.exists()
 
 
+def test_hadamard_fourier_n1_is_an_input_error(tmp_path, capsys):
+    # n = 1 has no phase block, so its file could not be loaded back
+    out = tmp_path / "h1.json"
+    code, payload, err = run(capsys, "hadamard", "--fourier", "1", "--out", str(out))
+    assert code == USAGE
+    assert payload is None
+    assert "input error" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_identity_refuses_pairs_not_of_dimension_six(n, tmp_path, capsys):
+    # the identity is stated for six-dimensional points: a smaller pair on
+    # its variety is an input error, not a point off the variety
+    path = str(tmp_path / f"p{n}.json")
+    assert run(capsys, "standard-pair", "--n", str(n), "--out", path)[0] == OK
+    code, payload, err = run(capsys, "identity", path)
+    assert code == USAGE
+    assert payload is None
+    assert "six-dimensional" in err
+
+
 def test_non_hermitian_pair_is_an_input_error(base_pair, tmp_path, capsys):
     # a non-unitary conjugate satisfies the relations but is not Hermitian,
     # so no Hadamard gauge fix exists for it

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import count_spectral_norms, random_invertible, random_unitary
+from conftest import count_spectral_norms, random_invertible, random_unitary, u_array
 from orthopair import config, relations
 from orthopair.config import (
     HadamardPoint,
@@ -53,6 +53,8 @@ def test_standard_pair_degenerate_inputs():
         standard_pair(1)
     with pytest.raises(ValueError):
         standard_pair(3, swap34=True)
+    with pytest.raises(ValueError, match="n >= 2"):  # no phase block, so its file would not load
+        fourier_phases(1)
 
 
 def test_unbiasedness_residual_detects_bad_projector(standard6):
@@ -174,7 +176,7 @@ def test_round_trip_preserves_invariants(base_pair):
     P2 = c2.p[0] + c2.p[1] + c2.p[2]
     v1 = u_invariants(P1, *base_pair.q[:3])
     v2 = u_invariants(P2, *c2.q[:3])
-    assert np.max(np.abs(v1.as_array() - v2.as_array())) <= 1e-9
+    assert np.max(np.abs(u_array(v1) - u_array(v2))) <= 1e-9
 
 
 def test_to_hadamard_gauge_invariance(base_pair):
@@ -268,6 +270,28 @@ def test_bases_format_refuses_projector_not_of_rank_one(tmp_path, base_pair):
     with pytest.raises(ValueError, match="rank 2"):
         save_pair(path, bad, fmt="bases")
     assert not path.exists()
+
+
+def test_projector_vectors_take_one_svd(tmp_path, base_pair, monkeypatch):
+    # all 2n projectors of a pair are factored by one batched SVD, for the
+    # gauge fix and for the bases format alike
+    svd, calls = np.linalg.svd, []
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    to_hadamard(base_pair)
+    assert calls == [(12, 6, 6)]
+    calls.clear()
+    save_pair(tmp_path / "pair.json", base_pair, fmt="bases")
+    assert calls == [(12, 6, 6)]
+    # the first projector not of rank 1 is named, as by a call per projector
+    p = list(base_pair.p)
+    bad = pair_from_matrices([p[0] + p[1], 0 * p[1]] + p[2:], list(base_pair.q))
+    with pytest.raises(ValueError, match="projector has rank 2"):
+        to_hadamard(bad)
 
 
 def test_pair_file_format_documented(tmp_path, base_pair):

@@ -3,12 +3,20 @@ import itertools
 import numpy as np
 import pytest
 
-from conftest import conjugated_hermitian_pair, random_invertible, random_unitary, sigma, tau, theta
+from conftest import (
+    U1_AFFINE,
+    U2_AFFINE,
+    conjugated_hermitian_pair,
+    random_invertible,
+    random_unitary,
+    sigma,
+    tau,
+    theta,
+    u_array,
+)
 from orthopair import exact, invariants, relations
 from orthopair.config import from_hadamard, pair_from_matrices, standard_pair
 from orthopair.invariants import (
-    U1_AFFINE,
-    U2_AFFINE,
     Membership,
     identity_check,
     membership_test,
@@ -17,7 +25,7 @@ from orthopair.invariants import (
     u_invariants_directional,
     z_functions,
 )
-from orthopair.linalg import decide_rank
+from orthopair.linalg import OffVariety, decide_rank
 from orthopair.relations import commutant_dimension
 
 
@@ -39,7 +47,7 @@ def test_u_values_standard_pair(standard6):
     assert abs(vec.u3 - float(want[2])) <= 1e-12
     assert (vec.u1, vec.u2, vec.u3) == pytest.approx((8.0, 0.0, -9.0), abs=1e-12)
     assert vec.imag_residue <= 1e-13
-    assert not vec.is_complex
+    assert vec.imag_residue <= 1e-10
 
 
 def test_u_values_column_gap_three(standard6):
@@ -56,15 +64,15 @@ def test_u_values_swapped_base_point(base_pair):
     vec = u_invariants(P, *base_pair.q[:3])
     # swapped q-system: columns (1, 2, 4) of the Fourier matrix
     want = exact.u_for_columns([0, 1, 3])
-    assert np.allclose(vec.as_array(), [float(w) for w in want], atol=1e-12)
+    assert np.allclose(u_array(vec), [float(w) for w in want], atol=1e-12)
 
 
 def test_u_symmetric_under_q_permutations(standard6, family_sample):
     P = triple_P(standard6)
     qs = standard6.q[:3]
-    base = u_invariants(P, *qs).as_array()
+    base = u_array(u_invariants(P, *qs))
     for perm in itertools.permutations(range(3)):
-        got = u_invariants(P, qs[perm[0]], qs[perm[1]], qs[perm[2]]).as_array()
+        got = u_array(u_invariants(P, qs[perm[0]], qs[perm[1]], qs[perm[2]]))
         assert np.max(np.abs(got - base)) <= 1e-12
     # invariant under conjugation, so the differential vanishes on the orbit
     # directions ([xi, P], [xi, q_i]), measured against equally long random ones
@@ -72,10 +80,10 @@ def test_u_symmetric_under_q_permutations(standard6, family_sample):
     for h in family_sample.points[1:4]:
         c = from_hadamard(h)
         gens = [triple_P(c), *c.q[:3]]
-        base = u_invariants(*gens).as_array()
+        base = u_array(u_invariants(*gens))
         g = random_invertible(rng, 6)
         ginv = np.linalg.inv(g)
-        got = u_invariants(*(g @ m @ ginv for m in gens)).as_array()
+        got = u_array(u_invariants(*(g @ m @ ginv for m in gens)))
         assert np.max(np.abs(got - base)) <= 1e-10 * max(1.0, np.max(np.abs(base)))
         xi = rng.standard_normal((6, 6, 8)) + 1j * rng.standard_normal((6, 6, 8))
         orbit = np.stack([np.einsum("abk,bc->ack", xi, m) - np.einsum("ab,bck->ack", m, xi) for m in gens])
@@ -122,11 +130,11 @@ def test_tau_involution(base_pair):
     assert tau(t).p is base_pair.p
     assert t.residual == base_pair.residual
     # invariants relabel: (sum p, q-triple) on c equals (sum q, p-triple) on tau(c)
-    v1 = u_invariants(triple_P(base_pair), *base_pair.q[:3]).as_array()
+    v1 = u_array(u_invariants(triple_P(base_pair), *base_pair.q[:3]))
     tt = tau(base_pair)
-    v2 = u_invariants(sum(tt.p[i] for i in range(3)), *tt.q[:3]).as_array()
+    v2 = u_array(u_invariants(sum(tt.p[i] for i in range(3)), *tt.q[:3]))
     # tau swaps the systems, so v2 is the u-vector of (sum q, p-triple)
-    v3 = u_invariants(sum(base_pair.q[i] for i in range(3)), *base_pair.p[:3]).as_array()
+    v3 = u_array(u_invariants(sum(base_pair.q[i] for i in range(3)), *base_pair.p[:3]))
     assert np.array_equal(v2, v3)
     assert v1.shape == v2.shape
 
@@ -198,6 +206,11 @@ def test_identity_precondition_enforced(standard6):
         identity_check(list(standard6.p[:3]), list(standard6.p[:3]))
     with pytest.raises(ValueError):
         identity_check(list(standard6.p[:2]), list(standard6.q[:3]))
+    for n in (3, 4):  # another dimension is an input error, refused before the relation gate
+        c = standard_pair(n)
+        with pytest.raises(ValueError, match="six-dimensional") as exc:
+            identity_check(list(c.p[:3]), list(c.q[:3]))
+        assert not isinstance(exc.value, OffVariety)
 
 
 def test_identity_precondition_reads_relation_terms(standard6, monkeypatch):
