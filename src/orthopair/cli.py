@@ -100,6 +100,8 @@ def cmd_verify(args) -> int:
 
 def cmd_invariants(args) -> int:
     c = config.load_pair(args.file)
+    if c.n != 6:  # z2 reads q5 and q6, and the u's are normalised for dimension 6
+        raise ValueError(f"invariants work on six-dimensional pairs only; got n = {c.n}")
     relations.require_relations(c.matrices(), relations.pair_relation_terms(c.n),
                                 "invariants not applicable to this pair")
     p_idx = _parse_triple(args.p_subset, c.n)

@@ -28,6 +28,8 @@ from .relations import evaluate_relations, pair_relation_terms
 __all__ = [
     "PairConfiguration",
     "HadamardPoint",
+    "reconstruct_phases",
+    "gram_defects",
     "fourier_matrix",
     "fourier_phases",
     "standard_pair",
@@ -155,6 +157,22 @@ def _wrap_angles(ph: np.ndarray) -> np.ndarray:
     return out
 
 
+def reconstruct_phases(phases: np.ndarray) -> np.ndarray:
+    """The matrices a (..., n-1, n-1) stack of dephased phases reconstructs:
+    first row and column 1/sqrt(n), entry (i+1, j+1) exp(i phases[..., i, j])
+    / sqrt(n).  Elementwise, so each matrix is bit-equal to its own
+    :meth:`HadamardPoint.reconstruct`."""
+    n = phases.shape[-1] + 1
+    u = np.ones(phases.shape[:-2] + (n, n), dtype=np.complex128)
+    u[..., 1:, 1:] = np.exp(1j * phases)
+    return u / np.sqrt(n)
+
+
+def gram_defects(u: np.ndarray) -> np.ndarray:
+    """U^dag U - I for each matrix U of a (..., n, n) stack."""
+    return u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])
+
+
 @dataclass(frozen=True, eq=False)  # array fields: equality and hash by identity
 class HadamardPoint:
     """Dephased phase coordinates of an n x n complex Hadamard matrix.
@@ -174,13 +192,10 @@ class HadamardPoint:
         object.__setattr__(self, "phases", ph)
 
     def reconstruct(self) -> np.ndarray:
-        u = np.ones((self.n, self.n), dtype=np.complex128)
-        u[1:, 1:] = np.exp(1j * self.phases)
-        return u / np.sqrt(self.n)
+        return reconstruct_phases(self.phases)
 
     def _gram_defect(self) -> np.ndarray:
-        u = self.reconstruct()
-        return u.conj().T @ u - np.eye(self.n)
+        return gram_defects(self.reconstruct())
 
     def unitarity_residual(self) -> float:
         """Spectral norm of U^dag U - I for the reconstruction U."""
@@ -244,12 +259,14 @@ def _require_hermitian(c: PairConfiguration, tol: float) -> None:
 
 def dephased_phases(u: np.ndarray) -> np.ndarray:
     """Phases of the lower-right block of u after dephasing: columns, then
-    rows, scaled by unit phases so the first row and column are real positive."""
-    col_phase = u[0, :] / np.abs(u[0, :])
-    u = u / col_phase[None, :]
-    row_phase = u[:, 0] / np.abs(u[:, 0])
-    u = u / row_phase[:, None]
-    return np.angle(u[1:, 1:])
+    rows, scaled by unit phases so the first row and column are real
+    positive.  ``u`` may be a (..., n, n) stack; the arithmetic is
+    elementwise, so each block is bit-equal to that of its matrix alone."""
+    col_phase = u[..., 0, :] / np.abs(u[..., 0, :])
+    u = u / col_phase[..., None, :]
+    row_phase = u[..., :, 0] / np.abs(u[..., :, 0])
+    u = u / row_phase[..., :, None]
+    return np.angle(u[..., 1:, 1:])
 
 
 def to_hadamard(c: PairConfiguration) -> HadamardPoint:

@@ -18,6 +18,14 @@ Jacobian per corrector evaluation and one SVD for its kernel; only the
 start of a walk builds a Jacobian for its frame.  Every frame is the kernel
 of a phase Jacobian, cut by the one dephased-defect decision,
 :func:`tangent._defect_kernel`.
+
+What only reads a finished list of points works on it as one stack, never
+point by point: the family dump gates, reconstructs and evaluates a path's
+points together (one unitarity gate, batched projectors and trace words,
+one batched spectral norm for residuals it is not given), a sample's
+``max_residual`` is one batched norm, and the canonical keys of a list go
+through one key kernel in fixed-size chunks.  Each number is bit-equal to
+the one its point gives alone.
 """
 
 from __future__ import annotations
@@ -29,9 +37,9 @@ from itertools import permutations
 
 import numpy as np
 
-from .config import HadamardPoint, _wrap_angles, dephased_phases
-from .invariants import u_invariants
-from .linalg import RANK_TOL, OffVariety, gauss_newton, rank1_projector
+from .config import UNITARITY_TOL, HadamardPoint, _wrap_angles, dephased_phases, gram_defects, reconstruct_phases
+from .invariants import InvariantVector, u_word_traces
+from .linalg import RANK_TOL, OffVariety, gauss_newton, rank1_projector, worst_above
 from .tangent import _defect_kernel, phase_constraints
 
 __all__ = [
@@ -55,6 +63,7 @@ CORRECTOR_WINDOW = 3  # newton_correct gives up when its norm has not halved ove
 STEP_HALVINGS = 5  # a continuation move halves its step at most this often before it gives up
 KEY_GRID = 1e-6  # the canonical key compares phases rounded to this grid
 KEY_MAX_N = 10  # the canonical key packs each row of ranks into one int64 code up to this n
+KEY_CHUNK_CODES = 1 << 13  # the key kernel holds at most this many codes (64 KiB) at a time, or one candidate's
 
 
 def _point_from_vector(n: int, x: np.ndarray) -> HadamardPoint:
@@ -282,12 +291,13 @@ def sample_family(start: HadamardPoint, count: int, seed: int,
             continue
         seen_keys.add(key)
         points.append(moved)
+    defects = gram_defects(reconstruct_phases(np.stack([p.phases for p in points])))
     meta = {
         "step_scale": step_scale,
         "corrector_tol": CORRECTOR_TOL,
         "corrector_retries": failures,
         "duplicates_skipped": duplicates,
-        "max_residual": max(p.unitarity_residual() for p in points),
+        "max_residual": float(np.linalg.norm(defects, 2, axis=(1, 2)).max()),
     }
     return FamilySample(points, seed, meta)
 
@@ -326,6 +336,73 @@ def _key_blocks(m: int) -> tuple[np.ndarray, np.ndarray]:
     return cperms, np.ascontiguousarray(weights[np.argsort(cperms, axis=1)].T)
 
 
+@lru_cache(maxsize=None)
+def _pivot_orders(n: int, full: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column orders of the searched pivots, one pivot per row:
+    pivot (r, c) puts row r and column c first and keeps the others in
+    order; (0, 0) alone, or with ``full`` all n^2 pivots in row-major order.
+    Cached, hence read-only."""
+    orders = np.array([[i] + [j for j in range(n) if j != i] for i in range(n)])
+    r, c = np.divmod(np.arange(n * n if full else 1), n)
+    rows, cols = orders[r], orders[c]
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
+def _canonical_keys(points, full: bool) -> list[tuple[tuple, np.ndarray]]:
+    """(key, phases) of :func:`_canonical_phases` for each point, in order.
+
+    A candidate is a point under one pivot.  The candidates of the points of
+    one n go through one batched kernel, in chunks of at most
+    KEY_CHUNK_CODES codes (one candidate at least), so the codes of a long
+    list never take more memory than one chunk: dephasing, the key grid,
+    the ranks (the count of smaller values in the block), the codes
+    ``ranks @ packer``, their sort over rows, the least column order, the
+    stable row sort and the gather of the key.  Only the comparison of a
+    point's pivots (``full``) stays per candidate.
+    """
+    if (big := next((h.n for h in points if h.n > KEY_MAX_N), None)) is not None:
+        raise ValueError(f"the canonical key is searched up to n = {KEY_MAX_N}; got n = {big}")
+    out = [None] * len(points)
+    by_n: dict[int, list[int]] = {}
+    for i, h in enumerate(points):
+        by_n.setdefault(h.n, []).append(i)
+    for n, idx in by_n.items():
+        if n == 1:  # a 1x1 matrix has no phase block to permute
+            for i in idx:
+                out[i] = (), points[i].phases
+            continue
+        rows, cols = _pivot_orders(n, full)
+        cperms, packer = _key_blocks(n - 1)
+        u = reconstruct_phases(np.stack([points[i].phases for i in idx]))
+        total, chunk = len(idx) * len(rows), max(1, KEY_CHUNK_CODES // packer.size)
+        for start in range(0, total, chunk):
+            point, pivot = np.divmod(np.arange(start, min(start + chunk, total)), len(rows))
+            ph = dephased_phases(u[point[:, None, None], rows[pivot][:, :, None], cols[pivot][:, None, :]])
+            rounded = _key_grid(ph)
+            flat = rounded.reshape(len(point), -1)
+            ranks = (flat[:, None, :] < flat[:, :, None]).sum(axis=2).reshape(rounded.shape)
+            codes = ranks @ packer  # codes[a, i, p]: row i of candidate a with its columns in order cperms[p]
+            # each candidate's column order whose sorted codes are least, the
+            # first one in permutation order: the orders still tied narrow
+            # down row by row, until one is left per candidate
+            least = np.sort(codes, axis=1).transpose(1, 0, 2)
+            alive = least[0] == least[0].min(axis=1, keepdims=True)
+            for row in least[1:]:
+                if np.count_nonzero(alive) == len(alive):
+                    break
+                alive &= row == row.min(axis=1, initial=np.iinfo(np.int64).max, where=alive, keepdims=True)
+            a = np.arange(len(point))
+            p = alive.argmax(axis=1)
+            rperm = np.argsort(codes[a, :, p], axis=1, kind="stable")
+            at = a[:, None, None], rperm[:, :, None], cperms[p][:, None, :]
+            for i, key, best in zip(point.tolist(), rounded[at].tolist(), ph[at]):
+                key = tuple(map(tuple, key))
+                if out[idx[i]] is None or key < out[idx[i]][0]:
+                    out[idx[i]] = key, best
+    return out
+
+
 def _canonical_phases(h: HadamardPoint, full: bool) -> tuple[tuple, np.ndarray]:
     """Heuristic canonical form under row/column permutation and dephasing.
 
@@ -347,36 +424,9 @@ def _canonical_phases(h: HadamardPoint, full: bool) -> tuple[tuple, np.ndarray]:
     candidate's sorted codes compare as its sorted rows.  The codes fit up
     to n = KEY_MAX_N = 10; larger n, whose search would take at least 10!
     permutations per pivot, is refused before any permutation is built.
+    It is the one-point case of :func:`_canonical_keys`.
     """
-    n = h.n
-    m = n - 1
-    if n > KEY_MAX_N:
-        raise ValueError(f"the canonical key is searched up to n = {KEY_MAX_N}; got n = {n}")
-    if m == 0:  # a 1x1 matrix has no phase block to permute
-        return (), h.phases
-    u0 = h.reconstruct()
-    pivots = [(0, 0)]
-    if full:
-        pivots = [(r, c) for r in range(n) for c in range(n)]
-    best_key = None
-    best_ph = None
-    for (r, c) in pivots:
-        row_order = [r] + [i for i in range(n) if i != r]
-        col_order = [c] + [j for j in range(n) if j != c]
-        ph = dephased_phases(u0[np.ix_(row_order, col_order)])
-        rounded = _key_grid(ph)
-        ranks = np.searchsorted(np.sort(rounded, axis=None), rounded)
-        cperms, packer = _key_blocks(m)
-        codes = ranks @ packer  # codes[i, p]: row i with its columns in order cperms[p]
-        # lexsort is stable and takes its last key first: the candidate
-        # whose sorted codes are least, the first one in permutation order
-        p = np.lexsort(np.sort(codes, axis=0)[::-1])[0]
-        rperm = np.argsort(codes[:, p], kind="stable")
-        key = tuple(map(tuple, rounded[np.ix_(rperm, cperms[p])].tolist()))
-        if best_key is None or key < best_key:
-            best_key = key
-            best_ph = ph[np.ix_(rperm, cperms[p])]
-    return best_key, best_ph
+    return _canonical_keys([h], full)[0]
 
 
 def canonical_reduce(points: list[HadamardPoint], full: bool = False) -> list[HadamardPoint]:
@@ -389,31 +439,47 @@ def canonical_reduce(points: list[HadamardPoint], full: bool = False) -> list[Ha
     """
     seen = set()
     out = []
-    for h in points:
-        key, ph = _canonical_phases(h, full)
+    for h, (key, ph) in zip(points, _canonical_keys(points, full)):
         if key not in seen:
             seen.add(key)
             out.append(HadamardPoint(h.n, ph))
     return out
 
 
-def _restriction_invariants(h: HadamardPoint):
+def _restriction_invariants(u: np.ndarray) -> list[InvariantVector]:
     """u invariants of the restriction to the first three coordinate and
-    column projectors: P = e1 + e2 + e3, q_j the projector onto column j."""
-    u = h.unitary()
-    P = np.diag((np.arange(h.n) < 3).astype(np.complex128))
-    return u_invariants(P, *(rank1_projector(u[:, j]) for j in range(3)))
+    column projectors, P = e1 + e2 + e3 and q_j the projector onto column j,
+    at each matrix of the (k, n, n) stack ``u``: three batched projectors
+    and one batched product per factor of each trace word."""
+    P = np.diag((np.arange(u.shape[-1]) < 3).astype(np.complex128))
+    traces = u_word_traces(P, [rank1_projector(u[:, :, j]) for j in range(3)])
+    return [InvariantVector.from_traces(t) for t in zip(*traces)]
 
 
 def family_jsonl_records(points, residuals=None, path_id: int = 0):
     """One JSON record per point: phases, residual, invariants (computed here
-    and nowhere else), step, path."""
-    for k, h in enumerate(points):
-        res = residuals[k] if residuals is not None else h.unitarity_residual()
-        inv = _restriction_invariants(h)
+    and nowhere else), step, path.
+
+    The points, all of one n, are evaluated as one stack: one unitarity
+    gate (:func:`~orthopair.linalg.worst_above`) for all of them, which
+    refuses the first point off the variety as :meth:`HadamardPoint.unitary`
+    does, before any record is yielded; without ``residuals`` one batched
+    spectral norm gives every :meth:`HadamardPoint.unitarity_residual`.
+    Every record is bit-equal to that of its point alone.
+    """
+    if not points:
+        return
+    u = reconstruct_phases(np.stack([h.phases for h in points]))
+    defects = gram_defects(u)
+    if worst_above(defects, UNITARITY_TOL) is not None:
+        for h in points:  # the first point the gate refuses raises, with its residual
+            h.unitary()
+    if residuals is None:
+        residuals = np.linalg.norm(defects, 2, axis=(1, 2))
+    for k, (h, inv) in enumerate(zip(points, _restriction_invariants(u))):
         yield {
-            "phases": [[float(x) for x in row] for row in h.phases],
-            "residual": float(res),
+            "phases": h.phases.tolist(),
+            "residual": float(residuals[k]),
             "invariants": {
                 "u1": inv.u1, "u2": inv.u2, "u3": inv.u3,
                 "imag_residue": inv.imag_residue,

@@ -82,6 +82,16 @@ class InvariantVector:
     imag_residue: float
     complex_values: tuple[complex, complex, complex]
 
+    @classmethod
+    def from_traces(cls, traces) -> InvariantVector:
+        """(u1, u2, u3) of the five traces of U_WORDS at one point."""
+        f12, f13, f23 = u3_factors(traces)
+        u1 = 36.0 * (traces[0] + traces[1] + traces[2])
+        u2 = 216.0 * (traces[3] + traces[4])
+        u3 = f12 * f23 * f13
+        residue = max(abs(u1.imag), abs(u2.imag), abs(u3.imag))
+        return cls(u1.real, u2.real, u3.real, residue, (u1, u2, u3))
+
 
 def _tr(*mats) -> complex:
     return complex(np.trace(reduce(np.matmul, mats)))
@@ -92,10 +102,21 @@ def _tr(*mats) -> complex:
 U_WORDS = ((0, 1, 0, 2), (0, 1, 0, 3), (0, 2, 0, 3), (0, 1, 0, 2, 0, 3), (0, 1, 0, 3, 0, 2))
 
 
-def u_word_traces(P, qs) -> list[complex]:
-    """Traces of U_WORDS at (P, q1, q2, q3), each product taken left to right."""
-    gens = [as_matrix(m) for m in (P, *qs)]
-    return [_tr(*(gens[g] for g in word)) for word in U_WORDS]
+def u_word_traces(P, qs) -> list:
+    """Traces of U_WORDS at (P, q1, q2, q3), each product taken left to right.
+
+    The generators are matrices, or stacks of them with leading batch axes
+    that broadcast together as in ``np.matmul``.  One entry per word: a
+    Python complex number for matrices, the list of a stack's traces (nested
+    as its batch axes) for stacks.  Each product of a stack is one batched
+    ``np.matmul`` per factor, and a point's traces are bit-equal to those
+    of its matrices alone.
+    """
+    gens = [np.asarray(m, dtype=np.complex128) for m in (P, *qs)]
+    for m in gens:  # a stack is checked as the matrix of all its rows
+        as_matrix(m.reshape(-1, m.shape[-1]) if m.ndim > 2 else m)
+    return [np.trace(reduce(np.matmul, [gens[g] for g in word]), axis1=-2, axis2=-1).tolist()
+            for word in U_WORDS]
 
 
 def u3_factors(traces) -> tuple[complex, complex, complex]:
@@ -118,13 +139,7 @@ def u_invariants(P, q1, q2, q3) -> InvariantVector:
     residual of (P, q's) is deliberately not enforced here; callers that
     need on-locus guarantees check it themselves.
     """
-    traces = u_word_traces(P, (q1, q2, q3))
-    f12, f13, f23 = u3_factors(traces)
-    u1 = 36.0 * (traces[0] + traces[1] + traces[2])
-    u2 = 216.0 * (traces[3] + traces[4])
-    u3 = f12 * f23 * f13
-    residue = max(abs(u1.imag), abs(u2.imag), abs(u3.imag))
-    return InvariantVector(u1.real, u2.real, u3.real, residue, (u1, u2, u3))
+    return InvariantVector.from_traces(u_word_traces(P, (q1, q2, q3)))
 
 
 def _word_gradients(gens) -> np.ndarray:

@@ -157,13 +157,18 @@ def rank1_projector(v) -> np.ndarray:
     Idempotent and of unit trace up to rounding (<= 1e-13), invariant under
     rescaling of v, and Hermitian *exactly*: the outer product is
     symmetrised, which is a bitwise-exact operation on conjugate pairs.
+
+    ``v`` may carry leading batch axes: a (..., n) stack of vectors gives
+    the (..., n, n) stack of their projectors, each bit-equal to the
+    projector of its vector alone (v^dag v is the row-by-column product,
+    which rounds as ``np.vdot`` does).
     """
-    v = np.asarray(v, dtype=np.complex128).reshape(-1)
-    nrm2 = np.vdot(v, v).real
-    if nrm2 == 0.0 or not np.isfinite(nrm2):
+    v = np.atleast_1d(np.asarray(v, dtype=np.complex128))
+    nrm2 = (v.conj()[..., None, :] @ v[..., :, None])[..., 0, 0].real
+    if not (np.isfinite(nrm2) & (nrm2 != 0.0)).all():
         raise ValueError("cannot project onto the zero vector")
-    p = np.outer(v, v.conj()) / nrm2
-    return (p + p.conj().T) / 2.0
+    p = v[..., :, None] * v.conj()[..., None, :] / nrm2[..., None, None]
+    return (p + p.conj().swapaxes(-1, -2)) / 2.0
 
 
 def gauss_newton(fun, x, tol: float, max_iter: int, window: int, rcond: float):

@@ -311,10 +311,7 @@ def phase_constraints(h: HadamardPoint) -> tuple[np.ndarray, np.ndarray]:
     (n(n-1), (n-1)^2); dG_jk / dphi_ab = i conj(U_aj) U_ak (delta_kb - delta_jb).
     """
     u = h.reconstruct()
-    n = h.n
-    idx = np.arange(n)
-    j, k = np.nonzero(idx[:, None] < idx)  # constraint rows (j, k), j < k, row-major
-    rows = np.arange(j.size)
+    j, k, free, plus, minus = _constraint_plan(h.n)
     cvec = (u.conj().T @ u)[j, k]
     # v[a-1, r] = i conj(U_aj) U_ak for row r = (j, k), written in the real
     # arithmetic of the scalar complex product so that J stays bit-identical
@@ -323,13 +320,29 @@ def phase_constraints(h: HadamardPoint) -> tuple[np.ndarray, np.ndarray]:
     v = np.empty(x.shape, dtype=np.complex128)
     v.real = x.imag * y.real - x.real * y.imag
     v.imag = x.imag * y.imag + x.real * y.real
-    # phase (a, b) is column (a-1)(n-1) + (b-1); the pinned column b = 0 has none
-    col = idx[:-1, None] * (n - 1) - 1
-    Jc = np.zeros((j.size, (n - 1) ** 2), dtype=np.complex128)
-    Jc[rows, col + k] += v
-    free = j >= 1
-    Jc[rows[free], (col + j)[:, free]] -= v[:, free]
+    Jc = np.zeros((j.size, (h.n - 1) ** 2), dtype=np.complex128)
+    Jc[plus] += v
+    Jc[minus] -= v[:, free]
     return np.concatenate([cvec.real, cvec.imag]), np.vstack([Jc.real, Jc.imag])
+
+
+@functools.lru_cache
+def _constraint_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple, tuple]:
+    """The index arrays of :func:`phase_constraints`, built once per n and
+    read-only: the constraint rows (j, k), j < k, in row-major order; the
+    rows whose j is a free phase column (j >= 1); and the entries of J's
+    complex block that phase (a, k) adds to and phase (a, j), j >= 1,
+    subtracts from, one row of indices per a.  Phase (a, b) is column
+    (a-1)(n-1) + (b-1); the pinned column b = 0 has none."""
+    idx = np.arange(n)
+    j, k = np.nonzero(idx[:, None] < idx)
+    rows = np.arange(j.size)
+    col = idx[:-1, None] * (n - 1) - 1
+    free = j >= 1
+    plus, minus = (rows, col + k), (rows[free], (col + j)[:, free])
+    for a in (j, k, free, *plus, *minus):
+        a.flags.writeable = False
+    return j, k, free, plus, minus
 
 
 def _defect_kernel(J: np.ndarray, tol: float) -> tuple[RankReport, np.ndarray]:

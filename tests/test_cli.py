@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import conjugated_hermitian_pair
-from orthopair import config, invariants
+from orthopair import config, invariants, relations
 from orthopair.cli import FAIL, INDETERMINATE, OK, USAGE, main
 
 
@@ -356,6 +356,20 @@ def test_identity_refuses_pairs_not_of_dimension_six(n, tmp_path, capsys):
     path = str(tmp_path / f"p{n}.json")
     assert run(capsys, "standard-pair", "--n", str(n), "--out", path)[0] == OK
     code, payload, err = run(capsys, "identity", path)
+    assert code == USAGE
+    assert payload is None
+    assert "six-dimensional" in err
+
+
+@pytest.mark.parametrize("precision", ["double", "extended"])
+@pytest.mark.parametrize("n", [3, 4])
+def test_invariants_refuses_pairs_not_of_dimension_six(n, precision, tmp_path, capsys, monkeypatch):
+    # the u's and z's are stated for six-dimensional pairs: a smaller pair on
+    # its variety is an input error, refused before any invariant is computed
+    path = str(tmp_path / f"p{n}.json")
+    assert run(capsys, "standard-pair", "--n", str(n), "--out", path)[0] == OK
+    monkeypatch.setattr(relations, "require_relations", None)  # the gate would be the first work
+    code, payload, err = run(capsys, "invariants", path, "--precision", precision)
     assert code == USAGE
     assert payload is None
     assert "six-dimensional" in err

@@ -481,6 +481,77 @@ def test_jsonl_records(tmp_path, fourier6_swapped):
     assert records[1]["step"] == 1
 
 
+def _loop_records(points, residuals=None, path_id=0):
+    """Reference: the family dump one point at a time, each point gated by
+    HadamardPoint.unitary, its projectors from np.vdot and np.outer and its
+    invariants from u_invariants."""
+    for k, h in enumerate(points):
+        res = residuals[k] if residuals is not None else h.unitarity_residual()
+        u = h.unitary()
+        qs = []
+        for j in range(3):
+            p = np.outer(u[:, j], u[:, j].conj()) / np.vdot(u[:, j], u[:, j]).real
+            qs.append((p + p.conj().T) / 2.0)
+        inv = u_invariants(np.diag((np.arange(h.n) < 3).astype(np.complex128)), *qs)
+        yield {
+            "phases": [[float(x) for x in row] for row in h.phases],
+            "residual": float(res),
+            "invariants": {"u1": inv.u1, "u2": inv.u2, "u3": inv.u3, "imag_residue": inv.imag_residue},
+            "step": k,
+            "path": path_id,
+        }
+
+
+def test_batched_records_equal_per_point_records(fourier6_swapped):
+    # the dump of a 50-step trace and of a 100-point sample, byte for byte
+    path = trace_path(fourier6_swapped, [0.0, 0.0, -1.0, 0.0], steps=50, h=1e-2)
+    sample = sample_family(fourier6_swapped, count=100, seed=42)
+    assert path.ok and len(path.points) == 51 and len(sample.points) == 100
+    for points, residuals in ((path.points, path.residuals), (path.points, None), (sample.points, None)):
+        got = [json.dumps(rec) for rec in family_jsonl_records(points, residuals, path_id=3)]
+        assert got == [json.dumps(rec) for rec in _loop_records(points, residuals, path_id=3)]
+    assert sample.metadata["max_residual"] == max(h.unitarity_residual() for h in sample.points)
+    assert list(family_jsonl_records([])) == []
+
+
+def test_batched_records_refuse_the_first_point_off_the_variety(tmp_path, fourier6_swapped):
+    # the later point is further off the variety, but the first one is refused
+    rng = np.random.default_rng(45)
+    good = [fourier6_swapped, HadamardPoint(6, fourier6_swapped.phases + 1e-12 * rng.standard_normal((5, 5)))]
+    near, far = (HadamardPoint(6, fourier6_swapped.phases + d * rng.standard_normal((5, 5))) for d in (1e-4, 1e-1))
+    assert UNITARITY_TOL < near.unitarity_residual() < far.unitarity_residual()
+    points = good + [near, fourier6_swapped, far]
+    with pytest.raises(linalg.OffVariety) as info:
+        near.unitary()
+    path = tmp_path / "family.jsonl"
+    write_family_jsonl(path, good)
+    before = path.read_bytes()
+    for append in (False, True):
+        with pytest.raises(linalg.OffVariety) as got:
+            write_family_jsonl(path, points, append=append)
+        assert str(got.value) == str(info.value)
+        assert got.value.residual == near.unitarity_residual()
+        assert path.read_bytes() == before
+
+
+def test_batched_keys_match_permutation_loop(fourier6):
+    # one key kernel for a mixed-n list, chunks of candidates straddling
+    # points (full=True at n = 6 is 36 candidates a point), ties and n = 1
+    rng = np.random.default_rng(46)
+    fourier = [fourier_phases(n) for n in range(2, 9)]
+    tied = [HadamardPoint(n, rng.choice([-2.0, 0.0, 1.0], (n - 1, n - 1))) for n in (3, 5, 6, 6, 7)]
+    mixed = fourier + tied + [HadamardPoint(1, np.zeros((0, 0)))] + fourier[2::-1]
+    for points, full in ((mixed, False), ([h for h in mixed if h.n <= 6] + [fourier6] * 2, True)):
+        keys = continuation._canonical_keys(points, full)
+        assert len(keys) == len(points)
+        for h, (key, ph) in zip(points, keys):
+            key_ref, ph_ref = _loop_canonical_phases(h, full)
+            assert key == key_ref
+            assert ph.shape == ph_ref.shape and ph.tobytes() == ph_ref.tobytes()
+        reduced = canonical_reduce(points, full)
+        assert len(reduced) == len(set(key for key, _ in keys))
+
+
 def test_jsonl_refuses_nonunitary_point(tmp_path):
     rng = np.random.default_rng(27)
     bad = HadamardPoint(6, rng.uniform(-3, 3, (5, 5)))
