@@ -204,7 +204,7 @@ def cmd_complement(args) -> int:
         doc = {"n": c.n, "format": "triple",
                "p": [config.encode_matrix(m) for m in result.triple],
                "q": [config.encode_matrix(m) for m in c.q]}
-        config.write_json(args.out, doc)
+        config.atomic_write(args.out, lambda fh: json.dump(doc, fh))
         payload["out"] = args.out
     _emit(payload)
     if not result.success:

@@ -38,7 +38,7 @@ __all__ = [
     "from_hadamard",
     "to_hadamard",
     "dephased_phases",
-    "write_json",
+    "atomic_write",
     "save_pair",
     "load_pair",
     "save_hadamard",
@@ -314,14 +314,14 @@ def decode_matrix(rows) -> np.ndarray:
         raise ValueError(f"a matrix is a list of rows of [re, im] numbers: {exc}") from None
 
 
-def write_json(path, doc) -> None:
-    """Write ``doc`` as JSON to ``path`` through a temporary file in the same
+def atomic_write(path, write) -> None:
+    """Write ``path`` by ``write(fh)`` on a temporary text file in the same
     directory and a rename: ``path`` ends up complete or as it was."""
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
-            json.dump(doc, fh)
+            write(fh)
         os.replace(tmp, path)
     finally:  # after the rename there is no temporary file left to remove
         if os.path.exists(tmp):
@@ -351,7 +351,7 @@ def save_pair(path, c: PairConfiguration, fmt: str = "projectors") -> None:
         }
     else:
         raise ValueError(f"unknown pair format {fmt!r}")
-    write_json(path, doc)
+    atomic_write(path, lambda fh: json.dump(doc, fh))
 
 
 def load_pair(path) -> PairConfiguration:
@@ -376,7 +376,7 @@ def load_pair(path) -> PairConfiguration:
 
 
 def save_hadamard(path, h: HadamardPoint) -> None:
-    write_json(path, {"n": h.n, "phases": [[float(x) for x in row] for row in h.phases]})
+    atomic_write(path, lambda fh: json.dump({"n": h.n, "phases": [[float(x) for x in row] for row in h.phases]}, fh))
 
 
 def load_hadamard(path) -> HadamardPoint:

@@ -38,6 +38,7 @@ from itertools import permutations
 import numpy as np
 
 from .config import UNITARITY_TOL, HadamardPoint, _wrap_angles, dephased_phases, gram_defects, reconstruct_phases
+from .config import atomic_write
 from .invariants import InvariantVector, u_word_traces
 from .linalg import RANK_TOL, OffVariety, gauss_newton, rank1_projector, worst_above
 from .tangent import _defect_kernel, phase_constraints
@@ -494,8 +495,12 @@ def write_family_jsonl(path, points, residuals=None, path_id: int = 0,
     """Dump points as JSONL; ``append`` accumulates several paths in one file.
 
     Every record is built before the file is opened, so a refused point
-    leaves an existing file unchanged.
+    leaves an existing file unchanged.  Without ``append`` the file is
+    written by :func:`~orthopair.config.atomic_write`, complete or as it
+    was; an append is not atomic and can leave a torn last line.
     """
-    lines = [json.dumps(rec) + "\n" for rec in family_jsonl_records(points, residuals, path_id)]
-    with open(path, "a" if append else "w") as fh:
-        fh.writelines(lines)
+    text = "".join(json.dumps(rec) + "\n" for rec in family_jsonl_records(points, residuals, path_id))
+    if not append:
+        return atomic_write(path, lambda fh: fh.write(text))
+    with open(path, "a") as fh:
+        fh.write(text)

@@ -9,9 +9,11 @@ rank-1 idempotents q_1, q_2, q_3 in dimension 6 are
 
 together with z1 = Tr Pq1Pq2 and z2 = Tr Pq5Pq6 on full six-q points.  The
 five trace words are written once, as U_WORDS; the differential of the u's is
-the gradient of U_WORDS, contracted with a stack of directions at once.  On
-the sandwich relation locus (q_i P q_i = q_i / 2, q_i rank 1) all three
-factor through (P, Q = sum q_i):
+the gradient of U_WORDS, contracted with a stack of directions at once.
+Every trace word (U_WORDS, their gradient's cofactor words, the z words and
+the identity's pair words) is multiplied out by the one product kernel,
+:func:`orthopair.relations.word_products`.  On the sandwich relation locus
+(q_i P q_i = q_i / 2, q_i rank 1) all three factor through (P, Q = sum q_i):
 
     u1 = (1/2) * 36 Tr(PQPQ) - 27/2
     u2 = 72 Tr(PQPQPQ) - 108 Tr(PQPQ) + 54
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
@@ -41,6 +43,7 @@ from .relations import (
     pair_relation_terms,
     require_relations,
     sandwich_relation_terms,
+    word_products,
 )
 
 __all__ = [
@@ -85,21 +88,20 @@ class InvariantVector:
     @classmethod
     def from_traces(cls, traces) -> InvariantVector:
         """(u1, u2, u3) of the five traces of U_WORDS at one point."""
-        f12, f13, f23 = u3_factors(traces)
         u1 = 36.0 * (traces[0] + traces[1] + traces[2])
         u2 = 216.0 * (traces[3] + traces[4])
-        u3 = f12 * f23 * f13
+        u3 = _u3(traces)
         residue = max(abs(u1.imag), abs(u2.imag), abs(u3.imag))
         return cls(u1.real, u2.real, u3.real, residue, (u1, u2, u3))
-
-
-def _tr(*mats) -> complex:
-    return complex(np.trace(reduce(np.matmul, mats)))
 
 
 # The u's as trace words over the generators (P, q1, q2, q3): the pair words
 # t12, t13, t23, then the two cubic words of u2.
 U_WORDS = ((0, 1, 0, 2), (0, 1, 0, 3), (0, 2, 0, 3), (0, 1, 0, 2, 0, 3), (0, 1, 0, 3, 0, 2))
+# slot s of U_WORDS[k] as (k, its generator, the cyclic product of the other slots)
+_COFACTORS = tuple((k, g, word[s + 1:] + word[:s]) for k, word in enumerate(U_WORDS) for s, g in enumerate(word))
+_COFACTOR_WORDS = tuple(w for _, _, w in _COFACTORS)
+_Z_WORDS = ((0, 1, 0, 2), (0, 5, 0, 6))  # Tr Pq1Pq2 and Tr Pq5Pq6 over (P, q1..q6)
 
 
 def u_word_traces(P, qs) -> list:
@@ -108,20 +110,24 @@ def u_word_traces(P, qs) -> list:
     The generators are matrices, or stacks of them with leading batch axes
     that broadcast together as in ``np.matmul``.  One entry per word: a
     Python complex number for matrices, the list of a stack's traces (nested
-    as its batch axes) for stacks.  Each product of a stack is one batched
-    ``np.matmul`` per factor, and a point's traces are bit-equal to those
-    of its matrices alone.
+    as its batch axes) for stacks, whose traces are bit-equal to those of
+    each point alone.
     """
     gens = [np.asarray(m, dtype=np.complex128) for m in (P, *qs)]
     for m in gens:  # a stack is checked as the matrix of all its rows
         as_matrix(m.reshape(-1, m.shape[-1]) if m.ndim > 2 else m)
-    return [np.trace(reduce(np.matmul, [gens[g] for g in word]), axis1=-2, axis2=-1).tolist()
-            for word in U_WORDS]
+    return np.trace(word_products(np.stack(np.broadcast_arrays(*gens)), U_WORDS), axis1=-2, axis2=-1).tolist()
 
 
 def u3_factors(traces) -> tuple[complex, complex, complex]:
     """The factors 36 Tr(P q_i P q_j) - 1 of u3 for (i, j) = (1, 2), (1, 3), (2, 3)."""
     return tuple(36.0 * t - 1.0 for t in traces[:3])
+
+
+def _u3(traces) -> complex:
+    """u3 from the three pair traces of U_WORDS."""
+    f12, f13, f23 = u3_factors(traces)
+    return f12 * f23 * f13
 
 
 def _u_chain(traces) -> np.ndarray:
@@ -149,11 +155,9 @@ def _word_gradients(gens) -> np.ndarray:
     each slot adds the transposed cyclic product of the other slots to the
     gradient of its generator.
     """
-    d = gens[0].shape[0]
-    G = np.zeros((len(U_WORDS), len(gens), d, d), dtype=np.complex128)
-    for k, word in enumerate(U_WORDS):
-        for s, g in enumerate(word):
-            G[k, g] += reduce(np.matmul, [gens[x] for x in word[s + 1:] + word[:s]]).T
+    G = np.zeros((len(U_WORDS), *gens.shape), dtype=np.complex128)
+    for (k, g, _), prod in zip(_COFACTORS, word_products(gens, _COFACTOR_WORDS)):
+        G[k, g] += prod.T
     return G
 
 
@@ -165,20 +169,19 @@ def u_invariants_directional(P, qs, dP, dqs) -> np.ndarray:
     The chain rule times the gradient of U_WORDS is one 3 x 4d^2 matrix,
     applied to all m directions in one product.
     """
-    gens = [as_matrix(m) for m in (P, *qs)]
-    grad = _u_chain(u_word_traces(gens[0], gens[1:])) @ _word_gradients(gens).reshape(len(U_WORDS), -1)
+    gens = np.stack([as_matrix(m) for m in (P, *qs)])
+    traces = np.trace(word_products(gens, U_WORDS), axis1=1, axis2=2).tolist()
+    grad = _u_chain(traces) @ _word_gradients(gens).reshape(len(U_WORDS), -1)
     return grad @ np.stack([dP, *dqs]).reshape(grad.shape[1], -1)
 
 
 def z_functions(P, qs) -> tuple[float, float]:
-    """(Tr Pq1Pq2, Tr Pq5Pq6) on a six-q point; real parts with residue guard."""
+    """The real parts of (Tr Pq1Pq2, Tr Pq5Pq6) on a six-q point; their
+    imaginary parts are dropped unreported."""
     if len(qs) != 6:
         raise ValueError("z functions need the full list of six q's")
-    P = as_matrix(P)
-    q = [as_matrix(m) for m in qs]
-    z1 = _tr(P, q[0], P, q[1])
-    z2 = _tr(P, q[4], P, q[5])
-    return z1.real, z2.real
+    z = word_products(np.stack([as_matrix(m) for m in (P, *qs)]), _Z_WORDS)
+    return tuple(np.trace(z, axis1=1, axis2=2).real.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +218,8 @@ def identity_check(p_triple, q_triple) -> IdentityReport:
     of (36 Tr(P q_i P q_j) - 1) with P the sum of the p-triple; the right
     side exchanges the roles of the two triples.  By cyclicity the pairs
     (i, j) and (j, i) give the same factor, so each side is the square of u3
-    of its triple, read from the three pair words of U_WORDS.  The six pair
-    words of both sides are one batched product, ((P q_i) P) q_j.
+    of its triple, read from the three pair words of U_WORDS: one word
+    product over the generators (P | Q, q_m | p_m), a side on its batch axis.
     """
     p, q = list(p_triple), list(q_triple)
     if len(p) != 3 or len(q) != 3:
@@ -227,15 +230,10 @@ def identity_check(p_triple, q_triple) -> IdentityReport:
     gens = _require_system(p + q, bipartite_relation_terms(3, 3, 1.0 / 6.0),
                            "identity not applicable to these triples")
     triples = gens.reshape(2, 3, *gens.shape[1:])  # [side, member]: the p's, the q's
-    sums = (triples[:, 0] + triples[:, 1] + triples[:, 2])[:, None]  # P, then Q
-    i, j = [0, 0, 1], [1, 2, 2]  # the pairs (1, 2), (1, 3), (2, 3) of U_WORDS
-    words = sums @ triples[::-1, i] @ sums @ triples[::-1, j]  # the lhs words, then the rhs words
-
-    def u3_squared(traces):
-        f12, f13, f23 = u3_factors(traces)
-        return (f12 * f23 * f13) ** 2
-
-    lhs, rhs = (u3_squared(t) for t in np.trace(words, axis1=2, axis2=3).tolist())
+    sums = triples[:, 0] + triples[:, 1] + triples[:, 2]  # P, then Q
+    stack = np.concatenate([sums[None], triples[::-1].swapaxes(0, 1)])  # [generator, side]
+    traces = np.trace(word_products(stack, U_WORDS[:3]), axis1=2, axis2=3)  # [word, side]
+    lhs, rhs = (_u3(t) ** 2 for t in traces.T.tolist())
     return IdentityReport(lhs.real, rhs.real, abs(lhs - rhs))
 
 

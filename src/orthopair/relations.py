@@ -18,13 +18,15 @@ builders return memoised tuples, so each system is built once and can never
 be changed under a caller.  The same term lists drive the residual
 evaluators here, the analytic Jacobians in :mod:`orthopair.tangent` and the
 residual categories of :func:`orthopair.config.residual_categories`, so
-none of them can drift apart.  The residual evaluator compiles each term
-tuple once per generator count into index arrays (the words to multiply
-out, level by level, and where each term is added); a call then does only
-the matrix products and the scatter-add.  A plain list of terms is
-converted to tuples on each call.  Residuals are measured in spectral norm,
-which is invariant under simultaneous unitary conjugation of all
-generators.
+none of them can drift apart.  Every word product of the package, here and
+in :mod:`orthopair.tangent` and :mod:`orthopair.invariants`, is taken by
+one kernel, :func:`word_products`, which multiplies each distinct word out
+once from a plan compiled once per word tuple and generator count.  The
+residual evaluator's term order is compiled once per term tuple and
+generator count, so a call does only the kernel's products and the
+scatter-add; a plain list of terms is converted to tuples on each call.
+Residuals are measured in spectral norm, which is invariant under
+simultaneous unitary conjugation of all generators.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import itertools
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -49,6 +51,7 @@ __all__ = [
     "bipartite_relation_terms",
     "pair_relation_terms",
     "sandwich_relation_terms",
+    "word_products",
     "evaluate_relations",
     "RELATION_TOL",
     "require_relations",
@@ -130,46 +133,14 @@ def evaluate_word(mats, word: tuple[int, ...], dim: int) -> np.ndarray:
     return out
 
 
-class _Plan(NamedTuple):
-    """The index arrays of one term tuple at one generator count k.
-
-    Product rows stack the identity, the k generators, then the words of
-    each length >= 2 in turn; ``levels`` holds, per length, the rows of the
-    words' prefixes and their last letters.  Terms are sorted by their
-    place j in their relation, then by relation; ``words``, ``coeffs`` and
-    ``relations`` give each term's product row, coefficient and relation
-    index, and ``slots`` the bounds of each j.
-    """
-
-    rows: int
-    levels: tuple[tuple[np.ndarray, np.ndarray], ...]
-    words: np.ndarray
-    coeffs: np.ndarray
-    relations: np.ndarray
-    slots: tuple[tuple[int, int], ...]
-
-
 @functools.lru_cache
-def _compile(relations: tuple[Relation, ...], k: int) -> _Plan:
-    """The plan of :func:`_residual_stack` for ``relations`` on ``k``
-    generators; a letter g in -k..-1 stands for generator g + k."""
-    for name, rel in relations:
-        if not all(-k <= g < k for _, w in rel for g in w):
-            raise ValueError(f"relation {name!r} needs more than the {k} generators given")
-    # (j, relation, coeff, word) in order of j, then of relation
-    terms = sorted((j, r, coeff, tuple(g % k for g in word)) for r, (_, rel) in enumerate(relations)
-                   for j, (coeff, word) in enumerate(rel))
-    slots, rels, coeffs, words = zip(*terms) if terms else ((),) * 4
-    row, levels = _word_rows(words, k)
-    ends = list(itertools.accumulate(Counter(slots).values()))
-    return _Plan(len(row), levels, np.array([row[w] for w in words], dtype=np.intp), np.array(coeffs),
-                 np.array(rels, dtype=np.intp), tuple(zip([0] + ends, ends)))
-
-
-def _word_rows(words, k: int) -> tuple[dict, tuple[tuple[np.ndarray, np.ndarray], ...]]:
-    """{word: product row} of the identity, the k letters and ``words`` with
-    their prefixes, and per word length >= 2 the rows of those words'
-    prefixes and their last letters, as :func:`_word_products` takes them."""
+def _word_plan(words: tuple[tuple[int, ...], ...], k: int) -> tuple[int, tuple, np.ndarray]:
+    """The plan of :func:`word_products`: the number of product rows (the
+    identity, the k letters, then ``words`` and their prefixes by length),
+    per word length >= 2 the rows of those words' prefixes and their last
+    letters, and the row of each of ``words``."""
+    if any(not 0 <= g < k for w in words for g in w):
+        raise ValueError(f"a word has a letter outside the generators 0..{k - 1}")
     row = {(): 0, **{(g,): 1 + g for g in range(k)}}
     need = sorted({w[:n] for w in set(words) for n in range(2, len(w) + 1)}, key=len)  # with prefixes
     levels = []
@@ -178,21 +149,46 @@ def _word_rows(words, k: int) -> tuple[dict, tuple[tuple[np.ndarray, np.ndarray]
         levels.append((np.array([row[w[:-1]] for w in level], dtype=np.intp),
                        np.array([w[-1] for w in level], dtype=np.intp)))
         row.update(zip(level, range(len(row), len(row) + len(level))))
-    return row, tuple(levels)
+    return len(row), tuple(levels), np.array([row[w] for w in words], dtype=np.intp)
 
 
-def _word_products(gens: np.ndarray, rows: int, levels) -> np.ndarray:
-    """The product stack of :func:`_word_rows`: the identity, the letters
-    ``gens``, then each word as its prefix times its last letter, all words
-    of one length in one batched matmul."""
+def word_products(gens: np.ndarray, words: tuple[tuple[int, ...], ...]) -> np.ndarray:
+    """The product of each word of ``words``, taken left to right, stacked
+    in ``words`` order: the package's one product kernel.
+
+    ``gens`` is a (k, ..., d, d) stack, generator g being ``gens[g]``, and a
+    word a tuple of letters in 0..k-1; the empty word is the identity.  Each
+    distinct word and prefix is multiplied out once, as its prefix times its
+    last letter, all of one length in one batched matmul, from a plan
+    compiled once per (words, k); a product on a stack with batch axes is
+    bit-equal to that of each point alone.
+    """
+    rows, levels, index = _word_plan(words, len(gens))
     prods = np.empty((rows,) + gens.shape[1:], dtype=np.complex128)
-    prods[0] = np.eye(gens.shape[1])
+    prods[0] = np.eye(gens.shape[-1])
     start = len(gens) + 1
     prods[1:start] = gens
     for prefixes, letters in levels:
         np.matmul(prods[prefixes], gens[letters], out=prods[start:start + len(letters)])
         start += len(letters)
-    return prods
+    return prods[index]
+
+
+@functools.lru_cache
+def _compile(relations: tuple[Relation, ...], k: int) -> tuple[tuple, np.ndarray, np.ndarray, tuple]:
+    """The plan of :func:`_residual_stack` for ``relations`` on ``k``
+    generators, letters in 0..k-1: the terms' words, coefficients and
+    relation indices in order of j, their place in their relation, then of
+    relation, and the bounds of each j."""
+    for name, rel in relations:
+        if any(g < 0 for _, w in rel for g in w):
+            raise ValueError(f"relation {name!r} has a negative letter")
+        if any(g >= k for _, w in rel for g in w):
+            raise ValueError(f"relation {name!r} needs more than the {k} generators given")
+    terms = sorted((j, r, coeff, word) for r, (_, rel) in enumerate(relations) for j, (coeff, word) in enumerate(rel))
+    slots, rels, coeffs, words = zip(*terms) if terms else ((),) * 4
+    ends = list(itertools.accumulate(Counter(slots).values()))
+    return words, np.array(coeffs), np.array(rels, dtype=np.intp), tuple(zip([0] + ends, ends))
 
 
 def _plan(compile_, relations: Sequence[Relation], *args):
@@ -208,12 +204,11 @@ def _plan(compile_, relations: Sequence[Relation], *args):
 def _residual_stack(mats, relations: Sequence[Relation]) -> np.ndarray:
     """The d x d residual of every relation, stacked in list order.
 
-    Each distinct word is multiplied out once, as its prefix times its last
-    letter, all words of one length in one batched matmul, from the plan
-    compiled once per term tuple.  Each relation adds its terms in listed
-    order, so the stack equals the term-by-term sum of :func:`evaluate_word`
-    products.  A residual that overflows to a non-finite entry raises
-    OverflowError naming its relation.
+    The terms' words are multiplied out by :func:`word_products`, in the
+    order of the plan compiled once per term tuple.  Each relation adds its
+    terms in listed order, so the stack equals the term-by-term sum of
+    :func:`evaluate_word` products.  A residual that overflows to a
+    non-finite entry raises OverflowError naming its relation.
     """
     try:
         gens = np.asarray(mats, dtype=np.complex128)
@@ -225,12 +220,12 @@ def _residual_stack(mats, relations: Sequence[Relation]) -> np.ndarray:
         if any(m.shape != (gens[0].shape[0],) * 2 for m in gens):
             raise ValueError("generator matrices must be square of equal size")
         gens = np.stack(gens)
-    plan = _plan(_compile, relations, gens.shape[0])
+    words, coeffs, rels, slots = _plan(_compile, relations, gens.shape[0])
     stack = np.zeros((len(relations),) + gens.shape[1:], dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual raises below
-        summands = plan.coeffs[:, None, None] * _word_products(gens, plan.rows, plan.levels)[plan.words]
-        for a, b in plan.slots:  # step j adds the j-th terms
-            stack[plan.relations[a:b]] += summands[a:b]
+        summands = coeffs[:, None, None] * word_products(gens, words)
+        for a, b in slots:  # step j adds the j-th terms
+            stack[rels[a:b]] += summands[a:b]
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
         raise OverflowError(f"relation {relations[int(np.argmin(finite))][0]!r} residual is not finite")

@@ -17,8 +17,9 @@ Jacobians come from the same relation term lists that drive the residuals:
 the derivative of a product with respect to one factor is the sum over its
 occurrences of prefix (x) suffix^T in row-major vec convention.  A plan
 compiled once per term tuple, factor ranks and d lists the occurrences; a
-call multiplies out the zero-padded factors level by level, takes one outer
-product per block shape and scatter-adds them all into J.  At an n = 6 pair
+call multiplies out their prefixes and suffixes over the zero-padded factors
+by :func:`orthopair.relations.word_products`, takes one outer product per
+block shape and scatter-adds them all into J.  At an n = 6 pair
 J is 180 x 144 (108 rank-1 cores, each pair of edge cores being one, and 36
 rows per sum relation; 2d columns per generator) where the dense Jacobian in
 the generator entries is 5256 x 432.
@@ -66,7 +67,7 @@ from .linalg import (
     range_factors,
 )
 from .relations import AlgebraRepPoint, Relation, commutant_dimension, pair_relation_terms, require_relations
-from .relations import _plan, _word_products, _word_rows
+from .relations import _plan, word_products
 
 __all__ = [
     "GAP_RATIO_REQUIRED",
@@ -127,9 +128,9 @@ def _factored_relations(relations: Sequence[Relation], ranks: tuple[int, ...], d
     x_j x_i x_j - r x_j, are one: it is listed once, its coefficients scaled
     by the root of its multiplicity, which leaves J^H J alike.
     """
-    k, merged = len(ranks), {}
+    merged = {}
     for key, (_, terms) in enumerate(relations):  # key: the index, or the polynomial of a rank-1 core
-        words = [tuple(g % k for g in word) for _, word in terms]
+        words = [word for _, word in terms]
         if all(words) and len({(w[0], w[-1]) for w in words}) == 1:
             rows, cols = ranks[words[0][0]], ranks[words[0][-1]]
             fwords = [tuple(f for x, y in zip(w, w[1:]) for f in (2 * x + 1, 2 * y)) for w in words]
@@ -144,10 +145,10 @@ def _factored_relations(relations: Sequence[Relation], ranks: tuple[int, ...], d
 
 @functools.lru_cache
 def _jacobian_plan(relations: tuple[Relation, ...], ranks: tuple[int, ...], d: int):
-    """The plan of :func:`_jacobian`: the product rows and levels, J's
-    shape, one group of factor occurrences per block shape (coefficients,
-    prefix and suffix rows) and the index of every entry they add in J's
-    float64 view, its real and imaginary parts side by side."""
+    """The plan of :func:`_jacobian`: the distinct prefix and suffix words,
+    J's shape, one group of factor occurrences per block shape (coefficients,
+    prefix and suffix places in the words) and the index of every entry they
+    add in J's float64 view, its real and imaginary parts side by side."""
     shapes = [shape for k in ranks for shape in ((d, k), (k, d))]  # of V_0, W_0^T, V_1, ...
     offsets = np.cumsum([0] + [m * n for m, n in shapes])
     found, r0 = {}, 0  # block shape -> occurrences
@@ -157,7 +158,7 @@ def _jacobian_plan(relations: tuple[Relation, ...], ranks: tuple[int, ...], d: i
                 found.setdefault((rows, cols, *shapes[f]), []).append(
                     (coeff, word[:pos], word[pos + 1:], r0 * offsets[-1] + offsets[f]))
         r0 += rows * cols
-    row, levels = _word_rows([w for occ in found.values() for o in occ for w in o[1:3]], len(shapes))
+    at = {w: i for i, w in enumerate(dict.fromkeys(w for occ in found.values() for o in occ for w in o[1:3]))}
     groups, index = [], []
     for (rows, cols, m, n), occ in found.items():
         coeffs, prefixes, suffixes, starts = zip(*occ)
@@ -165,20 +166,20 @@ def _jacobian_plan(relations: tuple[Relation, ...], ranks: tuple[int, ...], d: i
         r, c, i, j = np.ix_(range(rows), range(cols), range(m), range(n))
         index.append((np.reshape(starts, (-1, 1, 1, 1, 1)) + (r * cols + c) * offsets[-1] + i * n + j).ravel())
         groups.append(((rows, cols, m, n), np.array(coeffs)[:, None, None, None, None],
-                       np.array([row[w] for w in prefixes]), np.array([row[w] for w in suffixes])))
-    return len(row), levels, (r0, int(offsets[-1])), groups, (2 * np.concatenate(index)[:, None] + [0, 1]).ravel()
+                       np.array([at[w] for w in prefixes]), np.array([at[w] for w in suffixes])))
+    return tuple(at), (r0, int(offsets[-1])), groups, (2 * np.concatenate(index)[:, None] + [0, 1]).ravel()
 
 
 def _jacobian(factors, relations: Sequence[Relation]) -> np.ndarray:
-    """The factored Jacobian from its compiled plan: the products of the
-    factors zero-padded to d x d (exact in their leading blocks), one
+    """The factored Jacobian from its compiled plan: the word products of
+    the factors zero-padded to d x d (exact in their leading blocks), one
     broadcast outer product per block shape and one scatter-add."""
     d = factors[0][0].shape[0]
-    rows, levels, shape, groups, index = _plan(_jacobian_plan, relations, tuple(v.shape[1] for v, _ in factors), d)
+    words, shape, groups, index = _plan(_jacobian_plan, relations, tuple(v.shape[1] for v, _ in factors), d)
     flat = np.zeros((len(factors), 2, d, d), dtype=np.complex128)
     for a, (v, wt) in enumerate(factors):
         flat[a, 0, :, :v.shape[1]], flat[a, 1, :wt.shape[0]] = v, wt
-    prods = _word_products(flat.reshape(-1, d, d), rows, levels)
+    prods = word_products(flat.reshape(-1, d, d), words)
     values = np.concatenate([(coeffs * prods[pre, :r, None, :m, None]
                               * prods[suf, :n, :c].transpose(0, 2, 1)[:, None, :, None, :]).ravel()
                              for (r, c, m, n), coeffs, pre, suf in groups])

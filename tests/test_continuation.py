@@ -2,6 +2,7 @@ import ast
 import inspect
 import itertools
 import json
+import os
 
 import numpy as np
 import pytest
@@ -532,6 +533,23 @@ def test_batched_records_refuse_the_first_point_off_the_variety(tmp_path, fourie
         assert str(got.value) == str(info.value)
         assert got.value.residual == near.unitarity_residual()
         assert path.read_bytes() == before
+
+
+def test_fresh_writes_leave_a_prior_file_when_the_rename_fails(tmp_path, monkeypatch, fourier6_swapped):
+    # a fresh dump and a JSON file are written to a temporary file and renamed
+    path = tmp_path / "out"
+    path.write_bytes(b"prior\n")
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    for write in (lambda: write_family_jsonl(path, [fourier6_swapped]),
+                  lambda: config.save_hadamard(path, fourier6_swapped)):
+        with pytest.raises(OSError, match="rename refused"):
+            write()
+        assert path.read_bytes() == b"prior\n"
+        assert list(tmp_path.iterdir()) == [path]  # no temporary file left
 
 
 def test_batched_keys_match_permutation_loop(fourier6):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -241,6 +242,60 @@ def _loop_identity_sides(p, q):
         lhs *= 36.0 * np.trace(P @ q[i] @ P @ q[j]) - 1.0
         rhs *= 36.0 * np.trace(Q @ p[i] @ Q @ p[j]) - 1.0
     return lhs, rhs
+
+
+def _reduce_identity(p, q):
+    """identity_check's arithmetic with its products batched by hand: the
+    pair words ((P q_i) P) q_j of both sides as three broadcast matmuls."""
+    triples = np.stack([*p, *q]).astype(complex).reshape(2, 3, 6, 6)
+    sums = (triples[:, 0] + triples[:, 1] + triples[:, 2])[:, None]
+    i, j = [0, 0, 1], [1, 2, 2]
+    words = sums @ triples[::-1, i] @ sums @ triples[::-1, j]
+
+    def u3_squared(traces):
+        f12, f13, f23 = (36.0 * t - 1.0 for t in traces)
+        return (f12 * f23 * f13) ** 2
+
+    lhs, rhs = (u3_squared(t) for t in np.trace(words, axis1=2, axis2=3).tolist())
+    return lhs.real, rhs.real, abs(lhs - rhs)
+
+
+def _reduce_trace(*mats):
+    return complex(np.trace(functools.reduce(np.matmul, mats)))
+
+
+def _reduce_directional(P, qs, dP, dqs):
+    """u_invariants_directional with every word multiplied out by reduce."""
+    gens = [P, *qs]
+    G = np.zeros((5, 4, 6, 6), dtype=complex)
+    for k, word in enumerate(invariants.U_WORDS):
+        for s, g in enumerate(word):
+            G[k, g] += functools.reduce(np.matmul, [gens[x] for x in word[s + 1:] + word[:s]]).T
+    traces = [_reduce_trace(*(gens[g] for g in word)) for word in invariants.U_WORDS]
+    grad = invariants._u_chain(traces) @ G.reshape(5, -1)
+    return grad @ np.stack([dP, *dqs]).reshape(grad.shape[1], -1)
+
+
+def test_word_kernel_paths_match_reduce_references(base_pair, family_sample):
+    # identity sides, z functions and the invariant differential, bit for bit,
+    # at family points and at a non-unitary conjugate of the base pair
+    rng = np.random.default_rng(47)
+    h = random_invertible(rng, 6)
+    hinv = np.linalg.inv(h)
+    conj = pair_from_matrices([h @ p @ hinv for p in base_pair.p], [h @ q @ hinv for q in base_pair.q])
+    subsets = list(itertools.combinations(range(6), 3))
+    for c in [base_pair, *(from_hadamard(x) for x in family_sample.points[::4]), conj]:
+        for _ in range(2):
+            p = [c.p[i] for i in subsets[rng.integers(len(subsets))]]
+            q = [c.q[j] for j in subsets[rng.integers(len(subsets))]]
+            rep = identity_check(p, q)
+            assert (rep.lhs, rep.rhs, rep.gap) == _reduce_identity(p, q)
+        P = triple_P(c)
+        z = (_reduce_trace(P, c.q[0], P, c.q[1]).real, _reduce_trace(P, c.q[4], P, c.q[5]).real)
+        assert z_functions(P, list(c.q)) == z
+        d = rng.standard_normal((4, 6, 6, 5)) + 1j * rng.standard_normal((4, 6, 6, 5))
+        assert np.array_equal(u_invariants_directional(P, c.q[:3], d[0], d[1:]),
+                              _reduce_directional(P, c.q[:3], d[0], d[1:]))
 
 
 def test_identity_matches_ordered_pair_loop(family_sample):

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import count_spectral_norms, random_invertible, random_unitary, sigma
-from orthopair import exact, relations
+from orthopair import exact, invariants, relations
 from orthopair.config import from_hadamard, pair_from_matrices, standard_pair
-from orthopair.invariants import identity_check
 from orthopair.linalg import GAP_RATIO_REQUIRED, IndeterminateDimension, OffVariety, spectral_norm, worst_above
 from orthopair.relations import (
     RELATION_TOL,
@@ -19,6 +18,7 @@ from orthopair.relations import (
     require_relations,
     restrict,
     sandwich_relation_terms,
+    word_products,
 )
 
 
@@ -147,6 +147,11 @@ def test_residual_stack_refusals():
         evaluate_relations([np.eye(2), np.ones(2)], rel)
     with pytest.raises(ValueError, match="relation 'x0 x1' needs more than the 1 generators given"):
         evaluate_relations([np.eye(2)], rel)
+    # a negative letter names no generator: refused naming its relation, by the kernel too
+    with pytest.raises(ValueError, match="relation 'x0 x-1' has a negative letter"):
+        evaluate_relations([np.eye(2), np.eye(2)], [("x0 x-1", [(1.0, (0, -1))])])
+    with pytest.raises(ValueError, match="a word has a letter outside the generators 0..1"):
+        word_products(np.stack([np.eye(2)] * 2), ((0, -1),))
 
 
 def test_term_lists_are_memoised_tuples():
@@ -159,11 +164,53 @@ def test_term_lists_are_memoised_tuples():
 
 
 def test_residual_plan_compiled_once(standard6):
+    # the identity's relation gate, 100 times: its term order and the product
+    # kernel's plan of its words are each compiled once
+    mats = list(standard6.p[:3] + standard6.q[:3])
+    terms = bipartite_relation_terms(3, 3, 1.0 / 6.0)
     relations._compile.cache_clear()
+    relations._word_plan.cache_clear()
     for _ in range(100):
-        identity_check(list(standard6.p[:3]), list(standard6.q[:3]))
-    info = relations._compile.cache_info()
-    assert (info.misses, info.hits) == (1, 99)
+        require_relations(mats, terms, "identity gate")
+    for cache in (relations._compile, relations._word_plan):
+        info = cache.cache_info()
+        assert (info.misses, info.hits) == (1, 99)
+
+
+def _products_by_loop(gens, words):
+    """Each word's product through evaluate_word, at one batch index of the
+    (k, ..., d, d) generator stack at a time."""
+    out = np.empty((len(words), *gens.shape[1:]), dtype=complex)
+    for idx in np.ndindex(gens.shape[1:-2]):
+        mats = gens[(slice(None), *idx)]
+        for n, word in enumerate(words):
+            out[(n, *idx)] = evaluate_word(mats, word, gens.shape[-1])
+    return out
+
+
+def test_kernel_products_match_evaluate_word(base_pair, family_sample):
+    # the kernel's words and generator stacks in the package: the u words and
+    # their gradient's cofactor words over (P, q1, q2, q3), the z words over
+    # (P, q1..q6) and the identity's pair words over (P | Q, q_m | p_m)
+    rng = np.random.default_rng(44)
+    h = random_invertible(rng, 6)
+    hinv = np.linalg.inv(h)
+    conj = pair_from_matrices([h @ p @ hinv for p in base_pair.p], [h @ q @ hinv for q in base_pair.q])
+    points = [base_pair, *(from_hadamard(x) for x in family_sample.points[::8]), conj]
+
+    def stacks(c):
+        P, Q = sum(c.p[:3]), sum(c.q[:3])
+        return {"u": np.stack([P, *c.q[:3]]), "z": np.stack([P, *c.q]),
+                "identity": np.stack([(P, Q), *zip(c.q[:3], c.p[:3])])}
+
+    for key, words in [("u", invariants.U_WORDS), ("u", invariants._COFACTOR_WORDS),
+                       ("z", invariants._Z_WORDS), ("identity", invariants.U_WORDS[:3])]:
+        gens = [stacks(c)[key] for c in points]
+        batched = word_products(np.stack(gens, axis=1), words)  # [word, point, ...]
+        for b, g in enumerate(gens):
+            want = _products_by_loop(g, words)
+            assert np.array_equal(word_products(g, words), want)
+            assert np.array_equal(batched[:, b], want)
 
 
 def test_residual_stack_of_a_list_equals_its_tuple(base_pair):
@@ -176,17 +223,6 @@ def test_residual_stack_of_a_list_equals_its_tuple(base_pair):
     for form in (terms, as_lists):
         with pytest.raises(ValueError, match="relation 'idempotency x11' needs more than the 11 generators given"):
             _residual_stack(mats[:11], form)
-
-
-def test_residual_stack_negative_letters(base_pair):
-    # letter g in -k..-1 stands for generator g + k, as in Python indexing
-    mats = base_pair.matrices()
-    negative = [(name, [(coeff, tuple(g - 12 for g in word)) for coeff, word in rel])
-                for name, rel in pair_relation_terms(6)]
-    mixed = [("x0 x11 - x0 x-1", [(1.0, (0, 11)), (-1.0, (0, -1))]), ("x-12 x-1 x-12", [(1.0, (-12, -1, -12))])]
-    assert np.array_equal(_residual_stack(mats, negative), _residual_stack(mats, pair_relation_terms(6)))
-    for terms in (negative, mixed):
-        assert np.array_equal(_residual_stack(mats, terms), _residual_stack_by_loop(mats, terms))
 
 
 def test_require_relations_frobenius_screen_and_spectral_decision(base_pair, monkeypatch):
