@@ -5,19 +5,29 @@ with all gauge freedom (basis phases and simultaneous conjugation) removed
 exactly, so the kernel of the unitarity Jacobian *is* the family tangent
 and no orbit subtraction is needed.
 
-The corrector is Gauss-Newton with a truncated pseudo-inverse: on the
-family the Jacobian is rank-deficient by exactly the four tangent
-directions, so singular values below 1e-10 of the largest are dropped and
-the step is the minimal-norm one, i.e. orthogonal to the family.  That
-makes predictor steps of size h land back on the manifold a distance ~h
-from where they started.
+The corrector is a chord method (Allgower & Georg, *Introduction to
+Numerical Continuation Methods*, SIAM 2003, ch. 3).  On the family the
+phase Jacobian J is rank-deficient by exactly the four tangent directions;
+the one SVD that gives the frame at a point also gives the truncated
+pseudo-inverse J+ = V_r S_r^-1 U_r^T there (singular values below 1e-10 of
+the largest dropped).  A move predicts along the frame and corrects with
+chord steps x <- x - J+ c(x), which evaluate the constraints c only.  Each
+step lies in the row space of J at the move's start, i.e. orthogonal to
+the family there (not at the iterate), so a predictor step of size h is
+corrected by O(h^2) and lands back on the manifold a distance ~h from
+where it started.  A chord that stalls falls back to Gauss-Newton with
+minimal-norm least-squares steps from the same prediction.  (Off the
+variety the four tangent singular values of J are no longer zero, and
+above the cut, so Gauss-Newton steps also move along the family: a
+prediction of 1e-2 from F6 swap34 has them at 8.5e-7 to 5.4e-10, and
+Gauss-Newton corrects it by 3.7e-3 where chord steps take 1.4e-5.)
 
-A converged corrector hands the Jacobian of its final evaluation to the
-tangent frame at the point it returns, so a continuation point costs one
-Jacobian per corrector evaluation and one SVD for its kernel; only the
-start of a walk builds a Jacobian for its frame.  Every frame is the kernel
-of a phase Jacobian, cut by the one dephased-defect decision,
-:func:`tangent._defect_kernel`.
+A converged corrector builds the phase Jacobian once, at the point it
+returns, and hands it to the tangent frame there; so a continuation point
+costs one Jacobian and one SVD, which gives both its frame and its J+, and
+no least-squares solve.  Only the start of a walk builds a Jacobian for its
+frame.  Every frame is the kernel of a phase Jacobian, cut by the one
+dephased-defect decision, :func:`tangent._defect_kernel`.
 
 What only reads a finished list of points works on it as one stack, never
 point by point: the family dump gates, reconstructs and evaluates a path's
@@ -40,8 +50,8 @@ import numpy as np
 from .config import UNITARITY_TOL, HadamardPoint, _wrap_angles, dephased_phases, gram_defects, reconstruct_phases
 from .config import atomic_write
 from .invariants import InvariantVector, u_word_traces
-from .linalg import RANK_TOL, OffVariety, gauss_newton, rank1_projector, worst_above
-from .tangent import _defect_kernel, phase_constraints
+from .linalg import RANK_TOL, OffVariety, gauss_newton, lstsq_step, rank1_projector, worst_above
+from .tangent import _defect_kernel, phase_constraints, unitarity_constraints
 
 __all__ = [
     "CorrectorResult",
@@ -56,7 +66,7 @@ __all__ = [
 ]
 
 FAMILY_DIM = 4
-PINV_CUTOFF = 1e-10
+PINV_CUTOFF = RANK_TOL  # Gauss-Newton drops the singular values that the frame's J+ drops
 DEFAULT_STEP_SCALE = 5e-3
 CORRECTOR_TOL = 1e-12  # newton_correct converges at this norm of the unitarity constraints
 CORRECTOR_MAX_ITER = 20
@@ -76,18 +86,21 @@ def _phase_distance(a: HadamardPoint, b: HadamardPoint) -> float:
 
 
 def tangent_frame(h: HadamardPoint, prev: np.ndarray | None = None,
-                  jacobian: np.ndarray | None = None) -> np.ndarray:
-    """Orthonormal basis of the family tangent at an on-manifold point.
+                  jacobian: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis of the family tangent at an on-manifold point, and
+    the truncated pseudo-inverse of the phase Jacobian there.
 
-    Returns a ((n-1)^2, 4) array of kernel vectors of the unitarity
-    Jacobian.  When ``prev`` is given the basis is rotated (orthogonal
-    Procrustes) to match it as closely as possible, which keeps frames
-    continuous along a path.  Points whose defect is not 4 are off the
-    family or singular and are refused.
+    Returns the ((n-1)^2, 4) array of kernel vectors of the unitarity
+    Jacobian J and J+ = V_r S_r^-1 U_r^T, the (n-1)^2 x n(n-1) truncated
+    pseudo-inverse at the same cut, which :func:`newton_correct` takes for
+    its chord steps from this point.  When ``prev`` is given the basis is
+    rotated (orthogonal Procrustes) to match it as closely as possible,
+    which keeps frames continuous along a path.  Points whose defect is not
+    4 are off the family or singular and are refused.
 
-    The kernel is that of the phase Jacobian at ``h``, by the single SVD
-    and cut of :func:`tangent._defect_kernel`.  ``jacobian`` is that
-    Jacobian as a converged :func:`newton_correct` hands it over
+    Both come from the single SVD and cut of
+    :func:`tangent._defect_kernel`.  ``jacobian`` is that Jacobian as a
+    converged :func:`newton_correct` hands it over
     (``CorrectorResult.jacobian``).  Without it (a walk start) the point is
     gated by :meth:`HadamardPoint.unitary`, which refuses it outside
     UNITARITY_TOL, and the Jacobian is built.  With it there is no gate, and
@@ -100,7 +113,7 @@ def tangent_frame(h: HadamardPoint, prev: np.ndarray | None = None,
     if jacobian is None:
         h.unitary()
         jacobian = phase_constraints(h)[1]
-    V = _defect_kernel(jacobian, RANK_TOL)[1]
+    _, V, pinv = _defect_kernel(jacobian, RANK_TOL)
     if V.shape[1] != FAMILY_DIM:
         raise ValueError(f"dephased defect is {V.shape[1]}, not {FAMILY_DIM}; no 4-frame here")
     if prev is not None:
@@ -108,40 +121,60 @@ def tangent_frame(h: HadamardPoint, prev: np.ndarray | None = None,
             raise ValueError("previous frame has wrong shape")
         u, _, w = np.linalg.svd(V.T @ prev)
         V = V @ (u @ w)
-    return V
+    return V, pinv()
 
 
 @dataclass(frozen=True, eq=False)  # array fields: equality and hash by identity
 class CorrectorResult:
     """``jacobian`` is the phase Jacobian (:func:`tangent.phase_constraints`)
-    at ``point`` when the corrector converged, None otherwise."""
+    at ``point`` when the corrector converged, None otherwise.  ``chord``
+    says which loop gave the result: True for the chord steps, False for
+    Gauss-Newton (no J+ given, or the chord stalled and Gauss-Newton ran
+    from the start again).  ``iterations`` counts the steps of both."""
 
     point: HadamardPoint
     residual: float
     iterations: int
     converged: bool
     jacobian: np.ndarray | None = None
+    chord: bool = False
 
 
-def newton_correct(h: HadamardPoint) -> CorrectorResult:
+def newton_correct(h: HadamardPoint, pinv: np.ndarray | None = None) -> CorrectorResult:
     """Project an approximate point back onto the Hadamard variety.
 
-    Gauss-Newton on the unitarity constraints; declares divergence when the
-    residual has not halved over CORRECTOR_WINDOW steps and then returns the
-    best iterate flagged as failed, never a silently bad point.  Quadratic
-    convergence is only guaranteed for starting residuals below ~0.1;
-    grossly off-manifold starts (unitarity residual above 0.5, screened by
+    With ``pinv``, a truncated pseudo-inverse J+ of the phase Jacobian at a
+    nearby point (the one :func:`tangent_frame` returns), the corrector
+    first takes chord steps x <- x - J+ c(x) (Allgower & Georg, SIAM 2003,
+    ch. 3), each evaluating only the constraints c
+    (:func:`tangent.unitarity_constraints`), and builds the Jacobian once,
+    at the point where they converge.  Chord steps converge linearly, at a
+    rate set by how far the start is from the point of J+.  When the chord
+    stalls (its norm not halved over CORRECTOR_WINDOW steps, or
+    CORRECTOR_MAX_ITER steps), or without ``pinv``, the corrector runs
+    Gauss-Newton from ``h``: every evaluation builds the constraints and
+    their Jacobian together, and the step is the minimal-norm least-squares
+    one.  Quadratic convergence is only guaranteed for starting residuals
+    below ~0.1; a run that does not converge returns its best iterate
+    flagged as failed, never a silently bad point.  Grossly off-manifold
+    starts (unitarity residual above 0.5, screened by
     :meth:`HadamardPoint.unitarity_violation`) are refused outright with
     OffVariety.
 
-    Every evaluation builds the constraints and their Jacobian together.  A
-    converged result keeps the point and the Jacobian of its final
-    evaluation, which is the Jacobian at that point; :func:`tangent_frame`
-    takes its kernel from it.
+    A converged result keeps the point and the Jacobian at that point;
+    :func:`tangent_frame` takes its kernel from it.
     """
     if (res := h.unitarity_violation(0.5)) is not None:
         raise OffVariety("starting residual above 0.5; far outside any corrector basin", res)
     n = h.n
+    chord_steps = 0
+    if pinv is not None:
+        x, r, chord_steps, converged = gauss_newton(
+            lambda x: (unitarity_constraints(_point_from_vector(n, x)), None), h.phases.ravel(),
+            CORRECTOR_TOL, CORRECTOR_MAX_ITER, CORRECTOR_WINDOW, lambda c, _: -(pinv @ c))
+        if converged:
+            point = _point_from_vector(n, x)
+            return CorrectorResult(point, r, chord_steps, True, phase_constraints(point)[1], True)
     last = []  # the point and Jacobian of the latest evaluation
 
     def constraints(x):
@@ -151,32 +184,37 @@ def newton_correct(h: HadamardPoint) -> CorrectorResult:
         return c, lambda: J
 
     x, r, steps, converged = gauss_newton(constraints, h.phases.ravel(), CORRECTOR_TOL,
-                                          CORRECTOR_MAX_ITER, CORRECTOR_WINDOW, PINV_CUTOFF)
+                                          CORRECTOR_MAX_ITER, CORRECTOR_WINDOW, lstsq_step(PINV_CUTOFF))
+    steps += chord_steps
     if converged:  # gauss_newton stops at the iterate it has just evaluated
         point, J = last
         return CorrectorResult(point, r, steps, True, J)
     return CorrectorResult(_point_from_vector(n, x), r, steps, False)
 
 
-def _corrected_step(current: HadamardPoint, scale: float, predict, min_move: float):
+def _corrected_step(current: HadamardPoint, pinv: np.ndarray, scale: float, predict, min_move: float):
     """One continuation move: predict, correct, and halve the step on failure.
 
     ``predict(s)`` gives the phase step for step size ``s``; it is called
-    afresh on every try.  A try succeeds when the corrector converges at a
-    point at least ``min_move * s`` away (torus phase norm) from
-    ``current``; otherwise ``s`` is halved, at most STEP_HALVINGS times.
-    Returns (corrector result or None when every try failed, failed tries).
+    afresh on every try.  Each try is corrected from the prediction with
+    ``pinv``, the J+ at ``current``.  A try succeeds when the corrector
+    converges at a point at least ``min_move * s`` away (torus phase norm)
+    from ``current``; otherwise ``s`` is halved, at most STEP_HALVINGS
+    times.  Returns (corrector result or None when every try failed, failed
+    tries, tries whose chord stalled and fell back to Gauss-Newton).
     """
     x = current.phases.ravel()
+    fallbacks = 0
     for tries in range(STEP_HALVINGS + 1):
         s = scale / 2.0 ** tries
         try:
-            result = newton_correct(_point_from_vector(current.n, x + predict(s)))
+            result = newton_correct(_point_from_vector(current.n, x + predict(s)), pinv)
         except OffVariety:  # prediction outside the corrector's basin
             continue
+        fallbacks += not result.chord
         if result.converged and _phase_distance(result.point, current) >= min_move * s:
-            return result, tries
-    return None, STEP_HALVINGS + 1
+            return result, tries, fallbacks
+    return None, STEP_HALVINGS + 1, fallbacks
 
 
 @dataclass(frozen=True)
@@ -222,17 +260,17 @@ def trace_path(start: HadamardPoint, direction, steps: int, h: float,
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     current = start
-    frame = tangent_frame(start, prev=initial_frame)
+    frame, pinv = tangent_frame(start, prev=initial_frame)
     points = [start]
     residuals = [start.unitarity_residual()]
     status = "ok"
     for k in range(steps):
-        result, _ = _corrected_step(current, h, lambda s: s * (frame @ direction), 0.5)
+        result, _, _ = _corrected_step(current, pinv, h, lambda s: s * (frame @ direction), 0.5)
         if result is None:
             status = f"corrector failed at step {k} after {STEP_HALVINGS} halvings"
             break
         try:
-            frame = tangent_frame(result.point, prev=frame, jacobian=result.jacobian)
+            frame, pinv = tangent_frame(result.point, prev=frame, jacobian=result.jacobian)
         except ValueError as exc:
             status = f"family frame lost at step {k}: {exc}"
             break
@@ -256,47 +294,57 @@ def sample_family(start: HadamardPoint, count: int, seed: int,
     """Gaussian random walk in the 4-frame with correction after each step.
 
     Deterministic given the seed.  Corrector failures shrink the step for
-    that move and are counted in the metadata; points that still fail are
-    skipped, so the sample may come back shorter than requested (the first
-    point is the start itself).  The recorded list is deduplicated under the
-    canonical form of :func:`canonical_reduce`.
+    that move and are counted in the metadata, and so are the corrector
+    calls whose chord stalled and fell back to Gauss-Newton; points that
+    still fail are skipped, so the sample may come back shorter than
+    requested (the first point is the start itself).  The recorded list is
+    deduplicated under the canonical form of :func:`canonical_reduce`.
+
+    The moves do not depend on the duplicate check, only the number of
+    moves does: so the walk makes as many moves as points are still needed,
+    keys the points moved to in one :func:`_canonical_keys` call, and
+    repeats.  The points, counts and random draws are those of keying one
+    move at a time, since a batch can add no more points than it has moves.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     rng = np.random.default_rng(seed)
     points = [start]
     seen_keys = {_canonical_phases(start, full=False)[0]}
-    frame = tangent_frame(start)
+    frame, pinv = tangent_frame(start)
     current = start
-    failures = 0
-    duplicates = 0
+    failures = fallbacks = duplicates = 0
     moves_left = 10 * count  # hard cap; persistent failures shorten the sample
     while len(points) < count and moves_left > 0:
-        moves_left -= 1
-        result, tries_failed = _corrected_step(
-            current, step_scale, lambda s: frame @ (s * rng.standard_normal(FAMILY_DIM)), 0.0)
-        failures += tries_failed
-        if result is None:
-            failures += 1
-            continue
-        moved = result.point
-        try:
-            frame = tangent_frame(moved, prev=frame, jacobian=result.jacobian)
-        except ValueError:
-            failures += 1  # singular point of the family: do not move there
-            continue
-        current = moved
-        key = _canonical_phases(moved, full=False)[0]
-        if key in seen_keys:
-            duplicates += 1
-            continue
-        seen_keys.add(key)
-        points.append(moved)
+        moved = []
+        while len(moved) < count - len(points) and moves_left > 0:
+            moves_left -= 1
+            result, tries_failed, fell_back = _corrected_step(
+                current, pinv, step_scale, lambda s: frame @ (s * rng.standard_normal(FAMILY_DIM)), 0.0)
+            failures += tries_failed
+            fallbacks += fell_back
+            if result is None:
+                failures += 1
+                continue
+            try:
+                frame, pinv = tangent_frame(result.point, prev=frame, jacobian=result.jacobian)
+            except ValueError:
+                failures += 1  # singular point of the family: do not move there
+                continue
+            current = result.point
+            moved.append(current)
+        for h, (key, _) in zip(moved, _canonical_keys(moved, full=False)):
+            if key in seen_keys:
+                duplicates += 1
+            else:
+                seen_keys.add(key)
+                points.append(h)
     defects = gram_defects(reconstruct_phases(np.stack([p.phases for p in points])))
     meta = {
         "step_scale": step_scale,
         "corrector_tol": CORRECTOR_TOL,
         "corrector_retries": failures,
+        "corrector_fallbacks": fallbacks,
         "duplicates_skipped": duplicates,
         "max_residual": float(np.linalg.norm(defects, 2, axis=(1, 2)).max()),
     }

@@ -36,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import PairConfiguration
-from .linalg import RANK_TOL, OffVariety, as_matrix, decide_rank, gauss_newton, range_factors, spectral_norm
+from .linalg import RANK_TOL, OffVariety, as_matrix, decide_rank, gauss_newton, lstsq_step, range_factors, spectral_norm
 from .relations import (
     RELATION_TOL,
     bipartite_relation_terms,
@@ -304,7 +304,7 @@ def solve_complement(P, qs, seed: int) -> ComplementResult:
         V, _ = np.linalg.qr(B @ G)
         x, nr, _, converged = gauss_newton(lambda x: _cross_residual(x.reshape(3, 3), X),
                                            (B.conj().T @ V).ravel(), COMPLEMENT_TOL,
-                                           COMPLEMENT_MAX_ITER, COMPLEMENT_WINDOW, COMPLEMENT_RCOND)
+                                           COMPLEMENT_MAX_ITER, COMPLEMENT_WINDOW, lstsq_step(COMPLEMENT_RCOND))
         if converged:  # p'_k is the outer product of column k of B A and row k of A^-1 C
             A = x.reshape(3, 3)
             triple = np.einsum("ak,kb->kab", B @ A, np.linalg.inv(A) @ C)

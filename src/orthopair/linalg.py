@@ -32,6 +32,7 @@ __all__ = [
     "decide_rank",
     "range_factors",
     "rank1_projector",
+    "lstsq_step",
     "gauss_newton",
 ]
 
@@ -171,18 +172,28 @@ def rank1_projector(v) -> np.ndarray:
     return (p + p.conj().swapaxes(-1, -2)) / 2.0
 
 
-def gauss_newton(fun, x, tol: float, max_iter: int, window: int, rcond: float):
-    """The package's one Gauss-Newton loop, with a truncated pseudo-inverse.
+def lstsq_step(rcond: float):
+    """The Gauss-Newton step for :func:`gauss_newton`: ``step(r, jacobian)``
+    is the minimal-norm least-squares solution of J dx = -r, J =
+    ``jacobian()``, with singular values below ``rcond`` times the largest
+    dropped."""
+    return lambda r, jacobian: np.linalg.lstsq(jacobian(), -r, rcond=rcond)[0]
 
-    ``fun(x)`` returns the residual at ``x`` and a zero-argument callable
-    that builds the Jacobian there, so a Jacobian is built only for a step.
-    A step is the minimal-norm least-squares solution of J dx = -r, with
-    singular values below ``rcond`` times the largest dropped.  The loop
-    stops once the residual norm is at most ``tol``; once it is not below
-    half the norm ``window`` steps earlier (the run makes too little
-    progress to converge); or after ``max_iter`` steps (the final iterate is
-    still evaluated).  Returns (best iterate, its residual norm, steps taken,
-    converged); the best iterate is the one of smallest norm.
+
+def gauss_newton(fun, x, tol: float, max_iter: int, window: int, step):
+    """The package's one Gauss-Newton loop, with the step taken by ``step``.
+
+    ``fun(x)`` returns the residual r at ``x`` and a zero-argument callable
+    that builds the Jacobian there (or None for a step that takes none);
+    ``step(r, jacobian)`` returns the step from ``x``.  So a Jacobian is
+    built only for a step that reads it: :func:`lstsq_step`, the
+    minimal-norm least-squares step, does; a chord step -J+ r with a fixed
+    pseudo-inverse J+ does not.  The loop stops once the residual norm is
+    at most ``tol``; once it is not below half the norm ``window`` steps
+    earlier (the run makes too little progress to converge); or after
+    ``max_iter`` steps (the final iterate is still evaluated).  Returns
+    (best iterate, its residual norm, steps taken, converged); the best
+    iterate is the one of smallest norm.
     """
     best_x, best_r = x, np.inf
     norms = []
@@ -196,5 +207,4 @@ def gauss_newton(fun, x, tol: float, max_iter: int, window: int, rcond: float):
             return x, nr, it, True
         if (it >= window and nr > 0.5 * norms[it - window]) or it == max_iter:
             return best_x, best_r, it, False
-        step, *_ = np.linalg.lstsq(jacobian(), -r, rcond=rcond)
-        x = x + step
+        x = x + step(r, jacobian)

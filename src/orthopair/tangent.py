@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +81,7 @@ __all__ = [
     "a6_moduli_tangent_report",
     "x33_moduli_tangent_report",
     "phase_constraints",
+    "unitarity_constraints",
     "defect_report",
     "FiberRankReport",
     "fiber_rank_check",
@@ -313,7 +314,6 @@ def phase_constraints(h: HadamardPoint) -> tuple[np.ndarray, np.ndarray]:
     """
     u = h.reconstruct()
     j, k, free, plus, minus = _constraint_plan(h.n)
-    cvec = (u.conj().T @ u)[j, k]
     # v[a-1, r] = i conj(U_aj) U_ak for row r = (j, k), written in the real
     # arithmetic of the scalar complex product so that J stays bit-identical
     # to accumulating it entry by entry
@@ -324,7 +324,21 @@ def phase_constraints(h: HadamardPoint) -> tuple[np.ndarray, np.ndarray]:
     Jc = np.zeros((j.size, (h.n - 1) ** 2), dtype=np.complex128)
     Jc[plus] += v
     Jc[minus] -= v[:, free]
-    return np.concatenate([cvec.real, cvec.imag]), np.vstack([Jc.real, Jc.imag])
+    return _gram_constraints(u), np.vstack([Jc.real, Jc.imag])
+
+
+def unitarity_constraints(h: HadamardPoint) -> np.ndarray:
+    """The constraints c of :func:`phase_constraints` alone, bit-equal to
+    its c: what a chord step of the corrector evaluates."""
+    return _gram_constraints(h.reconstruct())
+
+
+def _gram_constraints(u: np.ndarray) -> np.ndarray:
+    """The off-diagonal Gram entries G_jk = (U^dag U)_jk, j < k, of ``u`` in
+    row-major order, real parts then imaginary parts."""
+    j, k = _constraint_plan(u.shape[0])[:2]
+    g = (u.conj().T @ u)[j, k]
+    return np.concatenate([g.real, g.imag])
 
 
 @functools.lru_cache
@@ -346,12 +360,15 @@ def _constraint_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple,
     return j, k, free, plus, minus
 
 
-def _defect_kernel(J: np.ndarray, tol: float) -> tuple[RankReport, np.ndarray]:
+def _defect_kernel(J: np.ndarray, tol: float) -> tuple[RankReport, np.ndarray, Callable[[], np.ndarray]]:
     """The one defect decision on a phase Jacobian: one SVD, the gap-checked
-    cut, and the kernel basis as columns."""
-    _, s, vt = np.linalg.svd(J)
+    cut, the kernel basis as columns, and a zero-argument callable that
+    builds the truncated pseudo-inverse J+ = V_r S_r^-1 U_r^T at the same
+    cut (r the rank) from that SVD."""
+    u, s, vt = np.linalg.svd(J)
     cut = decide_rank(s, tol, "dephased defect")
-    return cut, vt[cut.rank:].T
+    r = cut.rank
+    return cut, vt[r:].T, lambda: (vt[:r].T / s[:r]) @ u[:, :r].T
 
 
 def defect_report(h: HadamardPoint, tol: float = RANK_TOL) -> TangentReport:
@@ -362,7 +379,7 @@ def defect_report(h: HadamardPoint, tol: float = RANK_TOL) -> TangentReport:
     as nullity and moduli dimension alike with ``orbit_dim`` 0.  OffVariety
     through :meth:`HadamardPoint.unitary`."""
     h.unitary()
-    cut, kernel = _defect_kernel(phase_constraints(h)[1], tol)
+    cut, kernel, _ = _defect_kernel(phase_constraints(h)[1], tol)
     defect = kernel.shape[1]
     return TangentReport(defect, 0, defect, cut.gap_ratio, cut.singular_values)
 

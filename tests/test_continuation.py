@@ -30,7 +30,7 @@ from orthopair.continuation import (
     write_family_jsonl,
 )
 from orthopair.invariants import u_invariants
-from orthopair.tangent import phase_constraints
+from orthopair.tangent import phase_constraints, unitarity_constraints
 
 
 def dumped_invariants(points, residuals=None):
@@ -46,7 +46,7 @@ def invariant_step_bound(result, h):
 
 
 def test_tangent_frame_spans_kernel(fourier6):
-    frame = tangent_frame(fourier6)
+    frame, _ = tangent_frame(fourier6)
     assert frame.shape == (25, 4)
     _, J = phase_constraints(fourier6)
     for k in range(4):
@@ -57,9 +57,10 @@ def test_tangent_frame_spans_kernel(fourier6):
 
 def test_tangent_frame_subspace_stable_under_alignment(fourier6):
     rng = np.random.default_rng(27)
-    frame = tangent_frame(fourier6)
+    frame, pinv = tangent_frame(fourier6)
     rot, _ = np.linalg.qr(rng.standard_normal((4, 4)))
-    aligned = tangent_frame(fourier6, prev=frame @ rot)
+    aligned, aligned_pinv = tangent_frame(fourier6, prev=frame @ rot)
+    assert np.array_equal(aligned_pinv, pinv)  # the alignment rotates the kernel basis only
     p1 = frame @ frame.T
     p2 = aligned @ aligned.T
     assert np.max(np.abs(p1 - p2)) <= 1e-10
@@ -81,7 +82,7 @@ def test_newton_fixed_point(fourier6):
 
 def test_newton_quadratic_convergence(fourier6):
     rng = np.random.default_rng(28)
-    frame = tangent_frame(fourier6)
+    frame, _ = tangent_frame(fourier6)
     for size in (1e-4, 1e-3):
         for _ in range(5):
             d = rng.standard_normal(4)
@@ -110,15 +111,63 @@ def test_newton_large_normal_kick_is_never_silent(fourier6):
 
 
 def test_converged_corrector_hands_over_its_jacobian(fourier6_swapped):
-    frame = tangent_frame(fourier6_swapped)
+    # alike from Gauss-Newton (no J+) and from the chord, which builds the
+    # Jacobian once, at the point where it converged
+    frame, pinv = tangent_frame(fourier6_swapped)
     rng = np.random.default_rng(40)
     for size in (0.0, 1e-3, 1e-2):
         step = frame @ rng.standard_normal(4) + 1e-3 * rng.standard_normal(25)
-        result = newton_correct(HadamardPoint(6, fourier6_swapped.phases + size * step.reshape(5, 5)))
-        assert result.converged and result.iterations >= (size > 0)
-        assert np.array_equal(result.jacobian, phase_constraints(result.point)[1])
-        handed = tangent_frame(result.point, prev=frame, jacobian=result.jacobian)
-        assert np.array_equal(handed, tangent_frame(result.point, prev=frame))
+        start = HadamardPoint(6, fourier6_swapped.phases + size * step.reshape(5, 5))
+        for chord in (None, pinv):
+            result = newton_correct(start, chord)
+            assert result.converged and result.iterations >= (size > 0)
+            assert result.chord == (chord is not None)
+            c, J = phase_constraints(result.point)
+            assert np.array_equal(result.jacobian, J)
+            assert result.residual == np.linalg.norm(c) <= continuation.CORRECTOR_TOL
+            handed = tangent_frame(result.point, prev=frame, jacobian=result.jacobian)
+            again = tangent_frame(result.point, prev=frame)
+            assert all(np.array_equal(a, b) for a, b in zip(handed, again))
+
+
+def test_frame_hands_over_the_truncated_pseudo_inverse(fourier6, fourier6_swapped):
+    # J+ of the frame's SVD is numpy's pinv at the corrector's cut, at walk
+    # starts and at corrected points whose Jacobian was handed over
+    frame, pinv = tangent_frame(fourier6_swapped)
+    rng = np.random.default_rng(48)
+    points = [(fourier6, None), (fourier6_swapped, None)]
+    for _ in range(4):
+        step = frame @ (1e-2 * rng.standard_normal(4))
+        result = newton_correct(HadamardPoint(6, fourier6_swapped.phases + step.reshape(5, 5)), pinv)
+        assert result.converged and result.chord
+        points.append((result.point, result.jacobian))
+    for h, jacobian in points:
+        _, handed = tangent_frame(h, jacobian=jacobian)
+        ref = np.linalg.pinv(phase_constraints(h)[1], rcond=continuation.PINV_CUTOFF)
+        assert handed.shape == (25, 30)
+        assert np.linalg.norm(handed - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_stale_or_zero_pinv_falls_back_to_gauss_newton(fourier6, fourier6_swapped):
+    # a zero J+ leaves the norm where it is, and the J+ of another point (F6,
+    # whose columns are swapped against F6 swap34) does not converge: either
+    # chord stalls, and Gauss-Newton from the same start gives the point it
+    # gives without a J+
+    frame, pinv = tangent_frame(fourier6_swapped)
+    rng = np.random.default_rng(47)
+    step = frame @ (5e-2 * rng.standard_normal(4)) + 1e-3 * rng.standard_normal(25)
+    start = HadamardPoint(6, fourier6_swapped.phases + step.reshape(5, 5))
+    plain = newton_correct(start)
+    assert plain.converged and not plain.chord
+    for stale in (np.zeros_like(pinv), tangent_frame(fourier6)[1]):
+        result = newton_correct(start, stale)
+        assert result.converged and not result.chord
+        assert result.point.phases.tobytes() == plain.point.phases.tobytes()
+        assert result.residual == plain.residual
+        assert np.array_equal(result.jacobian, plain.jacobian)
+        assert result.iterations > plain.iterations
+    assert newton_correct(start, np.zeros_like(pinv)).iterations == plain.iterations + continuation.CORRECTOR_WINDOW
+    assert newton_correct(start, pinv).chord
 
 
 def _count_calls(monkeypatch, fn) -> list:
@@ -137,20 +186,27 @@ def _count_calls(monkeypatch, fn) -> list:
 
 
 def test_trace_path_builds_one_jacobian_per_evaluation(fourier6_swapped, monkeypatch):
-    # each corrector evaluation builds constraints and Jacobian together, the
-    # frame reuses the converged one, and only the start builds one for its
-    # frame, with no defect report; the unitarity gates pass on the Frobenius
-    # screen, so the one SVD norm is the start's residual
+    # a chord iterate evaluates the constraints alone: the corrector builds
+    # one Jacobian, at the point where it converged, the frame reuses it, and
+    # only the start builds one for its frame, with no defect report and no
+    # least-squares solve; the unitarity gates pass on the Frobenius screen,
+    # so the one SVD norm is the start's residual
     builds = _count_calls(monkeypatch, tangent.phase_constraints)
     norms = _count_calls(monkeypatch, linalg.spectral_norm)
     reports = _count_calls(monkeypatch, tangent.defect_report)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a least-squares solve in the walk")
+
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
     results = []
     correct = continuation.newton_correct
     monkeypatch.setattr(continuation, "newton_correct",
-                        lambda h: results.append(correct(h)) or results[-1])
+                        lambda h, pinv=None: results.append(correct(h, pinv)) or results[-1])
     path = trace_path(fourier6_swapped, [1.0, 0.0, 0.0, 0.0], steps=50, h=1e-2)
     assert path.ok and len(results) >= 50
-    assert len(builds) == sum(r.iterations + 1 for r in results) + 1
+    assert all(r.chord and r.converged for r in results)  # no move fell back to Gauss-Newton
+    assert len(builds) == len(results) + 1
     assert len(norms) == 1
     assert len(reports) == 0
 
@@ -160,11 +216,11 @@ def test_corrector_fault_is_not_a_step_halving(fourier6_swapped, monkeypatch):
     # step; any other ValueError from a mid-walk corrector call propagates
     correct, calls = continuation.newton_correct, []
 
-    def faulty(h):
+    def faulty(h, pinv=None):
         calls.append(h)
         if len(calls) == 3:
             raise ValueError("injected corrector fault")
-        return correct(h)
+        return correct(h, pinv)
 
     monkeypatch.setattr(continuation, "newton_correct", faulty)
     with pytest.raises(ValueError, match="injected corrector fault") as info:
@@ -238,6 +294,81 @@ def test_sample_family_deterministic(fourier6_swapped):
     assert len(s1.points) == len(s2.points) == 12
     for a, b in zip(s1.points, s2.points):
         assert np.array_equal(a.phases, b.phases)
+
+
+def test_seeded_walks_are_bit_equal(fourier6_swapped):
+    # a trace and a sample, run twice: points, residuals and metadata alike
+    walks = [(trace_path(fourier6_swapped, [0.0, 1.0, 0.0, 0.0], steps=20, h=1e-2),
+              sample_family(fourier6_swapped, count=30, seed=7)) for _ in range(2)]
+    (p1, s1), (p2, s2) = walks
+    for a, b in ((p1.points, p2.points), (s1.points, s2.points)):
+        assert [h.phases.tobytes() for h in a] == [h.phases.tobytes() for h in b]
+    assert p1.residuals == p2.residuals and p1.final_frame.tobytes() == p2.final_frame.tobytes()
+    assert s1.metadata == s2.metadata
+
+
+def test_every_walk_point_meets_the_corrector_tolerance(fourier6_swapped):
+    # each trace step and sample move is a corrected point: ||c|| <= CORRECTOR_TOL,
+    # and a trace records that norm, from the c the Jacobian's builder takes too
+    path = trace_path(fourier6_swapped, [0.0, 0.0, 0.0, 1.0], steps=30, h=2e-2)
+    sample = sample_family(fourier6_swapped, count=60, seed=11, step_scale=2e-2)
+    assert path.ok and len(sample.points) == 60
+    for h in path.points + sample.points:
+        assert np.linalg.norm(unitarity_constraints(h)) <= continuation.CORRECTOR_TOL
+    for h, r in zip(path.points[1:], path.residuals[1:]):
+        assert r == np.linalg.norm(phase_constraints(h)[0])
+    assert sample.metadata["corrector_fallbacks"] == 0
+
+
+def _loop_sample_family(start, count, seed, step_scale):
+    """Reference: the sample walk keying one move at a time.  Returns the
+    points, the metadata counts and the final state of its generator."""
+    rng = np.random.default_rng(seed)
+    points = [start]
+    seen = {_canonical_phases(start, full=False)[0]}
+    frame, pinv = tangent_frame(start)
+    current, failures, fallbacks, duplicates = start, 0, 0, 0
+    for _ in range(10 * count):
+        if len(points) == count:
+            break
+        result, tries_failed, fell_back = continuation._corrected_step(
+            current, pinv, step_scale, lambda s: frame @ (s * rng.standard_normal(4)), 0.0)
+        failures += tries_failed
+        fallbacks += fell_back
+        if result is None:
+            failures += 1
+            continue
+        try:
+            frame, pinv = tangent_frame(result.point, prev=frame, jacobian=result.jacobian)
+        except ValueError:
+            failures += 1
+            continue
+        current = result.point
+        key = _canonical_phases(current, full=False)[0]
+        if key in seen:
+            duplicates += 1
+            continue
+        seen.add(key)
+        points.append(current)
+    counts = {"corrector_retries": failures, "corrector_fallbacks": fallbacks, "duplicates_skipped": duplicates}
+    return points, counts, rng.bit_generator.state
+
+
+@pytest.mark.parametrize("count, seed, step_scale", [
+    (10, 3, 1e-8),  # moves below the key grid: nearly all duplicates, the move cap hit inside a batch
+    (25, 3, 3e-7),  # some duplicates
+    (20, 5, 4.0),   # failed tries and chords that fall back to Gauss-Newton
+])
+def test_batched_sample_keys_match_one_key_per_move(fourier6_swapped, monkeypatch, count, seed, step_scale):
+    points, counts, state = _loop_sample_family(fourier6_swapped, count, seed, step_scale)
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s: made.append(default_rng(s)) or made[-1])
+    sample = sample_family(fourier6_swapped, count, seed, step_scale)
+    assert [h.phases.tobytes() for h in sample.points] == [h.phases.tobytes() for h in points]
+    assert {k: sample.metadata[k] for k in counts} == counts
+    assert len(made) == 1 and made[0].bit_generator.state == state
+    assert counts["duplicates_skipped" if step_scale < 1 else "corrector_retries"] > 0
 
 
 def test_sample_family_validity(family_sample):

@@ -8,6 +8,7 @@ from orthopair.linalg import (
     as_matrix,
     decide_rank,
     gauss_newton,
+    lstsq_step,
     range_factors,
     rank1_projector,
     spectral_norm,
@@ -187,7 +188,7 @@ def test_gauss_newton_converged_start_takes_no_step():
         return x - 1.0, jacobian
 
     x0 = np.array([1.0, 1.0])
-    x, r, steps, converged = gauss_newton(fun, x0, 1e-12, 10, 3, 1e-12)
+    x, r, steps, converged = gauss_newton(fun, x0, 1e-12, 10, 3, lstsq_step(1e-12))
     assert (x is x0, r, steps, converged) == (True, 0.0, 0, True)
 
 
@@ -208,7 +209,7 @@ def test_gauss_newton_stall_returns_best_iterate():
     # earlier: the run stops there, before the final 0 is reached, and
     # returns the iterate of norm 1
     fun, seen = _scripted([4.0, 2.0, 1.0, 3.0, 3.0, 5.0, 0.0])
-    x, r, steps, converged = gauss_newton(fun, np.zeros(1), 1e-12, 20, 3, 1e-12)
+    x, r, steps, converged = gauss_newton(fun, np.zeros(1), 1e-12, 20, 3, lstsq_step(1e-12))
     assert len(seen) == 4
     assert x is seen[2] and r == 1.0
     assert steps == 3 and not converged
@@ -218,7 +219,7 @@ def test_gauss_newton_stall_returns_best_iterate():
 def test_gauss_newton_slow_decrease_stops_at_window(window):
     # a norm falling by 0.9 per step has not halved over `window` <= 6 steps
     fun, seen = _scripted([0.9 ** k for k in range(61)])
-    x, r, steps, converged = gauss_newton(fun, np.zeros(1), 1e-12, 60, window, 1e-12)
+    x, r, steps, converged = gauss_newton(fun, np.zeros(1), 1e-12, 60, window, lstsq_step(1e-12))
     assert steps == window and len(seen) == window + 1 and not converged
     assert x is seen[-1] and r == 0.9 ** window
 
@@ -229,7 +230,7 @@ def test_gauss_newton_halving_per_window_converges(window):
     # `window` steps earlier: never above that half, so the run goes on
     # until it converges
     fun, seen = _scripted([0.5 ** (k // window) * (1.0 + 0.1 * (k % window)) for k in range(200)])
-    x, r, steps, converged = gauss_newton(fun, np.zeros(1), 2.0 ** -10, 199, window, 1e-12)
+    x, r, steps, converged = gauss_newton(fun, np.zeros(1), 2.0 ** -10, 199, window, lstsq_step(1e-12))
     assert converged and steps == 10 * window and r == 2.0 ** -10
     assert x is seen[-1] and len(seen) == steps + 1
 
@@ -247,12 +248,12 @@ def test_gauss_newton_budget_evaluates_final_iterate():
         seen.append(x)
         return x, jacobian
 
-    x, r, steps, converged = gauss_newton(fun, np.ones(1), 1e-12, 5, 3, 1e-12)
+    x, r, steps, converged = gauss_newton(fun, np.ones(1), 1e-12, 5, 3, lstsq_step(1e-12))
     assert len(seen) == 6 and len(jacobian_builds) == 5
     assert x is seen[-1] and r == 2.0 ** -5
     assert steps == 5 and not converged
     # the same final iterate meeting the tolerance counts as converged
-    assert gauss_newton(fun, np.ones(1), 2.0 ** -5, 5, 3, 1e-12)[2:] == (5, True)
+    assert gauss_newton(fun, np.ones(1), 2.0 ** -5, 5, 3, lstsq_step(1e-12))[2:] == (5, True)
 
 
 def test_range_factors_equal_each_range_factor(base_pair, family_sample):
