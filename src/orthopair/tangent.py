@@ -10,8 +10,12 @@ W_a^T V_a = I.  The tangent kernel is computed in these factors:
   equals V_a C W_c^T, so it reduces to its k_a x k_c core C, a polynomial in
   the Gram blocks G_ab = W_a^T V_b: idempotency becomes G_aa - I, a non-edge
   G_ij, an edge or sandwich relation G_ij G_ji - r I;
-* any other relation (the sum-to-identity relations) is pulled back whole,
-  X_a -> V_a W_a^T.
+* a sum-to-identity relation sum_{a in S} x_a - 1 whose generators the
+  list also makes a complete system (idempotent, pairwise annihilating,
+  factor ranks adding up to d) is dropped: its cores are the entries of
+  W^T V - I with V = [V_a] square, and where they vanish
+  d(V W^T) = V d(W^T V) W^T, so its rows add no rank;
+* any other relation is pulled back whole, X_a -> V_a W_a^T.
 
 Jacobians come from the same relation term lists that drive the residuals:
 the derivative of a product with respect to one factor is the sum over its
@@ -20,9 +24,10 @@ compiled once per term tuple, factor ranks and d lists the occurrences; a
 call multiplies out their prefixes and suffixes over the zero-padded factors
 by :func:`orthopair.relations.word_products`, takes one outer product per
 block shape and scatter-adds them all into J.  At an n = 6 pair
-J is 180 x 144 (108 rank-1 cores, each pair of edge cores being one, and 36
-rows per sum relation; 2d columns per generator) where the dense Jacobian in
-the generator entries is 5256 x 432.
+J is 108 x 144 (108 rank-1 cores, each pair of edge cores being one, and no
+rows for the two sums, which the complete p and q systems imply; 2d columns
+per generator) where the dense Jacobian in the generator entries is
+5256 x 432.
 
 The idempotency relations confine the dense tangent to the rank-k_a tangent
 of every generator, and the factor map (V_a, W_a^T) -> V_a W_a^T is onto that
@@ -33,7 +38,10 @@ tangent with kernel the GL(k_a) gauge (V_a g, g^-1 W_a^T).  Hence
 12 at an n = 6 pair and 9 + 6 at a sandwich point with P of rank 3.  The
 moduli tangent dimension at a point with scalar stabiliser is that nullity
 minus the dimension of the conjugation-orbit tangent,
-span{([xi, m_1], ..., [xi, m_k])}, taken from the joint commutant.
+span{([xi, m_1], ..., [xi, m_k])}, taken from the joint commutant.  That
+commutant lies in span{x_a : a in S} when a dropped sum's S is a complete
+system of rank-1 idempotents, so at pair points it is found in n unknowns
+(a 216 x 6 operator at n = 6, against 432 x 36 for the general one).
 
 Dimension decisions are never taken on faith: every rank cut -- each
 generator's factor rank included -- goes through
@@ -97,21 +105,48 @@ class JacobianSystem:
     """Complex analytic Jacobian of a relation system in rank factors.
 
     ``factors[a]`` is (V_a, W_a^T) with X_a = V_a W_a^T.  ``jacobian`` has
-    one block of rows per :func:`_factored_relations` entry and, per
-    generator, a block of d k_a columns for vec(V_a) followed by one for
-    vec(W_a^T), all in row-major vec order; ``scales`` scales them by 1 on
-    V_a and by the spectral norm of X_a on W_a^T, preserving the nullity.
+    one block of rows per :func:`_factored_relations` entry (108 rows at an
+    n = 6 pair, the two implied sums having none) and, per generator, a
+    block of d k_a columns for vec(V_a) followed by one for vec(W_a^T), all
+    in row-major vec order; ``scales`` scales them by 1 on V_a and by the
+    spectral norm of X_a on W_a^T, preserving the nullity.  ``complete``
+    lists the generator sets S of the sums J has no rows for, read from the
+    relation list and the factor ranks by the compiled plan.
     """
 
     matrices: list[np.ndarray]
     factors: list[tuple[np.ndarray, np.ndarray]]
     jacobian: np.ndarray
+    complete: tuple[tuple[int, ...], ...]
     scales: np.ndarray
 
     @property
     def gauge_dim(self) -> int:
         """sum k_a^2: the GL(k_a) directions that leave every generator fixed."""
         return sum(v.shape[1] ** 2 for v, _ in self.factors)
+
+
+def _complete_sums(relations: Sequence[Relation], ranks: tuple[int, ...], d: int) -> dict[int, tuple[int, ...]]:
+    """{index: S} of the sum relations sum_{a in S} x_a - 1 of ``relations``
+    that the others imply: the list also holds the idempotency x_a^2 - x_a
+    of every a in S and the non-edge x_a x_b of every a != b in S, and the
+    factor ranks over S add up to d.
+
+    The cores of S are then the entries of W^T V - I, V = [V_a] and
+    W^T = [W_a^T] over S, with V square.  Where they vanish V W^T = I, so
+    d(V W^T) = dV W^T + V dW^T = V d(W^T V) W^T: the sum's rows are
+    combinations of the cores' rows and add no rank.
+    """
+    have = {frozenset(terms) for _, terms in relations}
+    out = {}
+    for index, (_, terms) in enumerate(relations):
+        S = tuple(w[0] for _, w in terms if w)
+        if (len(set(S)) == len(S) == len(terms) - 1 and sum(ranks[a] for a in S) == d
+                and set(terms) == {(-1.0, ())} | {(1.0, (a,)) for a in S}
+                and all(frozenset({(1.0, (a, a)), (-1.0, (a,))}) in have for a in S)
+                and all(frozenset({(1.0, (a, b))}) in have for a in S for b in S if a != b)):
+            out[index] = S
+    return out
 
 
 def _factored_relations(relations: Sequence[Relation], ranks: tuple[int, ...], d: int):
@@ -121,16 +156,21 @@ def _factored_relations(relations: Sequence[Relation], ranks: tuple[int, ...], d
 
     A relation whose words all start with generator a and end with c becomes
     its core: word (a, b, ..., c) is W_a^T V_b W_b^T ... V_c and the
-    one-letter word the identity I_{k_a}.  Any other relation is pulled back
-    whole, word (a, b, ...) being V_a W_a^T V_b W_b^T ... and the empty word
-    the identity I_d.  Cores of rank-1 letters are polynomials in the
-    commuting scalars G_ab = W_a^T V_b, so two with equal terms as
-    (coefficient, multiset of pairs (a, b)), such as x_i x_j x_i - r x_i and
-    x_j x_i x_j - r x_j, are one: it is listed once, its coefficients scaled
-    by the root of its multiplicity, which leaves J^H J alike.
+    one-letter word the identity I_{k_a}.  A sum relation that the others
+    imply (:func:`_complete_sums`) is dropped.  Any other relation is
+    pulled back whole, word (a, b, ...) being V_a W_a^T V_b W_b^T ... and
+    the empty word the identity I_d.  Cores of rank-1 letters are
+    polynomials in the commuting scalars G_ab = W_a^T V_b, so two with equal
+    terms as (coefficient, multiset of pairs (a, b)), such as
+    x_i x_j x_i - r x_i and x_j x_i x_j - r x_j, are one: it is listed
+    once, its coefficients scaled by the root of its multiplicity, which
+    leaves J^H J alike.
     """
+    implied = _complete_sums(relations, ranks, d)
     merged = {}
     for key, (_, terms) in enumerate(relations):  # key: the index, or the polynomial of a rank-1 core
+        if key in implied:
+            continue
         words = [word for _, word in terms]
         if all(words) and len({(w[0], w[-1]) for w in words}) == 1:
             rows, cols = ranks[words[0][0]], ranks[words[0][-1]]
@@ -148,8 +188,9 @@ def _factored_relations(relations: Sequence[Relation], ranks: tuple[int, ...], d
 def _jacobian_plan(relations: tuple[Relation, ...], ranks: tuple[int, ...], d: int):
     """The plan of :func:`_jacobian`: the distinct prefix and suffix words,
     J's shape, one group of factor occurrences per block shape (coefficients,
-    prefix and suffix places in the words) and the index of every entry they
-    add in J's float64 view, its real and imaginary parts side by side."""
+    prefix and suffix places in the words), the index of every entry they
+    add in J's float64 view, its real and imaginary parts side by side, and
+    the generator sets of the sums J drops (:func:`_complete_sums`)."""
     shapes = [shape for k in ranks for shape in ((d, k), (k, d))]  # of V_0, W_0^T, V_1, ...
     offsets = np.cumsum([0] + [m * n for m, n in shapes])
     found, r0 = {}, 0  # block shape -> occurrences
@@ -168,15 +209,17 @@ def _jacobian_plan(relations: tuple[Relation, ...], ranks: tuple[int, ...], d: i
         index.append((np.reshape(starts, (-1, 1, 1, 1, 1)) + (r * cols + c) * offsets[-1] + i * n + j).ravel())
         groups.append(((rows, cols, m, n), np.array(coeffs)[:, None, None, None, None],
                        np.array([at[w] for w in prefixes]), np.array([at[w] for w in suffixes])))
-    return tuple(at), (r0, int(offsets[-1])), groups, (2 * np.concatenate(index)[:, None] + [0, 1]).ravel()
+    return (tuple(at), (r0, int(offsets[-1])), groups, (2 * np.concatenate(index)[:, None] + [0, 1]).ravel(),
+            tuple(_complete_sums(relations, ranks, d).values()))
 
 
-def _jacobian(factors, relations: Sequence[Relation]) -> np.ndarray:
+def _jacobian(factors, relations: Sequence[Relation]) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
     """The factored Jacobian from its compiled plan: the word products of
     the factors zero-padded to d x d (exact in their leading blocks), one
-    broadcast outer product per block shape and one scatter-add."""
+    broadcast outer product per block shape and one scatter-add; and the
+    plan's generator sets of the sums it drops."""
     d = factors[0][0].shape[0]
-    words, shape, groups, index = _plan(_jacobian_plan, relations, tuple(v.shape[1] for v, _ in factors), d)
+    words, shape, groups, index, complete = _plan(_jacobian_plan, relations, tuple(v.shape[1] for v, _ in factors), d)
     flat = np.zeros((len(factors), 2, d, d), dtype=np.complex128)
     for a, (v, wt) in enumerate(factors):
         flat[a, 0, :, :v.shape[1]], flat[a, 1, :wt.shape[0]] = v, wt
@@ -184,7 +227,8 @@ def _jacobian(factors, relations: Sequence[Relation]) -> np.ndarray:
     values = np.concatenate([(coeffs * prods[pre, :r, None, :m, None]
                               * prods[suf, :n, :c].transpose(0, 2, 1)[:, None, :, None, :]).ravel()
                              for (r, c, m, n), coeffs, pre, suf in groups])
-    return np.bincount(index, values.view(np.float64), 2 * shape[0] * shape[1]).view(np.complex128).reshape(shape)
+    J = np.bincount(index, values.view(np.float64), 2 * shape[0] * shape[1]).view(np.complex128).reshape(shape)
+    return J, complete
 
 
 def _generators(point) -> tuple[list[np.ndarray], Sequence[Relation], tuple[str, ...]]:
@@ -207,7 +251,7 @@ def rep_jacobian(point) -> JacobianSystem:
     require_relations(mats, terms, "relation residual exceeds the gate; not a representation point")
     factors, spectra = range_factors(np.stack(mats), RANK_TOL, [f"factor rank of generator {x}" for x in names])
     scales = np.concatenate([np.full(v.size, x) for (v, _), s in zip(factors, spectra) for x in (1.0, s[0])])
-    return JacobianSystem(mats, factors, _jacobian(factors, terms), scales)
+    return JacobianSystem(mats, factors, *_jacobian(factors, terms), scales)
 
 
 def orbit_tangent_dim(mats, tol: float = RANK_TOL) -> int:
@@ -221,13 +265,30 @@ def orbit_tangent_dim(mats, tol: float = RANK_TOL) -> int:
     return d * d - commutant_dimension(mats, tol)
 
 
+def _span_orbit_dim(mats, S: tuple[int, ...], tol: float) -> int:
+    """:func:`orbit_tangent_dim` at generators of which those in S are a
+    complete system of rank-1 idempotents, taken in |S| unknowns.
+
+    The commutant of such a system is span{x_a : a in S}, so the joint
+    commutant is the kernel of the d^2 (k - |S|) x |S| operator whose column
+    a stacks vec([x_a, m]) over the k - |S| other generators m.
+    """
+    gens = np.stack(mats)
+    x, others = gens[list(S), None], np.delete(gens, S, axis=0)
+    s = np.linalg.svd((x @ others - others @ x).reshape(len(S), -1).T, compute_uv=False)  # column a: [x_a, m]
+    d = gens.shape[1]
+    return d * d - (len(S) - decide_rank(s, tol, "joint commutant").rank)
+
+
 @dataclass(frozen=True)
 class TangentReport:
     """Moduli tangent dimension with the evidence behind the decision.
 
     ``nullity`` is the Zariski nullity in the generator entries (the
     factored nullity minus the gauge); ``singular_values`` and ``gap_ratio``
-    are those of the column-scaled factored Jacobian.  The dephased defect
+    are those of the column-scaled factored Jacobian, one value per row
+    where it has fewer rows than columns (108 at an n = 6 pair).
+    ``orbit_dim`` is the conjugation-orbit dimension.  The dephased defect
     (:func:`defect_report`) is the same report on the phase Jacobian, with
     ``orbit_dim`` 0.
     """
@@ -251,12 +312,15 @@ class TangentReport:
 def _moduli_report(system: JacobianSystem, tol: float, what: str, s: np.ndarray | None = None) -> TangentReport:
     """The one decision of a Zariski nullity, an orbit dimension and their
     difference.  ``s`` is the spectrum of the column-scaled Jacobian, when
-    the caller has already factorised it."""
+    the caller has already factorised it.  The orbit is taken in |S|
+    unknowns (:func:`_span_orbit_dim`) for the first complete set S of
+    rank-1 generators, else from the general commutator operator."""
     if s is None:
         s = np.linalg.svd(system.jacobian * system.scales, compute_uv=False)
     cut = decide_rank(s, tol, what)
     nullity = system.jacobian.shape[1] - cut.rank - system.gauge_dim
-    orbit = orbit_tangent_dim(system.matrices, tol)
+    rank1 = [S for S in system.complete if all(system.factors[a][0].shape[1] == 1 for a in S)]
+    orbit = _span_orbit_dim(system.matrices, rank1[0], tol) if rank1 else orbit_tangent_dim(system.matrices, tol)
     if nullity < orbit:  # the orbit tangent lies in the kernel: the cut counted residual noise as rank
         raise IndeterminateDimension(f"{what}: nullity {nullity} < orbit dimension {orbit}", s, cut.gap_ratio)
     return TangentReport(nullity, orbit, nullity - orbit, cut.gap_ratio, s)

@@ -219,17 +219,40 @@ def test_defect_report(hadamard_file, capsys):
     assert payload["moduli_dim"] == 4
 
 
-def test_tangent_refuses_nullity_below_orbit_exit_code(tmp_path, capsys):
-    # p1 scaled by 1 + 1e-9 passes the residual gate, but the cut counts
-    # residual noise as rank: nullity 29 < orbit 35 is refused, exit code 2
+def test_tangent_answers_scaled_p1(tmp_path, capsys):
+    # p1 scaled by 1 + 1e-9 passes the residual gate; the residual lifted
+    # zero singular values only through the sum rows, which a complete
+    # system implies, so the Jacobian without them keeps a rounding-level gap
     c = config.standard_pair(6, swap34=True)
     path = tmp_path / "scaled.json"
     config.save_pair(path, config.pair_from_matrices([(1.0 + 1e-9) * c.p[0], *c.p[1:]], list(c.q)))
+    code, payload, _ = run(capsys, "tangent", str(path))
+    assert code == OK
+    assert (payload["nullity"], payload["orbit_dim"], payload["moduli_dim"]) == (39, 35, 4)
+    assert payload["gap_ratio"] >= 1e12
+    assert len(payload["singular_values"]) == 108
+
+
+def test_tangent_refuses_nullity_below_orbit_exit_code(tmp_path, capsys):
+    # q1 = v' w^T / w^T v' with v' = v + 1e-9 delta stays a rank-1
+    # idempotent, but its other relations hold only to 2.4e-9, inside the
+    # gate and not in the sums alone: the cut counts that residual as rank,
+    # and nullity 34 < orbit 35 is refused, exit code 2
+    c = config.standard_pair(6, swap34=True)
+    rng = np.random.default_rng(0)
+    delta = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    v = np.linalg.svd(c.q[0])[0][:, 0]
+    w = v.conj()
+    bent = v + 1e-9 * delta
+    point = config.pair_from_matrices(list(c.p), [np.outer(bent, w) / (w @ bent), *c.q[1:]])
+    assert 1e-9 < point.residual <= relations.RELATION_TOL
+    path = tmp_path / "bent.json"
+    config.save_pair(path, point)
     code, payload, err = run(capsys, "tangent", str(path))
     assert code == INDETERMINATE
     assert payload["status"] == "indeterminate"
-    assert len(payload["singular_values"]) == 144
-    assert "nullity 29 < orbit dimension 35" in err
+    assert len(payload["singular_values"]) == 108
+    assert "nullity 34 < orbit dimension 35" in err
 
 
 def test_tangent_rejects_extended(pair_file, capsys):

@@ -5,7 +5,14 @@ from hypothesis import strategies as st
 
 from conftest import random_invertible, random_unitary, tau
 from orthopair import exact, tangent
-from orthopair.config import HadamardPoint, fourier_phases, from_hadamard, pair_from_matrices, standard_pair
+from orthopair.config import (
+    HadamardPoint,
+    PairConfiguration,
+    fourier_phases,
+    from_hadamard,
+    pair_from_matrices,
+    standard_pair,
+)
 from orthopair.invariants import u_invariants, u_invariants_directional
 from orthopair.linalg import decide_rank
 from orthopair.relations import (
@@ -139,8 +146,9 @@ def _dense_fiber(point, tol=1e-10):
 def factored_residual_vector(factors, relations):
     """Stacked complex residual of all relations in rank factors.
 
-    ``factors`` is a list of (V_a, W_a^T); each relation contributes its core
-    or, if it has none, its full d x d residual, in row-major order.
+    ``factors`` is a list of (V_a, W_a^T); each relation the plan keeps
+    contributes its core or, if it has none, its full d x d residual, in
+    row-major order.
     """
     flat = [m for pair in factors for m in pair]
     out = []
@@ -252,10 +260,19 @@ def test_jacobian_matches_finite_differences(base_pair, family_sample):
 def _plan_points(base_pair, family_sample):
     """(point, rows of the reference, rows of the plan): each pair of edge
     relations x_i x_j x_i - r x_i, x_j x_i x_j - r x_j of rank-1 letters is
-    one row of the plan."""
-    return [(standard_pair(3), 54, 45), (standard_pair(6), 216, 180), (base_pair, 216, 180),
-            (from_hadamard(family_sample.points[3]), 216, 180), (from_hadamard(family_sample.points[12]), 216, 180),
+    one row of the plan, and neither has rows for a pair's two sums."""
+    return [(standard_pair(3), 36, 27), (standard_pair(6), 144, 108), (base_pair, 144, 108),
+            (from_hadamard(family_sample.points[3]), 144, 108), (from_hadamard(family_sample.points[12]), 144, 108),
             (restrict(base_pair, [1, 2, 3]), 57, 57), (graph_restriction(base_pair, [1, 2, 3], [1, 2, 3]), 36, 27)]
+
+
+def _kept_relations(point, terms):
+    """The relations the plan keeps rows for: all but a pair's two sums,
+    which the idempotency and non-edge relations of its complete p and q
+    systems imply."""
+    if isinstance(point, PairConfiguration):
+        return terms[:-2]
+    return terms
 
 
 def test_jacobian_plan_matches_term_by_term_reference(base_pair, family_sample):
@@ -266,7 +283,7 @@ def test_jacobian_plan_matches_term_by_term_reference(base_pair, family_sample):
         norms = np.concatenate([np.full(v.size, x) for v, wt in system.factors for x in (1.0, np.linalg.norm(wt, 2))])
         assert np.max(np.abs(system.scales - norms)) <= 1e-14 * norms.max()
         _, terms, _ = tangent._generators(point)
-        J, R = system.jacobian, _reference_jacobian(system.factors, terms)
+        J, R = system.jacobian, _reference_jacobian(system.factors, _kept_relations(point, terms))
         assert (J.shape, R.shape) == ((plan_rows, R.shape[1]), (ref_rows, _factor_vector(system).size))
         norm2 = np.linalg.norm(R, 2) ** 2
         assert np.max(np.abs(J.conj().T @ J - R.conj().T @ R)) <= 1e-13 * norm2
@@ -276,9 +293,84 @@ def test_jacobian_plan_matches_term_by_term_reference(base_pair, family_sample):
         assert decide_rank(s, tangent.RANK_TOL, "plan").rank == rank
 
 
+def _every_row_system(point):
+    """rep_jacobian(point) from a plan that drops no sum relation."""
+    complete_sums = tangent._complete_sums
+    tangent._jacobian_plan.cache_clear()
+    tangent._complete_sums = lambda *args: {}
+    try:
+        return rep_jacobian(point)
+    finally:
+        tangent._complete_sums = complete_sums
+        tangent._jacobian_plan.cache_clear()
+
+
+# the fixed non-unitary conjugator of the benchmark's cli round trip
+_CONJUGATOR = np.eye(6) + 0.25 * np.triu(np.ones((6, 6)), 1) + 0.1j * np.tril(np.ones((6, 6)), -1)
+
+
+def _complete_pair_points(base_pair, family_sample):
+    points = [standard_pair(2), standard_pair(3), standard_pair(6), base_pair,
+              conjugated_pair(base_pair, _CONJUGATOR)]
+    return points + [from_hadamard(h) for h in family_sample.points[1:40:6]]
+
+
+def test_dropped_sum_rows_add_no_rank(base_pair, family_sample):
+    # the pair's two sums, appended back as their term-by-term rows, leave the
+    # rank of the column-scaled Jacobian as it is; the rows kept are those
+    # of the plan that keeps every row, bit for bit
+    for c in _complete_pair_points(base_pair, family_sample):
+        system = rep_jacobian(c)
+        n, J = c.n, system.jacobian
+        assert system.complete == (tuple(range(n)), tuple(range(n, 2 * n)))
+        sums = _reference_jacobian(system.factors, pair_relation_terms(n)[-2:])
+        # 2n idempotency, n^2 merged edge and 2n(n - 1) non-edge rows are kept
+        assert (J.shape[0], sums.shape[0]) == (3 * n * n, 2 * n * n)
+        rank = decide_rank(np.linalg.svd(J * system.scales, compute_uv=False), tangent.RANK_TOL, "kept").rank
+        s_all = np.linalg.svd(np.vstack([J, sums]) * system.scales, compute_uv=False)
+        assert decide_rank(s_all, tangent.RANK_TOL, "every row").rank == rank
+        full = _every_row_system(c).jacobian
+        assert full.shape == (J.shape[0] + 2 * n * n, J.shape[1])
+        assert np.array_equal(full[:J.shape[0]], J)
+
+
+def test_systems_without_complete_sums_keep_every_row(base_pair, family_sample):
+    # the sandwich q's have no non-edges and the 3+3 graph has no sum: their
+    # Jacobians are bit-equal to those of the plan that drops nothing
+    points = [restrict(base_pair, subset) for subset in ([1], [1, 2], [1, 2, 3])]
+    points += [graph_restriction(base_pair, [1, 2, 3], [1, 2, 3]),
+               graph_restriction(from_hadamard(family_sample.points[5]), [1, 2, 3], [1, 2, 3])]
+    for point in points:
+        system = rep_jacobian(point)
+        assert system.complete == ()
+        assert np.array_equal(system.jacobian, _every_row_system(point).jacobian)
+
+
+def test_complete_sums_read_from_the_relation_list():
+    terms = pair_relation_terms(3)
+    ranks = (1,) * 6
+    assert tangent._complete_sums(terms, ranks, 3) == {len(terms) - 2: (0, 1, 2), len(terms) - 1: (3, 4, 5)}
+    # without one p non-edge the p sum is not implied; ranks that do not add
+    # up to d imply neither; the sandwich q's have no non-edges
+    no_edge = tuple(rel for rel in terms if rel[0] != "non-edge x0x1")
+    assert tangent._complete_sums(no_edge, ranks, 3) == {len(no_edge) - 1: (3, 4, 5)}
+    assert tangent._complete_sums(terms, ranks, 4) == {}
+    assert tangent._complete_sums(sandwich_relation_terms(6, 0.5), (3,) + (1,) * 6, 6) == {}
+
+
+def test_orbit_in_n_unknowns_matches_commutant(base_pair, family_sample, standard6):
+    for c in _complete_pair_points(base_pair, family_sample):
+        mats = c.matrices()
+        for S in (tuple(range(c.n)), tuple(range(c.n, 2 * c.n))):
+            assert tangent._span_orbit_dim(mats, S, tangent.RANK_TOL) == orbit_tangent_dim(mats)
+    # the p system against itself commutes with every diagonal matrix
+    mats = list(standard6.p) + list(standard6.p)
+    assert tangent._span_orbit_dim(mats, tuple(range(6)), tangent.RANK_TOL) == orbit_tangent_dim(mats) == 30
+
+
 def test_moduli_report_cost(monkeypatch):
     # one batched SVD factors the generators, one decides the nullity and one
-    # the commutant; a second report reuses the compiled plan
+    # the commutant in n unknowns; a second report reuses the compiled plan
     svd, calls = np.linalg.svd, []
 
     def counted(*args, **kwargs):
@@ -287,7 +379,7 @@ def test_moduli_report_cost(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     assert moduli_tangent_report(standard_pair(6)).moduli_dim == 4
-    assert len(calls) <= 3
+    assert calls == [(12, 6, 6), (108, 144), (216, 6)]
     misses = tangent._jacobian_plan.cache_info().misses
     assert moduli_tangent_report(standard_pair(6)).moduli_dim == 4
     assert tangent._jacobian_plan.cache_info().misses == misses
@@ -511,25 +603,23 @@ def test_moduli_dimension_at_base_point(base_pair, standard6):
         assert report.nullity == 39
         assert report.orbit_dim == 35
         assert report.gap_ratio >= GAP_RATIO_REQUIRED
-        assert report.singular_values.shape == (144,)
+        assert report.singular_values.shape == (108,)
         # the dense oracle has one value per complex generator entry
         assert _dense_spectrum(c).shape == (432,)
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-10, 3e-10, 1e-9, 3e-9])
 def test_moduli_dimension_never_negative_inside_residual_gate(base_pair, eps):
-    # p1 scaled by 1 + eps passes the residual gate; from eps ~ 5e-10 the
-    # lifted zero singular values (~ eps / 2) pass the 1e-10 cut, and the
-    # nullity falls below the orbit dimension: that report is refused
+    # p1 scaled by 1 + eps passes the residual gate.  With the sum rows, the
+    # lifted zero singular values (~ eps / 2) passed the 1e-10 cut from
+    # eps ~ 5e-10 and the report was refused; without them every eps is
+    # answered, with a rounding-level gap
     c = pair_from_matrices([(1.0 + eps) * base_pair.p[0], *base_pair.p[1:]], list(base_pair.q))
     assert c.residual <= RELATION_TOL
-    try:
-        report = moduli_tangent_report(c)
-    except IndeterminateDimension as exc:
-        assert "< orbit dimension 35" in str(exc)
-        assert exc.singular_values.shape == (144,)
-    else:
-        assert (report.nullity, report.orbit_dim, report.moduli_dim) == (39, 35, 4)
+    report = moduli_tangent_report(c)
+    assert (report.nullity, report.orbit_dim, report.moduli_dim) == (39, 35, 4)
+    assert report.singular_values.shape == (108,)
+    assert report.gap_ratio >= 1e12
 
 
 def test_moduli_dimension_rigid_n3():
