@@ -51,7 +51,7 @@ from .config import UNITARITY_TOL, HadamardPoint, _wrap_angles, dephased_phases,
 from .config import atomic_write
 from .invariants import InvariantVector, u_word_traces
 from .linalg import RANK_TOL, OffVariety, gauss_newton, lstsq_step, rank1_projector, worst_above
-from .tangent import _defect_kernel, phase_constraints, unitarity_constraints
+from .tangent import _defect_kernel, _gram_constraints, phase_constraints
 
 __all__ = [
     "CorrectorResult",
@@ -146,9 +146,9 @@ def newton_correct(h: HadamardPoint, pinv: np.ndarray | None = None) -> Correcto
     With ``pinv``, a truncated pseudo-inverse J+ of the phase Jacobian at a
     nearby point (the one :func:`tangent_frame` returns), the corrector
     first takes chord steps x <- x - J+ c(x) (Allgower & Georg, SIAM 2003,
-    ch. 3), each evaluating only the constraints c
-    (:func:`tangent.unitarity_constraints`), and builds the Jacobian once,
-    at the point where they converge.  Chord steps converge linearly, at a
+    ch. 3), each evaluating only the constraints c, and builds the Jacobian
+    once, at the point where they converge, from the reconstruction U its
+    last step evaluated there.  Chord steps converge linearly, at a
     rate set by how far the start is from the point of J+.  When the chord
     stalls (its norm not halved over CORRECTOR_WINDOW steps, or
     CORRECTOR_MAX_ITER steps), or without ``pinv``, the corrector runs
@@ -157,24 +157,36 @@ def newton_correct(h: HadamardPoint, pinv: np.ndarray | None = None) -> Correcto
     one.  Quadratic convergence is only guaranteed for starting residuals
     below ~0.1; a run that does not converge returns its best iterate
     flagged as failed, never a silently bad point.  Grossly off-manifold
-    starts (unitarity residual above 0.5, screened by
+    starts (unitarity residual above 0.5, screened as by
     :meth:`HadamardPoint.unitarity_violation`) are refused outright with
-    OffVariety.
+    OffVariety; the chord's first step takes its c from that gate's U^dag U.
 
     A converged result keeps the point and the Jacobian at that point;
     :func:`tangent_frame` takes its kernel from it.
     """
-    if (res := h.unitarity_violation(0.5)) is not None:
-        raise OffVariety("starting residual above 0.5; far outside any corrector basin", res)
     n = h.n
+    u = h.reconstruct()
+    gram = u.conj().T @ u
+    if (worst := worst_above((gram - np.eye(n))[None], 0.5)) is not None:
+        raise OffVariety("starting residual above 0.5; far outside any corrector basin", worst[1])
     chord_steps = 0
     if pinv is not None:
-        x, r, chord_steps, converged = gauss_newton(
-            lambda x: (unitarity_constraints(_point_from_vector(n, x)), None), h.phases.ravel(),
-            CORRECTOR_TOL, CORRECTOR_MAX_ITER, CORRECTOR_WINDOW, lambda c, _: -(pinv @ c))
-        if converged:
+        # U and c at the latest chord iterate; at the start, the gate's (a
+        # HadamardPoint keeps its phases wrapped, and wrapping them again
+        # leaves every bit, so they are those of the start's own point)
+        start, latest = h.phases.ravel(), [u, _gram_constraints(gram)]
+
+        def chord(x):
+            if x is not start:
+                latest[0] = _point_from_vector(n, x).reconstruct()
+                latest[1] = _gram_constraints(latest[0].conj().T @ latest[0])
+            return latest[1], None
+
+        x, r, chord_steps, converged = gauss_newton(chord, start, CORRECTOR_TOL, CORRECTOR_MAX_ITER,
+                                                    CORRECTOR_WINDOW, lambda c, _: -(pinv @ c))
+        if converged:  # gauss_newton stops at the iterate it has just evaluated
             point = _point_from_vector(n, x)
-            return CorrectorResult(point, r, chord_steps, True, phase_constraints(point)[1], True)
+            return CorrectorResult(point, r, chord_steps, True, phase_constraints(point, latest[0])[1], True)
     last = []  # the point and Jacobian of the latest evaluation
 
     def constraints(x):

@@ -12,9 +12,16 @@ W_a^T V_a = I.  The tangent kernel is computed in these factors:
   G_ij, an edge or sandwich relation G_ij G_ji - r I;
 * a sum-to-identity relation sum_{a in S} x_a - 1 whose generators the
   list also makes a complete system (idempotent, pairwise annihilating,
-  factor ranks adding up to d) is dropped: its cores are the entries of
-  W^T V - I with V = [V_a] square, and where they vanish
-  d(V W^T) = V d(W^T V) W^T, so its rows add no rank;
+  factor ranks adding up to d) is solved for exactly.  The cores of S are
+  the entries of W_S^T V_S - I, V_S = [V_a] square and W_S^T = [W_a^T]
+  over a in S; where they vanish d(V_S W_S^T) = V_S d(W_S^T V_S) W_S^T, so
+  the sum's rows add no rank, and the cores linearise to
+  dW_S^T V_S + W_S^T dV_S, whose kernel is the graph of
+  dW_S^T = -W_S^T dV_S V_S^-1.  So J has no rows for the sum and the cores
+  of S, and no columns for the W_a^T of S: those are eliminated by that
+  map, which leaves the factored nullity as it is.  V_S is invertible
+  inside the relation gate, since ||W_S^T V_S - I||_F <= d RELATION_TOL to
+  first order (:func:`_jacobian`);
 * any other relation is pulled back whole, X_a -> V_a W_a^T.
 
 Jacobians come from the same relation term lists that drive the residuals:
@@ -23,11 +30,14 @@ occurrences of prefix (x) suffix^T in row-major vec convention.  A plan
 compiled once per term tuple, factor ranks and d lists the occurrences; a
 call multiplies out their prefixes and suffixes over the zero-padded factors
 by :func:`orthopair.relations.word_products`, takes one outer product per
-block shape and scatter-adds them all into J.  At an n = 6 pair
-J is 108 x 144 (108 rank-1 cores, each pair of edge cores being one, and no
-rows for the two sums, which the complete p and q systems imply; 2d columns
-per generator) where the dense Jacobian in the generator entries is
-5256 x 432.
+block shape and scatter-adds them all into J; one batched LU solve and
+one contraction then eliminate the W_a^T of the complete systems.  At an
+n = 6 pair J is 36 x 72, the complexified Hadamard defect system of
+Tadej & Zyczkowski (Open Syst. Inf. Dyn. 13, 2006): the 36 rank-1 edge
+cores, each pair of edge cores being one, in the d columns of each V_a
+(108 x 144 with the cores of the complete p and q systems as rows and
+their W_a^T as columns), where the dense Jacobian in the generator entries
+is 5256 x 432.
 
 The idempotency relations confine the dense tangent to the rank-k_a tangent
 of every generator, and the factor map (V_a, W_a^T) -> V_a W_a^T is onto that
@@ -39,8 +49,8 @@ tangent with kernel the GL(k_a) gauge (V_a g, g^-1 W_a^T).  Hence
 moduli tangent dimension at a point with scalar stabiliser is that nullity
 minus the dimension of the conjugation-orbit tangent,
 span{([xi, m_1], ..., [xi, m_k])}, taken from the joint commutant.  That
-commutant lies in span{x_a : a in S} when a dropped sum's S is a complete
-system of rank-1 idempotents, so at pair points it is found in n unknowns
+commutant lies in span{x_a : a in S} when a complete system S consists of
+rank-1 idempotents, so at pair points it is found in n unknowns
 (a 216 x 6 operator at n = 6, against 432 x 36 for the general one).
 
 Dimension decisions are never taken on faith: every rank cut -- each
@@ -89,7 +99,6 @@ __all__ = [
     "a6_moduli_tangent_report",
     "x33_moduli_tangent_report",
     "phase_constraints",
-    "unitarity_constraints",
     "defect_report",
     "FiberRankReport",
     "fiber_rank_check",
@@ -105,19 +114,22 @@ class JacobianSystem:
     """Complex analytic Jacobian of a relation system in rank factors.
 
     ``factors[a]`` is (V_a, W_a^T) with X_a = V_a W_a^T.  ``jacobian`` has
-    one block of rows per :func:`_factored_relations` entry (108 rows at an
-    n = 6 pair, the two implied sums having none) and, per generator, a
-    block of d k_a columns for vec(V_a) followed by one for vec(W_a^T), all
-    in row-major vec order; ``scales`` scales them by 1 on V_a and by the
-    spectral norm of X_a on W_a^T, preserving the nullity.  ``complete``
-    lists the generator sets S of the sums J has no rows for, read from the
-    relation list and the factor ranks by the compiled plan.
+    one block of rows per :func:`_factored_relations` entry and one column
+    per factor variable it keeps: ``columns`` indexes them into the factor
+    vector [vec(V_0), vec(W_0^T), vec(V_1), ...], each vec row-major with
+    d k_a entries.  ``complete`` lists the complete systems S
+    (:func:`_complete_sums`) whose cores J has no rows for and whose W_a^T
+    columns it has eliminated: an n = 6 pair keeps the 36 edge rows in the
+    72 columns of the V_a, where every row and column made it 180 x 144.
+    ``scales`` scales the columns, by 1 on V_a and by the spectral norm of
+    X_a on W_a^T, preserving the nullity.
     """
 
     matrices: list[np.ndarray]
     factors: list[tuple[np.ndarray, np.ndarray]]
     jacobian: np.ndarray
     complete: tuple[tuple[int, ...], ...]
+    columns: np.ndarray
     scales: np.ndarray
 
     @property
@@ -126,26 +138,34 @@ class JacobianSystem:
         return sum(v.shape[1] ** 2 for v, _ in self.factors)
 
 
+def _core_terms(S: tuple[int, ...]) -> set[frozenset]:
+    """The term sets of the relations whose cores are the blocks of
+    W_S^T V_S - I: the idempotency x_a^2 - x_a of every a in S and the
+    non-edge x_a x_b of every a != b in S."""
+    return {frozenset({(1.0, (a, a)), (-1.0, (a,))}) if a == b else frozenset({(1.0, (a, b))})
+            for a in S for b in S}
+
+
 def _complete_sums(relations: Sequence[Relation], ranks: tuple[int, ...], d: int) -> dict[int, tuple[int, ...]]:
     """{index: S} of the sum relations sum_{a in S} x_a - 1 of ``relations``
-    that the others imply: the list also holds the idempotency x_a^2 - x_a
-    of every a in S and the non-edge x_a x_b of every a != b in S, and the
-    factor ranks over S add up to d.
+    over complete systems S: the list also holds every relation of
+    :func:`_core_terms` (S), and the factor ranks over S add up to d.  A
+    set that shares a generator with an earlier one is not listed.
 
-    The cores of S are then the entries of W^T V - I, V = [V_a] and
-    W^T = [W_a^T] over S, with V square.  Where they vanish V W^T = I, so
-    d(V W^T) = dV W^T + V dW^T = V d(W^T V) W^T: the sum's rows are
-    combinations of the cores' rows and add no rank.
+    The cores of S are then the entries of W_S^T V_S - I, V_S = [V_a] and
+    W_S^T = [W_a^T] over S, with V_S square.  Where they vanish
+    V_S W_S^T = I, so d(V_S W_S^T) = V_S d(W_S^T V_S) W_S^T: the sum's rows
+    are combinations of the cores' rows and add no rank.
     """
     have = {frozenset(terms) for _, terms in relations}
-    out = {}
+    out, used = {}, set()
     for index, (_, terms) in enumerate(relations):
         S = tuple(w[0] for _, w in terms if w)
         if (len(set(S)) == len(S) == len(terms) - 1 and sum(ranks[a] for a in S) == d
                 and set(terms) == {(-1.0, ())} | {(1.0, (a,)) for a in S}
-                and all(frozenset({(1.0, (a, a)), (-1.0, (a,))}) in have for a in S)
-                and all(frozenset({(1.0, (a, b))}) in have for a in S for b in S if a != b)):
+                and _core_terms(S) <= have and used.isdisjoint(S)):
             out[index] = S
+            used.update(S)
     return out
 
 
@@ -156,20 +176,22 @@ def _factored_relations(relations: Sequence[Relation], ranks: tuple[int, ...], d
 
     A relation whose words all start with generator a and end with c becomes
     its core: word (a, b, ..., c) is W_a^T V_b W_b^T ... V_c and the
-    one-letter word the identity I_{k_a}.  A sum relation that the others
-    imply (:func:`_complete_sums`) is dropped.  Any other relation is
-    pulled back whole, word (a, b, ...) being V_a W_a^T V_b W_b^T ... and
-    the empty word the identity I_d.  Cores of rank-1 letters are
-    polynomials in the commuting scalars G_ab = W_a^T V_b, so two with equal
-    terms as (coefficient, multiset of pairs (a, b)), such as
-    x_i x_j x_i - r x_i and x_j x_i x_j - r x_j, are one: it is listed
+    one-letter word the identity I_{k_a}.  The sum of a complete system S
+    (:func:`_complete_sums`) and the cores of S, the entries of
+    W_S^T V_S - I, are dropped: :func:`_jacobian` solves them exactly.  Any
+    other relation is pulled back whole, word (a, b, ...) being
+    V_a W_a^T V_b W_b^T ... and the empty word the identity I_d.  Cores of
+    rank-1 letters are polynomials in the commuting scalars G_ab = W_a^T V_b,
+    so two with equal terms as (coefficient, multiset of pairs (a, b)), such
+    as x_i x_j x_i - r x_i and x_j x_i x_j - r x_j, are one: it is listed
     once, its coefficients scaled by the root of its multiplicity, which
     leaves J^H J alike.
     """
-    implied = _complete_sums(relations, ranks, d)
+    complete = _complete_sums(relations, ranks, d)
+    solved = set().union(*map(_core_terms, complete.values()))
     merged = {}
     for key, (_, terms) in enumerate(relations):  # key: the index, or the polynomial of a rank-1 core
-        if key in implied:
+        if key in complete or frozenset(terms) in solved:
             continue
         words = [word for _, word in terms]
         if all(words) and len({(w[0], w[-1]) for w in words}) == 1:
@@ -187,10 +209,12 @@ def _factored_relations(relations: Sequence[Relation], ranks: tuple[int, ...], d
 @functools.lru_cache
 def _jacobian_plan(relations: tuple[Relation, ...], ranks: tuple[int, ...], d: int):
     """The plan of :func:`_jacobian`: the distinct prefix and suffix words,
-    J's shape, one group of factor occurrences per block shape (coefficients,
-    prefix and suffix places in the words), the index of every entry they
-    add in J's float64 view, its real and imaginary parts side by side, and
-    the generator sets of the sums J drops (:func:`_complete_sums`)."""
+    the shape of J before the elimination, one group of factor occurrences
+    per block shape (coefficients, prefix and suffix places in the words),
+    the index of every entry they add in J's float64 view, its real and
+    imaginary parts side by side; the complete systems S
+    (:func:`_complete_sums`), the columns of each S's W_S^T and V_S in J,
+    both row-major, and the columns J keeps."""
     shapes = [shape for k in ranks for shape in ((d, k), (k, d))]  # of V_0, W_0^T, V_1, ...
     offsets = np.cumsum([0] + [m * n for m, n in shapes])
     found, r0 = {}, 0  # block shape -> occurrences
@@ -209,17 +233,45 @@ def _jacobian_plan(relations: tuple[Relation, ...], ranks: tuple[int, ...], d: i
         index.append((np.reshape(starts, (-1, 1, 1, 1, 1)) + (r * cols + c) * offsets[-1] + i * n + j).ravel())
         groups.append(((rows, cols, m, n), np.array(coeffs)[:, None, None, None, None],
                        np.array([at[w] for w in prefixes]), np.array([at[w] for w in suffixes])))
+    complete = tuple(_complete_sums(relations, ranks, d).values())
+    # W_S^T stacks the W_a^T of S, so its row-major entries are theirs in turn;
+    # column l of V_S is column l - start_a of the V_a it falls in
+    wcols = np.array([[offsets[2 * a + 1] + i for a in S for i in range(ranks[a] * d)] for S in complete],
+                     dtype=np.intp)
+    vcols = np.array([[offsets[2 * a] + k * ranks[a] + c for k in range(d) for a in S for c in range(ranks[a])]
+                      for S in complete], dtype=np.intp)
+    keep = np.ones(offsets[-1], dtype=bool)
+    keep[wcols] = False
     return (tuple(at), (r0, int(offsets[-1])), groups, (2 * np.concatenate(index)[:, None] + [0, 1]).ravel(),
-            tuple(_complete_sums(relations, ranks, d).values()))
+            complete, wcols, vcols, np.flatnonzero(keep))
 
 
-def _jacobian(factors, relations: Sequence[Relation]) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
-    """The factored Jacobian from its compiled plan: the word products of
-    the factors zero-padded to d x d (exact in their leading blocks), one
-    broadcast outer product per block shape and one scatter-add; and the
-    plan's generator sets of the sums it drops."""
+def _jacobian(factors, relations: Sequence[Relation]) -> tuple[np.ndarray, tuple[tuple[int, ...], ...], np.ndarray]:
+    """The factored Jacobian from its compiled plan, the plan's complete
+    systems S and the columns J keeps (:class:`JacobianSystem`).
+
+    The word products of the factors, zero-padded to d x d (exact in their
+    leading blocks), give one broadcast outer product per block shape and
+    one scatter-add.  Then each S's W_S^T columns are eliminated.  The
+    cores of S, the entries of W_S^T V_S - I, linearise to
+    dW_S^T V_S + W_S^T dV_S, so with V_S square and invertible their kernel
+    is exactly the graph of dW_S^T = -W_S^T dV_S V_S^-1: a kernel vector of
+    J is one of the full Jacobian, lifted by that map, and the factored
+    nullity is that of the full one.  J's columns for W_S^T act on dV_S as
+    B -> -W_S B V_S^-T, one batched contraction over every S.
+
+    V_S^-1 is (W_S^T V_S)^-1 W_S^T, by one batched LU solve.  The relation
+    gate of :func:`rep_jacobian` makes W_S^T V_S = I + E invertible: for
+    rank-1 letters the non-edge x_a x_b = E_ab V_a W_b^T has norm
+    |E_ab| ||x_b|| >= |E_ab| (1 - |E_bb|), as does the idempotency
+    x_a^2 - x_a = E_aa x_a for b = a, so every |E_ab| is at most
+    RELATION_TOL to first order and ||E||_F <= d RELATION_TOL << 1.  W_S^T
+    itself is not the inverse: its error E would lift the zero singular
+    values of J by O(residual).
+    """
     d = factors[0][0].shape[0]
-    words, shape, groups, index, complete = _plan(_jacobian_plan, relations, tuple(v.shape[1] for v, _ in factors), d)
+    words, shape, groups, index, complete, wcols, vcols, keep = _plan(
+        _jacobian_plan, relations, tuple(v.shape[1] for v, _ in factors), d)
     flat = np.zeros((len(factors), 2, d, d), dtype=np.complex128)
     for a, (v, wt) in enumerate(factors):
         flat[a, 0, :, :v.shape[1]], flat[a, 1, :wt.shape[0]] = v, wt
@@ -228,7 +280,14 @@ def _jacobian(factors, relations: Sequence[Relation]) -> tuple[np.ndarray, tuple
                               * prods[suf, :n, :c].transpose(0, 2, 1)[:, None, :, None, :]).ravel()
                              for (r, c, m, n), coeffs, pre, suf in groups])
     J = np.bincount(index, values.view(np.float64), 2 * shape[0] * shape[1]).view(np.complex128).reshape(shape)
-    return J, complete
+    if complete:
+        vs = np.stack([np.hstack([factors[a][0] for a in S]) for S in complete])
+        wts = np.stack([np.vstack([factors[a][1] for a in S]) for S in complete])
+        vinv = np.linalg.solve(wts @ vs, wts)
+        B = J[:, wcols].reshape(shape[0], len(complete), d, d)
+        J[:, vcols] -= (wts.swapaxes(1, 2) @ B @ vinv.swapaxes(1, 2)).reshape(shape[0], -1, d * d)
+        J = J[:, keep]
+    return J, complete, keep
 
 
 def _generators(point) -> tuple[list[np.ndarray], Sequence[Relation], tuple[str, ...]]:
@@ -251,7 +310,8 @@ def rep_jacobian(point) -> JacobianSystem:
     require_relations(mats, terms, "relation residual exceeds the gate; not a representation point")
     factors, spectra = range_factors(np.stack(mats), RANK_TOL, [f"factor rank of generator {x}" for x in names])
     scales = np.concatenate([np.full(v.size, x) for (v, _), s in zip(factors, spectra) for x in (1.0, s[0])])
-    return JacobianSystem(mats, factors, *_jacobian(factors, terms), scales)
+    J, complete, columns = _jacobian(factors, terms)
+    return JacobianSystem(mats, factors, J, complete, columns, scales[columns])
 
 
 def orbit_tangent_dim(mats, tol: float = RANK_TOL) -> int:
@@ -287,7 +347,8 @@ class TangentReport:
     ``nullity`` is the Zariski nullity in the generator entries (the
     factored nullity minus the gauge); ``singular_values`` and ``gap_ratio``
     are those of the column-scaled factored Jacobian, one value per row
-    where it has fewer rows than columns (108 at an n = 6 pair).
+    where it has fewer rows than columns: 36 at an n = 6 pair, whose
+    Jacobian keeps only the edge rows in the columns of the V_a.
     ``orbit_dim`` is the conjugation-orbit dimension.  The dephased defect
     (:func:`defect_report`) is the same report on the phase Jacobian, with
     ``orbit_dim`` 0.
@@ -367,7 +428,7 @@ def x33_moduli_tangent_report(point: AlgebraRepPoint) -> TangentReport:
 # ---------------------------------------------------------------------------
 
 
-def phase_constraints(h: HadamardPoint) -> tuple[np.ndarray, np.ndarray]:
+def phase_constraints(h: HadamardPoint, u: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Unitarity constraints and their real Jacobian in phase coordinates.
 
     The reconstructed matrix has all entry moduli pinned to 1/sqrt(n), so
@@ -375,8 +436,10 @@ def phase_constraints(h: HadamardPoint) -> tuple[np.ndarray, np.ndarray]:
     off-diagonal Gram entries G_jk (j < k), split into real and imaginary
     parts.  Returns (c, J) with c of length n(n-1) and J of shape
     (n(n-1), (n-1)^2); dG_jk / dphi_ab = i conj(U_aj) U_ak (delta_kb - delta_jb).
+    ``u`` is the reconstruction of ``h`` where the caller has it already.
     """
-    u = h.reconstruct()
+    if u is None:
+        u = h.reconstruct()
     j, k, free, plus, minus = _constraint_plan(h.n)
     # v[a-1, r] = i conj(U_aj) U_ak for row r = (j, k), written in the real
     # arithmetic of the scalar complex product so that J stays bit-identical
@@ -388,20 +451,15 @@ def phase_constraints(h: HadamardPoint) -> tuple[np.ndarray, np.ndarray]:
     Jc = np.zeros((j.size, (h.n - 1) ** 2), dtype=np.complex128)
     Jc[plus] += v
     Jc[minus] -= v[:, free]
-    return _gram_constraints(u), np.vstack([Jc.real, Jc.imag])
+    return _gram_constraints(u.conj().T @ u), np.vstack([Jc.real, Jc.imag])
 
 
-def unitarity_constraints(h: HadamardPoint) -> np.ndarray:
-    """The constraints c of :func:`phase_constraints` alone, bit-equal to
-    its c: what a chord step of the corrector evaluates."""
-    return _gram_constraints(h.reconstruct())
-
-
-def _gram_constraints(u: np.ndarray) -> np.ndarray:
-    """The off-diagonal Gram entries G_jk = (U^dag U)_jk, j < k, of ``u`` in
-    row-major order, real parts then imaginary parts."""
-    j, k = _constraint_plan(u.shape[0])[:2]
-    g = (u.conj().T @ u)[j, k]
+def _gram_constraints(gram: np.ndarray) -> np.ndarray:
+    """The constraints c of :func:`phase_constraints` from the Gram matrix
+    U^dag U: its entries G_jk, j < k, in row-major order, real parts then
+    imaginary parts.  What a chord step of the corrector evaluates."""
+    j, k = _constraint_plan(gram.shape[0])[:2]
+    g = gram[j, k]
     return np.concatenate([g.real, g.imag])
 
 

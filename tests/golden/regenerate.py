@@ -1,17 +1,21 @@
-"""Regenerate the golden walk records: the README's `trace` and `sample` runs.
+"""Regenerate the golden records: the README's `trace`, `sample` and
+`tangent` runs.
 
 Run from a source checkout::
 
     PYTHONPATH=src python tests/golden/regenerate.py
 
 Every command goes through ``orthopair.cli.main`` in a fresh temporary
-directory, after the README's ``hadamard --fourier 6 --swap34 --out
-f6.json``.  ``manifest.json`` records, for each run, its argv, exit code,
-stdout JSON and the name of the file it wrote, which is kept here byte for
-byte; and the start frame, the kernel basis both walks are taken in.
-``tests/test_golden.py`` compares a fresh run with these records.  A change
-that moves a record says which records moved and why; never regenerate the
-records to make a defect disappear.
+directory.  The walks run after the README's ``hadamard --fourier 6
+--swap34 --out f6.json``: ``manifest.json`` records, for each run, its
+argv, exit code, stdout JSON and the name of the file it wrote, which is
+kept here byte for byte; and the start frame, the kernel basis both walks
+are taken in.  The moduli tangent report runs after the README's
+``standard-pair --n 6 --swap34 --out pair.json``: ``tangent.json`` records
+its setup, argv, exit code and stdout JSON.  ``tests/test_golden.py``
+compares a fresh run with these records.  A change that moves a record
+says which records moved and why; never regenerate the records to make a
+defect disappear.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ RUNS = {
               "--out", "trace.jsonl"],
     "sample": ["sample", "--start", "f6.json", "--count", "100", "--seed", "42", "--out", "sample.jsonl"],
 }
+PAIR_SETUP = ["standard-pair", "--n", "6", "--swap34", "--out", "pair.json"]
+TANGENT = ["tangent", "pair.json"]
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -42,15 +48,24 @@ def _run(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def run_walks(workdir: Path) -> tuple[dict, dict[str, str]]:
-    """The manifest of the runs, made in ``workdir``, and the text of each
-    file they wrote, by file name."""
+@contextlib.contextmanager
+def _set_up(workdir: Path, setup: list[str]):
+    """Run ``setup`` in ``workdir`` and stay there for the block."""
     here = os.getcwd()
     os.chdir(workdir)
     try:
-        code, _ = _run(SETUP)
+        code, _ = _run(setup)
         if code != 0:
-            raise RuntimeError(f"{' '.join(SETUP)} exited {code}")
+            raise RuntimeError(f"{' '.join(setup)} exited {code}")
+        yield
+    finally:
+        os.chdir(here)
+
+
+def run_walks(workdir: Path) -> tuple[dict, dict[str, str]]:
+    """The manifest of the runs, made in ``workdir``, and the text of each
+    file they wrote, by file name."""
+    with _set_up(workdir, SETUP):
         frame, _ = continuation.tangent_frame(config.load_hadamard("f6.json"))
         manifest = {"setup": SETUP, "start_frame": frame.tolist(), "runs": {}}
         files = {}
@@ -60,14 +75,22 @@ def run_walks(workdir: Path) -> tuple[dict, dict[str, str]]:
             manifest["runs"][name] = {"argv": argv, "exit": code, "stdout": json.loads(stdout), "out": out}
             files[out] = Path(out).read_text()
         return manifest, files
-    finally:
-        os.chdir(here)
+
+
+def run_tangent(workdir: Path) -> dict:
+    """The record of the moduli tangent report, made in ``workdir``."""
+    with _set_up(workdir, PAIR_SETUP):
+        code, stdout = _run(TANGENT)
+        return {"setup": PAIR_SETUP, "argv": TANGENT, "exit": code, "stdout": json.loads(stdout)}
 
 
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         manifest, files = run_walks(Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        tangent = run_tangent(Path(tmp))
     (GOLDEN / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
+    (GOLDEN / "tangent.json").write_text(json.dumps(tangent, indent=1) + "\n")
     for name, text in files.items():
         (GOLDEN / name).write_text(text)
     return 0

@@ -1,6 +1,6 @@
-"""Golden walk records (``tests/golden``): the README's ``trace --steps 50
---step 1e-2`` and ``sample --count 100 --seed 42`` runs, made afresh
-through ``cli.main`` and compared with the records that
+"""Golden records (``tests/golden``): the README's ``trace --steps 50
+--step 1e-2``, ``sample --count 100 --seed 42`` and ``tangent pair.json``
+runs, made afresh through ``cli.main`` and compared with the records that
 ``tests/golden/regenerate.py`` wrote.
 
 Exit codes, JSON keys, integers, statuses and strings must be equal.
@@ -27,6 +27,16 @@ that a change of 1e-16 in J rotates by O(1), and the walks, whose
 directions are given in that basis, then trace other curves.  So the
 floats are compared only where the platform's start frame is the recorded
 one.
+
+The tangent record's integers and exit code must be equal, and so must
+its number of singular values.  Each value is compared within
+SPECTRUM_TOL = 1e-12 of the largest: those above the cut are entries of the
+Fourier pair's spectrum, found to rounding, and those below it rounding
+noise under 1e-14 of the largest, whereas a change of the Jacobian's rows,
+columns or scales moves them by O(1) (the largest was 1.826 with the cores
+of the complete systems as rows, and is 1.633 on the edge rows alone).  The
+gap ratio divides by a rounding-level value, so it is only required to be
+decisive.
 """
 
 import json
@@ -35,12 +45,14 @@ import re
 import numpy as np
 import pytest
 
-from golden.regenerate import GOLDEN, run_walks
+from golden.regenerate import GOLDEN, run_tangent, run_walks
 from orthopair.continuation import CORRECTOR_TOL
+from orthopair.linalg import GAP_RATIO_REQUIRED
 
 PHASE_TOL = 1e-8
 INVARIANT_TOL = 1e-6
 FRAME_TOL = 1e-8
+SPECTRUM_TOL = 1e-12
 TOLERANCES = {"phases": PHASE_TOL, "residual": CORRECTOR_TOL, "max_residual": CORRECTOR_TOL,
               "u1": INVARIANT_TOL, "u2": INVARIANT_TOL, "u3": INVARIANT_TOL, "imag_residue": INVARIANT_TOL}
 
@@ -102,3 +114,14 @@ def test_golden_walk_floats_within_tolerance(walks):
                 assert abs(g - w) <= TOLERANCES[name], where
             else:
                 assert g == w, where
+
+
+def test_golden_tangent_report(tmp_path):
+    got = run_tangent(tmp_path)
+    want = json.loads((GOLDEN / "tangent.json").read_text())
+    floats = {where for where, _, _ in _split(got, want)}
+    assert floats == {".stdout.gap_ratio"} | {f".stdout.singular_values[{i}]" for i in range(36)}
+    assert got["exit"] == 0
+    s, s_want = (np.array(run["stdout"]["singular_values"]) for run in (got, want))
+    assert np.max(np.abs(s - s_want)) <= SPECTRUM_TOL * s_want[0]
+    assert min(got["stdout"]["gap_ratio"], want["stdout"]["gap_ratio"]) >= GAP_RATIO_REQUIRED

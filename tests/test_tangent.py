@@ -223,6 +223,32 @@ def _factors_from(system, z):
     return out
 
 
+def _full_scales(system):
+    """The column scales of every factor variable: 1 on V_a, the spectral
+    norm of X_a on W_a^T."""
+    return np.concatenate([np.full(v.size, x) for v, wt in system.factors for x in (1.0, np.linalg.norm(wt, 2))])
+
+
+def _lift_matrix(system):
+    """The matrix that lifts a vector of J's columns to every factor
+    variable [vec V_0, vec W_0^T, ...]: the columns J keeps are copied, and
+    each complete system S gets dW_S^T = -W_S^T dV_S V_S^-1, with V_S^-1 by
+    np.linalg.inv."""
+    offsets = np.cumsum([0] + [m.size for pair in system.factors for m in pair])
+    d = system.matrices[0].shape[0]
+    lift = np.zeros((offsets[-1], system.columns.size), dtype=np.complex128)
+    lift[system.columns, np.arange(system.columns.size)] = 1.0
+    for S in system.complete:
+        ks = [system.factors[a][0].shape[1] for a in S]
+        dv = np.concatenate([lift[offsets[2 * a]:offsets[2 * a + 1]].reshape(d, k, -1) for a, k in zip(S, ks)], axis=1)
+        wt = np.vstack([system.factors[a][1] for a in S])
+        vinv = np.linalg.inv(np.hstack([system.factors[a][0] for a in S]))
+        dwt = -np.einsum("ik,klm,lj->ijm", wt, dv, vinv)
+        for a, k, start in zip(S, ks, np.cumsum([0] + ks)):
+            lift[offsets[2 * a + 1]:offsets[2 * a + 2]] = dwt[start:start + k].reshape(k * d, -1)
+    return lift
+
+
 def _fd_points(base_pair, family_sample):
     points = [base_pair, standard_pair(2), standard_pair(3)]
     points += [from_hadamard(h) for h in family_sample.points[1:8]]
@@ -237,54 +263,62 @@ def _fd_points(base_pair, family_sample):
 
 def test_jacobian_matches_finite_differences(base_pair, family_sample):
     # central differences of the factored residual along random complex
-    # directions: a conjugate-linear term in the residual would show up here
-    # and not in the analytic J v
+    # directions of J's columns, lifted to every factor variable by the
+    # elimination map: a conjugate-linear term in the residual would show up
+    # here and not in the analytic J v
     rng = np.random.default_rng(22)
     step = 1e-6
     for point in _fd_points(base_pair, family_sample):
         system = rep_jacobian(point)
         _, terms, _ = tangent._generators(point)
         base = _factor_vector(system)
-        assert system.jacobian.shape[1] == base.size
+        assert system.jacobian.shape[1] == system.columns.size <= base.size
+        lift = _lift_matrix(system)
         assert np.linalg.norm(factored_residual_vector(system.factors, terms)) <= 1e-12
         for _ in range(2):
-            v = rng.standard_normal(base.size) + 1j * rng.standard_normal(base.size)
+            v = rng.standard_normal(system.columns.size) + 1j * rng.standard_normal(system.columns.size)
             v /= np.linalg.norm(v)
-            fd = (factored_residual_vector(_factors_from(system, base + step * v), terms)
-                  - factored_residual_vector(_factors_from(system, base - step * v), terms)) / (2 * step)
+            fd = (factored_residual_vector(_factors_from(system, base + step * lift @ v), terms)
+                  - factored_residual_vector(_factors_from(system, base - step * lift @ v), terms)) / (2 * step)
             an = system.jacobian @ v
             denom = max(np.linalg.norm(an), 1.0)
             assert np.max(np.abs(an - fd)) / denom <= 1e-6
 
 
 def _plan_points(base_pair, family_sample):
-    """(point, rows of the reference, rows of the plan): each pair of edge
-    relations x_i x_j x_i - r x_i, x_j x_i x_j - r x_j of rank-1 letters is
-    one row of the plan, and neither has rows for a pair's two sums."""
-    return [(standard_pair(3), 36, 27), (standard_pair(6), 144, 108), (base_pair, 144, 108),
-            (from_hadamard(family_sample.points[3]), 144, 108), (from_hadamard(family_sample.points[12]), 144, 108),
-            (restrict(base_pair, [1, 2, 3]), 57, 57), (graph_restriction(base_pair, [1, 2, 3], [1, 2, 3]), 36, 27)]
+    """(point, rows of the reference, rows and columns of the plan): each
+    pair of edge relations x_i x_j x_i - r x_i, x_j x_i x_j - r x_j of
+    rank-1 letters is one row of the plan, which has no rows for a pair's
+    two sums and the cores of its complete p and q systems, and no columns
+    for their W_a^T."""
+    return [(standard_pair(3), 18, 9, 18), (standard_pair(6), 72, 36, 72), (base_pair, 72, 36, 72),
+            (from_hadamard(family_sample.points[3]), 72, 36, 72),
+            (from_hadamard(family_sample.points[12]), 72, 36, 72),
+            (restrict(base_pair, [1, 2, 3]), 57, 57, 108),
+            (graph_restriction(base_pair, [1, 2, 3], [1, 2, 3]), 36, 27, 72)]
 
 
 def _kept_relations(point, terms):
-    """The relations the plan keeps rows for: all but a pair's two sums,
-    which the idempotency and non-edge relations of its complete p and q
-    systems imply."""
+    """The relations the plan keeps rows for: at a pair its edges, as the
+    idempotency and non-edge relations of its complete p and q systems are
+    solved for and imply its two sums."""
     if isinstance(point, PairConfiguration):
-        return terms[:-2]
+        return tuple(rel for rel in terms if rel[0].startswith("edge"))
     return terms
 
 
 def test_jacobian_plan_matches_term_by_term_reference(base_pair, family_sample):
     # merged rows leave J^H J, and so the spectrum above the cut, as it was;
-    # the factor spectra give each W_a^T column its spectral norm
-    for point, ref_rows, plan_rows in _plan_points(base_pair, family_sample):
+    # the reference's columns are reduced by the lift of the eliminated
+    # W_a^T; the factor spectra give each W_a^T column its spectral norm
+    for point, ref_rows, plan_rows, plan_cols in _plan_points(base_pair, family_sample):
         system = rep_jacobian(point)
-        norms = np.concatenate([np.full(v.size, x) for v, wt in system.factors for x in (1.0, np.linalg.norm(wt, 2))])
+        norms = _full_scales(system)[system.columns]
         assert np.max(np.abs(system.scales - norms)) <= 1e-14 * norms.max()
         _, terms, _ = tangent._generators(point)
-        J, R = system.jacobian, _reference_jacobian(system.factors, _kept_relations(point, terms))
-        assert (J.shape, R.shape) == ((plan_rows, R.shape[1]), (ref_rows, _factor_vector(system).size))
+        full = _reference_jacobian(system.factors, _kept_relations(point, terms))
+        J, R = system.jacobian, full @ _lift_matrix(system)
+        assert (J.shape, full.shape) == ((plan_rows, plan_cols), (ref_rows, _factor_vector(system).size))
         norm2 = np.linalg.norm(R, 2) ** 2
         assert np.max(np.abs(J.conj().T @ J - R.conj().T @ R)) <= 1e-13 * norm2
         s, r = (np.linalg.svd(A * system.scales, compute_uv=False) for A in (J, R))
@@ -294,7 +328,8 @@ def test_jacobian_plan_matches_term_by_term_reference(base_pair, family_sample):
 
 
 def _every_row_system(point):
-    """rep_jacobian(point) from a plan that drops no sum relation."""
+    """rep_jacobian(point) from a plan that finds no complete system, so
+    keeps every row and column."""
     complete_sums = tangent._complete_sums
     tangent._jacobian_plan.cache_clear()
     tangent._complete_sums = lambda *args: {}
@@ -316,34 +351,88 @@ def _complete_pair_points(base_pair, family_sample):
 
 
 def test_dropped_sum_rows_add_no_rank(base_pair, family_sample):
-    # the pair's two sums, appended back as their term-by-term rows, leave the
-    # rank of the column-scaled Jacobian as it is; the rows kept are those
-    # of the plan that keeps every row, bit for bit
+    # the term-by-term reference with every row (the two sums and the cores
+    # of the complete p and q systems included) and every column has the
+    # factored nullity of the reduced Jacobian, and a kernel vector of the
+    # reduced one, lifted by dW_S^T = -W_S^T dV_S V_S^-1, is one of the
+    # reference; and on the lift, the rows the plan drops vanish, so the
+    # plan that keeps every row and column gives J^H J
     for c in _complete_pair_points(base_pair, family_sample):
         system = rep_jacobian(c)
         n, J = c.n, system.jacobian
         assert system.complete == (tuple(range(n)), tuple(range(n, 2 * n)))
-        sums = _reference_jacobian(system.factors, pair_relation_terms(n)[-2:])
-        # 2n idempotency, n^2 merged edge and 2n(n - 1) non-edge rows are kept
-        assert (J.shape[0], sums.shape[0]) == (3 * n * n, 2 * n * n)
-        rank = decide_rank(np.linalg.svd(J * system.scales, compute_uv=False), tangent.RANK_TOL, "kept").rank
-        s_all = np.linalg.svd(np.vstack([J, sums]) * system.scales, compute_uv=False)
-        assert decide_rank(s_all, tangent.RANK_TOL, "every row").rank == rank
+        # n^2 merged edge rows in the 2n^2 columns of the V_a
+        assert J.shape == (n * n, 2 * n * n)
+        assert np.array_equal(system.scales, np.ones(2 * n * n))
+        _, s, vh = np.linalg.svd(J * system.scales)
+        rank = decide_rank(s, tangent.RANK_TOL, "reduced").rank
+        R = _reference_jacobian(system.factors, pair_relation_terms(n))
+        s_all = np.linalg.svd(R * _full_scales(system), compute_uv=False)
+        assert R.shape[1] - decide_rank(s_all, tangent.RANK_TOL, "every row").rank == J.shape[1] - rank
+        lifted = _lift_matrix(system) @ (system.scales[:, None] * vh[rank:].conj().T)
+        assert np.linalg.norm(R @ lifted, 2) <= 1e-12 * np.linalg.norm(R, 2) * np.linalg.norm(lifted, 2)
         full = _every_row_system(c).jacobian
-        assert full.shape == (J.shape[0] + 2 * n * n, J.shape[1])
-        assert np.array_equal(full[:J.shape[0]], J)
+        assert full.shape == (2 * n + n * n + 2 * n * (n - 1) + 2 * n * n, 4 * n * n)
+        F = full @ _lift_matrix(system)
+        assert np.max(np.abs(F.conj().T @ F - J.conj().T @ J)) <= 1e-13 * np.linalg.norm(J, 2) ** 2
+
+
+def _bent_pair(c, eps):
+    """``c`` with q1 = v' w^T / w^T v', v' = v + eps delta (delta from
+    default_rng(0)): a rank-1 idempotent whose other relations hold only to
+    about 2.4 eps."""
+    rng = np.random.default_rng(0)
+    delta = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    v = np.linalg.svd(c.q[0])[0][:, 0]
+    w = v.conj()
+    bent = v + eps * delta
+    return pair_from_matrices(list(c.p), [np.outer(bent, w) / (w @ bent), *c.q[1:]])
+
+
+def test_complete_system_factors_are_invertible_inside_the_gate(base_pair, family_sample):
+    # E = W_S^T V_S - I holds the cores of S, each bounded by the relation
+    # gate: ||E||_F <= n RELATION_TOL, so V_S is invertible
+    points = _complete_pair_points(base_pair, family_sample)
+    points += [pair_from_matrices([(1.0 + eps) * base_pair.p[0], *base_pair.p[1:]], list(base_pair.q))
+               for eps in (1e-9, 3e-9)]
+    points += [_bent_pair(base_pair, eps) for eps in (1e-9, 3e-9)]
+    for c in points:
+        assert c.residual <= RELATION_TOL
+        system = tangent.rep_jacobian(c)
+        for S in system.complete:
+            wt = np.vstack([system.factors[a][1] for a in S])
+            v = np.hstack([system.factors[a][0] for a in S])
+            assert np.linalg.norm(wt @ v - np.eye(c.n)) <= c.n * RELATION_TOL
+
+
+def test_conjugation_ladder_keeps_a_decisive_gap(base_pair):
+    # conjugating by h of condition number kappa leaves every integer; the
+    # edge rows' gap falls with the condition number of V_S, and is still
+    # far above GAP_RATIO_REQUIRED at kappa = 1e3
+    for seed in range(3):
+        for kappa in (1e1, 1e2, 1e3):
+            rng = np.random.default_rng(seed)
+            h = random_unitary(rng, 6) @ np.diag(np.logspace(0, np.log10(kappa), 6)) @ random_unitary(rng, 6)
+            assert np.isclose(np.linalg.cond(h), kappa)
+            report = moduli_tangent_report(conjugated_pair(base_pair, h))
+            assert (report.nullity, report.orbit_dim, report.moduli_dim) == (39, 35, 4)
+            assert report.gap_ratio >= 1e9
 
 
 def test_systems_without_complete_sums_keep_every_row(base_pair, family_sample):
     # the sandwich q's have no non-edges and the 3+3 graph has no sum: their
-    # Jacobians are bit-equal to those of the plan that drops nothing
+    # Jacobians are bit-equal to those of the plan that drops nothing, with
+    # every column and its scale
     points = [restrict(base_pair, subset) for subset in ([1], [1, 2], [1, 2, 3])]
     points += [graph_restriction(base_pair, [1, 2, 3], [1, 2, 3]),
                graph_restriction(from_hadamard(family_sample.points[5]), [1, 2, 3], [1, 2, 3])]
     for point in points:
         system = rep_jacobian(point)
         assert system.complete == ()
-        assert np.array_equal(system.jacobian, _every_row_system(point).jacobian)
+        full = _every_row_system(point)
+        assert np.array_equal(system.jacobian, full.jacobian)
+        assert np.array_equal(system.columns, np.arange(system.jacobian.shape[1]))
+        assert np.array_equal(system.scales, full.scales)
 
 
 def test_complete_sums_read_from_the_relation_list():
@@ -355,6 +444,10 @@ def test_complete_sums_read_from_the_relation_list():
     no_edge = tuple(rel for rel in terms if rel[0] != "non-edge x0x1")
     assert tangent._complete_sums(no_edge, ranks, 3) == {len(no_edge) - 1: (3, 4, 5)}
     assert tangent._complete_sums(terms, ranks, 4) == {}
+    # a set that shares a generator with an earlier one is not listed: its
+    # W_a^T are eliminated once, and its sum keeps its rows
+    again = terms + (terms[-2],)
+    assert tangent._complete_sums(again, ranks, 3) == {len(terms) - 2: (0, 1, 2), len(terms) - 1: (3, 4, 5)}
     assert tangent._complete_sums(sandwich_relation_terms(6, 0.5), (3,) + (1,) * 6, 6) == {}
 
 
@@ -369,8 +462,10 @@ def test_orbit_in_n_unknowns_matches_commutant(base_pair, family_sample, standar
 
 
 def test_moduli_report_cost(monkeypatch):
-    # one batched SVD factors the generators, one decides the nullity and one
-    # the commutant in n unknowns; a second report reuses the compiled plan
+    # one batched SVD factors the generators, one decides the nullity on the
+    # 36 edge rows in the 72 V_a columns and one the commutant in n
+    # unknowns; V_S^-1 takes an LU solve, no SVD; a second report reuses the
+    # compiled plan
     svd, calls = np.linalg.svd, []
 
     def counted(*args, **kwargs):
@@ -379,7 +474,7 @@ def test_moduli_report_cost(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", counted)
     assert moduli_tangent_report(standard_pair(6)).moduli_dim == 4
-    assert calls == [(12, 6, 6), (108, 144), (216, 6)]
+    assert calls == [(12, 6, 6), (36, 72), (216, 6)]
     misses = tangent._jacobian_plan.cache_info().misses
     assert moduli_tangent_report(standard_pair(6)).moduli_dim == 4
     assert tangent._jacobian_plan.cache_info().misses == misses
@@ -418,7 +513,8 @@ def test_jacobian_zero_direction(base_pair):
 
 def test_jacobian_annihilates_orbit_directions(base_pair):
     # conjugation moves (V, W^T) to (xi V, -W^T xi); the GL(k) gauge moves
-    # them to (V g, -g W^T) and leaves every generator fixed
+    # them to (V g, -g W^T) and leaves every generator fixed; J reads the
+    # columns it keeps (at a pair, the V_a alone)
     rng = np.random.default_rng(23)
     for c in (base_pair, standard_pair(2), restrict(base_pair, [1, 2, 3])):
         system = rep_jacobian(c)
@@ -432,7 +528,7 @@ def test_jacobian_annihilates_orbit_directions(base_pair):
                 g = rng.standard_normal((v.shape[1],) * 2) + 1j * rng.standard_normal((v.shape[1],) * 2)
                 gauge += [(v @ g).ravel(), (-g @ wt).ravel()]
             for vec in (orbit, np.concatenate(gauge)):
-                vec /= np.linalg.norm(vec)
+                vec = vec[system.columns] / np.linalg.norm(vec[system.columns])
                 assert np.linalg.norm(system.jacobian @ vec) <= 1e-8 * norm_j
 
 
@@ -603,7 +699,7 @@ def test_moduli_dimension_at_base_point(base_pair, standard6):
         assert report.nullity == 39
         assert report.orbit_dim == 35
         assert report.gap_ratio >= GAP_RATIO_REQUIRED
-        assert report.singular_values.shape == (108,)
+        assert report.singular_values.shape == (36,)
         # the dense oracle has one value per complex generator entry
         assert _dense_spectrum(c).shape == (432,)
 
@@ -612,13 +708,14 @@ def test_moduli_dimension_at_base_point(base_pair, standard6):
 def test_moduli_dimension_never_negative_inside_residual_gate(base_pair, eps):
     # p1 scaled by 1 + eps passes the residual gate.  With the sum rows, the
     # lifted zero singular values (~ eps / 2) passed the 1e-10 cut from
-    # eps ~ 5e-10 and the report was refused; without them every eps is
+    # eps ~ 5e-10 and the report was refused; on the edge rows alone, with
+    # the cores of the complete systems solved for exactly, every eps is
     # answered, with a rounding-level gap
     c = pair_from_matrices([(1.0 + eps) * base_pair.p[0], *base_pair.p[1:]], list(base_pair.q))
     assert c.residual <= RELATION_TOL
     report = moduli_tangent_report(c)
     assert (report.nullity, report.orbit_dim, report.moduli_dim) == (39, 35, 4)
-    assert report.singular_values.shape == (108,)
+    assert report.singular_values.shape == (36,)
     assert report.gap_ratio >= 1e12
 
 
