@@ -10,19 +10,19 @@ W_a^T V_a = I.  The tangent kernel is computed in these factors:
   equals V_a C W_c^T, so it reduces to its k_a x k_c core C, a polynomial in
   the Gram blocks G_ab = W_a^T V_b: idempotency becomes G_aa - I, a non-edge
   G_ij, an edge or sandwich relation G_ij G_ji - r I;
-* a sum-to-identity relation sum_{a in S} x_a - 1 whose generators the
-  list also makes a complete system (idempotent, pairwise annihilating,
-  factor ranks adding up to d) is solved for exactly.  The cores of S are
-  the entries of W_S^T V_S - I, V_S = [V_a] square and W_S^T = [W_a^T]
-  over a in S; where they vanish d(V_S W_S^T) = V_S d(W_S^T V_S) W_S^T, so
-  the sum's rows add no rank, and the cores linearise to
-  dW_S^T V_S + W_S^T dV_S, whose kernel is the graph of
-  dW_S^T = -W_S^T dV_S V_S^-1.  So J has no rows for the sum and the cores
-  of S, and no columns for the W_a^T of S: those are eliminated by that
-  map, which leaves the factored nullity as it is.  V_S is invertible
-  inside the relation gate, since ||W_S^T V_S - I||_F <= d RELATION_TOL to
-  first order (:func:`_jacobian`);
-* any other relation is pulled back whole, X_a -> V_a W_a^T.
+* a sum-to-identity relation sum_{a in S} x_a - 1 over distinct
+  generators whose factor ranks add up to d, a complete system S, is
+  solved for exactly.  With V_S = [V_a] square and W_S^T = [W_a^T] over S
+  the sum is V_S W_S^T - I, and V_S W_S^T = I forces W_S^T V_S = I, so
+  the cores of S (the idempotency of each a and x_a x_b for a != b in S,
+  the entries of W_S^T V_S - I) vanish whether the list names them or
+  not.  They linearise to dW_S^T V_S + W_S^T dV_S, whose kernel is the
+  graph of dW_S^T = -W_S^T dV_S V_S^-1, on which d(V_S W_S^T) =
+  V_S d(W_S^T V_S) W_S^T vanishes too.  So J has no rows for the sum and
+  the cores of S and no columns for the W_a^T of S, which that map
+  eliminates, leaving the factored nullity as it is.  The relation gate
+  keeps V_S invertible (:func:`_jacobian`);
+* any other relation, a commutator say, is refused with ValueError.
 
 Jacobians come from the same relation term lists that drive the residuals:
 the derivative of a product with respect to one factor is the sum over its
@@ -34,10 +34,9 @@ block shape and scatter-adds them all into J; one batched LU solve and
 one contraction then eliminate the W_a^T of the complete systems.  At an
 n = 6 pair J is 36 x 72, the complexified Hadamard defect system of
 Tadej & Zyczkowski (Open Syst. Inf. Dyn. 13, 2006): the 36 rank-1 edge
-cores, each pair of edge cores being one, in the d columns of each V_a
-(108 x 144 with the cores of the complete p and q systems as rows and
-their W_a^T as columns), where the dense Jacobian in the generator entries
-is 5256 x 432.
+cores, each pair of edge cores being one, in the d columns of each V_a.
+At a sandwich point with P of rank 3 it is 15 x 72: P's idempotency and
+the six sandwich cores, in the columns of P's factors and the q's V_a.
 
 The idempotency relations confine the dense tangent to the rank-k_a tangent
 of every generator, and the factor map (V_a, W_a^T) -> V_a W_a^T is onto that
@@ -50,8 +49,10 @@ moduli tangent dimension at a point with scalar stabiliser is that nullity
 minus the dimension of the conjugation-orbit tangent,
 span{([xi, m_1], ..., [xi, m_k])}, taken from the joint commutant.  That
 commutant lies in span{x_a : a in S} when a complete system S consists of
-rank-1 idempotents, so at pair points it is found in n unknowns
-(a 216 x 6 operator at n = 6, against 432 x 36 for the general one).
+rank-1 idempotents, so at pair and sandwich points it is found in n
+unknowns (a 216 x 6 operator at an n = 6 pair and 36 x 6 at a sandwich
+point); the 3+3 report and the fiber check take the general d^2-unknown
+operator.
 
 Dimension decisions are never taken on faith: every rank cut -- each
 generator's factor rank included -- goes through
@@ -118,9 +119,9 @@ class JacobianSystem:
     per factor variable it keeps: ``columns`` indexes them into the factor
     vector [vec(V_0), vec(W_0^T), vec(V_1), ...], each vec row-major with
     d k_a entries.  ``complete`` lists the complete systems S
-    (:func:`_complete_sums`) whose cores J has no rows for and whose W_a^T
-    columns it has eliminated: an n = 6 pair keeps the 36 edge rows in the
-    72 columns of the V_a, where every row and column made it 180 x 144.
+    (:func:`_complete_sums`) whose sum and cores J has no rows for and
+    whose W_a^T columns it has eliminated: J is 36 x 72 at an n = 6 pair
+    (180 x 144 with every row and column) and 15 x 72 at a sandwich point.
     ``scales`` scales the columns, by 1 on V_a and by the spectral norm of
     X_a on W_a^T, preserving the nullity.
     """
@@ -147,23 +148,17 @@ def _core_terms(S: tuple[int, ...]) -> set[frozenset]:
 
 
 def _complete_sums(relations: Sequence[Relation], ranks: tuple[int, ...], d: int) -> dict[int, tuple[int, ...]]:
-    """{index: S} of the sum relations sum_{a in S} x_a - 1 of ``relations``
-    over complete systems S: the list also holds every relation of
-    :func:`_core_terms` (S), and the factor ranks over S add up to d.  A
-    set that shares a generator with an earlier one is not listed.
-
-    The cores of S are then the entries of W_S^T V_S - I, V_S = [V_a] and
-    W_S^T = [W_a^T] over S, with V_S square.  Where they vanish
-    V_S W_S^T = I, so d(V_S W_S^T) = V_S d(W_S^T V_S) W_S^T: the sum's rows
-    are combinations of the cores' rows and add no rank.
-    """
-    have = {frozenset(terms) for _, terms in relations}
+    """{index: S} of the sum-to-identity relations sum_{a in S} x_a - 1 of
+    ``relations`` over distinct generators whose factor ranks add up to d:
+    the complete systems S that :func:`_jacobian` solves for with their
+    cores, listed or not.  Inside the relation gate the ranks always add
+    up, a near-idempotent's rank being its trace.  A set that shares a
+    generator with an earlier one is not listed."""
     out, used = {}, set()
     for index, (_, terms) in enumerate(relations):
         S = tuple(w[0] for _, w in terms if w)
         if (len(set(S)) == len(S) == len(terms) - 1 and sum(ranks[a] for a in S) == d
-                and set(terms) == {(-1.0, ())} | {(1.0, (a,)) for a in S}
-                and _core_terms(S) <= have and used.isdisjoint(S)):
+                and set(terms) == {(-1.0, ())} | {(1.0, (a,)) for a in S} and used.isdisjoint(S)):
             out[index] = S
             used.update(S)
     return out
@@ -177,31 +172,29 @@ def _factored_relations(relations: Sequence[Relation], ranks: tuple[int, ...], d
     A relation whose words all start with generator a and end with c becomes
     its core: word (a, b, ..., c) is W_a^T V_b W_b^T ... V_c and the
     one-letter word the identity I_{k_a}.  The sum of a complete system S
-    (:func:`_complete_sums`) and the cores of S, the entries of
-    W_S^T V_S - I, are dropped: :func:`_jacobian` solves them exactly.  Any
-    other relation is pulled back whole, word (a, b, ...) being
-    V_a W_a^T V_b W_b^T ... and the empty word the identity I_d.  Cores of
-    rank-1 letters are polynomials in the commuting scalars G_ab = W_a^T V_b,
-    so two with equal terms as (coefficient, multiset of pairs (a, b)), such
-    as x_i x_j x_i - r x_i and x_j x_i x_j - r x_j, are one: it is listed
-    once, its coefficients scaled by the root of its multiplicity, which
-    leaves J^H J alike.
+    (:func:`_complete_sums`) and the cores of S the list names, the entries
+    of W_S^T V_S - I, are dropped: :func:`_jacobian` solves them exactly.
+    Any other relation, such as a commutator or a second sum over a
+    generator that an earlier sum solves, raises ValueError naming it.
+    Cores of rank-1 letters are polynomials in the commuting scalars
+    G_ab = W_a^T V_b, so two with equal terms as (coefficient, multiset of
+    pairs (a, b)), such as x_i x_j x_i - r x_i and x_j x_i x_j - r x_j, are
+    one: it is listed once, its coefficients scaled by the root of its
+    multiplicity, which leaves J^H J alike.
     """
     complete = _complete_sums(relations, ranks, d)
     solved = set().union(*map(_core_terms, complete.values()))
     merged = {}
-    for key, (_, terms) in enumerate(relations):  # key: the index, or the polynomial of a rank-1 core
+    for key, (name, terms) in enumerate(relations):  # key: the index, or the polynomial of a rank-1 core
         if key in complete or frozenset(terms) in solved:
             continue
         words = [word for _, word in terms]
-        if all(words) and len({(w[0], w[-1]) for w in words}) == 1:
-            rows, cols = ranks[words[0][0]], ranks[words[0][-1]]
-            fwords = [tuple(f for x, y in zip(w, w[1:]) for f in (2 * x + 1, 2 * y)) for w in words]
-            if all(ranks[g] == 1 for w in words for g in w):
-                key = frozenset(Counter((c, tuple(sorted(zip(w, w[1:])))) for (c, _), w in zip(terms, words)).items())
-        else:
-            rows = cols = d
-            fwords = [tuple(f for x in w for f in (2 * x, 2 * x + 1)) for w in words]
+        if not all(words) or len({(w[0], w[-1]) for w in words}) != 1:
+            raise ValueError(f"relation {name!r} is neither a core nor the sum of a complete system")
+        rows, cols = ranks[words[0][0]], ranks[words[0][-1]]
+        fwords = [tuple(f for x, y in zip(w, w[1:]) for f in (2 * x + 1, 2 * y)) for w in words]
+        if all(ranks[g] == 1 for w in words for g in w):
+            key = frozenset(Counter((c, tuple(sorted(zip(w, w[1:])))) for (c, _), w in zip(terms, words)).items())
         merged.setdefault(key, [0, rows, cols, [(c, w) for (c, _), w in zip(terms, fwords)]])[0] += 1
     return [(rows, cols, [(np.sqrt(copies) * c, w) for c, w in terms]) for copies, rows, cols, terms in merged.values()]
 
@@ -252,22 +245,18 @@ def _jacobian(factors, relations: Sequence[Relation]) -> tuple[np.ndarray, tuple
 
     The word products of the factors, zero-padded to d x d (exact in their
     leading blocks), give one broadcast outer product per block shape and
-    one scatter-add.  Then each S's W_S^T columns are eliminated.  The
-    cores of S, the entries of W_S^T V_S - I, linearise to
-    dW_S^T V_S + W_S^T dV_S, so with V_S square and invertible their kernel
-    is exactly the graph of dW_S^T = -W_S^T dV_S V_S^-1: a kernel vector of
-    J is one of the full Jacobian, lifted by that map, and the factored
-    nullity is that of the full one.  J's columns for W_S^T act on dV_S as
-    B -> -W_S B V_S^-T, one batched contraction over every S.
+    one scatter-add.  Then each S's W_S^T columns are eliminated by
+    dW_S^T = -W_S^T dV_S V_S^-1 (module docstring), so a kernel vector of J
+    lifted by that map is one of the full Jacobian: J's columns for W_S^T
+    act on dV_S as B -> -W_S B V_S^-T, one batched contraction over every S.
 
     V_S^-1 is (W_S^T V_S)^-1 W_S^T, by one batched LU solve.  The relation
-    gate of :func:`rep_jacobian` makes W_S^T V_S = I + E invertible: for
-    rank-1 letters the non-edge x_a x_b = E_ab V_a W_b^T has norm
-    |E_ab| ||x_b|| >= |E_ab| (1 - |E_bb|), as does the idempotency
-    x_a^2 - x_a = E_aa x_a for b = a, so every |E_ab| is at most
-    RELATION_TOL to first order and ||E||_F <= d RELATION_TOL << 1.  W_S^T
-    itself is not the inverse: its error E would lift the zero singular
-    values of J by O(residual).
+    gate of :func:`rep_jacobian` bounds the sum's residual,
+    ||V_S W_S^T - I||_2 <= RELATION_TOL < 1, so V_S W_S^T and with it the
+    square V_S are invertible, whatever the factor ranks; and
+    W_S^T V_S - I = V_S^-1 (V_S W_S^T - I) V_S, so W_S^T V_S is within
+    cond(V_S) RELATION_TOL of I.  W_S^T itself is not the inverse: its
+    error would lift the zero singular values of J by O(residual).
     """
     d = factors[0][0].shape[0]
     words, shape, groups, index, complete, wcols, vcols, keep = _plan(
@@ -305,6 +294,7 @@ def rep_jacobian(point) -> JacobianSystem:
 
     Refuses points whose relation residual exceeds RELATION_TOL (OffVariety),
     before any factoring: tangent analysis at non-solutions is meaningless.
+    Any relation :func:`_factored_relations` cannot factor is a ValueError.
     """
     mats, terms, names = _generators(point)
     require_relations(mats, terms, "relation residual exceeds the gate; not a representation point")
@@ -395,9 +385,12 @@ def moduli_tangent_report(c: PairConfiguration, tol: float = RANK_TOL) -> Tangen
 def a6_moduli_tangent_report(point: AlgebraRepPoint) -> TangentReport:
     """Moduli tangent dimension of a sandwich-algebra point (P, q_1..q_6).
 
-    The point must be irreducible (scalar commutant, so an orbit of
-    dimension d^2 - 1); reducible points have non-unique orbit bookkeeping
-    and are refused.
+    The q's are a complete system of rank-1 idempotents, so the report
+    takes a pair's path: J keeps P's idempotency and the sandwich cores
+    (15 x 72 with P of rank 3), and the orbit is taken in the 6 unknowns
+    of span{q_a}.  The point must be irreducible (scalar commutant, so an
+    orbit of dimension d^2 - 1); reducible points have non-unique orbit
+    bookkeeping and are refused.
     """
     if point.algebra != "sandwich":
         raise ValueError("expected a sandwich-algebra point")
@@ -513,6 +506,11 @@ def defect_report(h: HadamardPoint, tol: float = RANK_TOL) -> TangentReport:
 
 @dataclass(frozen=True)
 class FiberRankReport:
+    """:func:`fiber_rank_check`: the ``rank`` of d(u1, u2, u3) on the
+    moduli tangent, its ``singular_values``, the 3+3 report's
+    ``moduli_dim``, and ``degenerate_u3``, set where two factors of u3
+    vanish and the rank may drop."""
+
     rank: int
     singular_values: np.ndarray
     moduli_dim: int

@@ -1,5 +1,5 @@
-"""Regenerate the golden records: the README's `trace`, `sample` and
-`tangent` runs.
+"""Regenerate the golden records: the README's `trace`, `sample`,
+`tangent`, `invariants`, `membership`, `identity` and `defect` runs.
 
 Run from a source checkout::
 
@@ -12,7 +12,11 @@ argv, exit code, stdout JSON and the name of the file it wrote, which is
 kept here byte for byte; and the start frame, the kernel basis both walks
 are taken in.  The moduli tangent report runs after the README's
 ``standard-pair --n 6 --swap34 --out pair.json``: ``tangent.json`` records
-its setup, argv, exit code and stdout JSON.  ``tests/test_golden.py``
+its setup, argv, exit code and stdout JSON.  ``commands.json`` records
+the setup and, for each run, the argv, exit code and stdout JSON of the
+README's ``invariants``, ``membership`` and ``identity`` runs on that pair
+and ``defect`` on ``h.json``, which ``hadamard --from-pair`` writes from
+it; and of ``defect f6.json`` after the walks' setup.  ``tests/test_golden.py``
 compares a fresh run with these records.  A change that moves a record
 says which records moved and why; never regenerate the records to make a
 defect disappear.
@@ -39,6 +43,16 @@ RUNS = {
 }
 PAIR_SETUP = ["standard-pair", "--n", "6", "--swap34", "--out", "pair.json"]
 TANGENT = ["tangent", "pair.json"]
+COMMANDS = {
+    "pair": (PAIR_SETUP, {
+        "invariants": ["invariants", "pair.json", "--p-subset", "1,2,3", "--q-subset", "1,2,3"],
+        "membership": ["membership", "pair.json"],
+        "identity": ["identity", "pair.json", "--p-subset", "1,2,3", "--q-subset", "1,2,3"],
+        "hadamard": ["hadamard", "--from-pair", "pair.json", "--out", "h.json"],
+        "defect": ["defect", "h.json"],
+    }),
+    "f6": (SETUP, {"defect": ["defect", "f6.json"]}),
+}
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -84,13 +98,30 @@ def run_tangent(workdir: Path) -> dict:
         return {"setup": PAIR_SETUP, "argv": TANGENT, "exit": code, "stdout": json.loads(stdout)}
 
 
+def run_commands(workdir: Path, group: str) -> dict:
+    """The record of the runs of ``COMMANDS[group]``, made in ``workdir``
+    in order after their setup."""
+    setup, runs = COMMANDS[group]
+    record = {"setup": setup, "runs": {}}
+    with _set_up(workdir, setup):
+        for name, argv in runs.items():
+            code, stdout = _run(argv)
+            record["runs"][name] = {"argv": argv, "exit": code, "stdout": json.loads(stdout)}
+    return record
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         manifest, files = run_walks(Path(tmp))
     with tempfile.TemporaryDirectory() as tmp:
         tangent = run_tangent(Path(tmp))
+    commands = {}
+    for group in COMMANDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            commands[group] = run_commands(Path(tmp), group)
     (GOLDEN / "manifest.json").write_text(json.dumps(manifest, indent=1) + "\n")
     (GOLDEN / "tangent.json").write_text(json.dumps(tangent, indent=1) + "\n")
+    (GOLDEN / "commands.json").write_text(json.dumps(commands, indent=1) + "\n")
     for name, text in files.items():
         (GOLDEN / name).write_text(text)
     return 0

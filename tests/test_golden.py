@@ -1,6 +1,7 @@
 """Golden records (``tests/golden``): the README's ``trace --steps 50
---step 1e-2``, ``sample --count 100 --seed 42`` and ``tangent pair.json``
-runs, made afresh through ``cli.main`` and compared with the records that
+--step 1e-2``, ``sample --count 100 --seed 42``, ``tangent pair.json``,
+``invariants``, ``membership``, ``identity`` and ``defect`` runs, made
+afresh through ``cli.main`` and compared with the records that
 ``tests/golden/regenerate.py`` wrote.
 
 Exit codes, JSON keys, integers, statuses and strings must be equal.
@@ -37,6 +38,14 @@ columns or scales moves them by O(1) (the largest was 1.826 with the cores
 of the complete systems as rows, and is 1.633 on the edge rows alone).  The
 gap ratio divides by a rounding-level value, so it is only required to be
 decisive.
+
+The command records (``commands.json``) are taken at the Fourier pair and
+the Fourier matrix, where every float is an exact value found to rounding
+or a rounding-level zero of magnitude at most 36: the invariants, the
+membership eigenvalues, the identity's sides, the residual of ``hadamard
+--from-pair`` and the defect spectra (largest 0.567).  So each is compared
+within RECORD_TOL = 1e-12 of its record, except the defect's gap ratio,
+which is only required to be decisive, as the tangent record's.
 """
 
 import json
@@ -45,7 +54,7 @@ import re
 import numpy as np
 import pytest
 
-from golden.regenerate import GOLDEN, run_tangent, run_walks
+from golden.regenerate import COMMANDS, GOLDEN, run_commands, run_tangent, run_walks
 from orthopair.continuation import CORRECTOR_TOL
 from orthopair.linalg import GAP_RATIO_REQUIRED
 
@@ -53,6 +62,7 @@ PHASE_TOL = 1e-8
 INVARIANT_TOL = 1e-6
 FRAME_TOL = 1e-8
 SPECTRUM_TOL = 1e-12
+RECORD_TOL = 1e-12
 TOLERANCES = {"phases": PHASE_TOL, "residual": CORRECTOR_TOL, "max_residual": CORRECTOR_TOL,
               "u1": INVARIANT_TOL, "u2": INVARIANT_TOL, "u3": INVARIANT_TOL, "imag_residue": INVARIANT_TOL}
 
@@ -125,3 +135,15 @@ def test_golden_tangent_report(tmp_path):
     s, s_want = (np.array(run["stdout"]["singular_values"]) for run in (got, want))
     assert np.max(np.abs(s - s_want)) <= SPECTRUM_TOL * s_want[0]
     assert min(got["stdout"]["gap_ratio"], want["stdout"]["gap_ratio"]) >= GAP_RATIO_REQUIRED
+
+
+@pytest.mark.parametrize("group", list(COMMANDS))
+def test_golden_command_records(tmp_path, group):
+    got = run_commands(tmp_path, group)
+    want = json.loads((GOLDEN / "commands.json").read_text())[group]
+    for where, g, w in _split(got, want):
+        if where.endswith(".gap_ratio"):
+            assert min(g, w) >= GAP_RATIO_REQUIRED, where
+        else:
+            assert abs(g - w) <= RECORD_TOL, where
+    assert [run["exit"] for run in got["runs"].values()] == [0] * len(COMMANDS[group][1])

@@ -147,8 +147,7 @@ def factored_residual_vector(factors, relations):
     """Stacked complex residual of all relations in rank factors.
 
     ``factors`` is a list of (V_a, W_a^T); each relation the plan keeps
-    contributes its core or, if it has none, its full d x d residual, in
-    row-major order.
+    contributes its core, in row-major order.
     """
     flat = [m for pair in factors for m in pair]
     out = []
@@ -288,22 +287,24 @@ def test_jacobian_matches_finite_differences(base_pair, family_sample):
 def _plan_points(base_pair, family_sample):
     """(point, rows of the reference, rows and columns of the plan): each
     pair of edge relations x_i x_j x_i - r x_i, x_j x_i x_j - r x_j of
-    rank-1 letters is one row of the plan, which has no rows for a pair's
-    two sums and the cores of its complete p and q systems, and no columns
-    for their W_a^T."""
+    rank-1 letters is one row of the plan, which has no rows for the sums
+    of the complete systems (a pair's p's and q's, a sandwich point's q's)
+    and their cores, and no columns for their W_a^T."""
     return [(standard_pair(3), 18, 9, 18), (standard_pair(6), 72, 36, 72), (base_pair, 72, 36, 72),
             (from_hadamard(family_sample.points[3]), 72, 36, 72),
             (from_hadamard(family_sample.points[12]), 72, 36, 72),
-            (restrict(base_pair, [1, 2, 3]), 57, 57, 108),
+            (restrict(base_pair, [1, 2, 3]), 15, 15, 72),
             (graph_restriction(base_pair, [1, 2, 3], [1, 2, 3]), 36, 27, 72)]
 
 
 def _kept_relations(point, terms):
-    """The relations the plan keeps rows for: at a pair its edges, as the
-    idempotency and non-edge relations of its complete p and q systems are
-    solved for and imply its two sums."""
+    """The relations the plan keeps rows for: at a pair its edges and at a
+    sandwich point P's idempotency and the sandwich cores, as the sums of
+    the complete systems and their cores are solved for."""
     if isinstance(point, PairConfiguration):
         return tuple(rel for rel in terms if rel[0].startswith("edge"))
+    if point.algebra == "sandwich":
+        return tuple(rel for rel in terms if rel[0] == "idempotency P" or rel[0].startswith("sandwich"))
     return terms
 
 
@@ -327,19 +328,6 @@ def test_jacobian_plan_matches_term_by_term_reference(base_pair, family_sample):
         assert decide_rank(s, tangent.RANK_TOL, "plan").rank == rank
 
 
-def _every_row_system(point):
-    """rep_jacobian(point) from a plan that finds no complete system, so
-    keeps every row and column."""
-    complete_sums = tangent._complete_sums
-    tangent._jacobian_plan.cache_clear()
-    tangent._complete_sums = lambda *args: {}
-    try:
-        return rep_jacobian(point)
-    finally:
-        tangent._complete_sums = complete_sums
-        tangent._jacobian_plan.cache_clear()
-
-
 # the fixed non-unitary conjugator of the benchmark's cli round trip
 _CONJUGATOR = np.eye(6) + 0.25 * np.triu(np.ones((6, 6)), 1) + 0.1j * np.tril(np.ones((6, 6)), -1)
 
@@ -350,30 +338,42 @@ def _complete_pair_points(base_pair, family_sample):
     return points + [from_hadamard(h) for h in family_sample.points[1:40:6]]
 
 
+def _complete_sum_points(base_pair, family_sample):
+    """(point, its complete systems, rows of the every-row reference, rows
+    and columns of J): pairs, whose n^2 merged edge rows sit in the 2n^2
+    columns of the V_a, and sandwich points with P of rank k, whose k^2
+    rows of P's idempotency and six sandwich rows sit in the 6k columns of
+    each of P's factors and the 36 of the q's V_a."""
+    out = [(c, (tuple(range(c.n)), tuple(range(c.n, 2 * c.n))), 6 * c.n * c.n, c.n * c.n, 2 * c.n * c.n)
+           for c in _complete_pair_points(base_pair, family_sample)]
+    for c in (base_pair, from_hadamard(family_sample.points[9])):
+        out += [(restrict(c, subset), (tuple(range(1, 7)),), k * k + 12 + 36, k * k + 6, 12 * k + 36)
+                for k, subset in enumerate(([1], [1, 2], [1, 2, 3]), 1)]
+    return out
+
+
 def test_dropped_sum_rows_add_no_rank(base_pair, family_sample):
-    # the term-by-term reference with every row (the two sums and the cores
-    # of the complete p and q systems included) and every column has the
-    # factored nullity of the reduced Jacobian, and a kernel vector of the
-    # reduced one, lifted by dW_S^T = -W_S^T dV_S V_S^-1, is one of the
-    # reference; and on the lift, the rows the plan drops vanish, so the
-    # plan that keeps every row and column gives J^H J
-    for c in _complete_pair_points(base_pair, family_sample):
-        system = rep_jacobian(c)
-        n, J = c.n, system.jacobian
-        assert system.complete == (tuple(range(n)), tuple(range(n, 2 * n)))
-        # n^2 merged edge rows in the 2n^2 columns of the V_a
-        assert J.shape == (n * n, 2 * n * n)
-        assert np.array_equal(system.scales, np.ones(2 * n * n))
+    # the term-by-term reference with every row (the sums, pulled back
+    # whole, and the cores of the complete systems the list names included)
+    # and every column has the factored nullity of the reduced Jacobian, and
+    # a kernel vector of the reduced one, lifted by
+    # dW_S^T = -W_S^T dV_S V_S^-1, is one of the reference; and on the lift
+    # the rows the plan drops vanish, so the reference gives J^H J
+    for point, complete, ref_rows, rows, cols in _complete_sum_points(base_pair, family_sample):
+        system = rep_jacobian(point)
+        J = system.jacobian
+        assert system.complete == complete
+        assert J.shape == (rows, cols)
         _, s, vh = np.linalg.svd(J * system.scales)
         rank = decide_rank(s, tangent.RANK_TOL, "reduced").rank
-        R = _reference_jacobian(system.factors, pair_relation_terms(n))
+        R = _reference_jacobian(system.factors, tangent._generators(point)[1])
+        assert R.shape == (ref_rows, _factor_vector(system).size)
         s_all = np.linalg.svd(R * _full_scales(system), compute_uv=False)
         assert R.shape[1] - decide_rank(s_all, tangent.RANK_TOL, "every row").rank == J.shape[1] - rank
-        lifted = _lift_matrix(system) @ (system.scales[:, None] * vh[rank:].conj().T)
+        lift = _lift_matrix(system)
+        lifted = lift @ (system.scales[:, None] * vh[rank:].conj().T)
         assert np.linalg.norm(R @ lifted, 2) <= 1e-12 * np.linalg.norm(R, 2) * np.linalg.norm(lifted, 2)
-        full = _every_row_system(c).jacobian
-        assert full.shape == (2 * n + n * n + 2 * n * (n - 1) + 2 * n * n, 4 * n * n)
-        F = full @ _lift_matrix(system)
+        F = R @ lift
         assert np.max(np.abs(F.conj().T @ F - J.conj().T @ J)) <= 1e-13 * np.linalg.norm(J, 2) ** 2
 
 
@@ -390,65 +390,101 @@ def _bent_pair(c, eps):
 
 
 def test_complete_system_factors_are_invertible_inside_the_gate(base_pair, family_sample):
-    # E = W_S^T V_S - I holds the cores of S, each bounded by the relation
-    # gate: ||E||_F <= n RELATION_TOL, so V_S is invertible
-    points = _complete_pair_points(base_pair, family_sample)
+    # the gate bounds each complete sum's residual, ||V_S W_S^T - I||_2 <=
+    # RELATION_TOL, whatever the factor ranks, and W_S^T V_S - I =
+    # V_S^-1 (V_S W_S^T - I) V_S: so W_S^T V_S is within cond(V_S)
+    # RELATION_TOL of I, also where the residual is not rounding noise; a
+    # pair's list names the cores of S, the entries of E = W_S^T V_S - I,
+    # so the gate bounds each of them too: ||E||_F <= n RELATION_TOL
+    points = [point for point, *_ in _complete_sum_points(base_pair, family_sample)]
     points += [pair_from_matrices([(1.0 + eps) * base_pair.p[0], *base_pair.p[1:]], list(base_pair.q))
                for eps in (1e-9, 3e-9)]
     points += [_bent_pair(base_pair, eps) for eps in (1e-9, 3e-9)]
-    for c in points:
-        assert c.residual <= RELATION_TOL
-        system = tangent.rep_jacobian(c)
+    points += [restrict(_bent_pair(base_pair, eps), [1, 2, 3]) for eps in (1e-10, 1e-9)]
+    points += [restrict(c, [1, 2, 3]) for _, kappa, c in _ladder(base_pair) if kappa == 1e3]
+    for point in points:
+        mats, terms, _ = tangent._generators(point)
+        assert evaluate_relations(mats, terms)[0] <= RELATION_TOL
+        system = rep_jacobian(point)
         for S in system.complete:
             wt = np.vstack([system.factors[a][1] for a in S])
             v = np.hstack([system.factors[a][0] for a in S])
-            assert np.linalg.norm(wt @ v - np.eye(c.n)) <= c.n * RELATION_TOL
+            E = wt @ v - np.eye(v.shape[0])
+            assert np.linalg.norm(E, 2) <= np.linalg.cond(v) * RELATION_TOL
+            if isinstance(point, PairConfiguration):
+                assert np.linalg.norm(E) <= point.n * RELATION_TOL
 
 
-def test_conjugation_ladder_keeps_a_decisive_gap(base_pair):
-    # conjugating by h of condition number kappa leaves every integer; the
-    # edge rows' gap falls with the condition number of V_S, and is still
-    # far above GAP_RATIO_REQUIRED at kappa = 1e3
+def _ladder(base_pair):
+    """(seed, kappa, the swap34 pair conjugated by h) for seeds 0-2 and
+    kappa 1e1, 1e2, 1e3, h = U diag(logspace(0, log10 kappa, 6)) V of
+    condition number kappa with U, V random unitaries."""
+    out = []
     for seed in range(3):
         for kappa in (1e1, 1e2, 1e3):
             rng = np.random.default_rng(seed)
             h = random_unitary(rng, 6) @ np.diag(np.logspace(0, np.log10(kappa), 6)) @ random_unitary(rng, 6)
             assert np.isclose(np.linalg.cond(h), kappa)
-            report = moduli_tangent_report(conjugated_pair(base_pair, h))
-            assert (report.nullity, report.orbit_dim, report.moduli_dim) == (39, 35, 4)
+            out.append((seed, kappa, conjugated_pair(base_pair, h)))
+    return out
+
+
+def test_conjugation_ladder_keeps_a_decisive_gap(base_pair):
+    # conjugating by h of condition number kappa leaves every integer of the
+    # pair and sandwich reports; their gaps fall with the condition number
+    # of V_S, and are still far above GAP_RATIO_REQUIRED at kappa = 1e3
+    for _, _, c in _ladder(base_pair):
+        report = moduli_tangent_report(c)
+        assert (report.nullity, report.orbit_dim, report.moduli_dim) == (39, 35, 4)
+        assert report.gap_ratio >= 1e9
+        for subset, want in (([1], (35, 35, 0)), ([1, 2, 3], (43, 35, 8))):
+            report = a6_moduli_tangent_report(restrict(c, subset))
+            assert (report.nullity, report.orbit_dim, report.moduli_dim) == want
             assert report.gap_ratio >= 1e9
 
 
 def test_systems_without_complete_sums_keep_every_row(base_pair, family_sample):
-    # the sandwich q's have no non-edges and the 3+3 graph has no sum: their
-    # Jacobians are bit-equal to those of the plan that drops nothing, with
-    # every column and its scale
-    points = [restrict(base_pair, subset) for subset in ([1], [1, 2], [1, 2, 3])]
-    points += [graph_restriction(base_pair, [1, 2, 3], [1, 2, 3]),
-               graph_restriction(from_hadamard(family_sample.points[5]), [1, 2, 3], [1, 2, 3])]
+    # the 3+3 graph has no sum: its Jacobian keeps a row for every relation,
+    # the edges merged, and every column with its scale
+    points = [graph_restriction(base_pair, [1, 2, 3], [1, 2, 3]), graph_restriction(base_pair, [4, 5, 6], [1, 2, 3]),
+              graph_restriction(from_hadamard(family_sample.points[5]), [1, 2, 3], [1, 2, 3])]
     for point in points:
         system = rep_jacobian(point)
         assert system.complete == ()
-        full = _every_row_system(point)
-        assert np.array_equal(system.jacobian, full.jacobian)
-        assert np.array_equal(system.columns, np.arange(system.jacobian.shape[1]))
-        assert np.array_equal(system.scales, full.scales)
+        assert system.jacobian.shape == (6 + 12 + 9, 72)
+        assert np.array_equal(system.columns, np.arange(72))
+        norms = _full_scales(system)
+        assert np.max(np.abs(system.scales - norms)) <= 1e-14 * norms.max()
 
 
 def test_complete_sums_read_from_the_relation_list():
     terms = pair_relation_terms(3)
     ranks = (1,) * 6
-    assert tangent._complete_sums(terms, ranks, 3) == {len(terms) - 2: (0, 1, 2), len(terms) - 1: (3, 4, 5)}
-    # without one p non-edge the p sum is not implied; ranks that do not add
-    # up to d imply neither; the sandwich q's have no non-edges
+    both = {len(terms) - 2: (0, 1, 2), len(terms) - 1: (3, 4, 5)}
+    assert tangent._complete_sums(terms, ranks, 3) == both
+    # a sum is solved whether the list names its cores or not: without a p
+    # non-edge, and for the sandwich q's, which have none; ranks that do
+    # not add up to d make no sum complete
     no_edge = tuple(rel for rel in terms if rel[0] != "non-edge x0x1")
-    assert tangent._complete_sums(no_edge, ranks, 3) == {len(no_edge) - 1: (3, 4, 5)}
+    assert tangent._complete_sums(no_edge, ranks, 3) == {len(no_edge) - 2: (0, 1, 2), len(no_edge) - 1: (3, 4, 5)}
     assert tangent._complete_sums(terms, ranks, 4) == {}
+    sandwich = sandwich_relation_terms(6, 0.5)
+    assert tangent._complete_sums(sandwich, (3,) + (1,) * 6, 6) == {len(sandwich) - 1: tuple(range(1, 7))}
     # a set that shares a generator with an earlier one is not listed: its
-    # W_a^T are eliminated once, and its sum keeps its rows
+    # W_a^T are eliminated once, so its sum has no row and is refused
     again = terms + (terms[-2],)
-    assert tangent._complete_sums(again, ranks, 3) == {len(terms) - 2: (0, 1, 2), len(terms) - 1: (3, 4, 5)}
-    assert tangent._complete_sums(sandwich_relation_terms(6, 0.5), (3,) + (1,) * 6, 6) == {}
+    assert tangent._complete_sums(again, ranks, 3) == both
+    point = AlgebraRepPoint(algebra="pair", names=tuple(f"x{a}" for a in range(6)),
+                            matrices=tuple(standard_pair(3).matrices()), relations=again)
+    with pytest.raises(ValueError, match="sum p - 1"):
+        rep_jacobian(point)
+    # so is a commutator, which holds for the p's but has no core: its words
+    # start and end with different generators
+    commutator = terms + (("commutator x0x1", ((1.0, (0, 1)), (-1.0, (1, 0)))),)
+    point = AlgebraRepPoint(algebra="pair", names=point.names, matrices=point.matrices, relations=commutator)
+    assert evaluate_relations(point.matrices, point.relations)[0] <= RELATION_TOL
+    with pytest.raises(ValueError, match="commutator x0x1"):
+        rep_jacobian(point)
 
 
 def test_orbit_in_n_unknowns_matches_commutant(base_pair, family_sample, standard6):
@@ -456,6 +492,12 @@ def test_orbit_in_n_unknowns_matches_commutant(base_pair, family_sample, standar
         mats = c.matrices()
         for S in (tuple(range(c.n)), tuple(range(c.n, 2 * c.n))):
             assert tangent._span_orbit_dim(mats, S, tangent.RANK_TOL) == orbit_tangent_dim(mats)
+    # the sandwich q's against P, irreducible or not
+    points = [restrict(c, subset) for c in (base_pair, from_hadamard(family_sample.points[9]))
+              for subset in ([1], [1, 2], [1, 2, 3])] + [_reducible_sandwich_point()]
+    for point in points:
+        dim = tangent._span_orbit_dim(point.matrices, tuple(range(1, 7)), tangent.RANK_TOL)
+        assert dim == orbit_tangent_dim(point.matrices) == (33 if point is points[-1] else 35)
     # the p system against itself commutes with every diagonal matrix
     mats = list(standard6.p) + list(standard6.p)
     assert tangent._span_orbit_dim(mats, tuple(range(6)), tangent.RANK_TOL) == orbit_tangent_dim(mats) == 30
@@ -463,9 +505,15 @@ def test_orbit_in_n_unknowns_matches_commutant(base_pair, family_sample, standar
 
 def test_moduli_report_cost(monkeypatch):
     # one batched SVD factors the generators, one decides the nullity on the
-    # 36 edge rows in the 72 V_a columns and one the commutant in n
-    # unknowns; V_S^-1 takes an LU solve, no SVD; a second report reuses the
-    # compiled plan
+    # kept rows and one the commutant in n unknowns; V_S^-1 takes an LU
+    # solve, no SVD; a second report reuses the compiled plan.  A pair keeps
+    # its 36 edge rows in the 72 V_a columns; a sandwich point the 15 rows
+    # of P's idempotency and the sandwich cores in 72 columns (57 x 108
+    # with the q sum pulled back whole), and its orbit operator is 36 x 6
+    # (252 x 36 in d^2 unknowns)
+    sandwich = restrict(standard_pair(6, swap34=True), [1, 2, 3])
+    cases = [(moduli_tangent_report, standard_pair(6), 4, [(12, 6, 6), (36, 72), (216, 6)]),
+             (a6_moduli_tangent_report, sandwich, 8, [(7, 6, 6), (15, 72), (36, 6)])]
     svd, calls = np.linalg.svd, []
 
     def counted(*args, **kwargs):
@@ -473,11 +521,13 @@ def test_moduli_report_cost(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    assert moduli_tangent_report(standard_pair(6)).moduli_dim == 4
-    assert calls == [(12, 6, 6), (36, 72), (216, 6)]
-    misses = tangent._jacobian_plan.cache_info().misses
-    assert moduli_tangent_report(standard_pair(6)).moduli_dim == 4
-    assert tangent._jacobian_plan.cache_info().misses == misses
+    for report, point, moduli_dim, want in cases:
+        calls.clear()
+        assert report(point).moduli_dim == moduli_dim
+        assert calls == want
+        misses = tangent._jacobian_plan.cache_info().misses
+        assert report(point).moduli_dim == moduli_dim
+        assert tangent._jacobian_plan.cache_info().misses == misses
 
 
 def test_dense_oracle_matches_finite_differences(base_pair, family_sample):
@@ -827,6 +877,18 @@ def test_a6_moduli_dimension_rank_one(base_pair):
     assert a6_moduli_tangent_report(point).moduli_dim == 0
 
 
+def test_bent_q1_sandwich_window(base_pair):
+    # q1 bent as in _bent_pair keeps the q sum off the identity by the
+    # residual (~2.4 eps): answered at eps = 1e-10; at 2e-10 the residual
+    # in sum q_a, the identity of the 6-unknown commutant, reaches that
+    # cut, and at 1e-9 the lifted zero singular values reach the nullity's
+    report = a6_moduli_tangent_report(restrict(_bent_pair(base_pair, 1e-10), [1, 2, 3]))
+    assert (report.nullity, report.orbit_dim, report.moduli_dim) == (43, 35, 8)
+    for eps, cut in ((2e-10, "joint commutant"), (1e-9, "sandwich moduli tangent")):
+        with pytest.raises(IndeterminateDimension, match=cut):
+            a6_moduli_tangent_report(restrict(_bent_pair(base_pair, eps), [1, 2, 3]))
+
+
 def test_a6_moduli_dimension_generic_sample(family_sample):
     c = from_hadamard(family_sample.points[9])
     assert a6_moduli_tangent_report(restrict(c, [1, 2, 3])).moduli_dim == 8
@@ -856,17 +918,23 @@ def test_a6_rejects_reducible():
 
 
 def test_a6_decides_the_commutant_once(base_pair, monkeypatch):
-    # irreducibility is read from the report's own orbit dimension
+    # irreducibility is read from the report's own orbit dimension, taken
+    # once in the 6 unknowns of span{q_a}; the general commutator is not
+    # built
     calls = []
-    commutant = tangent.commutant_dimension
+    span_orbit = tangent._span_orbit_dim
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return commutant(*args, **kwargs)
+        calls.append(args[1])
+        return span_orbit(*args, **kwargs)
 
-    monkeypatch.setattr(tangent, "commutant_dimension", counted)
+    def general(*args, **kwargs):
+        raise AssertionError("the sandwich report took the d^2-unknown commutant")
+
+    monkeypatch.setattr(tangent, "_span_orbit_dim", counted)
+    monkeypatch.setattr(tangent, "commutant_dimension", general)
     assert a6_moduli_tangent_report(restrict(base_pair, [1, 2, 3])).moduli_dim == 8
-    assert len(calls) == 1
+    assert calls == [tuple(range(1, 7))]
     with pytest.raises(ValueError, match="reducible"):
         a6_moduli_tangent_report(_reducible_sandwich_point())
     assert len(calls) == 2
