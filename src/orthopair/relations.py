@@ -68,12 +68,8 @@ Relation = tuple[str, tuple[tuple[complex, tuple[int, ...]], ...]]
 
 @dataclass(frozen=True, eq=False)  # array fields: equality and hash by identity
 class AlgebraRepPoint:
-    """Named generator matrices with the relation terms they represent.
+    """Named generator matrices with the relation terms they represent."""
 
-    ``algebra`` tags the relation set ("graph" or "sandwich").
-    """
-
-    algebra: str
     names: tuple[str, ...]
     matrices: tuple[np.ndarray, ...]
     relations: tuple[Relation, ...]
@@ -275,7 +271,6 @@ def restrict(c: PairConfiguration, p_subset) -> AlgebraRepPoint:
     P = sum(c.p[i - 1] for i in idx)
     names = ("P",) + tuple(f"q{j+1}" for j in range(c.n))
     return AlgebraRepPoint(
-        algebra="sandwich",
         names=names,
         matrices=(P,) + tuple(c.q),
         relations=sandwich_relation_terms(c.n, len(idx) / c.n),
@@ -290,7 +285,6 @@ def graph_restriction(c: PairConfiguration, p_subset, q_subset) -> AlgebraRepPoi
     mats = tuple(c.p[i - 1] for i in pi) + tuple(c.q[j - 1] for j in qi)
     names = tuple(f"p{i}" for i in pi) + tuple(f"q{j}" for j in qi)
     return AlgebraRepPoint(
-        algebra="graph",
         names=names,
         matrices=mats,
         relations=bipartite_relation_terms(len(pi), len(qi), 1.0 / c.n),

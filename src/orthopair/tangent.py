@@ -52,16 +52,18 @@ commutant lies in span{x_a : a in S} when a complete system S consists of
 rank-1 idempotents, so at pair and sandwich points it is found in n
 unknowns (a 216 x 6 operator at an n = 6 pair and 36 x 6 at a sandwich
 point); the 3+3 report and the fiber check take the general d^2-unknown
-operator.
+operator.  :func:`moduli_tangent_report` is the one report, for pair,
+sandwich and graph points alike.  The fiber check applies the invariant
+differential to the tangent image of that report's kernel as it is.
 
 Dimension decisions are never taken on faith: every rank cut -- each
 generator's factor rank included -- goes through
 :func:`orthopair.linalg.decide_rank`, which refuses with
 :class:`IndeterminateDimension` carrying the full spectrum unless the cut
 exhibits a singular-value gap ratio of at least GAP_RATIO_REQUIRED.  The
-nullity, the orbit dimension and the refusal of a nullity below the orbit
-are decided in one place, :func:`_moduli_report`, for every moduli report
-and for the fiber check.
+nullity, the orbit dimension, the refusal of a nullity below the orbit and
+that of a reducible point are decided in one place,
+:func:`_moduli_report`, for the moduli report and for the fiber check.
 """
 
 from __future__ import annotations
@@ -97,8 +99,6 @@ __all__ = [
     "rep_jacobian",
     "orbit_tangent_dim",
     "moduli_tangent_report",
-    "a6_moduli_tangent_report",
-    "x33_moduli_tangent_report",
     "phase_constraints",
     "defect_report",
     "FiberRankReport",
@@ -321,12 +321,17 @@ def _span_orbit_dim(mats, S: tuple[int, ...], tol: float) -> int:
 
     The commutant of such a system is span{x_a : a in S}, so the joint
     commutant is the kernel of the d^2 (k - |S|) x |S| operator whose column
-    a stacks vec([x_a, m]) over the k - |S| other generators m.
+    a stacks vec([x_a, m]) over the k - |S| other generators m.  The x_a
+    sum to I, so the last of them is replaced by I: the span is the same,
+    and its column [I, m] = 0 is exact, where sum_a x_a would be off I by
+    the relation residual and lift that zero singular value to it.
     """
     gens = np.stack(mats)
-    x, others = gens[list(S), None], np.delete(gens, S, axis=0)
-    s = np.linalg.svd((x @ others - others @ x).reshape(len(S), -1).T, compute_uv=False)  # column a: [x_a, m]
     d = gens.shape[1]
+    x = gens[list(S)]
+    x[-1] = np.eye(d)
+    x, others = x[:, None], np.delete(gens, S, axis=0)
+    s = np.linalg.svd((x @ others - others @ x).reshape(len(S), -1).T, compute_uv=False)  # column a: [x_a, m]
     return d * d - (len(S) - decide_rank(s, tol, "joint commutant").rank)
 
 
@@ -360,60 +365,52 @@ class TangentReport:
         }
 
 
-def _moduli_report(system: JacobianSystem, tol: float, what: str, s: np.ndarray | None = None) -> TangentReport:
+def _moduli_report(system: JacobianSystem, tol: float, s: np.ndarray | None = None) -> TangentReport:
     """The one decision of a Zariski nullity, an orbit dimension and their
     difference.  ``s`` is the spectrum of the column-scaled Jacobian, when
     the caller has already factorised it.  The orbit is taken in |S|
     unknowns (:func:`_span_orbit_dim`) for the first complete set S of
-    rank-1 generators, else from the general commutator operator."""
+    rank-1 generators, else from the general commutator operator.  A
+    reducible point (orbit below d^2 - 1) has no unique orbit bookkeeping
+    and is refused with ValueError."""
     if s is None:
         s = np.linalg.svd(system.jacobian * system.scales, compute_uv=False)
-    cut = decide_rank(s, tol, what)
+    cut = decide_rank(s, tol, "moduli tangent")
     nullity = system.jacobian.shape[1] - cut.rank - system.gauge_dim
     rank1 = [S for S in system.complete if all(system.factors[a][0].shape[1] == 1 for a in S)]
     orbit = _span_orbit_dim(system.matrices, rank1[0], tol) if rank1 else orbit_tangent_dim(system.matrices, tol)
     if nullity < orbit:  # the orbit tangent lies in the kernel: the cut counted residual noise as rank
-        raise IndeterminateDimension(f"{what}: nullity {nullity} < orbit dimension {orbit}", s, cut.gap_ratio)
+        raise IndeterminateDimension(f"moduli tangent: nullity {nullity} < orbit dimension {orbit}", s, cut.gap_ratio)
+    if orbit != system.matrices[0].shape[0] ** 2 - 1:
+        raise ValueError("point is reducible; moduli tangent undefined here")
     return TangentReport(nullity, orbit, nullity - orbit, cut.gap_ratio, s)
 
 
-def moduli_tangent_report(c: PairConfiguration, tol: float = RANK_TOL) -> TangentReport:
-    """Moduli tangent dimension of a full pair configuration."""
-    return _moduli_report(rep_jacobian(c), tol, "pair moduli tangent")
+def moduli_tangent_report(point, tol: float = RANK_TOL) -> TangentReport:
+    """Moduli tangent dimension at any point :func:`rep_jacobian` takes: a
+    :class:`PairConfiguration`, a sandwich point (P, q_1..q_n) or a
+    bipartite graph point such as the 3+3 restriction.
+
+    Its preconditions are those of :func:`rep_jacobian` and
+    :func:`_moduli_report`: on the variety, relations it can factor, a
+    decisive gap at every cut and an irreducible point.  A pair inside the
+    gate is always irreducible: its p's are a complete rank-1 system, so
+    their commutant is diagonal in the p basis, in which no entry of a q_j
+    vanishes, as Tr(p_i q_j) = 1/n.
+    """
+    return _moduli_report(rep_jacobian(point), tol)
 
 
 def a6_moduli_tangent_report(point: AlgebraRepPoint) -> TangentReport:
-    """Moduli tangent dimension of a sandwich-algebra point (P, q_1..q_6).
-
-    The q's are a complete system of rank-1 idempotents, so the report
-    takes a pair's path: J keeps P's idempotency and the sandwich cores
-    (15 x 72 with P of rank 3), and the orbit is taken in the 6 unknowns
-    of span{q_a}.  The point must be irreducible (scalar commutant, so an
-    orbit of dimension d^2 - 1); reducible points have non-unique orbit
-    bookkeeping and are refused.
-    """
-    if point.algebra != "sandwich":
-        raise ValueError("expected a sandwich-algebra point")
-    report = _moduli_report(rep_jacobian(point), RANK_TOL, "sandwich moduli tangent")
-    if report.orbit_dim != point.matrices[0].shape[0] ** 2 - 1:
-        raise ValueError("point is reducible; moduli tangent undefined here")
-    return report
-
-
-def _graph33_system(point: AlgebraRepPoint) -> JacobianSystem:
-    """Factored Jacobian of a 3+3 graph point in dimension 6, refused unless
-    every generator has factor rank 1.  No sum constraints are imposed."""
-    if point.algebra != "graph" or len(point.matrices) != 6:
-        raise ValueError("expected a graph point on the 3+3 complete bipartite graph")
-    system = rep_jacobian(point)
-    if any(v.shape[1] != 1 for v, _ in system.factors):
-        raise ValueError("graph point generators must be rank-1 idempotents")
-    return system
+    """:func:`moduli_tangent_report` under the name the benchmark's workloads
+    and tracer call; the benchmark change of ROADMAP item 1 deletes it."""
+    return moduli_tangent_report(point)
 
 
 def x33_moduli_tangent_report(point: AlgebraRepPoint) -> TangentReport:
-    """Moduli tangent dimension of a bipartite 3+3 graph point in dimension 6."""
-    return _moduli_report(_graph33_system(point), RANK_TOL, "bipartite 3+3 moduli tangent")
+    """:func:`moduli_tangent_report` under the name the benchmark's workloads
+    and tracer call; the benchmark change of ROADMAP item 1 deletes it."""
+    return moduli_tangent_report(point)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +504,7 @@ def defect_report(h: HadamardPoint, tol: float = RANK_TOL) -> TangentReport:
 @dataclass(frozen=True)
 class FiberRankReport:
     """:func:`fiber_rank_check`: the ``rank`` of d(u1, u2, u3) on the
-    moduli tangent, its ``singular_values``, the 3+3 report's
+    moduli tangent, its ``singular_values``, the moduli report's
     ``moduli_dim``, and ``degenerate_u3``, set where two factors of u3
     vanish and the rank may drop."""
 
@@ -535,32 +532,35 @@ def _tangent_image(factors, vectors: np.ndarray) -> np.ndarray:
 def fiber_rank_check(point: AlgebraRepPoint) -> FiberRankReport:
     """Rank of d(u1, u2, u3) on the kernel of the 3+3 graph relation Jacobian.
 
-    The kernel is decided once, by the 3+3 moduli report: one SVD of the
-    column-scaled factored Jacobian gives both the report's spectrum and
-    the kernel, scaled back to the factor variables.  The kernel is mapped
-    to the generator entries by dX = dV W^T + V dW^T, whose image is the
-    Zariski tangent (the gauge directions map to zero), and orthonormalised
-    there; the invariant differential is applied to that whole basis in one
-    product, so its singular values do not depend on the factorisation.
-    The u's are conjugation-invariant, so orbit directions contribute
-    nothing and the rank equals the rank on the moduli tangent; generically
-    it is 3, making the fibers of the invariant map curves.  Points where
-    two factors of u3 vanish simultaneously can drop rank and are flagged
+    The point must have six generators, each of factor rank 1.  The kernel
+    is decided once, by the moduli report: one SVD of the column-scaled
+    factored Jacobian gives both the report's spectrum and the kernel,
+    scaled back to the factor variables.  The kernel is mapped to the
+    generator entries by dX = dV W^T + V dW^T, whose image is the Zariski
+    tangent (the gauge directions map to zero), and the invariant
+    differential D is applied to that image in one product: D is taken in
+    the column-scaled factor coordinates, which conjugation leaves alone.
+    At a Hermitian point the map is an isometry off the gauge, so D has the
+    singular values it has on any orthonormal basis of the tangent.  The
+    u's are conjugation-invariant, so orbit directions contribute nothing
+    and the rank equals the rank on the moduli tangent; generically it is
+    3, making the fibers of the invariant map curves.  Points where two
+    factors of u3 vanish simultaneously can drop rank and are flagged
     (``degenerate_u3``) rather than asserted against.
 
     The invariant differential has its own looser cut, 1e-8, and counts as
     rank 0 below an absolute floor.
     """
-    system = _graph33_system(point)
+    system = rep_jacobian(point)
+    if len(system.factors) != 6 or any(v.shape[1] != 1 for v, _ in system.factors):
+        raise ValueError("the fiber check takes six rank-1 generators")
     _, s, vh = np.linalg.svd(system.jacobian * system.scales)
-    report = _moduli_report(system, RANK_TOL, "bipartite 3+3 moduli tangent", s)
-    nullity = report.nullity
-    kernel = system.scales[:, None] * vh[vh.shape[0] - nullity - system.gauge_dim:].conj().T
-    basis = np.linalg.svd(_tangent_image(system.factors, kernel), full_matrices=False)[0][:, :nullity]
+    report = _moduli_report(system, RANK_TOL, s)
+    kernel = system.scales[:, None] * vh[vh.shape[0] - report.nullity - system.gauge_dim:].conj().T
     mats = system.matrices
     d = mats[0].shape[0]
     P, qs = mats[0] + mats[1] + mats[2], mats[3:]
-    dm = basis.reshape(6, d, d, nullity)
+    dm = _tangent_image(system.factors, kernel).reshape(6, d, d, -1)
     D = u_invariants_directional(P, qs, dm[0] + dm[1] + dm[2], dm[3:])
     sd = np.linalg.svd(D, compute_uv=False)
     if sd.size == 0 or sd[0] < 1e-12:

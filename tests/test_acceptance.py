@@ -29,11 +29,9 @@ from orthopair.invariants import (
 )
 from orthopair.relations import graph_restriction, restrict
 from orthopair.tangent import (
-    a6_moduli_tangent_report,
     defect_report,
     fiber_rank_check,
     moduli_tangent_report,
-    x33_moduli_tangent_report,
 )
 
 SAMPLE_SEED = 424242
@@ -105,7 +103,7 @@ def test_criterion_03_dephased_defect():
 
 def test_criterion_04_a6_moduli_dimension():
     t0 = time.perf_counter()
-    rep = a6_moduli_tangent_report(restrict(standard_pair(6, swap34=True), [1, 2, 3]))
+    rep = moduli_tangent_report(restrict(standard_pair(6, swap34=True), [1, 2, 3]))
     elapsed = time.perf_counter() - t0
     ok = rep.moduli_dim == 8 and elapsed < 30.0
     report(4, ok, f"partial-sum point moduli dim = {rep.moduli_dim} (want 8, "
@@ -114,7 +112,7 @@ def test_criterion_04_a6_moduli_dimension():
 
 def test_criterion_05_x33_dimension_and_fibration(samples100):
     base_pair = standard_pair(6, swap34=True)
-    dim = x33_moduli_tangent_report(graph_restriction(base_pair, [1, 2, 3], [1, 2, 3])).moduli_dim
+    dim = moduli_tangent_report(graph_restriction(base_pair, [1, 2, 3], [1, 2, 3])).moduli_dim
     ranks = []
     flagged = 0
     for h in samples100.points[1:51]:

@@ -30,14 +30,12 @@ from orthopair.tangent import (
     GAP_RATIO_REQUIRED,
     IndeterminateDimension,
     TangentReport,
-    a6_moduli_tangent_report,
     defect_report,
     fiber_rank_check,
     moduli_tangent_report,
     orbit_tangent_dim,
     phase_constraints,
     rep_jacobian,
-    x33_moduli_tangent_report,
 )
 
 
@@ -303,7 +301,7 @@ def _kept_relations(point, terms):
     the complete systems and their cores are solved for."""
     if isinstance(point, PairConfiguration):
         return tuple(rel for rel in terms if rel[0].startswith("edge"))
-    if point.algebra == "sandwich":
+    if any(rel[0] == "idempotency P" for rel in terms):
         return tuple(rel for rel in terms if rel[0] == "idempotency P" or rel[0].startswith("sandwich"))
     return terms
 
@@ -438,7 +436,7 @@ def test_conjugation_ladder_keeps_a_decisive_gap(base_pair):
         assert (report.nullity, report.orbit_dim, report.moduli_dim) == (39, 35, 4)
         assert report.gap_ratio >= 1e9
         for subset, want in (([1], (35, 35, 0)), ([1, 2, 3], (43, 35, 8))):
-            report = a6_moduli_tangent_report(restrict(c, subset))
+            report = moduli_tangent_report(restrict(c, subset))
             assert (report.nullity, report.orbit_dim, report.moduli_dim) == want
             assert report.gap_ratio >= 1e9
 
@@ -474,14 +472,14 @@ def test_complete_sums_read_from_the_relation_list():
     # W_a^T are eliminated once, so its sum has no row and is refused
     again = terms + (terms[-2],)
     assert tangent._complete_sums(again, ranks, 3) == both
-    point = AlgebraRepPoint(algebra="pair", names=tuple(f"x{a}" for a in range(6)),
+    point = AlgebraRepPoint(names=tuple(f"x{a}" for a in range(6)),
                             matrices=tuple(standard_pair(3).matrices()), relations=again)
     with pytest.raises(ValueError, match="sum p - 1"):
         rep_jacobian(point)
     # so is a commutator, which holds for the p's but has no core: its words
     # start and end with different generators
     commutator = terms + (("commutator x0x1", ((1.0, (0, 1)), (-1.0, (1, 0)))),)
-    point = AlgebraRepPoint(algebra="pair", names=point.names, matrices=point.matrices, relations=commutator)
+    point = AlgebraRepPoint(names=point.names, matrices=point.matrices, relations=commutator)
     assert evaluate_relations(point.matrices, point.relations)[0] <= RELATION_TOL
     with pytest.raises(ValueError, match="commutator x0x1"):
         rep_jacobian(point)
@@ -512,8 +510,8 @@ def test_moduli_report_cost(monkeypatch):
     # with the q sum pulled back whole), and its orbit operator is 36 x 6
     # (252 x 36 in d^2 unknowns)
     sandwich = restrict(standard_pair(6, swap34=True), [1, 2, 3])
-    cases = [(moduli_tangent_report, standard_pair(6), 4, [(12, 6, 6), (36, 72), (216, 6)]),
-             (a6_moduli_tangent_report, sandwich, 8, [(7, 6, 6), (15, 72), (36, 6)])]
+    cases = [(standard_pair(6), 4, [(12, 6, 6), (36, 72), (216, 6)]),
+             (sandwich, 8, [(7, 6, 6), (15, 72), (36, 6)])]
     svd, calls = np.linalg.svd, []
 
     def counted(*args, **kwargs):
@@ -521,12 +519,12 @@ def test_moduli_report_cost(monkeypatch):
         return svd(*args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted)
-    for report, point, moduli_dim, want in cases:
+    for point, moduli_dim, want in cases:
         calls.clear()
-        assert report(point).moduli_dim == moduli_dim
+        assert moduli_tangent_report(point).moduli_dim == moduli_dim
         assert calls == want
         misses = tangent._jacobian_plan.cache_info().misses
-        assert report(point).moduli_dim == moduli_dim
+        assert moduli_tangent_report(point).moduli_dim == moduli_dim
         assert tangent._jacobian_plan.cache_info().misses == misses
 
 
@@ -634,20 +632,21 @@ def test_factor_ranks_and_gauge(base_pair):
 
 
 def _graph33_point(mats, r):
-    return AlgebraRepPoint(algebra="graph", names=("p1", "p2", "p3", "q1", "q2", "q3"),
+    return AlgebraRepPoint(names=("p1", "p2", "p3", "q1", "q2", "q3"),
                            matrices=tuple(mats), relations=bipartite_relation_terms(3, 3, r))
 
 
 def test_x33_refuses_rank_two_and_zero_generators():
-    # both points satisfy every graph relation exactly: only the factor rank
-    # tells them apart from a rank-1 point
+    # both points satisfy every graph relation exactly: the moduli report
+    # refuses them as reducible, from the orbit it decides, and the fiber
+    # check for their factor ranks
     zero = np.zeros((6, 6))
     points = [_graph33_point([zero] * 6, 1.0 / 6.0),
               _graph33_point([np.diag([1.0, 1.0, 0, 0, 0, 0])] + [zero] * 5, 0.0)]
     for point in points:
         assert evaluate_relations(point.matrices, point.relations)[0] == 0.0
-        with pytest.raises(ValueError, match="rank-1"):
-            x33_moduli_tangent_report(point)
+        with pytest.raises(ValueError, match="reducible"):
+            moduli_tangent_report(point)
         with pytest.raises(ValueError, match="rank-1"):
             fiber_rank_check(point)
 
@@ -689,7 +688,7 @@ def test_factored_family_kernel_matches_dense_oracle(family_sample):
 def test_factored_sandwich_kernel_matches_dense_oracle(base_pair, subset):
     point = restrict(base_pair, subset)
     k = len(subset)
-    report = a6_moduli_tangent_report(point)
+    report = moduli_tangent_report(point)
     assert rep_jacobian(point).gauge_dim == k * k + 6
     assert report.nullity == _dense_nullity(point)
     assert report.moduli_dim == 2 * (6 - k - 1) * (k - 1)
@@ -700,7 +699,7 @@ def test_factored_graph_kernel_matches_dense_oracle(base_pair, family_sample):
               graph_restriction(base_pair, [4, 5, 6], [1, 2, 3])]
     points += [graph_restriction(from_hadamard(h), [1, 2, 3], [1, 2, 3]) for h in family_sample.points[1:4]]
     for point in points:
-        report = x33_moduli_tangent_report(point)
+        report = moduli_tangent_report(point)
         assert report.nullity == _dense_nullity(point)
         fiber = fiber_rank_check(point)
         rank, sd, moduli_dim, degenerate = _dense_fiber(point)
@@ -862,36 +861,40 @@ def test_moduli_dimension_conjugation_invariant(base_pair):
 
 def test_a6_moduli_dimension(base_pair):
     point = restrict(base_pair, [1, 2, 3])
-    assert a6_moduli_tangent_report(point).moduli_dim == 8
+    assert moduli_tangent_report(point).moduli_dim == 8
 
 
 def test_a6_moduli_dimension_rank_one(base_pair):
     point = AlgebraRepPoint(
-        algebra="sandwich",
         names=("P",) + tuple(f"q{j}" for j in range(1, 7)),
         matrices=(base_pair.p[0],) + tuple(base_pair.q),
         relations=sandwich_relation_terms(6, 1.0 / 6.0),
     )
     assert evaluate_relations(point.matrices, point.relations)[0] <= 1e-13
     # 2(n-k-1)(k-1) = 0 at n = 6, k = 1
-    assert a6_moduli_tangent_report(point).moduli_dim == 0
+    assert moduli_tangent_report(point).moduli_dim == 0
 
 
 def test_bent_q1_sandwich_window(base_pair):
     # q1 bent as in _bent_pair keeps the q sum off the identity by the
-    # residual (~2.4 eps): answered at eps = 1e-10; at 2e-10 the residual
-    # in sum q_a, the identity of the 6-unknown commutant, reaches that
-    # cut, and at 1e-9 the lifted zero singular values reach the nullity's
-    report = a6_moduli_tangent_report(restrict(_bent_pair(base_pair, 1e-10), [1, 2, 3]))
-    assert (report.nullity, report.orbit_dim, report.moduli_dim) == (43, 35, 8)
-    for eps, cut in ((2e-10, "joint commutant"), (1e-9, "sandwich moduli tangent")):
-        with pytest.raises(IndeterminateDimension, match=cut):
-            a6_moduli_tangent_report(restrict(_bent_pair(base_pair, eps), [1, 2, 3]))
+    # residual (~2.4 eps).  The 6-unknown commutant takes I in place of the
+    # last q_a, so its zero singular value stays exact and eps up to 2e-10
+    # is answered; from 2.5e-10 the lifted zero singular values of the
+    # Jacobian reach the nullity's cut
+    for eps in (1e-10, 1.5e-10, 2e-10):
+        report = moduli_tangent_report(restrict(_bent_pair(base_pair, eps), [1, 2, 3]))
+        assert (report.nullity, report.orbit_dim, report.moduli_dim) == (43, 35, 8)
+        assert report.gap_ratio >= 1e9
+    for eps in (3e-10, 1e-9):
+        point = restrict(_bent_pair(base_pair, eps), [1, 2, 3])
+        assert tangent._span_orbit_dim(point.matrices, tuple(range(1, 7)), tangent.RANK_TOL) == 35
+        with pytest.raises(IndeterminateDimension, match="moduli tangent: singular-value gap"):
+            moduli_tangent_report(point)
 
 
 def test_a6_moduli_dimension_generic_sample(family_sample):
     c = from_hadamard(family_sample.points[9])
-    assert a6_moduli_tangent_report(restrict(c, [1, 2, 3])).moduli_dim == 8
+    assert moduli_tangent_report(restrict(c, [1, 2, 3])).moduli_dim == 8
 
 
 def _reducible_sandwich_point():
@@ -905,7 +908,7 @@ def _reducible_sandwich_point():
             v = np.zeros(6)
             v[2 * k], v[2 * k + 1] = 1.0, sign
             qs.append(np.outer(v, v) / 2.0)
-    return AlgebraRepPoint(algebra="sandwich", names=("P",) + tuple(f"q{j}" for j in range(1, 7)),
+    return AlgebraRepPoint(names=("P",) + tuple(f"q{j}" for j in range(1, 7)),
                            matrices=(P, *qs), relations=sandwich_relation_terms(6, 0.5))
 
 
@@ -914,7 +917,7 @@ def test_a6_rejects_reducible():
     assert evaluate_relations(point.matrices, point.relations)[0] <= 1e-15
     assert orbit_tangent_dim(point.matrices) == 33
     with pytest.raises(ValueError, match="reducible"):
-        a6_moduli_tangent_report(point)
+        moduli_tangent_report(point)
 
 
 def test_a6_decides_the_commutant_once(base_pair, monkeypatch):
@@ -933,16 +936,16 @@ def test_a6_decides_the_commutant_once(base_pair, monkeypatch):
 
     monkeypatch.setattr(tangent, "_span_orbit_dim", counted)
     monkeypatch.setattr(tangent, "commutant_dimension", general)
-    assert a6_moduli_tangent_report(restrict(base_pair, [1, 2, 3])).moduli_dim == 8
+    assert moduli_tangent_report(restrict(base_pair, [1, 2, 3])).moduli_dim == 8
     assert calls == [tuple(range(1, 7))]
     with pytest.raises(ValueError, match="reducible"):
-        a6_moduli_tangent_report(_reducible_sandwich_point())
+        moduli_tangent_report(_reducible_sandwich_point())
     assert len(calls) == 2
 
 
 def test_x33_moduli_dimension(base_pair):
     point = graph_restriction(base_pair, [1, 2, 3], [1, 2, 3])
-    assert x33_moduli_tangent_report(point).moduli_dim == 4
+    assert moduli_tangent_report(point).moduli_dim == 4
 
 
 def test_x33_moduli_conjugation_invariant(base_pair):
@@ -950,7 +953,7 @@ def test_x33_moduli_conjugation_invariant(base_pair):
     w = random_unitary(rng, 6)
     conj = conjugated_pair(base_pair, w)
     point = graph_restriction(conj, [1, 2, 3], [1, 2, 3])
-    assert x33_moduli_tangent_report(point).moduli_dim == 4
+    assert moduli_tangent_report(point).moduli_dim == 4
 
 
 # Invariance of the kernel under the symmetries of the relation system:
@@ -1126,8 +1129,50 @@ def test_fiber_moduli_dimension_is_the_x33_report(base_pair):
           np.diag(np.geomspace(1.0, 100.0, 6))]
     for h in hs:
         point = graph_restriction(conjugated_pair(base_pair, h), [1, 2, 3], [1, 2, 3])
-        report = x33_moduli_tangent_report(point)
+        report = moduli_tangent_report(point)
         assert fiber_rank_check(point).moduli_dim == report.moduli_dim == 4
+
+
+def test_fiber_conjugation_ladder(base_pair, family_sample):
+    # conjugating by diag(1, .., a, .., 1) leaves the fiber rank and the
+    # moduli dimension: every rung answers them or refuses for want of a
+    # gap, never another integer.  D is read in the column-scaled factor
+    # coordinates, which the conjugation leaves alone, so every rung below
+    # a = 1e5 answers and at 1e5 the swap34 restriction still answers in
+    # slots 0, 3, 4 and 5, the family point in all six
+    cases = [(base_pair, (2, 4), {0, 3, 4, 5}), (from_hadamard(family_sample.points[5]), (3, 4), set(range(6)))]
+    for c, want, top in cases:
+        answered = set()
+        for slot in range(6):
+            for a in (1e1, 1e2, 1e3, 1e4, 1e5):
+                h = np.ones(6)
+                h[slot] = a
+                point = graph_restriction(conjugated_pair(c, np.diag(h)), [1, 2, 3], [1, 2, 3])
+                try:
+                    report = fiber_rank_check(point)
+                except IndeterminateDimension:
+                    continue
+                assert (report.rank, report.moduli_dim) == want
+                answered.add((slot, a))
+        assert answered >= {(slot, a) for slot in range(6) for a in (1e1, 1e2, 1e3, 1e4)}
+        assert {slot for slot, a in answered if a == 1e5} >= top
+
+
+def test_fiber_rank_check_cost(base_pair, monkeypatch):
+    # one batched SVD factors the generators, one gives the Jacobian's
+    # spectrum and kernel, one decides the commutant and one the invariant
+    # differential on the 45 kernel vectors; only the first two compute
+    # vectors, and the tangent image (216 x 45) takes no SVD
+    svd, calls = np.linalg.svd, []
+
+    def counted(*args, **kwargs):
+        calls.append((np.shape(args[0]), kwargs.get("compute_uv", True)))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    assert fiber_rank_check(graph_restriction(base_pair, [1, 2, 3], [1, 2, 3])).rank == 2
+    assert [shape for shape, _ in calls] == [(6, 6, 6), (27, 72), (216, 36), (3, 45)]
+    assert [shape for shape, vectors in calls if vectors] == [(6, 6, 6), (27, 72)]
 
 
 # ---------------------------------------------------------------------------
