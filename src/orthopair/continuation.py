@@ -15,11 +15,11 @@ chord steps x <- x - J+ c(x), which evaluate the constraints c only.  Each
 step lies in the row space of J at the move's start, i.e. orthogonal to
 the family there (not at the iterate), so a predictor step of size h is
 corrected by O(h^2) and lands back on the manifold a distance ~h from
-where it started.  A chord that stalls falls back to Gauss-Newton with
-minimal-norm least-squares steps from the same prediction.  (Off the
-variety the four tangent singular values of J are no longer zero, and
-above the cut, so Gauss-Newton steps also move along the family: a
-prediction of 1e-2 from F6 swap34 has them at 8.5e-7 to 5.4e-10, and
+where it started.  A chord that stalls is a failed try, and the move
+halves its step.  (Gauss-Newton, which takes J at every iterate, would
+drift: off the variety the four tangent singular values of J are no
+longer zero, and above the cut, so its steps also move along the family.
+A prediction of 1e-2 from F6 swap34 has them at 8.5e-7 to 5.4e-10, and
 Gauss-Newton corrects it by 3.7e-3 where chord steps take 1.4e-5.)
 
 A converged corrector builds the phase Jacobian once, at the point it
@@ -50,7 +50,7 @@ import numpy as np
 from .config import UNITARITY_TOL, HadamardPoint, _wrap_angles, dephased_phases, gram_defects, reconstruct_phases
 from .config import atomic_write
 from .invariants import InvariantVector, u_word_traces
-from .linalg import RANK_TOL, OffVariety, gauss_newton, lstsq_step, rank1_projector, worst_above
+from .linalg import RANK_TOL, OffVariety, gauss_newton, rank1_projector, worst_above
 from .tangent import _defect_kernel, _gram_constraints, phase_constraints
 
 __all__ = [
@@ -66,7 +66,6 @@ __all__ = [
 ]
 
 FAMILY_DIM = 4
-PINV_CUTOFF = RANK_TOL  # Gauss-Newton drops the singular values that the frame's J+ drops
 DEFAULT_STEP_SCALE = 5e-3
 CORRECTOR_TOL = 1e-12  # newton_correct converges at this norm of the unitarity constraints
 CORRECTOR_MAX_ITER = 20
@@ -127,37 +126,30 @@ def tangent_frame(h: HadamardPoint, prev: np.ndarray | None = None,
 @dataclass(frozen=True, eq=False)  # array fields: equality and hash by identity
 class CorrectorResult:
     """``jacobian`` is the phase Jacobian (:func:`tangent.phase_constraints`)
-    at ``point`` when the corrector converged, None otherwise.  ``chord``
-    says which loop gave the result: True for the chord steps, False for
-    Gauss-Newton (no J+ given, or the chord stalled and Gauss-Newton ran
-    from the start again).  ``iterations`` counts the steps of both."""
+    at ``point`` when the corrector converged, None otherwise.
+    ``iterations`` counts the chord steps."""
 
     point: HadamardPoint
     residual: float
     iterations: int
     converged: bool
     jacobian: np.ndarray | None = None
-    chord: bool = False
 
 
-def newton_correct(h: HadamardPoint, pinv: np.ndarray | None = None) -> CorrectorResult:
+def newton_correct(h: HadamardPoint, pinv: np.ndarray) -> CorrectorResult:
     """Project an approximate point back onto the Hadamard variety.
 
-    With ``pinv``, a truncated pseudo-inverse J+ of the phase Jacobian at a
-    nearby point (the one :func:`tangent_frame` returns), the corrector
-    first takes chord steps x <- x - J+ c(x) (Allgower & Georg, SIAM 2003,
-    ch. 3), each evaluating only the constraints c, and builds the Jacobian
-    once, at the point where they converge, from the reconstruction U its
-    last step evaluated there.  Chord steps converge linearly, at a
-    rate set by how far the start is from the point of J+.  When the chord
-    stalls (its norm not halved over CORRECTOR_WINDOW steps, or
-    CORRECTOR_MAX_ITER steps), or without ``pinv``, the corrector runs
-    Gauss-Newton from ``h``: every evaluation builds the constraints and
-    their Jacobian together, and the step is the minimal-norm least-squares
-    one.  Quadratic convergence is only guaranteed for starting residuals
-    below ~0.1; a run that does not converge returns its best iterate
-    flagged as failed, never a silently bad point.  Grossly off-manifold
-    starts (unitarity residual above 0.5, screened as by
+    ``pinv`` is a truncated pseudo-inverse J+ of the phase Jacobian at a
+    nearby point, the one :func:`tangent_frame` returns there.  The
+    corrector takes chord steps x <- x - J+ c(x) (Allgower & Georg, SIAM
+    2003, ch. 3), each evaluating only the constraints c, and builds the
+    Jacobian once, at the point where they converge, from the
+    reconstruction U its last step evaluated there.  Chord steps converge
+    linearly, at a rate set by how far the start is from the point of J+.
+    A chord that stalls (its norm not halved over CORRECTOR_WINDOW steps,
+    or CORRECTOR_MAX_ITER steps) returns its best iterate flagged as
+    failed, with no Jacobian, never a silently bad point.  Grossly
+    off-manifold starts (unitarity residual above 0.5, screened as by
     :meth:`HadamardPoint.unitarity_violation`) are refused outright with
     OffVariety; the chord's first step takes its c from that gate's U^dag U.
 
@@ -169,39 +161,24 @@ def newton_correct(h: HadamardPoint, pinv: np.ndarray | None = None) -> Correcto
     gram = u.conj().T @ u
     if (worst := worst_above((gram - np.eye(n))[None], 0.5)) is not None:
         raise OffVariety("starting residual above 0.5; far outside any corrector basin", worst[1])
-    chord_steps = 0
-    if pinv is not None:
-        # U and c at the latest chord iterate; at the start, the gate's (a
-        # HadamardPoint keeps its phases wrapped, and wrapping them again
-        # leaves every bit, so they are those of the start's own point)
-        start, latest = h.phases.ravel(), [u, _gram_constraints(gram)]
+    # U and c at the latest iterate; at the start, the gate's (a
+    # HadamardPoint keeps its phases wrapped, and wrapping them again leaves
+    # every bit, so they are those of the start's own point)
+    start, latest = h.phases.ravel(), [u, _gram_constraints(gram)]
 
-        def chord(x):
-            if x is not start:
-                latest[0] = _point_from_vector(n, x).reconstruct()
-                latest[1] = _gram_constraints(latest[0].conj().T @ latest[0])
-            return latest[1], None
+    def chord(x):
+        if x is not start:
+            latest[0] = _point_from_vector(n, x).reconstruct()
+            latest[1] = _gram_constraints(latest[0].conj().T @ latest[0])
+        return latest[1], None
 
-        x, r, chord_steps, converged = gauss_newton(chord, start, CORRECTOR_TOL, CORRECTOR_MAX_ITER,
-                                                    CORRECTOR_WINDOW, lambda c, _: -(pinv @ c))
-        if converged:  # gauss_newton stops at the iterate it has just evaluated
-            point = _point_from_vector(n, x)
-            return CorrectorResult(point, r, chord_steps, True, phase_constraints(point, latest[0])[1], True)
-    last = []  # the point and Jacobian of the latest evaluation
-
-    def constraints(x):
-        point = _point_from_vector(n, x)
-        c, J = phase_constraints(point)
-        last[:] = point, J
-        return c, lambda: J
-
-    x, r, steps, converged = gauss_newton(constraints, h.phases.ravel(), CORRECTOR_TOL,
-                                          CORRECTOR_MAX_ITER, CORRECTOR_WINDOW, lstsq_step(PINV_CUTOFF))
-    steps += chord_steps
-    if converged:  # gauss_newton stops at the iterate it has just evaluated
-        point, J = last
-        return CorrectorResult(point, r, steps, True, J)
-    return CorrectorResult(_point_from_vector(n, x), r, steps, False)
+    x, r, steps, converged = gauss_newton(chord, start, CORRECTOR_TOL, CORRECTOR_MAX_ITER,
+                                          CORRECTOR_WINDOW, lambda c, _: -(pinv @ c))
+    point = _point_from_vector(n, x)
+    if not converged:
+        return CorrectorResult(point, r, steps, False)
+    # gauss_newton stops at the iterate it has just evaluated
+    return CorrectorResult(point, r, steps, True, phase_constraints(point, latest[0])[1])
 
 
 def _corrected_step(current: HadamardPoint, pinv: np.ndarray, scale: float, predict, min_move: float):
@@ -211,22 +188,21 @@ def _corrected_step(current: HadamardPoint, pinv: np.ndarray, scale: float, pred
     afresh on every try.  Each try is corrected from the prediction with
     ``pinv``, the J+ at ``current``.  A try succeeds when the corrector
     converges at a point at least ``min_move * s`` away (torus phase norm)
-    from ``current``; otherwise ``s`` is halved, at most STEP_HALVINGS
-    times.  Returns (corrector result or None when every try failed, failed
-    tries, tries whose chord stalled and fell back to Gauss-Newton).
+    from ``current``; otherwise (a prediction outside the corrector's
+    basin, a stalled chord or too short a move) ``s`` is halved, at most
+    STEP_HALVINGS times.  Returns (corrector result or None when every try
+    failed, failed tries).
     """
     x = current.phases.ravel()
-    fallbacks = 0
     for tries in range(STEP_HALVINGS + 1):
         s = scale / 2.0 ** tries
         try:
             result = newton_correct(_point_from_vector(current.n, x + predict(s)), pinv)
         except OffVariety:  # prediction outside the corrector's basin
             continue
-        fallbacks += not result.chord
         if result.converged and _phase_distance(result.point, current) >= min_move * s:
-            return result, tries, fallbacks
-    return None, STEP_HALVINGS + 1, fallbacks
+            return result, tries
+    return None, STEP_HALVINGS + 1
 
 
 @dataclass(frozen=True)
@@ -252,9 +228,9 @@ def trace_path(start: HadamardPoint, direction, steps: int, h: float,
     back.  The step is halved on corrector failure, at most five times,
     after which the path is truncated and returned with a status.  Every
     emitted point is a converged corrector result (constraint norm at most
-    CORRECTOR_TOL) and consecutive points are at least h/2 apart in (torus)
-    phase norm, so ``h`` must be finite and positive; a walk back negates
-    ``direction``.
+    CORRECTOR_TOL), and a move whose step was halved k times lands at least
+    h/2^(k+1) from the previous point in (torus) phase norm, so ``h`` must
+    be finite and positive; a walk back negates ``direction``.
 
     The frame at ``start`` is a fresh kernel basis unless ``initial_frame``
     is given (e.g. the ``final_frame`` of a previous path, which makes a
@@ -277,7 +253,7 @@ def trace_path(start: HadamardPoint, direction, steps: int, h: float,
     residuals = [start.unitarity_residual()]
     status = "ok"
     for k in range(steps):
-        result, _, _ = _corrected_step(current, pinv, h, lambda s: s * (frame @ direction), 0.5)
+        result, _ = _corrected_step(current, pinv, h, lambda s: s * (frame @ direction), 0.5)
         if result is None:
             status = f"corrector failed at step {k} after {STEP_HALVINGS} halvings"
             break
@@ -305,11 +281,11 @@ def sample_family(start: HadamardPoint, count: int, seed: int,
                   step_scale: float = DEFAULT_STEP_SCALE) -> FamilySample:
     """Gaussian random walk in the 4-frame with correction after each step.
 
-    Deterministic given the seed.  Corrector failures shrink the step for
-    that move and are counted in the metadata, and so are the corrector
-    calls whose chord stalled and fell back to Gauss-Newton; points that
-    still fail are skipped, so the sample may come back shorter than
-    requested (the first point is the start itself).  The recorded list is
+    Deterministic given the seed.  Failed corrector tries (a prediction
+    outside the basin or a stalled chord) shrink the step for that move and
+    are counted in the metadata's ``corrector_retries``; moves that still
+    fail are skipped, so the sample may come back shorter than requested
+    (the first point is the start itself).  The recorded list is
     deduplicated under the canonical form of :func:`canonical_reduce`.
 
     The moves do not depend on the duplicate check, only the number of
@@ -325,16 +301,15 @@ def sample_family(start: HadamardPoint, count: int, seed: int,
     seen_keys = {_canonical_phases(start, full=False)[0]}
     frame, pinv = tangent_frame(start)
     current = start
-    failures = fallbacks = duplicates = 0
+    failures = duplicates = 0
     moves_left = 10 * count  # hard cap; persistent failures shorten the sample
     while len(points) < count and moves_left > 0:
         moved = []
         while len(moved) < count - len(points) and moves_left > 0:
             moves_left -= 1
-            result, tries_failed, fell_back = _corrected_step(
+            result, tries_failed = _corrected_step(
                 current, pinv, step_scale, lambda s: frame @ (s * rng.standard_normal(FAMILY_DIM)), 0.0)
             failures += tries_failed
-            fallbacks += fell_back
             if result is None:
                 failures += 1
                 continue
@@ -356,7 +331,6 @@ def sample_family(start: HadamardPoint, count: int, seed: int,
         "step_scale": step_scale,
         "corrector_tol": CORRECTOR_TOL,
         "corrector_retries": failures,
-        "corrector_fallbacks": fallbacks,
         "duplicates_skipped": duplicates,
         "max_residual": float(np.linalg.norm(defects, 2, axis=(1, 2)).max()),
     }

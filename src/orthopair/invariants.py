@@ -43,6 +43,7 @@ from .relations import (
     pair_relation_terms,
     require_relations,
     sandwich_relation_terms,
+    span_commutator_operator,
     word_products,
 )
 
@@ -346,25 +347,26 @@ def membership_test(c: PairConfiguration, tol: float = 1e-8) -> MembershipResult
     RELATION_TOL (else OffVariety).  The p equations then hold exactly on
     the span of G_k = p_k^dag p_k, and the commutant of the p's is the span
     of the p_k: column k of the conjugator operator stacks q_j^dag G_k -
-    G_k q_j over j, of the commutant operator p_k q_j - q_j p_k, and one
-    batched SVD factorises both.  No nonzero solution means the
-    configuration is not equivalent to its adjoint.  Otherwise
-    irreducibility makes the solution line unique; it is rotated to a
-    Hermitian representative g, scaled so that its eigenvalue of largest
-    modulus is 1, and its inertia, which conjugation leaves unchanged,
-    decides: ``eigenvalues`` (ascending) all positive certify equivalence to
-    a Hermitian configuration, i.e. a genuine pair of mutually unbiased
-    bases; both signs leave it theta-stable only, and one within tol of
-    zero boundary-indeterminate.  The irreducibility gate and the dimension
+    G_k q_j over j, of the commutant operator [p_k, q_j] with I in place of
+    the last p_k (:func:`relations.span_commutator_operator`, whose zero
+    singular value is exact), and one batched SVD factorises both.  No
+    nonzero solution means the configuration is not equivalent to its
+    adjoint.  Otherwise irreducibility makes the solution line unique; it
+    is rotated to a Hermitian representative g, scaled so that its
+    eigenvalue of largest modulus is 1, and its inertia, which conjugation
+    leaves unchanged, decides: ``eigenvalues`` (ascending) all positive
+    certify equivalence to a Hermitian configuration, i.e. a genuine pair
+    of mutually unbiased bases; both signs leave it theta-stable only, and
+    one within tol of zero boundary-indeterminate.  The irreducibility gate and the dimension
     of the solution space are rank decisions: without a decisive
     singular-value gap they raise IndeterminateDimension.
     """
     n = c.n
     p = _require_system(c.p, _p_relation_terms(n), "the p's are not a complete system of rank-1 idempotents")
-    q = np.stack(c.q)[:, None]  # p[k], q[j, 0]
+    q = np.stack(c.q)
     G = p.conj().transpose(0, 2, 1) @ p  # G_k = p_k^dag p_k
-    ops = np.stack([q.conj().transpose(0, 1, 3, 2) @ G - G @ q, p @ q - q @ p])  # [operator, j, k]
-    _, s, vh = np.linalg.svd(np.moveaxis(ops, 2, -1).reshape(2, -1, n), full_matrices=False)
+    conjugator = (q.conj().transpose(0, 2, 1) @ G[:, None] - G[:, None] @ q).reshape(n, -1).T  # column k, over j
+    _, s, vh = np.linalg.svd(np.stack([conjugator, span_commutator_operator(p, q)]), full_matrices=False)
     if n - decide_rank(s[1], RANK_TOL, "joint commutant").rank != 1:
         raise ValueError("configuration is reducible; the conjugator is not unique")
     nullity = n - decide_rank(s[0], tol, "conjugator space").rank

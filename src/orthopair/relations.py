@@ -58,6 +58,7 @@ __all__ = [
     "restrict",
     "graph_restriction",
     "commutator_operator",
+    "span_commutator_operator",
     "commutant_dimension",
 ]
 
@@ -305,6 +306,22 @@ def commutator_operator(mats) -> np.ndarray:
     np.einsum("kiaib->kiab", K)[...] = M.transpose(0, 2, 1)[:, None]
     np.einsum("kiaja->kija", K)[...] -= M[..., None]
     return K.reshape(k * d * d, d * d)
+
+
+def span_commutator_operator(x, others) -> np.ndarray:
+    """The commutator operator on span{x_a}, for a (s, d, d) stack ``x`` of
+    idempotents that sum to I: the d^2 k x s matrix whose column a stacks
+    vec([x_a, m]), row-major, over the k matrices m of the (k, d, d) stack
+    ``others``.
+
+    The last x_a is replaced by I: the span is the same, and its column
+    [I, m] = 0 is exact, where sum_a x_a would be off I by the relation
+    residual and lift that zero singular value to it.
+    """
+    x = np.array(x, dtype=np.complex128)  # a copy: its last matrix is replaced
+    x[-1] = np.eye(x.shape[-1])
+    x = x[:, None]
+    return (x @ others - others @ x).reshape(len(x), -1).T
 
 
 def commutant_dimension(mats, tol: float = RANK_TOL) -> int:

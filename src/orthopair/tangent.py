@@ -87,8 +87,8 @@ from .linalg import (
     decide_rank,
     range_factors,
 )
-from .relations import AlgebraRepPoint, Relation, commutant_dimension, pair_relation_terms, require_relations
-from .relations import _plan, word_products
+from .relations import AlgebraRepPoint, Relation, bipartite_relation_terms, commutant_dimension, pair_relation_terms
+from .relations import _plan, require_relations, span_commutator_operator, word_products
 
 __all__ = [
     "GAP_RATIO_REQUIRED",
@@ -320,19 +320,13 @@ def _span_orbit_dim(mats, S: tuple[int, ...], tol: float) -> int:
     complete system of rank-1 idempotents, taken in |S| unknowns.
 
     The commutant of such a system is span{x_a : a in S}, so the joint
-    commutant is the kernel of the d^2 (k - |S|) x |S| operator whose column
-    a stacks vec([x_a, m]) over the k - |S| other generators m.  The x_a
-    sum to I, so the last of them is replaced by I: the span is the same,
-    and its column [I, m] = 0 is exact, where sum_a x_a would be off I by
-    the relation residual and lift that zero singular value to it.
+    commutant is the kernel of the d^2 (k - |S|) x |S| operator
+    :func:`relations.span_commutator_operator` of the x_a and the k - |S|
+    other generators, whose zero singular value is exact.
     """
     gens = np.stack(mats)
-    d = gens.shape[1]
-    x = gens[list(S)]
-    x[-1] = np.eye(d)
-    x, others = x[:, None], np.delete(gens, S, axis=0)
-    s = np.linalg.svd((x @ others - others @ x).reshape(len(S), -1).T, compute_uv=False)  # column a: [x_a, m]
-    return d * d - (len(S) - decide_rank(s, tol, "joint commutant").rank)
+    s = np.linalg.svd(span_commutator_operator(gens[list(S)], np.delete(gens, S, axis=0)), compute_uv=False)
+    return gens.shape[1] ** 2 - (len(S) - decide_rank(s, tol, "joint commutant").rank)
 
 
 @dataclass(frozen=True)
@@ -532,7 +526,9 @@ def _tangent_image(factors, vectors: np.ndarray) -> np.ndarray:
 def fiber_rank_check(point: AlgebraRepPoint) -> FiberRankReport:
     """Rank of d(u1, u2, u3) on the kernel of the 3+3 graph relation Jacobian.
 
-    The point must have six generators, each of factor rank 1.  The kernel
+    The point must be a 3+3 restriction of an n = 6 pair: six 6 x 6
+    generators with the relations ``bipartite_relation_terms(3, 3, 1/6)``,
+    each of factor rank 1; the u's are normalised for that graph.  The kernel
     is decided once, by the moduli report: one SVD of the column-scaled
     factored Jacobian gives both the report's spectrum and the kernel,
     scaled back to the factor variables.  The kernel is mapped to the
@@ -551,8 +547,10 @@ def fiber_rank_check(point: AlgebraRepPoint) -> FiberRankReport:
     The invariant differential has its own looser cut, 1e-8, and counts as
     rank 0 below an absolute floor.
     """
+    if point.relations != bipartite_relation_terms(3, 3, 1 / 6) or np.shape(point.matrices) != (6, 6, 6):
+        raise ValueError("the fiber check takes the 3+3 restriction of an n = 6 pair")
     system = rep_jacobian(point)
-    if len(system.factors) != 6 or any(v.shape[1] != 1 for v, _ in system.factors):
+    if any(v.shape[1] != 1 for v, _ in system.factors):
         raise ValueError("the fiber check takes six rank-1 generators")
     _, s, vh = np.linalg.svd(system.jacobian * system.scales)
     report = _moduli_report(system, RANK_TOL, s)

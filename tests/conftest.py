@@ -58,6 +58,18 @@ def count_spectral_norms(monkeypatch) -> list:
     return calls
 
 
+def bent_rank1(x, eps):
+    """The rank-1 projector x = v w^T with v bent: v' w^T / w^T v', v' =
+    v + eps delta (delta from default_rng(0)), a rank-1 idempotent with
+    which the relations of x's configuration hold only to about 2.4 eps."""
+    rng = np.random.default_rng(0)
+    delta = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+    v = np.linalg.svd(x)[0][:, 0]
+    w = v.conj()
+    bent = v + eps * delta
+    return np.outer(bent, w) / (w @ bent)
+
+
 def conjugated_hermitian_pair(rng, h):
     """Two random orthonormal bases as rank-1 projectors, conjugated by h.
 

@@ -157,9 +157,9 @@ def test_hadamard_round_trip_100_random_points():
         h = fourier_family_point(rng)
         if k % 3 == 0:
             # push off the Fourier subfamily along the full 4-frame
-            frame, _ = tangent_frame(h)
+            frame, pinv = tangent_frame(h)
             step = frame @ (1e-2 * rng.standard_normal(4))
-            res = newton_correct(HadamardPoint(6, h.phases + step.reshape(5, 5)))
+            res = newton_correct(HadamardPoint(6, h.phases + step.reshape(5, 5)), pinv)
             assert res.converged
             h = res.point
         back = to_hadamard(from_hadamard(h))

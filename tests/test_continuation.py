@@ -74,21 +74,23 @@ def test_tangent_frame_rigid_point_errors():
 
 
 def test_newton_fixed_point(fourier6):
-    result = newton_correct(fourier6)
+    result = newton_correct(fourier6, tangent_frame(fourier6)[1])
     assert result.converged
     assert result.iterations == 0
     assert np.array_equal(result.point.phases, fourier6.phases)
 
 
-def test_newton_quadratic_convergence(fourier6):
+def test_newton_chord_convergence(fourier6):
+    # chord steps with the J+ of the unperturbed point converge linearly,
+    # within a few steps from a small tangent kick
     rng = np.random.default_rng(28)
-    frame, _ = tangent_frame(fourier6)
+    frame, pinv = tangent_frame(fourier6)
     for size in (1e-4, 1e-3):
         for _ in range(5):
             d = rng.standard_normal(4)
             d /= np.linalg.norm(d)
             start = HadamardPoint(6, fourier6.phases + size * (frame @ d).reshape(5, 5))
-            result = newton_correct(start)
+            result = newton_correct(start, pinv)
             assert result.converged
             assert result.residual <= 1e-12
             assert result.iterations <= 6
@@ -101,7 +103,7 @@ def test_newton_large_normal_kick_is_never_silent(fourier6):
     normal = vt[0]  # direction with the largest constraint response
     start = HadamardPoint(6, fourier6.phases + 0.5 * normal.reshape(5, 5))
     try:
-        result = newton_correct(start)
+        result = newton_correct(start, tangent_frame(fourier6)[1])
     except ValueError:
         return  # refused outright: residual outside any basin
     if result.converged:
@@ -111,23 +113,20 @@ def test_newton_large_normal_kick_is_never_silent(fourier6):
 
 
 def test_converged_corrector_hands_over_its_jacobian(fourier6_swapped):
-    # alike from Gauss-Newton (no J+) and from the chord, which builds the
-    # Jacobian once, at the point where it converged
+    # the chord builds the Jacobian once, at the point where it converged
     frame, pinv = tangent_frame(fourier6_swapped)
     rng = np.random.default_rng(40)
     for size in (0.0, 1e-3, 1e-2):
         step = frame @ rng.standard_normal(4) + 1e-3 * rng.standard_normal(25)
         start = HadamardPoint(6, fourier6_swapped.phases + size * step.reshape(5, 5))
-        for chord in (None, pinv):
-            result = newton_correct(start, chord)
-            assert result.converged and result.iterations >= (size > 0)
-            assert result.chord == (chord is not None)
-            c, J = phase_constraints(result.point)
-            assert np.array_equal(result.jacobian, J)
-            assert result.residual == np.linalg.norm(c) <= continuation.CORRECTOR_TOL
-            handed = tangent_frame(result.point, prev=frame, jacobian=result.jacobian)
-            again = tangent_frame(result.point, prev=frame)
-            assert all(np.array_equal(a, b) for a, b in zip(handed, again))
+        result = newton_correct(start, pinv)
+        assert result.converged and result.iterations >= (size > 0)
+        c, J = phase_constraints(result.point)
+        assert np.array_equal(result.jacobian, J)
+        assert result.residual == np.linalg.norm(c) <= continuation.CORRECTOR_TOL
+        handed = tangent_frame(result.point, prev=frame, jacobian=result.jacobian)
+        again = tangent_frame(result.point, prev=frame)
+        assert all(np.array_equal(a, b) for a, b in zip(handed, again))
 
 
 def test_frame_hands_over_the_truncated_pseudo_inverse(fourier6, fourier6_swapped):
@@ -139,35 +138,38 @@ def test_frame_hands_over_the_truncated_pseudo_inverse(fourier6, fourier6_swappe
     for _ in range(4):
         step = frame @ (1e-2 * rng.standard_normal(4))
         result = newton_correct(HadamardPoint(6, fourier6_swapped.phases + step.reshape(5, 5)), pinv)
-        assert result.converged and result.chord
+        assert result.converged
         points.append((result.point, result.jacobian))
     for h, jacobian in points:
         _, handed = tangent_frame(h, jacobian=jacobian)
-        ref = np.linalg.pinv(phase_constraints(h)[1], rcond=continuation.PINV_CUTOFF)
+        ref = np.linalg.pinv(phase_constraints(h)[1], rcond=linalg.RANK_TOL)
         assert handed.shape == (25, 30)
         assert np.linalg.norm(handed - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
-def test_stale_or_zero_pinv_falls_back_to_gauss_newton(fourier6, fourier6_swapped):
-    # a zero J+ leaves the norm where it is, and the J+ of another point (F6,
-    # whose columns are swapped against F6 swap34) does not converge: either
-    # chord stalls, and Gauss-Newton from the same start gives the point it
-    # gives without a J+
+def test_stalled_chord_is_a_failed_try(fourier6, fourier6_swapped):
+    # a zero J+ leaves the norm where it is: the chord stalls at the window
+    # and returns its best iterate, the start, flagged and with no Jacobian.
+    # The J+ of another point (F6, whose columns are swapped against F6
+    # swap34) converges or is flagged, never a bad point; and a move whose
+    # every try stalls fails after STEP_HALVINGS halvings
     frame, pinv = tangent_frame(fourier6_swapped)
     rng = np.random.default_rng(47)
     step = frame @ (5e-2 * rng.standard_normal(4)) + 1e-3 * rng.standard_normal(25)
     start = HadamardPoint(6, fourier6_swapped.phases + step.reshape(5, 5))
-    plain = newton_correct(start)
-    assert plain.converged and not plain.chord
-    for stale in (np.zeros_like(pinv), tangent_frame(fourier6)[1]):
-        result = newton_correct(start, stale)
-        assert result.converged and not result.chord
-        assert result.point.phases.tobytes() == plain.point.phases.tobytes()
-        assert result.residual == plain.residual
-        assert np.array_equal(result.jacobian, plain.jacobian)
-        assert result.iterations > plain.iterations
-    assert newton_correct(start, np.zeros_like(pinv)).iterations == plain.iterations + continuation.CORRECTOR_WINDOW
-    assert newton_correct(start, pinv).chord
+    stalled = newton_correct(start, np.zeros_like(pinv))
+    assert not stalled.converged and stalled.jacobian is None
+    assert stalled.iterations == continuation.CORRECTOR_WINDOW
+    assert stalled.point.phases.tobytes() == start.phases.tobytes()
+    assert stalled.residual == np.linalg.norm(phase_constraints(start)[0]) > continuation.CORRECTOR_TOL
+    stale = newton_correct(start, tangent_frame(fourier6)[1])
+    if stale.converged:
+        assert np.linalg.norm(phase_constraints(stale.point)[0]) == stale.residual <= continuation.CORRECTOR_TOL
+    else:
+        assert stale.jacobian is None and stale.residual > continuation.CORRECTOR_TOL
+    assert newton_correct(start, pinv).converged
+    move = continuation._corrected_step(fourier6_swapped, np.zeros_like(pinv), 1e-2, lambda s: s * frame[:, 0], 0.0)
+    assert move == (None, continuation.STEP_HALVINGS + 1)
 
 
 def _count_calls(monkeypatch, fn) -> list:
@@ -202,10 +204,10 @@ def test_trace_path_builds_one_jacobian_per_evaluation(fourier6_swapped, monkeyp
     results = []
     correct = continuation.newton_correct
     monkeypatch.setattr(continuation, "newton_correct",
-                        lambda h, pinv=None: results.append(correct(h, pinv)) or results[-1])
+                        lambda h, pinv: results.append(correct(h, pinv)) or results[-1])
     path = trace_path(fourier6_swapped, [1.0, 0.0, 0.0, 0.0], steps=50, h=1e-2)
     assert path.ok and len(results) >= 50
-    assert all(r.chord and r.converged for r in results)  # no move fell back to Gauss-Newton
+    assert all(r.converged for r in results)  # no chord stalled
     assert len(builds) == len(results) + 1
     assert len(norms) == 1
     assert len(reports) == 0
@@ -216,7 +218,7 @@ def test_corrector_fault_is_not_a_step_halving(fourier6_swapped, monkeypatch):
     # step; any other ValueError from a mid-walk corrector call propagates
     correct, calls = continuation.newton_correct, []
 
-    def faulty(h, pinv=None):
+    def faulty(h, pinv):
         calls.append(h)
         if len(calls) == 3:
             raise ValueError("injected corrector fault")
@@ -276,8 +278,9 @@ def test_trace_path_validates_direction(fourier6):
     (1e-2, [np.inf, 0.0, 0.0, 0.0]),
 ])
 def test_trace_path_refuses_step_without_progress_guard(fourier6_swapped, h, direction):
-    # the guard wants consecutive points h/2 apart: h <= 0 or a non-finite
-    # predictor would make it vacuous or turn bad input into a corrector failure
+    # the guard wants a move whose step was halved k times to land h/2^(k+1)
+    # from the last point: h <= 0 or a non-finite predictor would make it
+    # vacuous or turn bad input into a corrector failure
     with pytest.raises(ValueError, match="finite"):
         trace_path(fourier6_swapped, direction, steps=3, h=h)
 
@@ -317,7 +320,7 @@ def test_every_walk_point_meets_the_corrector_tolerance(fourier6_swapped):
         assert np.linalg.norm(phase_constraints(h)[0]) <= continuation.CORRECTOR_TOL
     for h, r in zip(path.points[1:], path.residuals[1:]):
         assert r == np.linalg.norm(phase_constraints(h)[0])
-    assert sample.metadata["corrector_fallbacks"] == 0
+    assert sample.metadata["corrector_retries"] == 0  # no chord stalled
 
 
 def _loop_sample_family(start, count, seed, step_scale):
@@ -327,14 +330,13 @@ def _loop_sample_family(start, count, seed, step_scale):
     points = [start]
     seen = {_canonical_phases(start, full=False)[0]}
     frame, pinv = tangent_frame(start)
-    current, failures, fallbacks, duplicates = start, 0, 0, 0
+    current, failures, duplicates = start, 0, 0
     for _ in range(10 * count):
         if len(points) == count:
             break
-        result, tries_failed, fell_back = continuation._corrected_step(
+        result, tries_failed = continuation._corrected_step(
             current, pinv, step_scale, lambda s: frame @ (s * rng.standard_normal(4)), 0.0)
         failures += tries_failed
-        fallbacks += fell_back
         if result is None:
             failures += 1
             continue
@@ -350,14 +352,14 @@ def _loop_sample_family(start, count, seed, step_scale):
             continue
         seen.add(key)
         points.append(current)
-    counts = {"corrector_retries": failures, "corrector_fallbacks": fallbacks, "duplicates_skipped": duplicates}
+    counts = {"corrector_retries": failures, "duplicates_skipped": duplicates}
     return points, counts, rng.bit_generator.state
 
 
 @pytest.mark.parametrize("count, seed, step_scale", [
     (10, 3, 1e-8),  # moves below the key grid: nearly all duplicates, the move cap hit inside a batch
     (25, 3, 3e-7),  # some duplicates
-    (20, 5, 4.0),   # failed tries and chords that fall back to Gauss-Newton
+    (20, 5, 4.0),   # failed tries, stalled chords among them
 ])
 def test_batched_sample_keys_match_one_key_per_move(fourier6_swapped, monkeypatch, count, seed, step_scale):
     points, counts, state = _loop_sample_family(fourier6_swapped, count, seed, step_scale)
@@ -582,9 +584,10 @@ def test_unitarity_screen_keeps_the_spectral_verdict(fourier6, gate):
         with pytest.raises(ValueError, match="do not reconstruct to a unitary"):
             above.unitary()
     else:
-        assert isinstance(newton_correct(below), continuation.CorrectorResult)
+        pinv = tangent_frame(fourier6)[1]
+        assert isinstance(newton_correct(below, pinv), continuation.CorrectorResult)
         with pytest.raises(linalg.OffVariety, match="starting residual above 0.5") as info:
-            newton_correct(above)
+            newton_correct(above, pinv)
         assert info.value.residual == above.unitarity_residual()
 
 

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     U1_AFFINE,
     U2_AFFINE,
+    bent_rank1,
     conjugated_hermitian_pair,
     random_invertible,
     random_unitary,
@@ -687,6 +688,29 @@ def test_membership_commutant_gate_matches_commutant_dimension(monkeypatch, stan
     with pytest.raises(ValueError, match="reducible"):
         membership_test(points[-1])
     assert [c.n - r for c, r in zip(points, ranks)] == want
+
+
+def test_membership_answers_the_bent_p1_ladder(base_pair, monkeypatch):
+    # with p1 bent, the p sum is off I by the relation residual, up to
+    # 6.2e-9 inside the 1e-8 gate; the commutant operator takes I in place of the last p_k, so
+    # its zero singular value stays exact and the gate decides with an
+    # infinite gap (gaps 2.3 to 23 when it took p_6 itself)
+    gaps, real_decide = [], invariants.decide_rank
+
+    def decide(s, tol, what):
+        report = real_decide(s, tol, what)
+        if what == "joint commutant":
+            gaps.append(report.gap_ratio)
+        return report
+
+    monkeypatch.setattr(invariants, "decide_rank", decide)
+    for eps in (3e-10, 1e-9, 3e-9):
+        c = pair_from_matrices([bent_rank1(base_pair.p[0], eps), *base_pair.p[1:]], list(base_pair.q))
+        assert 1e-10 < relations.evaluate_relations(c.matrices(), relations.pair_relation_terms(6))[0] <= 1e-8
+        result = membership_test(c)
+        assert result.status is Membership.REAL_LOCUS
+        assert np.allclose(result.eigenvalues, 1.0, rtol=0, atol=1e-6)
+    assert gaps == [np.inf] * 3
 
 
 def test_membership_rejects_reducible(standard6):

@@ -18,6 +18,7 @@ from orthopair.relations import (
     require_relations,
     restrict,
     sandwich_relation_terms,
+    span_commutator_operator,
     word_products,
 )
 
@@ -421,6 +422,19 @@ def test_commutant_dimension_reducible_pair(standard6):
     # p-system against itself commutes with every diagonal matrix
     mats = list(standard6.p) + list(standard6.p)
     assert commutant_dimension(mats) == 6
+
+
+def test_span_commutator_operator_is_the_commutator_on_the_span(base_pair, family_sample):
+    # column a is the commutator operator of the others applied to vec(x_a),
+    # and the last column, [I, m], is exactly zero
+    for c in (base_pair, from_hadamard(family_sample.points[7])):
+        op = span_commutator_operator(c.p, c.q)
+        assert op.shape == (216, 6)
+        full = commutator_operator(c.q)
+        for a in range(5):
+            assert np.allclose(op[:, a], full @ c.p[a].ravel(), rtol=0, atol=1e-15)
+        assert not op[:, 5].any()
+        assert np.linalg.matrix_rank(op) == 5
 
 
 def _kron_commutator_operator(mats):

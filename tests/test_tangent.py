@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_invertible, random_unitary, tau
+from conftest import bent_rank1, random_invertible, random_unitary, tau
 from orthopair import exact, tangent
 from orthopair.config import (
     HadamardPoint,
@@ -376,15 +376,8 @@ def test_dropped_sum_rows_add_no_rank(base_pair, family_sample):
 
 
 def _bent_pair(c, eps):
-    """``c`` with q1 = v' w^T / w^T v', v' = v + eps delta (delta from
-    default_rng(0)): a rank-1 idempotent whose other relations hold only to
-    about 2.4 eps."""
-    rng = np.random.default_rng(0)
-    delta = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-    v = np.linalg.svd(c.q[0])[0][:, 0]
-    w = v.conj()
-    bent = v + eps * delta
-    return pair_from_matrices(list(c.p), [np.outer(bent, w) / (w @ bent), *c.q[1:]])
+    """``c`` with q1 bent by :func:`conftest.bent_rank1`."""
+    return pair_from_matrices(list(c.p), [bent_rank1(c.q[0], eps), *c.q[1:]])
 
 
 def test_complete_system_factors_are_invertible_inside_the_gate(base_pair, family_sample):
@@ -639,16 +632,32 @@ def _graph33_point(mats, r):
 def test_x33_refuses_rank_two_and_zero_generators():
     # both points satisfy every graph relation exactly: the moduli report
     # refuses them as reducible, from the orbit it decides, and the fiber
-    # check for their factor ranks
+    # check the zero point for its factor ranks and the rank-2 point, whose
+    # graph is at r = 0, for its relation list
     zero = np.zeros((6, 6))
-    points = [_graph33_point([zero] * 6, 1.0 / 6.0),
-              _graph33_point([np.diag([1.0, 1.0, 0, 0, 0, 0])] + [zero] * 5, 0.0)]
-    for point in points:
+    points = [(_graph33_point([zero] * 6, 1.0 / 6.0), "rank-1"),
+              (_graph33_point([np.diag([1.0, 1.0, 0, 0, 0, 0])] + [zero] * 5, 0.0), r"3\+3")]
+    for point, refusal in points:
         assert evaluate_relations(point.matrices, point.relations)[0] == 0.0
         with pytest.raises(ValueError, match="reducible"):
             moduli_tangent_report(point)
-        with pytest.raises(ValueError, match="rank-1"):
+        with pytest.raises(ValueError, match=refusal):
             fiber_rank_check(point)
+
+
+def test_fiber_rank_check_refuses_points_off_the_3x3_graph(base_pair):
+    # the u's are normalised for the 3+3 graph at r = 1/6: the 2+4 and 4+2
+    # graphs of the swap34 pair, a sandwich point and the n = 5 3+3 graph
+    # are refused by their relation lists or their size
+    five = standard_pair(5)
+    points = [graph_restriction(base_pair, [1, 2], [1, 2, 3, 4]),
+              graph_restriction(base_pair, [1, 2, 3, 4], [1, 2]),
+              restrict(five, [1]),
+              graph_restriction(five, [1, 2, 3], [1, 2, 3])]
+    for point in points:
+        with pytest.raises(ValueError, match=r"3\+3 restriction of an n = 6 pair"):
+            fiber_rank_check(point)
+    assert fiber_rank_check(graph_restriction(base_pair, [1, 2, 3], [1, 2, 3])).rank == 2
 
 
 # ---------------------------------------------------------------------------
