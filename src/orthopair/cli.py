@@ -3,16 +3,16 @@
 One binary, one subcommand per batch operation, machine-readable JSON on
 stdout and human diagnostics on stderr.  Exit codes: 0 ok, 1 fail, 2
 indeterminate (e.g. membership, decided by the conjugator's inertia, with
-one of its "eigenvalues" within --tol of zero), 3 usage or input error.  A
-fail is a numerical failure, such as a non-converged SVD, or a point off the
-variety: every command that gates a point on a residual of its defining
-equations (OffVariety) prints {"status": "fail", "residual": ...}, mapped
-in one place, main.  Numeric output uses shortest
+one of its "eigenvalues" within invariants.MEMBERSHIP_TOL of zero), 3 usage
+or input error.  A fail is a numerical failure, such as a non-converged
+SVD, or a point off the variety: every command that gates a point on a
+residual of its defining equations (OffVariety) prints {"status": "fail",
+"residual": ...}, mapped in one place, main.  Numeric output uses shortest
 round-trip decimal (up to 17 significant digits).  Randomised commands
 refuse to run without an explicit --seed so every reported number is
-reproducible.  --tol is accepted by verify, tangent, defect and membership;
---precision extended re-runs verify, invariants and identity with >= 30-digit
-software arithmetic.
+reproducible.  --tol is verify's residual bound; every rank cut is a
+constant of the module that decides it.  --precision extended re-runs
+verify, invariants and identity with >= 30-digit software arithmetic.
 """
 
 from __future__ import annotations
@@ -122,12 +122,12 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_tangent(args) -> int:
-    _emit(tangent.moduli_tangent_report(config.load_pair(args.file), args.tol).to_json_dict())
+    _emit(tangent.moduli_tangent_report(config.load_pair(args.file)).to_json_dict())
     return OK
 
 
 def cmd_defect(args) -> int:
-    _emit(tangent.defect_report(config.load_hadamard(args.file), args.tol).to_json_dict())
+    _emit(tangent.defect_report(config.load_hadamard(args.file)).to_json_dict())
     return OK
 
 
@@ -167,7 +167,7 @@ def cmd_sample(args) -> int:
 
 def cmd_membership(args) -> int:
     c = config.load_pair(args.file)
-    result = invariants.membership_test(c, args.tol)
+    result = invariants.membership_test(c)
     payload = {"status": result.status.value}
     if result.eigenvalues is not None:
         payload["eigenvalues"] = list(result.eigenvalues)
@@ -218,8 +218,6 @@ def cmd_complement(args) -> int:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="orthopair", description=__doc__)
-    tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=1e-10, help="decision tolerance (default 1e-10)")
     precision = argparse.ArgumentParser(add_help=False)
     precision.add_argument("--precision", choices=("double", "extended"), default="double")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -239,8 +237,9 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_hadamard)
 
-    p = sub.add_parser("verify", parents=[tol, precision], help="check all defining relations of a pair file")
+    p = sub.add_parser("verify", parents=[precision], help="check all defining relations of a pair file")
     p.add_argument("file")
+    p.add_argument("--tol", type=float, default=1e-10, help="residual bound (default 1e-10)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("invariants", parents=[precision], help="emit u1,u2,u3,z1,z2 of a pair file")
@@ -249,11 +248,11 @@ def build_parser() -> _Parser:
     p.add_argument("--q-subset", default="1,2,3")
     p.set_defaults(func=cmd_invariants)
 
-    p = sub.add_parser("tangent", parents=[tol], help="moduli tangent report of a pair file")
+    p = sub.add_parser("tangent", help="moduli tangent report of a pair file")
     p.add_argument("file")
     p.set_defaults(func=cmd_tangent)
 
-    p = sub.add_parser("defect", parents=[tol], help="dephased defect of a Hadamard file")
+    p = sub.add_parser("defect", help="dephased defect of a Hadamard file")
     p.add_argument("file")
     p.set_defaults(func=cmd_defect)
 
@@ -278,7 +277,7 @@ def build_parser() -> _Parser:
                    help="append to --out instead of overwriting (multi-path dumps)")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("membership", parents=[tol], help="real-locus membership of a pair file")
+    p = sub.add_parser("membership", help="real-locus membership of a pair file")
     p.add_argument("file")
     p.set_defaults(func=cmd_membership)
 

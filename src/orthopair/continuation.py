@@ -50,7 +50,7 @@ import numpy as np
 from .config import UNITARITY_TOL, HadamardPoint, _wrap_angles, dephased_phases, gram_defects, reconstruct_phases
 from .config import atomic_write
 from .invariants import InvariantVector, u_word_traces
-from .linalg import RANK_TOL, OffVariety, gauss_newton, rank1_projector, worst_above
+from .linalg import OffVariety, gauss_newton, rank1_projector, worst_above
 from .tangent import _defect_kernel, _gram_constraints, phase_constraints
 
 __all__ = [
@@ -112,7 +112,7 @@ def tangent_frame(h: HadamardPoint, prev: np.ndarray | None = None,
     if jacobian is None:
         h.unitary()
         jacobian = phase_constraints(h)[1]
-    _, V, pinv = _defect_kernel(jacobian, RANK_TOL)
+    _, V, pinv = _defect_kernel(jacobian)
     if V.shape[1] != FAMILY_DIM:
         raise ValueError(f"dephased defect is {V.shape[1]}, not {FAMILY_DIM}; no 4-frame here")
     if prev is not None:

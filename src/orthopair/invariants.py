@@ -70,6 +70,7 @@ COMPLEMENT_MAX_ITER = 60  # Gauss-Newton iterations per start
 COMPLEMENT_WINDOW = 8  # a start gives up when its norm has not halved over this many steps
 COMPLEMENT_RCOND = 1e-12  # relative singular-value cut of the Gauss-Newton step
 COMPLEMENT_RANK_TOL = 1e-8  # solve_complement: the rank cut of I - P
+MEMBERSHIP_TOL = 1e-8  # membership_test: the conjugator-space cut and the boundary eigenvalue bound
 
 
 @dataclass(frozen=True)
@@ -339,7 +340,7 @@ def _p_relation_terms(n: int) -> tuple:
     return tuple(rel for rel in pair_relation_terms(n) if all(g < n for _, w in rel[1] for g in w))
 
 
-def membership_test(c: PairConfiguration, tol: float = 1e-8) -> MembershipResult:
+def membership_test(c: PairConfiguration) -> MembershipResult:
     """Classify a configuration against the adjoint involution.
 
     Solves p^dag g = g p over all 2n projectors in the basis of the p's,
@@ -349,17 +350,17 @@ def membership_test(c: PairConfiguration, tol: float = 1e-8) -> MembershipResult
     of the p_k: column k of the conjugator operator stacks q_j^dag G_k -
     G_k q_j over j, of the commutant operator [p_k, q_j] with I in place of
     the last p_k (:func:`relations.span_commutator_operator`, whose zero
-    singular value is exact), and one batched SVD factorises both.  No
-    nonzero solution means the configuration is not equivalent to its
-    adjoint.  Otherwise irreducibility makes the solution line unique; it
-    is rotated to a Hermitian representative g, scaled so that its
-    eigenvalue of largest modulus is 1, and its inertia, which conjugation
-    leaves unchanged, decides: ``eigenvalues`` (ascending) all positive
-    certify equivalence to a Hermitian configuration, i.e. a genuine pair
-    of mutually unbiased bases; both signs leave it theta-stable only, and
-    one within tol of zero boundary-indeterminate.  The irreducibility gate and the dimension
-    of the solution space are rank decisions: without a decisive
-    singular-value gap they raise IndeterminateDimension.
+    singular value is exact), and one batched SVD factorises both, cut at
+    RANK_TOL and MEMBERSHIP_TOL.  No nonzero solution means the
+    configuration is not equivalent to its adjoint.  Otherwise
+    irreducibility makes the solution line unique; it is rotated to a
+    Hermitian representative g, scaled so that its eigenvalue of largest
+    modulus is 1, and its inertia, which conjugation leaves unchanged,
+    decides: ``eigenvalues`` (ascending) all positive certify equivalence
+    to a Hermitian configuration, i.e. a genuine pair of mutually unbiased
+    bases; both signs leave it theta-stable only, and one within
+    MEMBERSHIP_TOL of zero boundary-indeterminate.  Without a decisive
+    singular-value gap either cut raises IndeterminateDimension.
     """
     n = c.n
     p = _require_system(c.p, _p_relation_terms(n), "the p's are not a complete system of rank-1 idempotents")
@@ -369,7 +370,7 @@ def membership_test(c: PairConfiguration, tol: float = 1e-8) -> MembershipResult
     _, s, vh = np.linalg.svd(np.stack([conjugator, span_commutator_operator(p, q)]), full_matrices=False)
     if n - decide_rank(s[1], RANK_TOL, "joint commutant").rank != 1:
         raise ValueError("configuration is reducible; the conjugator is not unique")
-    nullity = n - decide_rank(s[0], tol, "conjugator space").rank
+    nullity = n - decide_rank(s[0], MEMBERSHIP_TOL, "conjugator space").rank
     if nullity == 0:
         return MembershipResult(Membership.NOT_THETA_STABLE, None, None)
     if nullity > 1:
@@ -387,7 +388,7 @@ def membership_test(c: PairConfiguration, tol: float = 1e-8) -> MembershipResult
     lam = np.linalg.eigvalsh(g)
     scale = lam[np.argmax(np.abs(lam))]  # the line's sign: its largest |lambda| becomes +1
     g, lam = g / scale, np.sort(lam / scale)
-    if np.min(np.abs(lam)) <= tol:
+    if np.min(np.abs(lam)) <= MEMBERSHIP_TOL:
         return MembershipResult(Membership.BOUNDARY_INDETERMINATE, g, tuple(lam.tolist()))
     definite = lam[0] > 0  # ascending, and lam[-1] = 1: all of one sign
     return MembershipResult(Membership.REAL_LOCUS if definite else Membership.THETA_STABLE_ONLY, g,

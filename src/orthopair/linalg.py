@@ -7,11 +7,11 @@ refusal :class:`OffVariety`, the one batched range factorisation of
 idempotents, the one Gauss-Newton loop of the corrector and the complement
 solver, and -- most importantly -- the one numerical rank rule every integer
 answer of the package goes through.  :func:`decide_rank` uses a *relative*
-threshold (tol times the largest singular value) with an explicit,
-caller-controlled tolerance, and refuses with :class:`IndeterminateDimension`
-when the singular-value gap at the cut is not decisive, so ill-conditioned
-decisions are never silently trusted.  RANK_TOL is the package's one default
-relative cut.
+threshold (tol times the largest singular value) with an explicit
+tolerance, a constant of the deciding module, and refuses with
+:class:`IndeterminateDimension` when the singular-value gap at the cut is
+not decisive, so ill-conditioned decisions are never silently trusted.
+RANK_TOL is the package's one relative rank cut.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 GAP_RATIO_REQUIRED = 1e3
-RANK_TOL = 1e-10  # default relative cut: tangent, defect, factor, projector and commutant ranks
+RANK_TOL = 1e-10  # the relative cut of tangent, defect, factor, projector and commutant ranks
 
 
 def as_matrix(a) -> np.ndarray:

@@ -324,12 +324,12 @@ def span_commutator_operator(x, others) -> np.ndarray:
     return (x @ others - others @ x).reshape(len(x), -1).T
 
 
-def commutant_dimension(mats, tol: float = RANK_TOL) -> int:
+def commutant_dimension(mats) -> int:
     """Dimension of the joint commutant {xi : xi m = m xi for all m}.
 
     1 means the matrices act irreducibly (Schur).  Computed as the nullity
-    of the stacked commutator system.
+    of the stacked commutator system, cut at RANK_TOL.
     """
     K = commutator_operator(mats)
     s = np.linalg.svd(K, compute_uv=False)
-    return K.shape[1] - decide_rank(s, tol, "joint commutant").rank
+    return K.shape[1] - decide_rank(s, RANK_TOL, "joint commutant").rank

@@ -304,18 +304,18 @@ def rep_jacobian(point) -> JacobianSystem:
     return JacobianSystem(mats, factors, J, complete, columns, scales[columns])
 
 
-def orbit_tangent_dim(mats, tol: float = RANK_TOL) -> int:
+def orbit_tangent_dim(mats) -> int:
     """Dimension of the conjugation-orbit tangent at the generator matrices.
 
     The orbit tangent is span{([xi, m] for all generators m)}, the image of
     the commutator map, so its dimension is d^2 minus the joint commutant
-    dimension.
+    dimension, cut at RANK_TOL.
     """
     d = mats[0].shape[0]
-    return d * d - commutant_dimension(mats, tol)
+    return d * d - commutant_dimension(mats)
 
 
-def _span_orbit_dim(mats, S: tuple[int, ...], tol: float) -> int:
+def _span_orbit_dim(mats, S: tuple[int, ...]) -> int:
     """:func:`orbit_tangent_dim` at generators of which those in S are a
     complete system of rank-1 idempotents, taken in |S| unknowns.
 
@@ -326,7 +326,7 @@ def _span_orbit_dim(mats, S: tuple[int, ...], tol: float) -> int:
     """
     gens = np.stack(mats)
     s = np.linalg.svd(span_commutator_operator(gens[list(S)], np.delete(gens, S, axis=0)), compute_uv=False)
-    return gens.shape[1] ** 2 - (len(S) - decide_rank(s, tol, "joint commutant").rank)
+    return gens.shape[1] ** 2 - (len(S) - decide_rank(s, RANK_TOL, "joint commutant").rank)
 
 
 @dataclass(frozen=True)
@@ -359,7 +359,7 @@ class TangentReport:
         }
 
 
-def _moduli_report(system: JacobianSystem, tol: float, s: np.ndarray | None = None) -> TangentReport:
+def _moduli_report(system: JacobianSystem, s: np.ndarray | None = None) -> TangentReport:
     """The one decision of a Zariski nullity, an orbit dimension and their
     difference.  ``s`` is the spectrum of the column-scaled Jacobian, when
     the caller has already factorised it.  The orbit is taken in |S|
@@ -369,10 +369,10 @@ def _moduli_report(system: JacobianSystem, tol: float, s: np.ndarray | None = No
     and is refused with ValueError."""
     if s is None:
         s = np.linalg.svd(system.jacobian * system.scales, compute_uv=False)
-    cut = decide_rank(s, tol, "moduli tangent")
+    cut = decide_rank(s, RANK_TOL, "moduli tangent")
     nullity = system.jacobian.shape[1] - cut.rank - system.gauge_dim
     rank1 = [S for S in system.complete if all(system.factors[a][0].shape[1] == 1 for a in S)]
-    orbit = _span_orbit_dim(system.matrices, rank1[0], tol) if rank1 else orbit_tangent_dim(system.matrices, tol)
+    orbit = _span_orbit_dim(system.matrices, rank1[0]) if rank1 else orbit_tangent_dim(system.matrices)
     if nullity < orbit:  # the orbit tangent lies in the kernel: the cut counted residual noise as rank
         raise IndeterminateDimension(f"moduli tangent: nullity {nullity} < orbit dimension {orbit}", s, cut.gap_ratio)
     if orbit != system.matrices[0].shape[0] ** 2 - 1:
@@ -380,19 +380,19 @@ def _moduli_report(system: JacobianSystem, tol: float, s: np.ndarray | None = No
     return TangentReport(nullity, orbit, nullity - orbit, cut.gap_ratio, s)
 
 
-def moduli_tangent_report(point, tol: float = RANK_TOL) -> TangentReport:
+def moduli_tangent_report(point) -> TangentReport:
     """Moduli tangent dimension at any point :func:`rep_jacobian` takes: a
     :class:`PairConfiguration`, a sandwich point (P, q_1..q_n) or a
     bipartite graph point such as the 3+3 restriction.
 
     Its preconditions are those of :func:`rep_jacobian` and
     :func:`_moduli_report`: on the variety, relations it can factor, a
-    decisive gap at every cut and an irreducible point.  A pair inside the
-    gate is always irreducible: its p's are a complete rank-1 system, so
-    their commutant is diagonal in the p basis, in which no entry of a q_j
-    vanishes, as Tr(p_i q_j) = 1/n.
+    decisive gap at every cut, each at RANK_TOL, and an irreducible point.
+    A pair inside the gate is always irreducible: its p's are a complete
+    rank-1 system, so their commutant is diagonal in the p basis, in which
+    no entry of a q_j vanishes, as Tr(p_i q_j) = 1/n.
     """
-    return _moduli_report(rep_jacobian(point), tol)
+    return _moduli_report(rep_jacobian(point))
 
 
 def a6_moduli_tangent_report(point: AlgebraRepPoint) -> TangentReport:
@@ -466,26 +466,26 @@ def _constraint_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple,
     return j, k, free, plus, minus
 
 
-def _defect_kernel(J: np.ndarray, tol: float) -> tuple[RankReport, np.ndarray, Callable[[], np.ndarray]]:
+def _defect_kernel(J: np.ndarray) -> tuple[RankReport, np.ndarray, Callable[[], np.ndarray]]:
     """The one defect decision on a phase Jacobian: one SVD, the gap-checked
     cut, the kernel basis as columns, and a zero-argument callable that
     builds the truncated pseudo-inverse J+ = V_r S_r^-1 U_r^T at the same
     cut (r the rank) from that SVD."""
     u, s, vt = np.linalg.svd(J)
-    cut = decide_rank(s, tol, "dephased defect")
+    cut = decide_rank(s, RANK_TOL, "dephased defect")
     r = cut.rank
     return cut, vt[r:].T, lambda: (vt[:r].T / s[:r]) @ u[:, :r].T
 
 
-def defect_report(h: HadamardPoint, tol: float = RANK_TOL) -> TangentReport:
+def defect_report(h: HadamardPoint) -> TangentReport:
     """The dephased defect of ``h``: the real nullity of the unitarity
     Jacobian in phase coordinates, i.e. the dimension of the local family of
     complex Hadamard matrices through the point with all gauge freedom
-    removed.  Phase coordinates have no orbit to subtract, so it is reported
-    as nullity and moduli dimension alike with ``orbit_dim`` 0.  OffVariety
-    through :meth:`HadamardPoint.unitary`."""
+    removed, cut at RANK_TOL.  Phase coordinates have no orbit to subtract,
+    so it is reported as nullity and moduli dimension alike with
+    ``orbit_dim`` 0.  OffVariety through :meth:`HadamardPoint.unitary`."""
     h.unitary()
-    cut, kernel, _ = _defect_kernel(phase_constraints(h)[1], tol)
+    cut, kernel, _ = _defect_kernel(phase_constraints(h)[1])
     defect = kernel.shape[1]
     return TangentReport(defect, 0, defect, cut.gap_ratio, cut.singular_values)
 
@@ -553,7 +553,7 @@ def fiber_rank_check(point: AlgebraRepPoint) -> FiberRankReport:
     if any(v.shape[1] != 1 for v, _ in system.factors):
         raise ValueError("the fiber check takes six rank-1 generators")
     _, s, vh = np.linalg.svd(system.jacobian * system.scales)
-    report = _moduli_report(system, RANK_TOL, s)
+    report = _moduli_report(system, s)
     kernel = system.scales[:, None] * vh[vh.shape[0] - report.nullity - system.gauge_dim:].conj().T
     mats = system.matrices
     d = mats[0].shape[0]

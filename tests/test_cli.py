@@ -268,6 +268,10 @@ def test_tangent_rejects_extended(pair_file, capsys):
     ["complement", "{pair}", "--seed", "7", "--out", "{out}", "--tol", "1"],
     ["trace", "--start", "{hadamard}", "--direction", "0", "--steps", "1", "--out", "{out}",
      "--precision", "double"],
+    # every rank cut is a module constant: only verify takes a --tol
+    ["tangent", "{pair}", "--tol", "1"],
+    ["defect", "{hadamard}", "--tol", "inf"],
+    ["membership", "{pair}", "--tol", "1"],
 ])
 def test_cli_flags_only_where_read(argv, pair_file, hadamard_file, tmp_path, capsys):
     out = tmp_path / "out.json"
@@ -280,22 +284,21 @@ def test_cli_flags_only_where_read(argv, pair_file, hadamard_file, tmp_path, cap
 
 
 @pytest.mark.parametrize("argv", [
-    ["tangent", "{pair}", "--tol", "nan"],
-    ["tangent", "{pair}", "--tol", "inf"],
-    ["tangent", "{pair}", "--tol", "1"],
-    ["defect", "{hadamard}", "--tol", "inf"],
+    ["verify", "{pair}", "--tol", "inf"],
+    ["verify", "{pair}", "--tol", "-1"],
+    ["verify", "{pair}", "--tol", "-0"],
+    ["verify", "{pair}", "--tol", "1e-400"],  # underflows to 0
     ["verify", "{pair}", "--tol", "nan"],
     ["verify", "{pair}", "--tol", "0"],
-    ["membership", "{pair}", "--tol", "1"],
 ])
-def test_out_of_range_tolerance_is_an_input_error(argv, pair_file, hadamard_file, capsys):
-    # no decision is made up at a tolerance that counts no singular value,
-    # and no tolerance that JSON cannot carry is echoed
-    argv = [a.format(pair=pair_file, hadamard=hadamard_file) for a in argv]
+def test_out_of_range_tolerance_is_an_input_error(argv, pair_file, capsys):
+    # verify's residual bound must be finite and positive, and no bound
+    # that JSON cannot carry is echoed
+    argv = [a.format(pair=pair_file) for a in argv]
     code, payload, err = run(capsys, *argv)
     assert code == USAGE
     assert payload is None
-    assert "--tol must be finite and positive" in err or "rank tolerance must lie in (0, 1)" in err
+    assert "--tol must be finite and positive" in err
 
 
 def test_tangent_off_variety_fails_with_residual(pair_file, tmp_path, capsys):
@@ -491,15 +494,18 @@ def test_membership(pair_file, capsys):
 
 
 def test_membership_boundary_exit_code(tmp_path, capsys):
-    # conjugator diag(1, 1e-12): an eigenvalue within the default 1e-10 of
-    # zero leaves the inertia undecided, exit code 2
-    path = tmp_path / "boundary.json"
-    config.save_pair(path, conjugated_hermitian_pair(np.random.default_rng(32), np.diag([1.0, 1e6])))
-    code, payload, err = run(capsys, "membership", str(path))
-    assert code == INDETERMINATE
-    assert payload["status"] == "boundary_indeterminate"
-    assert sorted(abs(x) for x in payload["eigenvalues"])[0] <= 1e-10
-    assert "eigenvalue" in err
+    # conjugators diag(1, 1e-12) and diag(1, 1.0e-9): an eigenvalue within
+    # invariants.MEMBERSHIP_TOL of zero leaves the inertia undecided, exit
+    # code 2, and the command decides as membership_test does
+    for seed, scale in ((32, 1e6), (33, 3.16e4)):
+        c = conjugated_hermitian_pair(np.random.default_rng(seed), np.diag([1.0, scale]))
+        path = tmp_path / f"boundary{seed}.json"
+        config.save_pair(path, c)
+        code, payload, err = run(capsys, "membership", str(path))
+        assert code == INDETERMINATE
+        assert payload["status"] == invariants.membership_test(c).status.value == "boundary_indeterminate"
+        assert min(abs(x) for x in payload["eigenvalues"]) == pytest.approx(scale ** -2, rel=1e-6)
+        assert "eigenvalue" in err
 
 
 def test_membership_reports_conjugator_eigenvalues(pair_file, capsys):

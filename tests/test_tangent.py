@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,11 +10,13 @@ from orthopair import exact, tangent
 from orthopair.config import (
     HadamardPoint,
     PairConfiguration,
+    dephased_phases,
     fourier_phases,
     from_hadamard,
     pair_from_matrices,
     standard_pair,
 )
+from orthopair.continuation import sample_family
 from orthopair.invariants import u_invariants, u_invariants_directional
 from orthopair.linalg import decide_rank
 from orthopair.relations import (
@@ -138,7 +142,7 @@ def _dense_fiber(point, tol=1e-10):
     sd = np.linalg.svd(np.array(columns).T, compute_uv=False)
     rank = 0 if sd[0] < 1e-12 else decide_rank(sd, max(tol, 1e-8), "dense invariant rank").rank
     factors = [abs(36.0 * np.trace(P @ qs[i] @ P @ qs[j]) - 1.0) for i, j in ((0, 1), (1, 2), (2, 0))]
-    return rank, sd, nullity - orbit_tangent_dim(mats, tol), sum(f < 1e-6 for f in factors) >= 2
+    return rank, sd, nullity - orbit_tangent_dim(mats), sum(f < 1e-6 for f in factors) >= 2
 
 
 def factored_residual_vector(factors, relations):
@@ -482,16 +486,16 @@ def test_orbit_in_n_unknowns_matches_commutant(base_pair, family_sample, standar
     for c in _complete_pair_points(base_pair, family_sample):
         mats = c.matrices()
         for S in (tuple(range(c.n)), tuple(range(c.n, 2 * c.n))):
-            assert tangent._span_orbit_dim(mats, S, tangent.RANK_TOL) == orbit_tangent_dim(mats)
+            assert tangent._span_orbit_dim(mats, S) == orbit_tangent_dim(mats)
     # the sandwich q's against P, irreducible or not
     points = [restrict(c, subset) for c in (base_pair, from_hadamard(family_sample.points[9]))
               for subset in ([1], [1, 2], [1, 2, 3])] + [_reducible_sandwich_point()]
     for point in points:
-        dim = tangent._span_orbit_dim(point.matrices, tuple(range(1, 7)), tangent.RANK_TOL)
+        dim = tangent._span_orbit_dim(point.matrices, tuple(range(1, 7)))
         assert dim == orbit_tangent_dim(point.matrices) == (33 if point is points[-1] else 35)
     # the p system against itself commutes with every diagonal matrix
     mats = list(standard6.p) + list(standard6.p)
-    assert tangent._span_orbit_dim(mats, tuple(range(6)), tangent.RANK_TOL) == orbit_tangent_dim(mats) == 30
+    assert tangent._span_orbit_dim(mats, tuple(range(6))) == orbit_tangent_dim(mats) == 30
 
 
 def test_moduli_report_cost(monkeypatch):
@@ -896,7 +900,7 @@ def test_bent_q1_sandwich_window(base_pair):
         assert report.gap_ratio >= 1e9
     for eps in (3e-10, 1e-9):
         point = restrict(_bent_pair(base_pair, eps), [1, 2, 3])
-        assert tangent._span_orbit_dim(point.matrices, tuple(range(1, 7)), tangent.RANK_TOL) == 35
+        assert tangent._span_orbit_dim(point.matrices, tuple(range(1, 7))) == 35
         with pytest.raises(IndeterminateDimension, match="moduli tangent: singular-value gap"):
             moduli_tangent_report(point)
 
@@ -1033,6 +1037,23 @@ def test_defect_matches_moduli_dimension(base_pair, fourier6_swapped, family_sam
         assert defect_report(h).moduli_dim == moduli_tangent_report(from_hadamard(h)).moduli_dim
 
 
+@pytest.fixture(scope="module")
+def invariance_points(fourier6, fourier6_swapped):
+    """F6, F6 swap34 and five points of a seeded walk from F6 swap34."""
+    return [fourier6, fourier6_swapped, *sample_family(fourier6_swapped, 6, 5).points[1:]]
+
+
+def test_defect_invariant_under_permutation(invariance_points):
+    # permuting the rows and the columns of a Hadamard matrix and dephasing
+    # it again is an equivalence: the defect stays 4
+    rng = np.random.default_rng(0)
+    for h in invariance_points:
+        u = h.unitary()
+        for _ in range(3):
+            moved = u[rng.permutation(6)][:, rng.permutation(6)]
+            assert defect_report(HadamardPoint(6, dephased_phases(moved))).moduli_dim == 4
+
+
 def test_defect_refuses_off_manifold():
     rng = np.random.default_rng(26)
     with pytest.raises(ValueError):
@@ -1165,6 +1186,22 @@ def test_fiber_conjugation_ladder(base_pair, family_sample):
                 answered.add((slot, a))
         assert answered >= {(slot, a) for slot in range(6) for a in (1e1, 1e2, 1e3, 1e4)}
         assert {slot for slot, a in answered if a == 1e5} >= top
+
+
+def test_fiber_invariant_under_conjugation_and_permutation(invariance_points):
+    # a unitary conjugation and permutations within the triples leave the
+    # fiber rank, the moduli dimension and the u3 degeneracy
+    for k, h in enumerate(invariance_points):
+        point = graph_restriction(from_hadamard(h), [1, 2, 3], [1, 2, 3])
+        want = fiber_rank_check(point)
+        u = random_unitary(np.random.default_rng(k), 6)
+        mats = [u @ m @ u.conj().T for m in point.matrices]
+        for p_order, q_order in itertools.product(((0, 1, 2), (2, 0, 1), (1, 0, 2)), ((0, 1, 2), (1, 2, 0), (0, 2, 1))):
+            order = [*p_order, *(3 + j for j in q_order)]
+            moved = AlgebraRepPoint(names=tuple(point.names[i] for i in order),
+                                    matrices=tuple(mats[i] for i in order), relations=point.relations)
+            got = fiber_rank_check(moved)
+            assert (got.rank, got.moduli_dim, got.degenerate_u3) == (want.rank, want.moduli_dim, want.degenerate_u3)
 
 
 def test_fiber_rank_check_cost(base_pair, monkeypatch):
